@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+from .errors import ParseError
 from .graphs import Edge, Graph, normalize_edge
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,12 +51,32 @@ class EmbeddingCertificate:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
+    def from_paths(cls, kind: str, branch_vertices: Iterable[int],
+                   path_of: Callable[[int, int], list[int]],
+                   ell: Optional[int] = None) -> "EmbeddingCertificate":
+        """Certificate over the sorted branch set, with ``path_of(a, b)``
+        (a < b, either orientation) oriented to run from a to b."""
+        branch = sorted(branch_vertices)
+        pairs: dict[tuple[int, int], list[int]] = {}
+        for i, a in enumerate(branch):
+            for j in range(i + 1, len(branch)):
+                path = path_of(a, branch[j])
+                pairs[(i, j)] = list(path) if path[0] == a else list(reversed(path))
+        return cls(kind=kind, branch=branch, pairs=pairs, ell=ell)
+
+    @classmethod
     def from_json(cls, text: str) -> "EmbeddingCertificate":
-        obj = json.loads(text)
-        pairs = {(entry["i"], entry["j"]): list(entry["path"])
-                 for entry in obj["pairs"]}
-        return cls(kind=obj["kind"], branch=list(obj["branch"]),
-                   pairs=pairs, ell=obj.get("ell"))
+        """Parse a certificate; malformed text raises ``ParseError``."""
+        try:
+            obj = json.loads(text)
+            pairs = {(entry["i"], entry["j"]): list(entry["path"])
+                     for entry in obj["pairs"]}
+            return cls(kind=obj["kind"], branch=list(obj["branch"]),
+                       pairs=pairs, ell=obj.get("ell"))
+        except json.JSONDecodeError as err:
+            raise ParseError(err.lineno, f"malformed certificate JSON: {err.msg}") from None
+        except (KeyError, TypeError, AttributeError) as err:
+            raise ParseError(1, f"malformed certificate: {err!r}") from None
 
 
 @dataclass
@@ -88,6 +109,8 @@ def _walk_edges(path: list[int]) -> list[Edge]:
 def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
     """Check a certificate from scratch against the graph."""
     violations: list[tuple[str, str]] = []
+    if cert.kind not in (IMMERSION, SUBDIVISION):
+        violations.append(("UNKNOWN_KIND", f"kind {cert.kind!r}"))
     branch = cert.branch
     t = len(branch)
     if len(set(branch)) != t:

@@ -3,7 +3,10 @@ construction pipeline, verify the emitted certificate, and write artifacts.
 
 Every run is reproducible from its flags: one root seed derives every
 stream, certificates serialize canonically, and the metrics CSV is
-byte-stable apart from the wall-clock column.
+byte-stable apart from the wall-clock column.  The pipeline commands and
+``sweep`` share one table, ``PIPELINES``, and one row function, so a run
+gets the same ``run_id`` (a hash of its command and inputs) whichever
+command ran it.
 """
 
 from __future__ import annotations
@@ -15,39 +18,43 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from . import generators
-from .certify import EmbeddingCertificate, verify
+from .certify import EmbeddingCertificate, VerifyReport, verify
 from .errors import ImforgeError
-from .graphs import Graph
+from .gadgets import bipartite_k3_immersion
+from .graphs import Graph, build_graph, pair_density
 from .immersion_dense import build_dense_immersion
 from .immersion_medium import build_medium_immersion
-from .gadgets import bipartite_k3_immersion
 from .nibble import edge_disjoint_triangles, triangle_hypergraph
-from .spectral import adjacency_spectrum
-from .subdivision import build_balanced_subdivision
-from .util import derive_seed, np_rng
+from .spectral import SpectralReport, adjacency_spectrum
+from .subdivision import VARIANT_FIXED, VARIANT_POWER, build_balanced_subdivision
+from .util import BEST_EFFORT, STRICT, derive_seed, np_rng
 
 CSV_COLUMNS = ["command", "run_id", "n", "d", "lambda", "eta", "t", "M1", "M2",
                "reds_total", "reds_replaced_2path", "pairs_3path", "stuck",
                "achieved_order", "seconds"]
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("IMFORGE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ImforgeError(f"IMFORGE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ImforgeError("IMFORGE_THREADS must be at least 1")
-    return cap
-
-
-def run_id_for(command: str, payload: dict) -> str:
-    blob = json.dumps({"command": command, **payload}, sort_keys=True)
+def run_id_for(command: str, inputs: dict) -> str:
+    """Name a run by its command and inputs, never by its outputs."""
+    blob = json.dumps({"command": command, **inputs}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def metrics_row(command: str, inputs: dict, columns: dict, started: float) -> dict:
+    """One metrics row; the columns a command does not produce stay empty."""
+    return {"command": command, "run_id": run_id_for(command, inputs), **columns,
+            "seconds": f"{time.time() - started:.3f}"}
+
+
+def write_rows(fh, rows: list[dict], header: bool) -> None:
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, restval="")
+    if header:
+        writer.writeheader()
+    writer.writerows(rows)
 
 
 def write_metrics(path: Optional[str], rows: list[dict]) -> None:
@@ -55,22 +62,17 @@ def write_metrics(path: Optional[str], rows: list[dict]) -> None:
         return
     exists = os.path.exists(path)
     with open(path, "a", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        if not exists:
-            writer.writeheader()
-        for row in rows:
-            writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
+        write_rows(fh, rows, header=not exists)
 
 
-def resolve_graph(args, seed: int) -> tuple[Graph, dict]:
+def resolve_graph(args, seed: int) -> Graph:
     if getattr(args, "graph", None):
-        return generators.load_graph(args.graph), {"source": args.graph}
+        return generators.load_graph(args.graph)
     if getattr(args, "q", None):
-        return generators.paley(args.q), {"source": f"paley({args.q})"}
+        return generators.paley(args.q)
     if getattr(args, "n", None) and getattr(args, "d", None):
-        g = generators.random_regular(args.n, args.d,
-                                      derive_seed(seed, "gen:random-regular"))
-        return g, {"source": f"random_regular({args.n},{args.d})"}
+        return generators.random_regular(args.n, args.d,
+                                         derive_seed(seed, "gen:random-regular"))
     raise ImforgeError("supply --graph PATH, --q Q, or both --n and --d")
 
 
@@ -96,80 +98,97 @@ def cmd_gen(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    g, _ = resolve_graph(args, args.seed)
+    g = resolve_graph(args, args.seed)
     report = adjacency_spectrum(g, tol=args.tol)
     emit(args.out, report.to_json())
     return 0
 
 
-def _finish_pipeline(args, g, report, cert, row_fields, started) -> int:
+@dataclass(frozen=True)
+class Pipeline:
+    """A construction command: its flags besides the shared graph, seed,
+    mode and ``--eta`` flags, its builder, and the CSV columns its
+    diagnostics fill besides ``achieved_order``."""
+
+    help: str
+    options: tuple[tuple[str, dict], ...]
+    build: Callable[[Graph, SpectralReport, argparse.Namespace],
+                    tuple[EmbeddingCertificate, Any]]
+    columns: Callable[[Any], dict]
+
+    def defaults(self) -> dict:
+        return {flag[2:].replace("-", "_"): spec["default"] for flag, spec in self.options}
+
+
+def _build_medium(g: Graph, report: SpectralReport, args) -> tuple[EmbeddingCertificate, Any]:
+    h_params = (args.h1, args.h2, args.h3)
+    if None in h_params:
+        if h_params != (None, None, None):
+            raise ImforgeError("--h1/--h2/--h3 must be given together")
+        h_params = None
+    return build_medium_immersion(
+        g, report, eta=args.eta, seed=args.seed, mode=args.mode, y=args.y,
+        h_params=h_params, target_order=args.target, max_len=args.max_len)
+
+
+PIPELINES = {
+    "immerse-medium": Pipeline(
+        "unit-based clique immersion",
+        (("--y", {"type": float, "default": 1.0}),
+         ("--h1", {"type": int, "default": None}),
+         ("--h2", {"type": int, "default": None}),
+         ("--h3", {"type": int, "default": None}),
+         ("--target", {"type": int, "default": None}),
+         ("--max-len", {"type": int, "default": None})),
+        _build_medium,
+        lambda diag: {"t": diag.h_params[0], "stuck": diag.pairs_missing}),
+    "immerse-dense": Pipeline(
+        "partition-based clique immersion", (),
+        lambda g, report, args: build_dense_immersion(
+            g, report, eta=args.eta, seed=args.seed, mode=args.mode),
+        lambda diag: {"t": diag.t, "M1": diag.m1, "M2": diag.m2,
+                      "reds_total": diag.reds_total,
+                      "reds_replaced_2path": diag.reds_replaced_2path,
+                      "pairs_3path": diag.pairs_3path, "stuck": diag.stuck}),
+    "subdivide": Pipeline(
+        "balanced clique subdivision",
+        (("--eps", {"type": float, "default": 0.05}),
+         ("--variant", {"choices": [VARIANT_FIXED, VARIANT_POWER],
+                        "default": VARIANT_FIXED})),
+        lambda g, report, args: build_balanced_subdivision(
+            g, report, eta=args.eta, eps=args.eps, seed=args.seed,
+            mode=args.mode, variant=args.variant),
+        lambda diag: {"t": diag.t, "stuck": diag.failed_pairs}),
+}
+
+
+def pipeline_inputs(command: str, args) -> dict:
+    """Everything a pipeline run depends on, as hashed into its run id."""
+    names = ("graph", "q", "n", "d", "eta", "seed", "mode", *PIPELINES[command].defaults())
+    return {name: getattr(args, name) for name in names}
+
+
+def run_pipeline(command: str, args) -> tuple[EmbeddingCertificate, VerifyReport, dict]:
+    """Build and verify one pipeline run; returns the certificate, the
+    verify report, and the metrics row."""
+    started = time.time()
+    g = resolve_graph(args, args.seed)
+    report = adjacency_spectrum(g)
+    cert, diag = PIPELINES[command].build(g, report, args)
     rep = verify(g, cert)
+    columns = {"n": g.n, "d": report.d, "lambda": f"{report.lam:.6f}", "eta": args.eta,
+               **PIPELINES[command].columns(diag), "achieved_order": diag.achieved_order}
+    return cert, rep, metrics_row(command, pipeline_inputs(command, args), columns, started)
+
+
+def cmd_pipeline(args) -> int:
+    cert, rep, row = run_pipeline(args.command, args)
     if args.out:
         emit(args.out, cert.to_json())
     if args.report:
         emit(args.report, rep.to_json())
-    seconds = time.time() - started
-    row = {"command": row_fields.pop("command"),
-           "run_id": run_id_for(row_fields["source"],
-                                {k: str(v) for k, v in row_fields.items()} |
-                                {"seed": args.seed}),
-           "n": g.n, "d": report.d, "lambda": f"{report.lam:.6f}",
-           "seconds": f"{seconds:.3f}"}
-    row.update({k: v for k, v in row_fields.items() if k in CSV_COLUMNS})
     write_metrics(args.metrics, [row])
-    if args.mode == "strict":
-        return 0 if rep.valid else 1
     return 0 if rep.valid else 1
-
-
-def cmd_immerse_medium(args) -> int:
-    started = time.time()
-    g, meta = resolve_graph(args, args.seed)
-    report = adjacency_spectrum(g)
-    h_params = None
-    if args.h1 is not None or args.h2 is not None or args.h3 is not None:
-        if None in (args.h1, args.h2, args.h3):
-            raise ImforgeError("--h1/--h2/--h3 must be given together")
-        h_params = (args.h1, args.h2, args.h3)
-    cert, diag = build_medium_immersion(
-        g, report, eta=args.eta, seed=args.seed, mode=args.mode, y=args.y,
-        h_params=h_params, target_order=args.target, max_len=args.max_len)
-    fields = {"command": "immerse-medium", "source": meta["source"],
-              "eta": args.eta, "t": diag.h_params[0], "M1": 0, "M2": 0,
-              "reds_total": 0, "reds_replaced_2path": 0,
-              "pairs_3path": 0, "stuck": diag.pairs_missing,
-              "achieved_order": diag.achieved_order}
-    return _finish_pipeline(args, g, report, cert, fields, started)
-
-
-def cmd_immerse_dense(args) -> int:
-    started = time.time()
-    g, meta = resolve_graph(args, args.seed)
-    report = adjacency_spectrum(g)
-    cert, diag = build_dense_immersion(g, report, eta=args.eta,
-                                       seed=args.seed, mode=args.mode)
-    fields = {"command": "immerse-dense", "source": meta["source"],
-              "eta": args.eta, "t": diag.t, "M1": diag.m1, "M2": diag.m2,
-              "reds_total": diag.reds_total,
-              "reds_replaced_2path": diag.reds_replaced_2path,
-              "pairs_3path": diag.pairs_3path, "stuck": diag.stuck,
-              "achieved_order": diag.achieved_order}
-    return _finish_pipeline(args, g, report, cert, fields, started)
-
-
-def cmd_subdivide(args) -> int:
-    started = time.time()
-    g, meta = resolve_graph(args, args.seed)
-    report = adjacency_spectrum(g)
-    cert, diag = build_balanced_subdivision(
-        g, report, eta=args.eta, eps=args.eps, seed=args.seed,
-        mode=args.mode, variant=args.variant)
-    fields = {"command": "subdivide", "source": meta["source"],
-              "eta": args.eta, "t": diag.t, "M1": 0, "M2": 0,
-              "reds_total": 0, "reds_replaced_2path": 0,
-              "pairs_3path": 0, "stuck": diag.failed_pairs,
-              "achieved_order": diag.achieved_order}
-    return _finish_pipeline(args, g, report, cert, fields, started)
 
 
 def cmd_k3_bipartite(args) -> int:
@@ -181,8 +200,6 @@ def cmd_k3_bipartite(args) -> int:
     else:
         mask = rng.random((n1, n2)) < args.density
         edges = [(i, n1 + j) for i in range(n1) for j in range(n2) if mask[i, j]]
-    from .graphs import build_graph, pair_density
-
     g = build_graph(n1 + n2, edges)
     a_side, b_side = list(range(n1)), list(range(n1, n1 + n2))
     p = args.p
@@ -191,27 +208,24 @@ def cmd_k3_bipartite(args) -> int:
         p = int(min(alpha * n1 / 16, alpha * alpha * n2 / 192))
     cert = bipartite_k3_immersion(g, a_side, b_side, p=p, seed=args.seed,
                                   mode=args.mode)
-    report = adjacency_spectrum(g) if args.metrics else None
     rep = verify(g, cert)
     if args.out:
         emit(args.out, cert.to_json())
     if args.report:
         emit(args.report, rep.to_json())
     if args.metrics:
-        seconds = time.time() - started
-        write_metrics(args.metrics, [{
-            "command": "k3-bipartite",
-            "run_id": run_id_for("k3", {"n1": n1, "n2": n2, "p": p, "seed": args.seed}),
-            "n": g.n, "d": report.d if report else "",
-            "lambda": f"{report.lam:.6f}" if report else "",
-            "eta": "", "t": p, "M1": 0, "M2": 0, "reds_total": 0,
-            "reds_replaced_2path": 0, "pairs_3path": 0, "stuck": 0,
-            "achieved_order": len(cert.branch), "seconds": f"{seconds:.3f}"}])
+        report = adjacency_spectrum(g)
+        inputs = {"n1": n1, "n2": n2, "density": args.density, "p": args.p,
+                  "seed": args.seed, "mode": args.mode}
+        # the gadget raises on a stuck pair, so a returned certificate has none
+        columns = {"n": g.n, "d": report.d, "lambda": f"{report.lam:.6f}", "t": p,
+                   "stuck": 0, "achieved_order": len(cert.branch)}
+        write_metrics(args.metrics, [metrics_row("k3-bipartite", inputs, columns, started)])
     return 0 if rep.valid else 1
 
 
 def cmd_nibble(args) -> int:
-    g, _ = resolve_graph(args, args.seed)
+    g = resolve_graph(args, args.seed)
     sizes = [int(x) for x in args.parts.split(",")]
     if len(sizes) != 3 or sum(sizes) > g.n:
         raise ImforgeError("--parts must be three sizes summing to at most n")
@@ -238,73 +252,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    etas = [float(x) for x in args.eta_grid.split(",") if x.strip()]
+    command = args.command_name
     rows: list[dict] = []
-    failures = 0
-    for eta in etas:
-        cell = argparse.Namespace(**vars(args))
-        cell.eta = eta
-        cell.out = None
-        cell.report = None
-        cell.metrics = None
+    for eta in [float(x) for x in args.eta_grid.split(",") if x.strip()]:
+        # the swept pipeline's own flags keep their defaults
+        cell = argparse.Namespace(**{**PIPELINES[command].defaults(), **vars(args),
+                                     "eta": eta})
         started = time.time()
         try:
-            g, meta = resolve_graph(cell, cell.seed)
-            report = adjacency_spectrum(g)
-            if args.command_name == "immerse-dense":
-                cert, diag = build_dense_immersion(g, report, eta=eta,
-                                                   seed=cell.seed, mode=cell.mode)
-                stats = {"t": diag.t, "M1": diag.m1, "M2": diag.m2,
-                         "reds_total": diag.reds_total,
-                         "reds_replaced_2path": diag.reds_replaced_2path,
-                         "pairs_3path": diag.pairs_3path, "stuck": diag.stuck,
-                         "achieved_order": diag.achieved_order}
-            else:
-                cert, diag = build_balanced_subdivision(
-                    g, report, eta=eta, seed=cell.seed, mode=cell.mode)
-                stats = {"t": diag.t, "M1": 0, "M2": 0, "reds_total": 0,
-                         "reds_replaced_2path": 0, "pairs_3path": 0,
-                         "stuck": diag.failed_pairs,
-                         "achieved_order": diag.achieved_order}
-            valid = verify(g, cert).valid
-            if not valid:
-                failures += 1
-            rows.append({"command": args.command_name,
-                         "run_id": run_id_for(args.command_name,
-                                              {"eta": eta, "seed": cell.seed,
-                                               "source": meta["source"]}),
-                         "n": g.n, "d": report.d, "lambda": f"{report.lam:.6f}",
-                         "eta": eta, **stats,
-                         "seconds": f"{time.time() - started:.3f}"})
-        except ImforgeError as err:
-            failures += 1
-            rows.append({"command": args.command_name,
-                         "run_id": run_id_for(args.command_name,
-                                              {"eta": eta, "seed": args.seed,
-                                               "error": str(err)}),
-                         "eta": eta, "achieved_order": 0,
-                         "seconds": f"{time.time() - started:.3f}"})
-    write_metrics(args.metrics, rows)
-    if not args.metrics:
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
+            rows.append(run_pipeline(command, cell)[2])
+        except ImforgeError:
+            rows.append(metrics_row(command, pipeline_inputs(command, cell),
+                                    {"eta": eta, "achieved_order": 0}, started))
+    if args.metrics:
+        write_metrics(args.metrics, rows)
+    else:
+        write_rows(sys.stdout, rows, header=True)
     return 0
 
 
-def _add_common(sub, graph_inputs=True):
+def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--mode", choices=["strict", "best-effort"],
-                     default="best-effort")
+    sub.add_argument("--mode", choices=[STRICT, BEST_EFFORT], default=BEST_EFFORT)
     sub.add_argument("--out", default=None, help="certificate/output path")
     sub.add_argument("--report", default=None, help="verify-report JSON path")
     sub.add_argument("--metrics", default=None, help="metrics CSV path (appended)")
-    if graph_inputs:
-        sub.add_argument("--graph", default=None, help="edge-list file")
-        sub.add_argument("--q", type=int, default=None, help="quadratic-residue modulus")
-        sub.add_argument("--n", type=int, default=None)
-        sub.add_argument("--d", type=int, default=None)
+    sub.add_argument("--graph", default=None, help="edge-list file")
+    sub.add_argument("--q", type=int, default=None, help="quadratic-residue modulus")
+    sub.add_argument("--n", type=int, default=None)
+    sub.add_argument("--d", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,28 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--tol", type=float, default=None)
     spec.set_defaults(func=cmd_spectral)
 
-    med = subs.add_parser("immerse-medium", help="unit-based clique immersion")
-    _add_common(med)
-    med.add_argument("--eta", type=float, required=True)
-    med.add_argument("--y", type=float, default=1.0)
-    med.add_argument("--h1", type=int, default=None)
-    med.add_argument("--h2", type=int, default=None)
-    med.add_argument("--h3", type=int, default=None)
-    med.add_argument("--target", type=int, default=None)
-    med.add_argument("--max-len", type=int, default=None)
-    med.set_defaults(func=cmd_immerse_medium)
-
-    den = subs.add_parser("immerse-dense", help="partition-based clique immersion")
-    _add_common(den)
-    den.add_argument("--eta", type=float, required=True)
-    den.set_defaults(func=cmd_immerse_dense)
-
-    sub = subs.add_parser("subdivide", help="balanced clique subdivision")
-    _add_common(sub)
-    sub.add_argument("--eta", type=float, required=True)
-    sub.add_argument("--eps", type=float, default=0.05)
-    sub.add_argument("--variant", choices=["d0-3", "d0-power"], default="d0-3")
-    sub.set_defaults(func=cmd_subdivide)
+    for name, pipe in PIPELINES.items():
+        cmd = subs.add_parser(name, help=pipe.help)
+        _add_common(cmd)
+        cmd.add_argument("--eta", type=float, required=True)
+        for flag, kwargs in pipe.options:
+            cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(func=cmd_pipeline)
 
     k3 = subs.add_parser("k3-bipartite", help="length-4 clique immersion in a "
                                               "bipartite host")
@@ -358,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     k3.add_argument("--density", type=float, default=1.0)
     k3.add_argument("--p", type=int, default=None)
     k3.add_argument("--seed", type=int, default=0)
-    k3.add_argument("--mode", choices=["strict", "best-effort"],
-                    default="best-effort")
+    k3.add_argument("--mode", choices=[STRICT, BEST_EFFORT], default=BEST_EFFORT)
     k3.add_argument("--out", default=None)
     k3.add_argument("--report", default=None)
     k3.add_argument("--metrics", default=None)
@@ -392,7 +352,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except ImforgeError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -58,7 +58,8 @@ class BadModulusError(ImforgeError):
 
 
 class ParseError(ImforgeError):
-    """Malformed edge-list input; carries the 1-based line number."""
+    """Malformed edge-list or certificate input; carries the 1-based line
+    number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")

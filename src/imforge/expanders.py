@@ -1,6 +1,10 @@
 """Sublinear-expansion machinery: the expansion profile, robustness audits,
 short path routing around forbidden sets, star packing, and units.
 
+``pack_stars`` is the one greedy star packer: units pack their stars with
+it in (degree, id) center order, and the balanced subdivision packs its
+branch stars with it in id order.
+
 A unit is the tree-like gadget used to anchor one branch vertex of an
 immersion: a center, edge-disjoint branch paths to a set of star centers,
 and vertex-disjoint stars whose leaves form the unit's exterior.  Units are
@@ -14,9 +18,9 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import DomainError, InsufficientStarsError, NoPathError, UnitFailedError
+from .errors import DomainError, NoPathError, UnitFailedError
 from .graphs import Edge, Graph, GraphView, normalize_edge, view_minus
 from .util import stream_rng
 
@@ -168,12 +172,6 @@ def short_avoiding_path(view: GraphView, x1: Iterable[int], x2: Iterable[int],
     raise NoPathError(max_len)
 
 
-@dataclass(frozen=True)
-class StarSpec:
-    count: int
-    size: int
-
-
 @dataclass
 class Star:
     center: int
@@ -183,39 +181,29 @@ class Star:
         return [normalize_edge(self.center, leaf) for leaf in self.leaves]
 
 
-def pack_stars(view: GraphView, specs: Sequence[StarSpec],
-               order_seed: int | None = None) -> list[Star]:
-    """Greedy vertex-disjoint star packing matching the specs in order.
+def pack_stars(view: Graph | GraphView, order: Iterable[int], count: int,
+               min_leaves: int, max_leaves: int) -> list[Star]:
+    """Greedy vertex-disjoint star packing.
 
-    Candidate centers are tried in ascending (available degree, id) order,
-    or in seeded random order when order_seed is given; leaves are the
-    lowest-id available neighbors.  Raises when a spec cannot be filled,
-    reporting the best leaf count seen for it.
+    Centers are tried in the given order; a free center takes its lowest-id
+    free neighbors, at most ``max_leaves`` of them, when at least
+    ``min_leaves`` are free.  Packing stops after ``count`` stars; a
+    shortfall is left for the caller to judge from the returned list.
     """
     used: set[int] = set()
-    out: list[Star] = []
-    for index, spec in enumerate(specs):
-        for _ in range(spec.count):
-            candidates = [v for v in view.active_vertices() if v not in used]
-            if order_seed is None:
-                candidates.sort(key=lambda v: (view.degree(v), v))
-            else:
-                rng = stream_rng(order_seed, f"pack-stars:{index}:{len(out)}")
-                rng.shuffle(candidates)
-            best_available = 0
-            chosen = None
-            for c in candidates:
-                avail = [w for w in view.neighbors(c) if w not in used]
-                best_available = max(best_available, len(avail))
-                if len(avail) >= spec.size:
-                    chosen = Star(c, tuple(sorted(avail)[:spec.size]))
-                    break
-            if chosen is None:
-                raise InsufficientStarsError(index, best_available)
-            used.add(chosen.center)
-            used.update(chosen.leaves)
-            out.append(chosen)
-    return out
+    stars: list[Star] = []
+    for c in order:
+        if len(stars) >= count:
+            break
+        if c in used:
+            continue
+        avail = [w for w in view.neighbors(c) if w not in used]
+        if len(avail) >= min_leaves:
+            star = Star(c, tuple(avail[:max_leaves]))
+            used.add(c)
+            used.update(star.leaves)
+            stars.append(star)
+    return stars
 
 
 @dataclass
@@ -291,21 +279,8 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
                           view.removed_edges, ())
     # stars first, centers in ascending (degree, id) order; each grabs up to
     # twice its required size so the prune step has slack
-    used: set[int] = set()
-    stars: list[Star] = []
-    candidates = sorted(pool_view.active_vertices(),
-                        key=lambda v: (pool_view.degree(v), v))
-    for c in candidates:
-        if len(stars) >= n_stars:
-            break
-        if c in used:
-            continue
-        avail = [w for w in pool_view.neighbors(c) if w not in used]
-        if len(avail) >= h2:
-            star = Star(c, tuple(sorted(avail)[:min(len(avail), 2 * h2)]))
-            used.add(c)
-            used.update(star.leaves)
-            stars.append(star)
+    order = sorted(pool_view.active_vertices(), key=lambda v: (pool_view.degree(v), v))
+    stars = pack_stars(pool_view, order, n_stars, h2, 2 * h2)
     if len(stars) < h1:
         return None, "stars"
 

@@ -29,8 +29,8 @@ from .errors import (
     StuckError,
 )
 from .expanders import short_avoiding_path
-from .graphs import Graph, normalize_edge, view_minus
-from .util import np_rng
+from .graphs import Graph, GraphView, normalize_edge, view_minus
+from .util import BEST_EFFORT, STRICT, np_rng
 
 
 def _parity_distances(view, target: int, banned_edge) -> dict[tuple[int, int], int]:
@@ -243,25 +243,13 @@ def _orient(path: list[int], first: int) -> list[int]:
 
 def _path_inside(view, members: set[int], start: int, target: int) -> list[int]:
     """BFS path between two vertices staying inside a vertex set."""
-    if start == target:
-        return [start]
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in sorted(frontier):
-            for w in view.neighbors(u):
-                if w not in members or w in parent:
-                    continue
-                parent[w] = u
-                if w == target:
-                    out = [w]
-                    while parent[out[-1]] is not None:
-                        out.append(parent[out[-1]])
-                    return out[::-1]
-                nxt.append(w)
-        frontier = nxt
-    raise NoConnectionError(f"end not internally connected from {start} to {target}")
+    outside = frozenset(v for v in range(view.n) if v not in members)
+    inside = GraphView(view.base, view.removed_vertices | outside, view.removed_edges, ())
+    try:
+        return short_avoiding_path(inside, [start], [target], max_len=len(members))
+    except NoPathError:
+        raise NoConnectionError(
+            f"end not internally connected from {start} to {target}") from None
 
 
 def chain_adjusters(g: Graph, first: Adjuster, second: Optional[Adjuster],
@@ -333,7 +321,7 @@ def chain_adjusters(g: Graph, first: Adjuster, second: Optional[Adjuster],
 
 def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int],
                            p: int, seed: int = 0,
-                           mode: str = "best-effort") -> EmbeddingCertificate:
+                           mode: str = BEST_EFFORT) -> EmbeddingCertificate:
     """Clique immersion with p branch vertices on one side of a bipartite
     graph, every connecting path of length exactly 4.
 
@@ -357,7 +345,7 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
             if j is not None:
                 mat[i, j] = 1.0
     alpha = float(mat.sum()) / (n1 * n2)
-    if mode == "strict":
+    if mode == STRICT:
         bound = min(alpha * n1 / 16, alpha * alpha * n2 / 192)
         if p > bound:
             raise PreconditionFailedError(f"p={p} exceeds the density bound {bound:.3f}")

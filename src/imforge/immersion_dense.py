@@ -22,10 +22,7 @@ from .errors import (
 from .graphs import Edge, Graph, build_graph, normalize_edge, pair_density
 from .nibble import edge_disjoint_triangles
 from .spectral import SpectralReport
-from .util import derive_seed, peel_to_complete
-
-STRICT = "strict"
-BEST_EFFORT = "best-effort"
+from .util import BEST_EFFORT, STRICT, derive_seed, peel_to_complete
 
 
 @dataclass
@@ -51,11 +48,9 @@ class PartitionScheme:
         return tuple(v for part in self.v_parts for v in part)
 
 
-def dense_partition(g: Graph, report: SpectralReport, eta: float,
-                    seed: int = 0) -> PartitionScheme:
+def dense_partition(g: Graph, report: SpectralReport, eta: float) -> PartitionScheme:
     """Formula-exact partition sizes; F is the lowest-id block and both
-    sides are split sequentially (the seed is reserved for future shuffled
-    variants)."""
+    sides are split sequentially."""
     n, d = g.n, report.d
     c = d / n
     q = 1 - c
@@ -362,7 +357,7 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     scheme = None
     degenerate = False
     try:
-        scheme = dense_partition(g, report, eta, seed)
+        scheme = dense_partition(g, report, eta)
     except DegenerateTError:
         if mode == STRICT:
             raise PreconditionFailedError(
@@ -409,23 +404,9 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
 
     if mode == STRICT and stuck:
         raise IncompleteEmbeddingError(f"{len(stuck)} pairs unlinked: {stuck[:5]}")
-    if stuck:
-        connected = {pair for pair in paths}
-        chosen = peel_to_complete(f_list, connected)
-    else:
-        chosen = f_list
-
-    branch = sorted(chosen)
-    index = {v: i for i, v in enumerate(branch)}
-    cert_pairs: dict[tuple[int, int], list[int]] = {}
-    for a_pos, a in enumerate(branch):
-        for b in branch[a_pos + 1:]:
-            path = paths[normalize_edge(a, b)]
-            if path[0] != a:
-                path = list(reversed(path))
-            cert_pairs[(index[a], index[b])] = path
-    cert = EmbeddingCertificate(kind=IMMERSION, branch=branch, pairs=cert_pairs,
-                                ell=None)
+    branch = peel_to_complete(f_list, set(paths)) if stuck else f_list
+    cert = EmbeddingCertificate.from_paths(IMMERSION, branch,
+                                           lambda a, b: paths[(a, b)])
     diag = DenseDiagnostics(
         n=g.n, d=report.d, lam=report.lam, eta=eta,
         t=scheme.t if scheme else 0,
@@ -433,9 +414,9 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
         m2=scheme.m2 if scheme else 0,
         reds_total=counters.get("reds_total", 0),
         reds_replaced_2path=counters.get("reds_replaced_2path", 0),
-        pairs_3path=len(three_paths),
+        pairs_3path=sum(1 for path in three_paths.values() if len(path) == 4),
         stuck=len(stuck),
-        achieved_order=len(branch),
+        achieved_order=len(cert.branch),
         epsilon=eps, delta=delta, k_required=k_required, gap_ok=gap_ok,
         degenerate_fallback=degenerate,
     )

@@ -24,10 +24,7 @@ from .errors import (
 from .expanders import ExpanderParams, Unit, collect_units, mix_length_m, short_avoiding_path
 from .graphs import Edge, Graph, GraphView, normalize_edge
 from .spectral import SpectralReport
-from .util import peel_to_complete
-
-STRICT = "strict"
-BEST_EFFORT = "best-effort"
+from .util import BEST_EFFORT, STRICT, peel_to_complete
 
 
 @dataclass
@@ -96,7 +93,7 @@ def _assemble(unit_i: Unit, star_i: int, unit_j: Unit, star_j: int,
 
 
 def connect_units(g: Graph, units: list[Unit], max_len: int,
-                  seed: int = 0, retry_passes: int = 1) -> ConnectionLedger:
+                  retry_passes: int = 1) -> ConnectionLedger:
     """Greedy maximal pair connection in ascending pair order.
 
     Each pair gets one exterior-to-exterior path found by BFS that avoids
@@ -264,7 +261,7 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
                 f"built {len(units)} units, target order {target_order}")
         return cert, diag
 
-    ledger = connect_units(g, units, max_len=max_len, seed=seed)
+    ledger = connect_units(g, units, max_len=max_len)
     good_idx = filter_bad_units(units, ledger, bad_threshold)
 
     connected_center_pairs = {
@@ -287,19 +284,14 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
             chosen = good_centers[:1] or [units[0].center]
 
     center_index = {units[i].center: i for i in range(len(units))}
-    branch = sorted(chosen)
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for a in range(len(branch)):
-        for b in range(a + 1, len(branch)):
-            ui, uj = center_index[branch[a]], center_index[branch[b]]
-            key = (ui, uj) if ui < uj else (uj, ui)
-            path = ledger.full_paths[key]
-            if path[0] != branch[a]:
-                path = list(reversed(path))
-            pairs[(a, b)] = path
-    cert = EmbeddingCertificate(kind=IMMERSION, branch=branch, pairs=pairs, ell=None)
+
+    def path_of(a: int, b: int) -> list[int]:
+        ui, uj = center_index[a], center_index[b]
+        return ledger.full_paths[(ui, uj) if ui < uj else (uj, ui)]
+
+    cert = EmbeddingCertificate.from_paths(IMMERSION, chosen, path_of)
     diag = MediumDiagnostics(g.n, report.d, report.lam, eta, m_scale,
                              (h1, h2, h3), len(units), len(good_idx),
                              len(ledger.full_paths), len(ledger.missing_pairs),
-                             len(branch), precondition_ok)
+                             len(cert.branch), precondition_ok)
     return cert, diag

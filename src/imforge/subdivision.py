@@ -2,6 +2,12 @@
 a robustness certificate for the expansion property behind fixed-length
 routing, and vertex-disjoint connections of one exact length.
 
+Stars come from ``expanders.pack_stars`` in id order and the reservoir
+from the one retry loop ``sample_reservoir``; both report a shortfall to
+the pipeline, which raises on it in strict mode and carries on with what
+it got in best-effort mode.  ``_route_all`` is the fixed-length routing
+engine.
+
 Every connecting path is star edge + fixed-length path + star edge, so the
 certificate is balanced: all paths share one total length.
 """
@@ -19,12 +25,11 @@ from .errors import (
     RoutingFailedError,
     SampleFailedError,
 )
+from .expanders import pack_stars
 from .graphs import Graph
 from .spectral import SpectralReport
-from .util import derive_seed, np_rng, peel_to_complete
+from .util import BEST_EFFORT, STRICT, derive_seed, np_rng, peel_to_complete
 
-STRICT = "strict"
-BEST_EFFORT = "best-effort"
 VARIANT_FIXED = "d0-3"
 VARIANT_POWER = "d0-power"
 
@@ -52,31 +57,16 @@ class StarSystem:
 
 def pack_disjoint_stars(g: Graph, report: SpectralReport, eta: float,
                         t: Optional[int] = None) -> StarSystem:
-    """Greedily pack t = floor((1-eta)d) vertex-disjoint stars with
-    floor((1-eta/2)d) leaves each, centers in ascending id order."""
+    """Greedily pack up to t = floor((1-eta)d) vertex-disjoint stars with
+    floor((1-eta/2)d) leaves each, centers in ascending id order; returns
+    the stars found, which may be fewer than t."""
     d = report.d
     if t is None:
         t = math.floor((1 - eta) * d)
     size = max(1, math.floor((1 - eta / 2) * d))
-    used: set[int] = set()
-    centers: list[int] = []
-    leaf_sets: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        if len(centers) == t:
-            break
-        if v in used:
-            continue
-        avail = [w for w in g.neighbors(v) if w not in used and w != v]
-        if len(avail) < size:
-            continue
-        leaves = tuple(avail[:size])
-        centers.append(v)
-        leaf_sets.append(leaves)
-        used.add(v)
-        used.update(leaves)
-    if len(centers) < t:
-        raise InsufficientStarsError(0, len(centers))
-    return StarSystem(centers=centers, leaf_sets=leaf_sets)
+    stars = pack_stars(g, range(g.n), t, size, size)
+    return StarSystem(centers=[s.center for s in stars],
+                      leaf_sets=[s.leaves for s in stars])
 
 
 def star_packing_precondition(g: Graph, report: SpectralReport, eta: float) -> bool:
@@ -119,15 +109,28 @@ def reservoir_conditions(g: Graph, stars: StarSystem, eta: float,
 
 
 def sample_reservoir(g: Graph, stars: StarSystem, eta: float, seed: int,
-                     retries: int = 10) -> set[int]:
-    """Retry Bernoulli draws until both acceptance events hold."""
+                     retries: int = 10) -> tuple[set[int], int, bool]:
+    """Retry Bernoulli draws until both acceptance events hold.
+
+    Returns (sample, draws, accepted).  When no draw is accepted the sample
+    is the draw that met the leaf event with the most sampled leaves, or,
+    when none met it, one extra fallback draw.
+    """
+    best_sample, best_count = None, -1
     for attempt in range(retries):
         sample = draw_reservoir(g, stars.centers, eta,
                                 derive_seed(seed, f"reservoir-try:{attempt}"))
         leaf_ok, outside_ok, _ = reservoir_conditions(g, stars, eta, sample)
         if leaf_ok and outside_ok:
-            return sample
-    raise SampleFailedError(retries)
+            return sample, attempt + 1, True
+        count = sum(1 for leaves in stars.leaf_sets
+                    for leaf in leaves if leaf in sample)
+        if leaf_ok and count > best_count:
+            best_sample, best_count = sample, count
+    if best_sample is None:
+        best_sample = draw_reservoir(g, stars.centers, eta,
+                                     derive_seed(seed, "reservoir-fallback"))
+    return best_sample, retries, False
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,17 @@ def _extract(parent: dict[int, int], root: int, leaf: int) -> list[int]:
 def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
                length: int, drop_failures: bool,
                ) -> tuple[dict[tuple[int, int], list[int]], list[tuple[int, int]]]:
-    """Shared routing engine; see connect_fixed_length for the contract."""
+    """Vertex-disjoint paths of one exact length between the given pairs.
+
+    Interior vertices avoid S' and all previously used vertices.  Routing
+    grows leveled trees from both endpoints and joins their top levels by
+    the lexicographically first edge; one rollback (unroute the previous
+    pair, route this one, re-route the other with flipped frontier order)
+    is attempted before giving up on a pair.  ``length`` must be odd and at
+    least 3.  Each path starts at the first vertex of its pair.  A pair that
+    still fails raises, or is returned in the failure list when
+    ``drop_failures`` is set.
+    """
     half_depth = (length - 3) // 2 + 1
     used: set[int] = set()
     routed: list[tuple[tuple[int, int], list[int]]] = []
@@ -274,30 +287,6 @@ def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
             raise RoutingFailedError(pair)
         commit(pair, path)
     return dict(routed), failed
-
-
-def connect_fixed_length(g: Graph, pairs: Sequence[tuple[int, int]],
-                         s_prime: set[int], params: PAlphaParams,
-                         seed: int = 0,
-                         length: Optional[int] = None,
-                         ) -> list[list[int]]:
-    """Vertex-disjoint paths of one exact length between the given pairs.
-
-    Interior vertices avoid S' and all previously used vertices.  Routing
-    grows leveled trees from both endpoints and joins their top levels by
-    the lexicographically first edge; one rollback (unroute the previous
-    pair, route this one, re-route the other with flipped frontier order)
-    is attempted before giving up on a pair.
-    """
-    ok, worst = audit_sprime(g, s_prime, params.beta)
-    if not ok:
-        raise PreconditionFailedError(
-            f"S' load {worst:.3f} exceeds beta={params.beta:.3f}")
-    length = fixed_path_length(params.n0, params.d0) if length is None else length
-    if length < 3 or length % 2 == 0:
-        raise PreconditionFailedError(f"connection length must be odd and >= 3, got {length}")
-    by_pair, _ = _route_all(g, pairs, s_prime, length, drop_failures=False)
-    return [by_pair[p] for p in pairs]
 
 
 @dataclass
@@ -367,37 +356,14 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
             raise PreconditionFailedError(f"expansion certificate margin {pa_margin:.3g}")
 
     t_target = math.floor((1 - eta) * d)
-    try:
-        stars = pack_disjoint_stars(g, report, eta, t=t_target)
-    except InsufficientStarsError as err:
-        if mode == STRICT:
-            raise
-        stars = pack_disjoint_stars(g, report, eta, t=err.found)
+    stars = pack_disjoint_stars(g, report, eta, t=t_target)
+    if mode == STRICT and stars.t < t_target:
+        raise InsufficientStarsError(0, stars.t)
 
-    stage = "stars"
-    reservoir_strict = True
-    attempts = 0
-    sample: Optional[set[int]] = None
-    if mode == STRICT:
-        sample = sample_reservoir(g, stars, eta, seed, retries=retries)
-    else:
-        best_sample, best_count = None, -1
-        for attempt in range(retries):
-            attempts = attempt + 1
-            cand = draw_reservoir(g, stars.centers, eta,
-                                  derive_seed(seed, f"reservoir-try:{attempt}"))
-            leaf_ok, outside_ok, _ = reservoir_conditions(g, stars, eta, cand)
-            if leaf_ok and outside_ok:
-                sample = cand
-                break
-            count = sum(1 for leaves in stars.leaf_sets
-                        for leaf in leaves if leaf in cand)
-            if leaf_ok and count > best_count:
-                best_sample, best_count = cand, count
-        if sample is None:
-            reservoir_strict = False
-            sample = best_sample if best_sample is not None else draw_reservoir(
-                g, stars.centers, eta, derive_seed(seed, "reservoir-fallback"))
+    sample, attempts, reservoir_strict = sample_reservoir(g, stars, eta, seed,
+                                                          retries=retries)
+    if mode == STRICT and not reservoir_strict:
+        raise SampleFailedError(retries)
     stars.reservoir = sample
     stage = "reservoir"
 
@@ -422,8 +388,8 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     sp_ok, sp_load = audit_sprime(g, s_prime, beta)
     if mode == STRICT and not sp_ok:
         raise PreconditionFailedError(f"S' load {sp_load:.3f} exceeds beta")
-    by_leaf_pair, failed_leaf = _route_all(g, leaf_pairs, s_prime, length,
-                                           drop_failures=(mode != STRICT))
+    by_leaf_pair, _ = _route_all(g, leaf_pairs, s_prime, length,
+                                 drop_failures=(mode != STRICT))
     routed: dict[tuple[int, int], list[int]] = {}
     failed: list[tuple[int, int]] = []
     for key, pair in zip(pair_keys, leaf_pairs):
@@ -433,24 +399,16 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
             failed.append(key)
     stage = "routing"
 
-    connected = {(stars.centers[i], stars.centers[j]) for (i, j) in routed}
-    if failed:
-        kept_centers = peel_to_complete(list(stars.centers), connected)
-    else:
-        kept_centers = list(stars.centers)
-    kept_idx = [stars.centers.index(c) for c in sorted(kept_centers)]
-    branch = [stars.centers[i] for i in kept_idx]
-    cert_pairs: dict[tuple[int, int], list[int]] = {}
-    for a_pos, i in enumerate(kept_idx):
-        for b_pos, j in enumerate(kept_idx[a_pos + 1:], start=a_pos + 1):
-            mid = routed[(i, j)]  # star indices ascend with center ids
-            if mid[0] != chosen[(i, j)]:
-                mid = list(reversed(mid))
-            cert_pairs[(a_pos, b_pos)] = [stars.centers[i]] + mid + [stars.centers[j]]
-    lengths = {len(p) - 1 for p in cert_pairs.values()}
-    ell = (lengths.pop() - 1) if len(lengths) == 1 and cert_pairs else None
-    cert = EmbeddingCertificate(kind=SUBDIVISION, branch=branch,
-                                pairs=cert_pairs, ell=ell)
+    # star indices ascend with center ids, so every key below has a < b
+    full = {(stars.centers[i], stars.centers[j]):
+            [stars.centers[i]] + path + [stars.centers[j]]
+            for (i, j), path in routed.items()}
+    branch = peel_to_complete(list(stars.centers), set(full)) if failed \
+        else list(stars.centers)
+    # every routed path has exactly `length` edges, plus the two star edges
+    cert = EmbeddingCertificate.from_paths(
+        SUBDIVISION, branch, lambda a, b: full[(a, b)],
+        ell=length + 1 if len(branch) > 1 else None)
     diag = SubdivisionDiagnostics(
         n=n, d=d, lam=lam, eta=eta, variant=variant, t=len(branch),
         length=length, length_formula=length_formula, n0=n0, d0=d0,

@@ -14,6 +14,11 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 
+# pipeline modes: strict raises on any failed hypothesis, best-effort peels
+# to the largest branch set it connected completely
+STRICT = "strict"
+BEST_EFFORT = "best-effort"
+
 
 def derive_seed(root: int, label: str) -> int:
     """Derive a 64-bit stream seed from a root seed and a label."""

@@ -51,6 +51,17 @@ def test_verify_subdivision_vs_immersion_semantics():
     assert any(code == "INTERNAL_REUSE" for code, _ in as_subdivision.violations)
 
 
+def test_verify_rejects_unknown_kind():
+    # reuses edge (0, 1): invalid as an immersion, and never valid under a
+    # kind the verifier has no rules for
+    pairs = {(0, 1): [0, 1], (0, 2): [0, 1, 2], (1, 2): [1, 2]}
+    for kind in ("bogus", ""):
+        report = verify(cycle(3), EmbeddingCertificate(kind=kind, branch=[0, 1, 2],
+                                                       pairs=pairs))
+        assert not report.valid
+        assert ("UNKNOWN_KIND", f"kind {kind!r}") in report.violations
+
+
 def test_verify_missing_pair_and_edge():
     cert = EmbeddingCertificate(kind="immersion", branch=[0, 1, 2],
                                 pairs={(0, 1): [0, 1], (0, 2): [0, 2]})
@@ -84,6 +95,15 @@ def test_verify_length_contract():
 def test_verify_trivial_certificate():
     cert = EmbeddingCertificate(kind="immersion", branch=[5], pairs={})
     assert verify(petersen(), cert).valid
+
+
+def test_certificate_from_paths_sorts_and_orients():
+    paths = {(0, 1): [1, 0], (0, 2): [0, 3, 2], (1, 2): [2, 3, 1]}
+    cert = EmbeddingCertificate.from_paths("immersion", [2, 0, 1],
+                                           lambda a, b: paths[(a, b)], ell=None)
+    assert cert.branch == [0, 1, 2]
+    assert cert.pairs == {(0, 1): [0, 1], (0, 2): [0, 3, 2], (1, 2): [1, 3, 2]}
+    assert paths[(0, 1)] == [1, 0]  # the caller's paths are not reversed in place
 
 
 def test_certificate_json_round_trip():

@@ -31,7 +31,7 @@ def test_immerse_dense_end_to_end(tmp_path):
     assert int(rows[0]["achieved_order"]) > 0
 
 
-def test_verify_command_exit_codes(tmp_path):
+def test_verify_command_exit_codes(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     cpath = tmp_path / "c.json"
     main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)])
@@ -42,6 +42,12 @@ def test_verify_command_exit_codes(tmp_path):
     broken = dict(cert, pairs=[{"i": 0, "j": 1, "path": [0, 0]}])
     cpath.write_text(json.dumps(broken))
     assert main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+    # malformed files are usage errors, not failed verifications
+    capsys.readouterr()
+    for text in (json.dumps(cert)[:25], json.dumps({"kind": "immersion"})):
+        cpath.write_text(text)
+        assert main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_usage_error_exit_2(capsys):
@@ -56,18 +62,26 @@ def test_cli_config_error_exit_2(tmp_path):
 
 def test_subdivide_and_k3(tmp_path):
     cert = tmp_path / "s.json"
+    metrics = tmp_path / "m.csv"
     code = main(["subdivide", "--n", "400", "--d", "12", "--eta", "0.5",
-                 "--seed", "3", "--out", str(cert)])
+                 "--seed", "3", "--out", str(cert), "--metrics", str(metrics)])
     assert code == 0
     obj = json.loads(cert.read_text())
     assert obj["kind"] == "subdivision"
 
     k3cert = tmp_path / "k3.json"
     code = main(["k3-bipartite", "--n1", "64", "--n2", "384", "--p", "2",
-                 "--seed", "1", "--out", str(k3cert)])
+                 "--seed", "1", "--out", str(k3cert), "--metrics", str(metrics)])
     assert code == 0
     obj = json.loads(k3cert.read_text())
     assert obj["ell"] == 3
+    # columns only the dense pipeline produces stay empty
+    rows = list(csv.DictReader(metrics.open()))
+    assert [row["command"] for row in rows] == ["subdivide", "k3-bipartite"]
+    for row in rows:
+        assert all(row[col] == "" for col in ("M1", "M2", "reds_total",
+                                               "reds_replaced_2path", "pairs_3path"))
+        assert int(row["achieved_order"]) >= 2
 
 
 def test_nibble_command(tmp_path):
@@ -98,6 +112,19 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert strip(rows1) == strip(rows2)
 
 
+def test_sweep_row_matches_single_command_row(tmp_path):
+    single = tmp_path / "single.csv"
+    swept = tmp_path / "sweep.csv"
+    assert main(["immerse-dense", "--q", "101", "--eta", "0.45", "--seed", "7",
+                 "--metrics", str(single)]) == 0
+    assert main(["sweep", "--command-name", "immerse-dense", "--q", "101",
+                 "--eta-grid", "0.45", "--seed", "7", "--metrics", str(swept)]) == 0
+    (row1,) = csv.DictReader(single.open())
+    (row2,) = csv.DictReader(swept.open())
+    del row1["seconds"], row2["seconds"]
+    assert row1 == row2
+
+
 def test_gen_deterministic_bytes(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -106,10 +133,3 @@ def test_gen_deterministic_bytes(tmp_path):
     main(["gen", "--kind", "random-regular", "--n", "60", "--d", "5",
           "--seed", "9", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_threads_env_validation(monkeypatch, tmp_path):
-    monkeypatch.setenv("IMFORGE_THREADS", "zero")
-    assert main(["spectral", "--q", "13"]) == 2
-    monkeypatch.setenv("IMFORGE_THREADS", "2")
-    assert main(["spectral", "--q", "13"]) == 0

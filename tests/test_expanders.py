@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from imforge.errors import DomainError, InsufficientStarsError, NoPathError, UnitFailedError
+from imforge.errors import DomainError, NoPathError, UnitFailedError
 from imforge.expanders import (
     ExpanderParams,
-    StarSpec,
     Unit,
     build_unit,
     collect_units,
@@ -18,6 +17,7 @@ from imforge.expanders import (
 from imforge.generators import paley
 from imforge.graphs import build_graph, normalize_edge, view_minus
 from imforge.spectral import adjacency_spectrum
+from imforge.util import stream_rng
 
 from helpers import complete, cycle, path, star
 
@@ -138,13 +138,15 @@ def test_short_path_endpoints_only_in_terminals():
 
 def test_pack_stars_single_star_graph():
     g = star(5)
-    packed = pack_stars(view_minus(g), [StarSpec(count=1, size=5)])
+    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    packed = pack_stars(view_minus(g), order, count=1, min_leaves=5, max_leaves=5)
     assert packed[0].center == 0 and packed[0].leaves == (1, 2, 3, 4, 5)
 
 
 def test_pack_stars_k9_three_disjoint():
     g = complete(9)
-    packed = pack_stars(view_minus(g), [StarSpec(count=3, size=2)])
+    packed = pack_stars(view_minus(g), range(9), count=3, min_leaves=2, max_leaves=2)
+    assert len(packed) == 3
     seen = set()
     for s in packed:
         block = {s.center, *s.leaves}
@@ -154,9 +156,17 @@ def test_pack_stars_k9_three_disjoint():
 
 
 def test_pack_stars_c4_insufficient():
-    with pytest.raises(InsufficientStarsError) as err:
-        pack_stars(view_minus(cycle(4)), [StarSpec(count=1, size=3)])
-    assert err.value.index == 0 and err.value.found == 2
+    # every center has only 2 free neighbors: the shortfall is an empty list
+    assert pack_stars(view_minus(cycle(4)), range(4), count=1,
+                      min_leaves=3, max_leaves=3) == []
+
+
+def test_pack_stars_leaf_window():
+    # centers take up to max_leaves, and only with at least min_leaves free
+    packed = pack_stars(view_minus(complete(9)), range(9), count=5,
+                        min_leaves=2, max_leaves=4)
+    assert [(s.center, s.leaves) for s in packed] == [(0, (1, 2, 3, 4)),
+                                                      (5, (6, 7, 8))]
 
 
 def check_unit_structure(g, unit: Unit):
@@ -241,9 +251,17 @@ def test_collect_units_impossible():
 
 def test_pack_stars_seeded_order_is_deterministic():
     g = complete(12)
-    a = pack_stars(view_minus(g), [StarSpec(count=2, size=3)], order_seed=5)
-    b = pack_stars(view_minus(g), [StarSpec(count=2, size=3)], order_seed=5)
+
+    def seeded_order():
+        order = list(range(g.n))
+        stream_rng(5, "pack-stars-order").shuffle(order)
+        return order
+
+    order = seeded_order()
+    a = pack_stars(view_minus(g), order, count=2, min_leaves=3, max_leaves=3)
+    b = pack_stars(view_minus(g), seeded_order(), count=2, min_leaves=3, max_leaves=3)
     assert [(s.center, s.leaves) for s in a] == [(s.center, s.leaves) for s in b]
+    assert a[0].center == order[0]  # centers follow the given order
     # still a valid disjoint packing
     seen = set()
     for s in a:

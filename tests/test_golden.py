@@ -1,0 +1,91 @@
+"""Golden certificates: sha256 digests of certificates the pipelines emitted
+before their star packing, reservoir sampling, routing entry and
+certificate assembly were merged into one implementation each.
+
+A refactor that changes the emitted bytes, even the same way on every run,
+fails here; the determinism criterion only compares two runs of the same
+code.  Strict mode raises on every one of these desk-scale hosts (the
+paper's hypotheses fail there), so only best-effort certificates are
+pinned.
+"""
+
+import hashlib
+from functools import lru_cache
+
+import pytest
+
+from imforge.certify import verify
+from imforge.gadgets import build_1_adjuster, chain_adjusters
+from imforge.generators import paley, random_regular
+from imforge.graphs import build_graph
+from imforge.immersion_dense import build_dense_immersion
+from imforge.immersion_medium import build_medium_immersion
+from imforge.spectral import adjacency_spectrum
+from imforge.subdivision import build_balanced_subdivision
+
+
+@lru_cache(maxsize=None)
+def host(name):
+    g = paley(101) if name == "paley101" else random_regular(
+        *{"rr600x24": (600, 24), "rr1000x30": (1000, 30)}[name], seed=1)
+    return g, adjacency_spectrum(g)
+
+
+def dense(g, r, eta):
+    return build_dense_immersion(g, r, eta=eta, seed=7)
+
+
+def medium(g, r, eta):
+    return build_medium_immersion(g, r, eta=eta, seed=3, h_params=(6, 2, 5),
+                                  target_order=8, max_len=8)
+
+
+def subdivide(g, r, eta):
+    return build_balanced_subdivision(g, r, eta=eta, seed=3)
+
+
+GOLDEN = [
+    (dense, "paley101", 0.2, "118df59f1986a18b65d56a10a5ffb92a19b0be940613c6044cc0045f31aa7083"),
+    (dense, "paley101", 0.4, "34f29464ca6aee2fd8a03edd78909f361d55a302f06273a5cae6b4ed94dc3995"),
+    (dense, "paley101", 0.45, "6def4828bc334edba7b6193cd55ba5678ec2e376b47dcefb802f02e730611faa"),
+    (medium, "rr600x24", 0.2, "c3a7da1df98bdcd583b4f468894135a82b548fe71796c39eb2bcd09719ab83d8"),
+    (medium, "rr600x24", 0.4, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
+    (medium, "rr600x24", 0.45, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
+    (medium, "rr1000x30", 0.2, "8fd743d904ff04a2607d216d4a249d8ace65ae0fc14762044328f0ce6bccef6c"),
+    (medium, "rr1000x30", 0.4, "8fd743d904ff04a2607d216d4a249d8ace65ae0fc14762044328f0ce6bccef6c"),
+    (medium, "rr1000x30", 0.45, "8fd743d904ff04a2607d216d4a249d8ace65ae0fc14762044328f0ce6bccef6c"),
+    (subdivide, "rr600x24", 0.2, "95fdd4632617f31abca9ae5149534656dbfcdabe6ef526e301af34859375774f"),
+    (subdivide, "rr600x24", 0.4, "1a4ebb110eeca4fc1a730883a63c3700a83e80aadb93313c756104eced45488a"),
+    (subdivide, "rr600x24", 0.45, "a3bb98253c9584f884571f9a2e6eeb9fd9b40123e4c0c5379b72dbbd596f81e2"),
+    (subdivide, "rr1000x30", 0.2, "1481d9efb9fb2c588f4e2048c61daf9d1a07f75e6f7a75ceb7a1cf14a8dec027"),
+    (subdivide, "rr1000x30", 0.4, "5703f6338ced6015577a83b24c3d034b93b7b113efe1e9f0267fe6eaa653278d"),
+    (subdivide, "rr1000x30", 0.45, "acc4c46a9477cf98c3962b349843b4db2f37f572091a9419b614a148f90fd3b3"),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build, name, eta, digest", GOLDEN,
+                         ids=[f"{b.__name__}-{n}-{e}" for b, n, e, _ in GOLDEN])
+def test_golden_certificate(build, name, eta, digest):
+    g, r = host(name)
+    cert, _ = build(g, r, eta)
+    assert verify(g, cert).valid
+    assert sha256(cert.to_json()) == digest
+
+
+def test_golden_chained_adjuster():
+    # two hexagons with pendant paths, joined by the edge 13-15: the chain's
+    # connector runs inside both used ends (0-12-13 and 15-14-6)
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+    edges += [(0, 12), (12, 13), (6, 14), (14, 15), (13, 15), (2, 16), (16, 17),
+              (8, 18), (18, 19)]
+    g = build_graph(20, edges)
+    side = set(range(6, 12)) | {14, 15, 18, 19}
+    first = build_1_adjuster(g, removed_vertices=side, d_size=3, m=2)
+    second = build_1_adjuster(g, removed_vertices=set(range(20)) - side, d_size=3, m=2)
+    chained = chain_adjusters(g, first, second, m=3)
+    assert sha256(chained.to_json()) == \
+        "dae88526d6371d535aedec30ef1e7fac0eaf95d6bdf2b5e2394b83fb29278b42"

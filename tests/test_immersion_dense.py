@@ -206,6 +206,17 @@ def test_dense_pipeline_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def test_pairs_3path_counts_length_three_paths():
+    # at eta 0.1 some pairs need length-3 links; at eta 0.45 the greedy
+    # linker finds only length-2 paths, which the counter must not report
+    g = paley(101)
+    r = adjacency_spectrum(g)
+    for eta in (0.1, 0.45):
+        cert, diag = build_dense_immersion(g, r, eta=eta, seed=7)
+        assert diag.stuck == 0
+        assert diag.pairs_3path == verify(g, cert).length_histogram.get(3, 0)
+
+
 def test_audit_partition_regularity_reports_rows():
     from imforge.immersion_dense import audit_partition_regularity, regularity_prerequisites
 

@@ -19,7 +19,7 @@ def test_connect_units_pair_in_k30():
     g = complete(30)
     units = collect_units(g, count=2, h1=2, h2=2, h3=1, seed=0)
     assert len(units) == 2
-    ledger = connect_units(g, units, max_len=6, seed=0)
+    ledger = connect_units(g, units, max_len=6)
     assert (0, 1) in ledger.full_paths
     ledger.check_invariants(units)
     full = ledger.full_paths[(0, 1)]
@@ -30,7 +30,7 @@ def test_connect_units_pair_in_k30():
 def test_connect_units_single_unit_empty_ledger():
     g = complete(20)
     units = collect_units(g, count=1, h1=2, h2=2, h3=1, seed=0)
-    ledger = connect_units(g, units, max_len=5, seed=0)
+    ledger = connect_units(g, units, max_len=5)
     assert ledger.full_paths == {} and ledger.missing_pairs == []
 
 
@@ -45,7 +45,7 @@ def test_connect_units_disconnected_components():
 
     u1 = build_unit(g, (), (), h1=2, h2=2, h3=1, seed=0)
     u2 = build_unit(g, {v for v in range(20)}, (), h1=2, h2=2, h3=1, seed=0)
-    ledger = connect_units(g, [u1, u2], max_len=10, seed=0)
+    ledger = connect_units(g, [u1, u2], max_len=10)
     assert ledger.missing_pairs == [(0, 1)]
 
 

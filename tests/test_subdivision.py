@@ -11,11 +11,12 @@ from imforge.errors import (
 )
 from imforge.generators import random_regular
 from imforge.graphs import build_graph
-from imforge.spectral import adjacency_spectrum
+from imforge.spectral import SpectralReport, adjacency_spectrum
 from imforge.subdivision import (
     PAlphaParams,
+    _route_all,
+    audit_sprime,
     build_balanced_subdivision,
-    connect_fixed_length,
     draw_reservoir,
     fixed_path_length,
     pack_disjoint_stars,
@@ -44,9 +45,35 @@ def test_pack_stars_k5_insufficient():
     g = complete(5)
     r = adjacency_spectrum(g)
     assert not star_packing_precondition(g, r, eta=0.25)
+    stars = pack_disjoint_stars(g, r, eta=0.25)  # target t = 3
+    assert stars.t == 1
+
+
+def padded_host(cliques: int) -> tuple:
+    """Disjoint K5s padded with isolated vertices, and a report with lambda
+    set to 0: large and gapped enough on paper to pass the strict spectral
+    window and the expansion certificate at eta = 0.5."""
+    n = 14000
+    g = build_graph(n, [(5 * c + a, 5 * c + b) for c in range(cliques)
+                        for a in range(5) for b in range(a + 1, 5)])
+    report = SpectralReport(n=n, d=4, lam=0.0, lambda2=0.0, lambdan=0.0,
+                            is_regular=False, tol=0.0)
+    return g, report
+
+
+def test_strict_pipeline_raises_on_star_shortfall():
+    g, report = padded_host(1)  # one K5 holds one star; t = 2 are needed
     with pytest.raises(InsufficientStarsError) as err:
-        pack_disjoint_stars(g, r, eta=0.25)
+        build_balanced_subdivision(g, report, eta=0.5, mode="strict")
     assert err.value.found == 1
+
+
+def test_strict_pipeline_raises_on_rejected_reservoir():
+    g, report = padded_host(2)  # isolated vertices fail the outside event
+    with pytest.raises(SampleFailedError):
+        build_balanced_subdivision(g, report, eta=0.5, mode="strict", retries=3)
+    _, diag = build_balanced_subdivision(g, report, eta=0.5, retries=3)
+    assert diag.reservoir_attempts == 3 and not diag.reservoir_strict
 
 
 def test_pack_stars_with_target_override():
@@ -60,7 +87,8 @@ def test_reservoir_accepts_on_rich_graph():
     g = random_regular(500, 120, seed=1)
     r = adjacency_spectrum(g)
     stars = pack_disjoint_stars(g, r, eta=0.5, t=2)
-    sample = sample_reservoir(g, stars, eta=0.5, seed=3, retries=10)
+    sample, draws, accepted = sample_reservoir(g, stars, eta=0.5, seed=3, retries=10)
+    assert accepted and 1 <= draws <= 10
     leaf_ok, outside_ok, info = reservoir_conditions(g, stars, eta=0.5, sample=sample)
     assert leaf_ok and outside_ok
     assert info["worst_outside"] >= info["need_outside"]
@@ -72,8 +100,10 @@ def test_reservoir_fails_on_tight_graph():
     g = hypercube(4)
     r = adjacency_spectrum(g)
     stars = pack_disjoint_stars(g, r, eta=0.25)
-    with pytest.raises(SampleFailedError):
-        sample_reservoir(g, stars, eta=0.25, seed=0, retries=5)
+    sample, draws, accepted = sample_reservoir(g, stars, eta=0.25, seed=0, retries=5)
+    assert not accepted and draws == 5
+    # the best rejected draw, or the fallback draw, is still a vertex sample
+    assert sample <= set(range(g.n)) - set(stars.centers)
 
 
 def test_reservoir_draw_deterministic():
@@ -122,33 +152,32 @@ def test_fixed_path_length_formula():
 def test_connect_exact_path_graph():
     # host graph is exactly a length-5 path between the endpoints
     g = path(6)
-    params = PAlphaParams(n0=32, d0=3, alpha=0.9, beta=0.8)
-    paths = connect_fixed_length(g, [(0, 5)], {0, 5}, params)
-    assert paths == [[0, 1, 2, 3, 4, 5]]
+    length = fixed_path_length(32, 3)
+    by_pair, failed = _route_all(g, [(0, 5)], {0, 5}, length, drop_failures=False)
+    assert by_pair == {(0, 5): [0, 1, 2, 3, 4, 5]} and failed == []
 
 
 def test_connect_two_disjoint_paths():
     edges = [(i, i + 1) for i in range(5)] + [(6 + i, 6 + i + 1) for i in range(5)]
     g = build_graph(12, edges)
-    params = PAlphaParams(n0=32, d0=3, alpha=0.9, beta=0.8)
-    paths = connect_fixed_length(g, [(0, 5), (6, 11)], {0, 5, 6, 11}, params)
-    assert len(paths) == 2
+    by_pair, _ = _route_all(g, [(0, 5), (6, 11)], {0, 5, 6, 11}, 5,
+                            drop_failures=False)
+    paths = [by_pair[(0, 5)], by_pair[(6, 11)]]
     assert not (set(paths[0]) & set(paths[1]))
     assert all(len(p) - 1 == 5 for p in paths)
 
 
 def test_connect_length_violation():
     g = path(4)
-    params = PAlphaParams(n0=32, d0=3, alpha=0.9, beta=0.8)
     with pytest.raises(RoutingFailedError):
-        connect_fixed_length(g, [(0, 3)], {0, 3}, params)  # needs length 5
+        _route_all(g, [(0, 3)], {0, 3}, 5, drop_failures=False)  # needs length 5
+    assert _route_all(g, [(0, 3)], {0, 3}, 5, drop_failures=True) == ({}, [(0, 3)])
 
 
 def test_connect_audits_sprime_load():
-    g = path(3)
-    params = PAlphaParams(n0=32, d0=3, alpha=0.9, beta=0.8)
-    with pytest.raises(PreconditionFailedError):
-        connect_fixed_length(g, [(0, 2)], {0, 1, 2}, params)
+    # the middle vertex has both its neighbors in S'
+    ok, worst = audit_sprime(path(3), {0, 1, 2}, beta=0.8)
+    assert not ok and worst == 1.0
 
 
 def test_subdivision_pipeline_small():
