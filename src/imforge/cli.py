@@ -168,12 +168,17 @@ def pipeline_inputs(command: str, args) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def run_pipeline(command: str, args) -> tuple[EmbeddingCertificate, VerifyReport, dict]:
-    """Build and verify one pipeline run; returns the certificate, the
-    verify report, and the metrics row."""
-    started = time.time()
+def certified_host(args) -> tuple[Graph, SpectralReport]:
     g = resolve_graph(args, args.seed)
-    report = adjacency_spectrum(g)
+    return g, adjacency_spectrum(g)
+
+
+def run_pipeline(command: str, args, g: Graph, report: SpectralReport,
+                 ) -> tuple[EmbeddingCertificate, VerifyReport, dict]:
+    """Build and verify one pipeline run on a certified host; returns the
+    certificate, the verify report, and the metrics row, whose ``seconds``
+    cover the build and the verification."""
+    started = time.time()
     cert, diag = PIPELINES[command].build(g, report, args)
     rep = verify(g, cert)
     columns = {"n": g.n, "d": report.d, "lambda": f"{report.lam:.6f}", "eta": args.eta,
@@ -182,7 +187,7 @@ def run_pipeline(command: str, args) -> tuple[EmbeddingCertificate, VerifyReport
 
 
 def cmd_pipeline(args) -> int:
-    cert, rep, row = run_pipeline(args.command, args)
+    cert, rep, row = run_pipeline(args.command, args, *certified_host(args))
     if args.out:
         emit(args.out, cert.to_json())
     if args.report:
@@ -252,31 +257,56 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Run every eta on one certified host; the host and its spectrum do
+    not depend on eta.  A failed cell still gets its row, and the sweep
+    then exits 2."""
     command = args.command_name
+    host, host_error = None, None
+    try:
+        host = certified_host(args)
+    except ImforgeError as err:
+        host_error = err
     rows: list[dict] = []
+    code = 0
     for eta in [float(x) for x in args.eta_grid.split(",") if x.strip()]:
         # the swept pipeline's own flags keep their defaults
         cell = argparse.Namespace(**{**PIPELINES[command].defaults(), **vars(args),
                                      "eta": eta})
         started = time.time()
         try:
-            rows.append(run_pipeline(command, cell)[2])
-        except ImforgeError:
+            if host_error is not None:
+                raise host_error
+            rows.append(run_pipeline(command, cell, *host)[2])
+        except ImforgeError as err:
+            print(f"error: eta={eta}: {err}", file=sys.stderr)
             rows.append(metrics_row(command, pipeline_inputs(command, cell),
                                     {"eta": eta, "achieved_order": 0}, started))
+            code = 2
     if args.metrics:
         write_metrics(args.metrics, rows)
     else:
         write_rows(sys.stdout, rows, header=True)
-    return 0
+    return code
 
 
-def _add_common(sub):
+RUN_FLAGS = {
+    "--mode": {"choices": [STRICT, BEST_EFFORT], "default": BEST_EFFORT},
+    "--out": {"default": None, "help": "certificate/output path"},
+    "--report": {"default": None, "help": "verify-report JSON path"},
+    "--metrics": {"default": None, "help": "metrics CSV path (appended)"},
+}
+
+
+def _add_run_flags(sub, *names):
+    for name in names:
+        sub.add_argument(name, **RUN_FLAGS[name])
+
+
+def _add_common(sub, *run_flags):
+    """``--seed``, the graph-source flags, and the named ``RUN_FLAGS``:
+    each command gets only the flags it reads."""
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--mode", choices=[STRICT, BEST_EFFORT], default=BEST_EFFORT)
-    sub.add_argument("--out", default=None, help="certificate/output path")
-    sub.add_argument("--report", default=None, help="verify-report JSON path")
-    sub.add_argument("--metrics", default=None, help="metrics CSV path (appended)")
+    _add_run_flags(sub, *run_flags)
     sub.add_argument("--graph", default=None, help="edge-list file")
     sub.add_argument("--q", type=int, default=None, help="quadratic-residue modulus")
     sub.add_argument("--n", type=int, default=None)
@@ -300,13 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     spec = subs.add_parser("spectral", help="spectral report for a graph")
-    _add_common(spec)
+    _add_common(spec, "--out")
     spec.add_argument("--tol", type=float, default=None)
     spec.set_defaults(func=cmd_spectral)
 
     for name, pipe in PIPELINES.items():
         cmd = subs.add_parser(name, help=pipe.help)
-        _add_common(cmd)
+        _add_common(cmd, *RUN_FLAGS)
         cmd.add_argument("--eta", type=float, required=True)
         for flag, kwargs in pipe.options:
             cmd.add_argument(flag, **kwargs)
@@ -319,15 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     k3.add_argument("--density", type=float, default=1.0)
     k3.add_argument("--p", type=int, default=None)
     k3.add_argument("--seed", type=int, default=0)
-    k3.add_argument("--mode", choices=[STRICT, BEST_EFFORT], default=BEST_EFFORT)
-    k3.add_argument("--out", default=None)
-    k3.add_argument("--report", default=None)
-    k3.add_argument("--metrics", default=None)
+    _add_run_flags(k3, *RUN_FLAGS)
     k3.set_defaults(func=cmd_k3_bipartite)
 
     nib = subs.add_parser("nibble", help="edge-disjoint triangles of a "
                                          "tripartite graph")
-    _add_common(nib)
+    _add_common(nib, "--out")
     nib.add_argument("--parts", required=True, help="three part sizes a,b,c")
     nib.add_argument("--beta", type=float, default=0.2)
     nib.add_argument("--dump", default=None, help="hypergraph dump path")
@@ -340,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     swp = subs.add_parser("sweep", help="run a pipeline over an eta grid")
-    _add_common(swp)
+    _add_common(swp, "--mode", "--metrics")
     swp.add_argument("--command-name", choices=["immerse-dense", "subdivide"],
                      required=True)
     swp.add_argument("--eta-grid", required=True, help="comma-separated etas")

@@ -2,15 +2,26 @@
 
 A ``Graph`` is a simple undirected graph on vertices ``0..n-1`` with sorted
 adjacency lists; it never changes after construction, so it is safe to share
-between pipelines and threads.  A ``GraphView`` answers the same queries as
-the graph obtained by deleting a vertex set and an edge set, without copying
-anything.  Neighbor iteration is always in ascending vertex order, which
-keeps every greedy routine downstream deterministic.
+between pipelines and threads.  The tuple adjacency serves the Python
+loops (BFS, packers, the verifier).  Whole-graph queries run on a CSR pair
+``(indptr, indices)`` built from it on first use and cached, as the dense
+adjacency matrix is: ``neighbor_counts`` counts, for every vertex at once,
+its neighbors inside a vertex set, and the spectral solver's sparse
+operator is the same pair.
+
+A ``GraphView`` answers the same queries as the graph obtained by deleting
+a vertex set and an edge set, without copying anything.  Its degrees come
+from one lazily computed list (base degrees minus removed-vertex hits,
+then minus removed edges), and a vertex the deletions do not touch gets
+its base neighbor tuple back as is.  Neighbor iteration is always in
+ascending vertex order, which keeps every greedy routine downstream
+deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -34,13 +45,14 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph with fixed vertex set 0..n-1."""
 
-    __slots__ = ("_n", "_adj", "_edges", "_matrix")
+    __slots__ = ("_n", "_adj", "_edges", "_matrix", "_csr")
 
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...], edges: frozenset[Edge]):
         self._n = n
         self._adj = adjacency
         self._edges = edges
         self._matrix: np.ndarray | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -75,13 +87,32 @@ class Graph:
         d0 = len(self._adj[0])
         return all(len(a) == d0 for a in self._adj)
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR pair (indptr, indices) of the adjacency (cached; intp): the
+        neighbors of v are indices[indptr[v]:indptr[v + 1]], ascending."""
+        if self._csr is None:
+            indptr = np.zeros(self._n + 1, dtype=np.intp)
+            np.cumsum([len(a) for a in self._adj], out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.intp,
+                                  count=int(indptr[-1]))
+            self._csr = (indptr, indices)
+        return self._csr
+
+    def neighbor_counts(self, vertices: Iterable[int]) -> np.ndarray:
+        """Per vertex, the number of its neighbors in the given vertex set."""
+        indptr, indices = self.csr()
+        mask = np.zeros(self._n, dtype=bool)
+        mask[np.fromiter(vertices, dtype=np.intp)] = True
+        hits = np.zeros(len(indices) + 1, dtype=np.intp)
+        np.cumsum(mask[indices], out=hits[1:])
+        return hits[indptr[1:]] - hits[indptr[:-1]]
+
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (cached; int8)."""
         if self._matrix is None:
+            indptr, indices = self.csr()
             mat = np.zeros((self._n, self._n), dtype=np.int8)
-            for u, v in self._edges:
-                mat[u, v] = 1
-                mat[v, u] = 1
+            mat[np.repeat(np.arange(self._n), np.diff(indptr)), indices] = 1
             self._matrix = mat
         return self._matrix
 
@@ -136,10 +167,12 @@ class GraphView:
     Queries agree with the graph that would be obtained by materializing the
     deletions.  Vertices in U report no neighbors.  Pairs of W that are not
     edges of the base graph are recorded in ``ignored_pairs`` rather than
-    rejected.
+    rejected.  The degree list and the endpoints of the removed edges are
+    computed on first use.
     """
 
-    __slots__ = ("base", "removed_vertices", "removed_edges", "ignored_pairs")
+    __slots__ = ("base", "removed_vertices", "removed_edges", "ignored_pairs",
+                 "_degrees", "_edge_ends")
 
     def __init__(self, base: Graph, removed_vertices: frozenset[int],
                  removed_edges: frozenset[Edge], ignored_pairs: tuple[Edge, ...]):
@@ -147,6 +180,8 @@ class GraphView:
         self.removed_vertices = removed_vertices
         self.removed_edges = removed_edges
         self.ignored_pairs = ignored_pairs
+        self._degrees: list[int] | None = None
+        self._edge_ends: frozenset[int] | None = None
 
     @property
     def n(self) -> int:
@@ -158,20 +193,41 @@ class GraphView:
     def active_vertices(self) -> list[int]:
         return [v for v in range(self.base.n) if v not in self.removed_vertices]
 
-    def neighbors(self, v: int) -> list[int]:
-        if v in self.removed_vertices:
+    def neighbors(self, v: int) -> Sequence[int]:
+        """Ascending neighbors of v in the view; the base tuple itself when
+        v has no removed neighbor and no removed incident edge."""
+        removed = self.removed_vertices
+        if v in removed:
             return []
-        out = []
-        for w in self.base.neighbors(v):
-            if w in self.removed_vertices:
-                continue
-            if normalize_edge(v, w) in self.removed_edges:
-                continue
-            out.append(w)
-        return out
+        adj = self.base.neighbors(v)
+        if self._edge_ends is None:
+            self._edge_ends = frozenset(chain.from_iterable(self.removed_edges))
+        if v not in self._edge_ends:
+            return adj if removed.isdisjoint(adj) else [w for w in adj if w not in removed]
+        return [w for w in adj
+                if w not in removed and normalize_edge(v, w) not in self.removed_edges]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        if self._degrees is None:
+            self._degrees = self._degree_list()
+        return self._degrees[v]
+
+    def _degree_list(self) -> list[int]:
+        """Base degrees minus removed-vertex hits (vectorized), zero on
+        removed vertices, then minus each removed edge the vertex deletion
+        did not already account for."""
+        base, removed = self.base, self.removed_vertices
+        deg = np.diff(base.csr()[0])
+        if removed:
+            deg -= base.neighbor_counts(removed)
+            deg[np.fromiter(removed, dtype=np.intp)] = 0
+        out = deg.tolist()
+        edges = base.edge_set()
+        for a, b in self.removed_edges:
+            if a not in removed and b not in removed and (a, b) in edges:
+                out[a] -= 1
+                out[b] -= 1
+        return out
 
     def has_edge(self, u: int, v: int) -> bool:
         if u in self.removed_vertices or v in self.removed_vertices:

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .certify import IMMERSION, EmbeddingCertificate
 from .errors import (
     DegenerateTError,
+    DomainError,
     IncompleteEmbeddingError,
     PreconditionFailedError,
 )
@@ -311,7 +312,10 @@ class DenseDiagnostics:
 
 
 def regularity_prerequisites(c: float, eta: float) -> tuple[float, float, float]:
-    """(epsilon, delta, K) governing the partition-regularity hypotheses."""
+    """(epsilon, delta, K) governing the partition-regularity hypotheses;
+    K is finite only for 0 < c < 1 and eta > 0."""
+    if not (eta > 0 and 0 < c < 1):
+        raise DomainError(f"need eta > 0 and density 0 < c < 1; got eta={eta}, c={c:.4g}")
     eps = min(c, 1 - c, eta) ** 2 / 64
     delta = min(c * eta * eta, (1 - c) * eta * eta) / 20
     k_required = 10 / (eps * eps * delta)

@@ -95,6 +95,14 @@ class RegularityAudit:
         return self.worst_deviation <= self.epsilon
 
 
+def adjacency_operator(g: Graph) -> scipy.sparse.csr_matrix:
+    """Sparse adjacency matrix for the iterative solver, made directly from
+    the graph's cached CSR pair (rows already sorted and duplicate-free)."""
+    indptr, indices = g.csr()
+    return scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+                                   shape=(g.n, g.n))
+
+
 def adjacency_spectrum(g: Graph, tol: float | None = None) -> SpectralReport:
     """Certify a graph: full dense eigensolve up to 4096 vertices, else
     a sparse iterative solve of the top two and bottom eigenvalues only."""
@@ -118,12 +126,7 @@ def adjacency_spectrum(g: Graph, tol: float | None = None) -> SpectralReport:
         return SpectralReport(n, d, lam, lambda2, lambdan, is_regular,
                               report_tol, spectrum=spectrum)
     report_tol = tol if tol is not None else ITERATIVE_TOL
-    rows, cols = [], []
-    for u, v in g.edges():
-        rows += [u, v]
-        cols += [v, u]
-    mat = scipy.sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    mat = adjacency_operator(g)
     # fixed pseudorandom start vector keeps ARPACK deterministic without
     # seeding it with an exact eigenvector (the all-ones vector is one)
     v0 = np.random.default_rng(0x5EED).standard_normal(n)

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .certify import SUBDIVISION, EmbeddingCertificate
 from .errors import (
     InsufficientStarsError,
@@ -93,14 +95,9 @@ def reservoir_conditions(g: Graph, stars: StarSystem, eta: float,
     leaf_ok = all(sum(1 for leaf in leaves if leaf in sample) >= need_leaves
                   for leaves in stars.leaf_sets)
     need_outside = eta * eta * d / 8
-    worst_outside = math.inf
-    outside_ok = True
-    for v in range(g.n):
-        outside = sum(1 for w in g.neighbors(v)
-                      if w not in u_set and w not in sample)
-        worst_outside = min(worst_outside, outside)
-        if outside < need_outside:
-            outside_ok = False
+    outside = np.diff(g.csr()[0]) - g.neighbor_counts(u_set | sample)
+    worst_outside = int(outside.min()) if g.n else math.inf
+    outside_ok = bool((outside >= need_outside).all())
     return leaf_ok, outside_ok, {
         "need_leaves": need_leaves,
         "need_outside": need_outside,
@@ -174,13 +171,10 @@ def fixed_path_length(n0: float, d0: int) -> int:
 def audit_sprime(g: Graph, s_prime: set[int], beta: float) -> tuple[bool, float]:
     """Check |N(x) & S'| <= beta * d(x) for every vertex; returns the pass
     flag and the worst load ratio."""
-    worst = 0.0
-    for v in range(g.n):
-        deg = g.degree(v)
-        if deg == 0:
-            continue
-        hits = sum(1 for w in g.neighbors(v) if w in s_prime)
-        worst = max(worst, hits / deg)
+    deg = np.diff(g.csr()[0])
+    live = deg > 0
+    loads = g.neighbor_counts(s_prime)[live] / deg[live]
+    worst = float(loads.max()) if loads.size else 0.0
     return worst <= beta, worst
 
 

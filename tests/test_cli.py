@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import imforge.cli as cli
 from imforge.cli import main
 
 
@@ -133,3 +134,50 @@ def test_gen_deterministic_bytes(tmp_path):
     main(["gen", "--kind", "random-regular", "--n", "60", "--d", "5",
           "--seed", "9", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_immerse_dense_eta_zero_is_a_usage_error(capsys):
+    assert main(["immerse-dense", "--q", "101", "--eta", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_certifies_the_host_once(tmp_path, monkeypatch):
+    single = tmp_path / "single.csv"
+    swept = tmp_path / "sweep.csv"
+    for eta in ("0.4", "0.45"):
+        assert main(["immerse-dense", "--q", "101", "--eta", eta, "--seed", "7",
+                     "--metrics", str(single)]) == 0
+    calls = []
+    spectrum = cli.adjacency_spectrum
+    monkeypatch.setattr(cli, "adjacency_spectrum", lambda g: calls.append(g) or spectrum(g))
+    assert main(["sweep", "--command-name", "immerse-dense", "--q", "101",
+                 "--eta-grid", "0.4,0.45", "--seed", "7", "--metrics", str(swept)]) == 0
+    assert len(calls) == 1
+    strip = lambda path: [{k: v for k, v in r.items() if k != "seconds"}
+                          for r in csv.DictReader(path.open())]
+    assert strip(swept) == strip(single)
+
+
+def test_sweep_failed_cells_exit_2_with_rows(tmp_path, capsys):
+    metrics = tmp_path / "m.csv"
+    assert main(["sweep", "--command-name", "subdivide", "--eta-grid", "0.4,0.5",
+                 "--metrics", str(metrics)]) == 2  # no graph source
+    rows = list(csv.DictReader(metrics.open()))
+    assert [(r["eta"], r["achieved_order"]) for r in rows] == [("0.4", "0"), ("0.5", "0")]
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--q", "13", "--mode", "strict"],
+    ["spectral", "--q", "13", "--report", "r.json"],
+    ["spectral", "--q", "13", "--metrics", "m.csv"],
+    ["nibble", "--q", "13", "--parts", "4,4,4", "--metrics", "m.csv"],
+    ["sweep", "--command-name", "subdivide", "--q", "13", "--eta-grid", "0.5",
+     "--out", "c.json"],
+    ["sweep", "--command-name", "subdivide", "--q", "13", "--eta-grid", "0.5",
+     "--report", "r.json"],
+])
+def test_commands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
