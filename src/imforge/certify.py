@@ -6,6 +6,9 @@ and applies the semantics of the declared kind: immersions need pairwise
 edge-disjoint paths, subdivisions pairwise internally vertex-disjoint paths
 that also dodge every branch vertex.  It consults nothing but the graph and
 the certificate, and reports every defect instead of stopping at the first.
+Ids are Python or numpy integers: a bool, float or string branch id, pair
+index, path vertex or ``ell`` is a ``BAD_ID`` violation, and the checks
+that compare ids are then skipped.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+
+import numpy as np
 
 from .errors import ParseError
 from .graphs import Edge, Graph, normalize_edge
@@ -106,11 +111,35 @@ def _walk_edges(path: list[int]) -> list[Edge]:
     return [normalize_edge(a, b) for a, b in zip(path, path[1:])]
 
 
+def _is_id(x: Any) -> bool:
+    """Python and numpy integers are ids; bools, floats and strings are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _bad_ids(cert: EmbeddingCertificate) -> list[str]:
+    """Where the certificate holds a branch id, pair index, path vertex or
+    ``ell`` that is not an integer."""
+    out = [f"branch[{k}] = {v!r}" for k, v in enumerate(cert.branch) if not _is_id(v)]
+    for key, path in cert.pairs.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_id, key))):
+            out.append(f"pair key {key!r}")
+        out.extend(f"pair {key!r} vertex {v!r}" for v in path if not _is_id(v))
+    if cert.ell is not None and not _is_id(cert.ell):
+        out.append(f"ell = {cert.ell!r}")
+    return out
+
+
 def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
     """Check a certificate from scratch against the graph."""
     violations: list[tuple[str, str]] = []
     if cert.kind not in (IMMERSION, SUBDIVISION):
         violations.append(("UNKNOWN_KIND", f"kind {cert.kind!r}"))
+    bad_ids = _bad_ids(cert)
+    if bad_ids:
+        violations.extend(("BAD_ID", where) for where in bad_ids)
+        return VerifyReport(valid=False, kind=cert.kind, t=len(cert.branch),
+                            path_count=len(cert.pairs), length_histogram={},
+                            violations=violations)
     branch = cert.branch
     t = len(branch)
     if len(set(branch)) != t:

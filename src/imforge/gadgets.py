@@ -30,7 +30,7 @@ from .errors import (
 )
 from .expanders import short_avoiding_path
 from .graphs import Graph, GraphView, normalize_edge, view_minus
-from .util import BEST_EFFORT, STRICT, np_rng
+from .util import BEST_EFFORT, STRICT, np_rng, peel_to_complete
 
 
 def _parity_distances(view, target: int, banned_edge) -> dict[tuple[int, int], int]:
@@ -329,21 +329,28 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     (neighborhood size squared against the bad-pair count); branch vertices
     come from hub neighbors without too many low-codegree partners, and each
     pair is joined through a lightly-loaded middle vertex by a path
-    u - b_i - a - b_j - v with globally edge-disjoint steps.
+    u - b_i - a - b_j - v with globally edge-disjoint steps.  All codegrees
+    come from one A-side product ``mat @ mat.T`` (exact in float32, since
+    every count is below 2**24).
+
+    Strict mode raises when p breaks the density bound, when the hub leaves
+    fewer than p usable candidates, and on a pair it cannot link.
+    Best-effort takes the candidates there are and peels the branch set to
+    the pairs it linked.
     """
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
     n1, n2 = len(a_list), len(b_list)
     if p < 0 or n1 == 0 or n2 == 0:
         raise PreconditionFailedError("need nonempty sides and p >= 0")
-    a_pos = {v: i for i, v in enumerate(a_list)}
+    b_arr = np.array(b_list, dtype=np.int64)
+    in_graph = (b_arr >= 0) & (b_arr < g.n)
+    b_col = np.full(g.n, -1, dtype=np.int64)
+    b_col[b_arr[in_graph]] = np.flatnonzero(in_graph)
     mat = np.zeros((n1, n2), dtype=np.float32)
-    b_pos = {v: i for i, v in enumerate(b_list)}
     for i, u in enumerate(a_list):
-        for w in g.neighbors(u):
-            j = b_pos.get(w)
-            if j is not None:
-                mat[i, j] = 1.0
+        cols = b_col[np.array(g.neighbors(u), dtype=np.int64)]
+        mat[i, cols[cols >= 0]] = 1.0
     alpha = float(mat.sum()) / (n1 * n2)
     if mode == STRICT:
         bound = min(alpha * n1 / 16, alpha * alpha * n2 / 192)
@@ -358,54 +365,49 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         candidates = list(range(n2))
     else:
         candidates = sorted(rng.choice(n2, size=64, replace=False).tolist())
+    codeg = mat @ mat.T
+
+    def hub_rows(j: int) -> tuple[np.ndarray, np.ndarray]:
+        """A-rows next to hub column j, and per row its bad-pair count."""
+        rows = np.flatnonzero(mat[:, j])
+        bad = codeg[np.ix_(rows, rows)] < 3 * p
+        np.fill_diagonal(bad, False)
+        return rows, bad.sum(axis=1)
+
     ex = alpha * n1
     ey = max(3 * p * n1 * n1 / (2 * n2), 1e-12)
     best_score = -math.inf
     best_j = candidates[0]
     for j in candidates:
-        col = mat[:, j]
-        x = float(col.sum())
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            codeg = mat[rows] @ mat[rows].T
-            bad = (codeg < 3 * p)
-            np.fill_diagonal(bad, False)
-            y = float(bad.sum()) / 2
-        else:
-            y = 0.0
+        rows, bad_counts = hub_rows(j)
+        x = float(rows.size)
+        y = float(bad_counts.sum()) / 2
         score = x * x - (ex * ex / (2 * ey)) * y
         if score > best_score:
             best_score = score
             best_j = j
     hub = b_list[best_j]
-    rows = np.nonzero(mat[:, best_j])[0]
-    codeg = mat[rows] @ mat[rows].T
-    bad = (codeg < 3 * p)
-    np.fill_diagonal(bad, False)
-    bad_counts = bad.sum(axis=1)
+    rows, bad_counts = hub_rows(best_j)
     keep = rows[bad_counts <= len(rows) / 16]
-    a2 = [a_list[i] for i in keep.tolist()]
-    if len(a2) < p:
+    if len(keep) < p and mode == STRICT:
         raise PreconditionFailedError(
-            f"hub {hub} leaves only {len(a2)} usable branch candidates for p={p}")
-    branch = a2[:p]
-    pool = a2[p:]
-    codeg_of = {a_list[i]: {a_list[j]: int(codeg[ri, rj])
-                            for rj, j in enumerate(rows.tolist())}
-                for ri, i in enumerate(rows.tolist())}
+            f"hub {hub} leaves only {len(keep)} usable branch candidates for p={p}")
+    branch_rows, pool_rows = keep[:p], keep[p:]
+    branch = [a_list[i] for i in branch_rows.tolist()]
+    pool = [a_list[i] for i in pool_rows.tolist()]
+    # strong[i][k]: branch i and pool vertex k have codegree at least 3p
+    strong = (codeg[np.ix_(branch_rows, pool_rows)] >= 3 * p).tolist()
 
     used_edges: set[tuple[int, int]] = set()
     used_b: set[int] = set()
     occupancy = {a: 0 for a in pool}
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for i in range(p):
-        for j in range(i + 1, p):
+    linked: dict[tuple[int, int], list[int]] = {}
+    for i in range(len(branch)):
+        for j in range(i + 1, len(branch)):
             u, v = branch[i], branch[j]
             path = None
-            for a in pool:
-                if codeg_of[u].get(a, 0) < 3 * p or codeg_of[v].get(a, 0) < 3 * p:
-                    continue
-                if occupancy[a] > p:
+            for a, ok_u, ok_v in zip(pool, strong[i], strong[j]):
+                if not (ok_u and ok_v) or occupancy[a] > p:
                     continue
                 na = set(g.neighbors(a))
                 bi = next((w for w in g.neighbors(u)
@@ -422,7 +424,9 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
                 path = [u, bi, a, bj, v]
                 break
             if path is None:
-                raise StuckError((u, v))
+                if mode == STRICT:
+                    raise StuckError((u, v))
+                continue
             for x, y in zip(path, path[1:]):
                 used_edges.add(normalize_edge(x, y))
             for w in (path[1], path[3]):
@@ -431,5 +435,8 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
                     for a in pool:
                         if g.has_edge(a, w):
                             occupancy[a] += 1
-            pairs[(i, j)] = path
-    return EmbeddingCertificate(kind=IMMERSION, branch=branch, pairs=pairs, ell=3)
+            linked[(u, v)] = path
+    if len(linked) < len(branch) * (len(branch) - 1) // 2:
+        branch = peel_to_complete(branch, set(linked))
+    return EmbeddingCertificate.from_paths(IMMERSION, branch, lambda a, b: linked[(a, b)],
+                                           ell=3)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .certify import IMMERSION, EmbeddingCertificate
 from .errors import (
     DegenerateTError,
@@ -169,10 +171,16 @@ def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization,
                       ) -> tuple[dict[Edge, list[int]], list[Edge], dict]:
     """Replace red pairs by length-2 paths with both steps leaving F.
 
-    Color class i works inside the middle cell U_i (cells are reused
-    round-robin when there are fewer cells than classes, with the shared
-    ledger keeping everything edge-disjoint).  Returns (replacements keyed
-    by red pair, un-replaced red pairs, counters).
+    Color class i works inside the middle cell U_((i-1) mod m2 + 1): cells
+    are reused round-robin when there are fewer cells than classes, with the
+    shared ledger keeping everything edge-disjoint.  Each pair (j, k) of a
+    class gets a mini graph on V_j, V_k and the cell, holding its red pairs
+    and its black edges not yet used, and its own matcher seed.  Classes
+    whose cells are distinct form one batch: their pairs share no black
+    edge, so the batch's mini graphs are laid side by side in one graph and
+    matched in one call, each exactly as it would be alone.  Batches run in
+    class order, each seeing the ledger the earlier ones left.  Returns
+    (replacements keyed by red pair, un-replaced red pairs, counters).
     """
     sch = rb.scheme
     if used is None:
@@ -180,44 +188,55 @@ def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization,
     two_paths: dict[Edge, list[int]] = {}
     leftovers: list[Edge] = []
     reused_cells = sch.m2 < fact.chi
-    for ci, cls in enumerate(fact.classes, start=1):
-        if sch.m2 < 1:
-            break
-        u_idx = ci if not reused_cells else (ci - 1) % sch.m2 + 1
-        u_cell = sch.u_parts[u_idx]
-        for (j, k) in cls:
-            reds = rb.red.get((j, k), [])
-            if not reds:
-                continue
-            vj, vk = sch.v_parts[j], sch.v_parts[k]
-            local = list(vj) + list(vk) + list(u_cell)
-            pos = {v: i for i, v in enumerate(local)}
-            edges = [(pos[a], pos[b]) for a, b in reds]
-            for side in (vj, vk):
-                for a in side:
+    classes = list(enumerate(fact.classes, start=1))
+    if sch.m2 < 1:  # no middle cell: every red pair is left over
+        leftovers = [p for reds in rb.red.values() for p in reds]
+        classes = []
+    for first in range(0, len(classes), max(sch.m2, 1)):
+        host_of: list[int] = []  # batch vertex -> host vertex
+        side: list[int] = []  # batch vertex -> 0 (V_j), 1 (V_k) or 2 (cell)
+        edges: list[Edge] = []
+        starts: list[int] = []
+        seeds: list[int] = []
+        reds_in_batch: list[Edge] = []
+        for ci, cls in classes[first:first + sch.m2]:
+            u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
+            for (j, k) in cls:
+                reds = rb.red.get((j, k), [])
+                if not reds:
+                    continue
+                vj, vk = sch.v_parts[j], sch.v_parts[k]
+                base = len(host_of)
+                local = list(vj) + list(vk) + list(u_cell)
+                pos = {v: base + i for i, v in enumerate(local)}
+                edges.extend((pos[a], pos[b]) for a, b in reds)
+                for a in local[:len(vj) + len(vk)]:
                     for u in u_cell:
                         e = normalize_edge(a, u)
                         if e in rb.black and e not in used:
                             edges.append((pos[a], pos[u]))
-            mini = build_graph(len(local), edges)
-            parts = (range(len(vj)),
-                     range(len(vj), len(vj) + len(vk)),
-                     range(len(vj) + len(vk), len(local)))
-            triangles, _, _ = edge_disjoint_triangles(
-                mini, parts, beta=beta,
-                seed=derive_seed(seed, f"red-replace:{ci}:{j}:{k}"))
-            replaced: set[Edge] = set()
-            for tri in triangles:
-                back = sorted(local[x] for x in tri)
-                a = next(v for v in back if v in set(vj))
-                b = next(v for v in back if v in set(vk))
-                u = next(v for v in back if v in set(u_cell))
-                pair = normalize_edge(a, b)
-                two_paths[pair] = [pair[0], u, pair[1]]
-                used.add(normalize_edge(a, u))
-                used.add(normalize_edge(b, u))
-                replaced.add(pair)
-            leftovers.extend(p for p in reds if p not in replaced)
+                starts.append(base)
+                seeds.append(derive_seed(seed, f"red-replace:{ci}:{j}:{k}"))
+                host_of.extend(local)
+                side.extend([0] * len(vj) + [1] * len(vk) + [2] * len(u_cell))
+                reds_in_batch.extend(reds)
+        if not starts:
+            continue
+        mini = build_graph(len(host_of), edges)
+        sides = np.array(side)
+        parts = tuple(np.flatnonzero(sides == x) for x in range(3))
+        triangles, _, _ = edge_disjoint_triangles(mini, parts, beta=beta, seed=seeds,
+                                                  groups=starts)
+        replaced: set[Edge] = set()
+        # a triangle is (V_j, V_k, cell) vertices of one pair, ascending
+        for x, y, z in triangles:
+            a, b, u = host_of[x], host_of[y], host_of[z]
+            pair = normalize_edge(a, b)
+            two_paths[pair] = [pair[0], u, pair[1]]
+            used.add(normalize_edge(a, u))
+            used.add(normalize_edge(b, u))
+            replaced.add(pair)
+        leftovers.extend(p for p in reds_in_batch if p not in replaced)
     counters = {"reds_total": rb.red_total,
                 "reds_replaced_2path": len(two_paths),
                 "cells_reused": reused_cells}

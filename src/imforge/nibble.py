@@ -11,7 +11,7 @@ exhaustive greedy sweep, and never returns less than plain greedy would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .util import np_rng
 
 MAX_ROUNDS = 50
 BITE_FRACTION = 0.1
+# draws a sub-problem may take ahead in one block (see near_perfect_matching)
+BLOCK_DRAWS = 1 << 16
 
 
 def _unique_rows(arr: np.ndarray) -> np.ndarray:
@@ -44,13 +46,17 @@ class Hypergraph3:
     """3-uniform hypergraph with triples stored as a sorted (M, 3) array.
 
     ``vertex_labels[i]`` maps hypergraph vertex i back to a base-graph edge
-    when the hypergraph came from a triangle construction.
+    when the hypergraph came from a triangle construction.  The vertices
+    fall into consecutive groups, one per independent sub-problem, starting
+    at the ids in ``group_starts``; no triple spans two groups.  A lone
+    problem is the single group starting at 0.
     """
 
     n_vertices: int
     triples: np.ndarray
     vertex_labels: Optional[list[Edge]] = None
     isolated_count: int = 0
+    group_starts: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     @staticmethod
     def from_triples(n_vertices: int, triples: Sequence[Sequence[int]],
@@ -62,15 +68,20 @@ class Hypergraph3:
 
     @staticmethod
     def from_array(n_vertices: int, arr: np.ndarray,
-                   vertex_labels: Optional[list[Edge]] = None) -> "Hypergraph3":
+                   vertex_labels: Optional[list[Edge]] = None,
+                   group_starts: Sequence[int] = (0,)) -> "Hypergraph3":
         arr = _unique_rows(np.sort(np.asarray(arr, dtype=np.int64).reshape(-1, 3), axis=1))
+        starts = np.asarray(group_starts, dtype=np.int64)
         if arr.size and ((arr[:, 0] == arr[:, 1]) | (arr[:, 1] == arr[:, 2])).any():
             raise BadPartitionError("triples must have three distinct members")
+        if arr.size and (np.searchsorted(starts, arr[:, 0], side="right")
+                         != np.searchsorted(starts, arr[:, 2], side="right")).any():
+            raise BadPartitionError("a triple spans two groups")
         covered = np.zeros(n_vertices, dtype=bool)
         if arr.size:
             covered[arr.ravel()] = True
         isolated = int(n_vertices - covered.sum())
-        return Hypergraph3(n_vertices, arr, vertex_labels, isolated)
+        return Hypergraph3(n_vertices, arr, vertex_labels, isolated, starts)
 
     @property
     def n_triples(self) -> int:
@@ -79,35 +90,6 @@ class Hypergraph3:
     @property
     def n_active(self) -> int:
         return self.n_vertices - self.isolated_count
-
-    def degrees(self) -> np.ndarray:
-        out = np.zeros(self.n_vertices, dtype=np.int64)
-        if self.triples.size:
-            np.add.at(out, self.triples.ravel(), 1)
-        return out
-
-    def max_codegree(self) -> int:
-        """Largest number of triples sharing a fixed vertex pair."""
-        if not self.triples.size:
-            return 0
-        pairs = np.concatenate([self.triples[:, [0, 1]],
-                                self.triples[:, [0, 2]],
-                                self.triples[:, [1, 2]]])
-        _, counts = np.unique(pairs, axis=0, return_counts=True)
-        return int(counts.max())
-
-    def degree_report(self, reference: float, gamma: float, k_factor: float) -> dict:
-        """Bookkeeping for the near-regularity hypotheses of the matcher."""
-        deg = self.degrees()
-        active = deg > 0
-        within = np.abs(deg[active] - reference) <= gamma * reference
-        return {
-            "n_active": int(active.sum()),
-            "frac_within_gamma": float(within.mean()) if active.any() else 1.0,
-            "max_degree": int(deg.max()) if deg.size else 0,
-            "max_degree_bound": k_factor * reference,
-            "max_codegree": self.max_codegree(),
-        }
 
     def dump(self) -> str:
         lines = [f"{self.n_vertices} {self.n_triples}"]
@@ -140,146 +122,196 @@ class Matching3:
         return self.size / (self.n_active / 3)
 
 
-def triangle_hypergraph(g: Graph, parts: tuple[Sequence[int], Sequence[int], Sequence[int]]
-                        ) -> Hypergraph3:
+def triangle_hypergraph(g: Graph, parts: tuple[Sequence[int], Sequence[int], Sequence[int]],
+                        groups: Sequence[int] = (0,)) -> Hypergraph3:
     """Hypergraph of triangles of a tripartite graph.
 
     Only edges between distinct parts participate; each such edge is one
-    hypergraph vertex, each transversal triangle one triple.  Edges lying in
-    no triangle stay as isolated hypergraph vertices and are counted.
+    hypergraph vertex (numbered in ``g.edges()`` order), each transversal
+    triangle one triple.  Edges lying in no triangle stay as isolated
+    hypergraph vertices and are counted.
+
+    ``groups`` lists the first graph vertex of each sub-problem when g is a
+    disjoint union of several (ascending, starting at 0); an edge between
+    two sub-problems is an error.  The hypergraph's groups follow, and each
+    sub-problem gets the triples it would get alone, shifted by the number
+    of cross edges before it.
+
+    The triangles come from one join: every A-B edge is expanded by the
+    C-neighbors of its A end, and each candidate (b, c) is looked up among
+    the B-C edges.
     """
-    part_a, part_b, part_c = (sorted(set(p)) for p in parts)
-    blocks = [part_a, part_b, part_c]
-    all_verts = part_a + part_b + part_c
-    if len(set(all_verts)) != len(all_verts):
+    blocks = [np.unique(np.fromiter(p, dtype=np.int64)) for p in parts]
+    members = np.concatenate(blocks)
+    if np.unique(members).size != members.size:
         raise BadPartitionError("parts must be pairwise disjoint")
-    part_of = {}
-    offset = {}
+    if members.size and (members.min() < 0 or members.max() >= g.n):
+        raise BadPartitionError(f"parts must be vertices of the graph 0..{g.n - 1}")
+    part = np.full(g.n, -1, dtype=np.int64)
     for idx, block in enumerate(blocks):
-        for off, v in enumerate(block):
-            part_of[v] = idx
-            offset[v] = off
-    cross_edges = [e for e in g.edges()
-                   if e[0] in part_of and e[1] in part_of
-                   and part_of[e[0]] != part_of[e[1]]]
-    na, nb, nc = len(part_a), len(part_b), len(part_c)
-    # edge-id lookup and adjacency masks per part pair
-    id_ac = np.full((na, nc), -1, dtype=np.int64)
-    id_bc = np.full((nb, nc), -1, dtype=np.int64)
-    adj_ac = np.zeros((na, nc), dtype=bool)
-    adj_bc = np.zeros((nb, nc), dtype=bool)
-    ab_edges = []
-    for eid, (u, v) in enumerate(cross_edges):
-        pu, pv = part_of[u], part_of[v]
-        if pu > pv:
-            u, v, pu, pv = v, u, pv, pu
-        if (pu, pv) == (0, 1):
-            ab_edges.append((eid, offset[u], offset[v]))
-        elif (pu, pv) == (0, 2):
-            id_ac[offset[u], offset[v]] = eid
-            adj_ac[offset[u], offset[v]] = True
-        else:
-            id_bc[offset[u], offset[v]] = eid
-            adj_bc[offset[u], offset[v]] = True
-    chunks = []
-    for eid, ai, bi in ab_edges:
-        common = np.nonzero(adj_ac[ai] & adj_bc[bi])[0]
-        if common.size:
-            chunk = np.empty((common.size, 3), dtype=np.int64)
-            chunk[:, 0] = eid
-            chunk[:, 1] = id_ac[ai, common]
-            chunk[:, 2] = id_bc[bi, common]
-            chunks.append(chunk)
-    arr = np.vstack(chunks) if chunks else np.empty((0, 3), dtype=np.int64)
-    return Hypergraph3.from_array(len(cross_edges), arr, vertex_labels=cross_edges)
+        part[block] = idx
+    indptr, indices = g.csr()
+    u = np.repeat(np.arange(g.n), np.diff(indptr))
+    v = indices.astype(np.int64)
+    pu, pv = part[u], part[v]
+    cross = (u < v) & (pu >= 0) & (pv >= 0) & (pu != pv)
+    u, v, pu, pv = u[cross], v[cross], pu[cross], pv[cross]
+    cross_edges = list(zip(u.tolist(), v.tolist()))
+    starts = np.asarray(groups, dtype=np.int64)
+    edge_group = np.searchsorted(starts, u, side="right") - 1
+    if (edge_group != np.searchsorted(starts, v, side="right") - 1).any():
+        raise BadPartitionError("an edge joins two groups")
+
+    # orient every cross edge from its lower part to its higher one
+    flip = pu > pv
+    lo, hi = np.where(flip, v, u), np.where(flip, u, v)
+    kind = np.minimum(pu, pv) + np.maximum(pu, pv)  # AB 1, AC 2, BC 3
+    eid = np.arange(len(u))
+    ab, ac, bc = (kind == 1), (kind == 2), (kind == 3)
+    key = lo * g.n + hi
+    ac_order = np.argsort(key[ac])
+    ac_a, ac_c, ac_e = lo[ac][ac_order], hi[ac][ac_order], eid[ac][ac_order]
+    bc_key = key[bc]
+    bc_order = np.argsort(bc_key)
+    bc_key, bc_e = bc_key[bc_order], eid[bc][bc_order]
+    ab_a, ab_b, ab_e = lo[ab], hi[ab], eid[ab]
+    first = np.searchsorted(ac_a, ab_a, side="left")
+    count = np.searchsorted(ac_a, ab_a, side="right") - first
+    total = int(count.sum())
+    at = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(total)
+    b = np.repeat(ab_b, count)
+    want = b * g.n + ac_c[at]
+    hit = np.searchsorted(bc_key, want)
+    found = hit < len(bc_key)
+    found[found] = bc_key[hit[found]] == want[found]
+    arr = np.stack([np.repeat(ab_e, count)[found], ac_e[at][found], bc_e[hit[found]]], axis=1)
+    group_starts = np.searchsorted(edge_group, np.arange(len(starts)))
+    return Hypergraph3.from_array(len(cross_edges), arr, vertex_labels=cross_edges,
+                                  group_starts=group_starts)
 
 
-def _greedy_sweep(triples: np.ndarray, free: np.ndarray,
-                  selected: list[int], rows: np.ndarray) -> None:
-    """Add every still-feasible triple in ascending row order (in place)."""
-    t = triples
-    for row in rows.tolist():
-        a, b, c = t[row]
+def _greedy_sweep(triples: np.ndarray, free: list[bool], rows: np.ndarray) -> list[int]:
+    """Rows of every still-feasible triple, taken in ascending row order;
+    ``free`` is updated in place."""
+    taken = []
+    for row, a, b, c in zip(rows.tolist(), *triples[rows].T.tolist()):
         if free[a] and free[b] and free[c]:
             free[a] = free[b] = free[c] = False
-            selected.append(row)
+            taken.append(row)
+    return taken
 
 
 def near_perfect_matching(h: Hypergraph3, alpha_target: float = 0.2,
-                          seed: int = 0) -> Matching3:
+                          seed: Union[int, Sequence[int]] = 0) -> Matching3:
     """Matching via random bites plus greedy cleanup, deterministic in seed.
 
     The result is guaranteed to be at least as large as a plain ascending
     greedy run, so the cleanup-dominance property holds on every input.
     Shortfall against (1 - alpha) * n_active / 3 is reported, not raised.
+
+    Every group of ``h`` is its own sub-problem with its own seed (``seed``
+    holds one per group; a lone problem may pass one int).  The groups run
+    in lock-step, one vectorised bite round for all of them at a time, and
+    each keeps its own round cap, greedy sweep and dominance guard, so each
+    gets exactly the triples, rounds and greedy size it would get alone.
+    Its random stream is drawn ahead in one block when MAX_ROUNDS draws per
+    triple fit in BLOCK_DRAWS, else one round at a time; this does not change
+    the draws, because ``Generator.random(a)`` then ``random(b)`` gives the
+    same numbers as ``random(a + b)``.  ``rounds`` and ``greedy_size`` are
+    the largest round count and the total greedy size; the per-group values
+    are in ``group_rounds`` and ``group_greedy_size``.
     """
     t = h.triples
     n_v = h.n_vertices
-    if len(t) == 0:
-        return Matching3(t.copy(), h.n_active,
-                         {"rounds": 0, "target_alpha": alpha_target,
-                          "target_size": 0.0, "greedy_size": 0})
-    rng = np_rng(seed, "nibble")
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    n_groups = len(h.group_starts)
+    if len(seeds) != n_groups:
+        raise ValueError(f"need one seed per group: {len(seeds)} seeds, {n_groups} groups")
+    row_group = np.searchsorted(h.group_starts, t[:, 0], side="right") - 1
+    vertex_group = np.searchsorted(h.group_starts, np.arange(n_v), side="right") - 1
+    size = np.bincount(row_group, minlength=n_groups)
+
+    rngs, blocks = {}, []
+    block_len = np.zeros(n_groups, dtype=np.int64)
+    for gi in np.flatnonzero(size).tolist():
+        rngs[gi] = np_rng(seeds[gi], "nibble")
+        m = int(size[gi])
+        block_len[gi] = m * MAX_ROUNDS if m * MAX_ROUNDS <= BLOCK_DRAWS else m
+        blocks.append(rngs[gi].random(int(block_len[gi])))
+    stream = np.concatenate(blocks) if blocks else np.zeros(1)
+    block_start = np.cumsum(block_len) - block_len
+    drawn = np.zeros(n_groups, dtype=np.int64)
+
     free = np.ones(n_v, dtype=bool)
-    selected: list[int] = []
+    selected = np.zeros(len(t), dtype=bool)
+    rounds = np.zeros(n_groups, dtype=np.int64)
     surviving = np.arange(len(t))
-    rounds = 0
     for _ in range(MAX_ROUNDS):
         alive_mask = free[t[surviving, 0]] & free[t[surviving, 1]] & free[t[surviving, 2]]
         surviving = surviving[alive_mask]
         if surviving.size == 0:
             break
-        rounds += 1
+        group = row_group[surviving]
+        count = np.bincount(group, minlength=n_groups)
+        rounds += count > 0
         # every vertex of a surviving triple is free
         live = np.zeros(n_v, dtype=bool)
         live[t[surviving].ravel()] = True
-        n_alive_v = int(np.count_nonzero(live))
+        n_alive_v = np.bincount(vertex_group[live], minlength=n_groups)
         want = BITE_FRACTION * n_alive_v / 3
-        p = min(1.0, want / surviving.size) if surviving.size else 0.0
-        bite = surviving[rng.random(surviving.size) < p]
+        p = np.minimum(1.0, want / np.maximum(count, 1))
+        # the k-th surviving triple of a group takes that group's next draw
+        first = np.cumsum(count) - count
+        at = drawn[group] + np.arange(surviving.size) - first[group]
+        draws = stream[np.minimum(block_start[group] + at, len(stream) - 1)]
+        # a block too short for MAX_ROUNDS held round 1 (where every triple
+        # survives) and no more: later rounds of that group draw as they go
+        for gi in np.flatnonzero((count > 0) & (drawn >= block_len)).tolist():
+            draws[first[gi]:first[gi] + count[gi]] = rngs[gi].random(int(count[gi]))
+        drawn += count
+        bite = surviving[draws < p[group]]
         if bite.size == 0:
             continue
-        verts = t[bite].ravel()
-        uniq, counts = np.unique(verts, return_counts=True)
-        conflicted = set(uniq[counts > 1].tolist())
-        for row in bite.tolist():
-            a, b, c = t[row]
-            if a in conflicted or b in conflicted or c in conflicted:
-                continue
-            free[a] = free[b] = free[c] = False
-            selected.append(row)
-    _greedy_sweep(t, free, selected, surviving)
+        # keep the bitten triples that share no vertex with another bitten one
+        hits = np.bincount(t[bite].ravel(), minlength=n_v)
+        bite = bite[(hits[t[bite]] == 1).all(axis=1)]
+        selected[bite] = True
+        free[t[bite].ravel()] = False
+    selected[_greedy_sweep(t, free.tolist(), surviving)] = True
 
-    # dominance guard: plain ascending greedy from scratch
-    plain_free = np.ones(n_v, dtype=bool)
-    plain: list[int] = []
-    _greedy_sweep(t, plain_free, plain, np.arange(len(t)))
-    if len(plain) > len(selected):
-        selected = plain
+    # dominance guard: plain ascending greedy from scratch, per group
+    plain = np.zeros(len(t), dtype=bool)
+    plain[_greedy_sweep(t, [True] * n_v, np.arange(len(t)))] = True
+    greedy_size = np.bincount(row_group[plain], minlength=n_groups)
+    swap = greedy_size > np.bincount(row_group[selected], minlength=n_groups)
+    selected = np.where(swap[row_group], plain, selected)
 
-    chosen = t[np.array(sorted(selected), dtype=np.int64)] if selected else t[:0]
     target = (1 - alpha_target) * h.n_active / 3
-    diag = {"rounds": rounds, "target_alpha": alpha_target,
-            "target_size": target, "greedy_size": len(plain)}
-    return Matching3(chosen, h.n_active, diag)
+    diag = {"rounds": int(rounds.max(initial=0)), "target_alpha": alpha_target,
+            "target_size": target, "greedy_size": int(greedy_size.sum()),
+            "group_rounds": rounds.tolist(), "group_greedy_size": greedy_size.tolist()}
+    return Matching3(t[selected], h.n_active, diag)
 
 
-def edge_disjoint_triangles(g: Graph, parts, beta: float = 0.2, seed: int = 0
+def edge_disjoint_triangles(g: Graph, parts, beta: float = 0.2,
+                            seed: Union[int, Sequence[int]] = 0, groups: Sequence[int] = (0,)
                             ) -> tuple[list[tuple[int, int, int]], list[Edge], dict]:
     """Edge-disjoint triangles of a tripartite graph via the hypergraph
-    matcher; returns (triangles, uncovered cross edges, diagnostics)."""
-    h = triangle_hypergraph(g, parts)
+    matcher; returns (triangles, uncovered cross edges, diagnostics).
+
+    When g is a disjoint union of sub-problems, ``groups`` holds the first
+    vertex of each and ``seed`` one seed per sub-problem (see
+    ``triangle_hypergraph`` and ``near_perfect_matching``); each gets the
+    triangles it would get alone, in sub-problem order.
+    """
+    h = triangle_hypergraph(g, parts, groups)
     matching = near_perfect_matching(h, alpha_target=beta, seed=seed)
     labels = h.vertex_labels or []
-    triangles = []
-    covered: set[int] = set()
-    for row in matching.triples.tolist():
-        verts: set[int] = set()
-        for vid in row:
-            verts.update(labels[vid])
-            covered.add(vid)
-        triangles.append(tuple(sorted(verts)))
-    uncovered = [labels[i] for i in range(len(labels)) if i not in covered]
+    triangles = [tuple(sorted({v for vid in row for v in labels[vid]}))
+                 for row in matching.triples.tolist()]
+    covered = np.zeros(len(labels), dtype=bool)
+    covered[matching.triples.ravel()] = True
+    uncovered = [labels[i] for i in np.flatnonzero(~covered).tolist()]
     e_cross = len(labels)
     diag = {
         "cross_edges": e_cross,

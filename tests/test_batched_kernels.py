@@ -1,0 +1,380 @@
+"""The batched dense red-edge replacement against the per-call code it
+replaced: the lock-step matcher against each sub-problem run alone (and
+against the one-problem matcher it grew from), the join-based triangle
+hypergraph against the dense-matrix builder, and ``replace_red_edges``
+against one matcher call per (class, pair), including cell reuse."""
+
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imforge import nibble
+from imforge.generators import paley, random_regular
+from imforge.graphs import Graph, build_graph, normalize_edge
+from imforge.immersion_dense import (
+    PartitionScheme,
+    build_red_black,
+    dense_partition,
+    one_factorization,
+    replace_red_edges,
+)
+from imforge.nibble import (
+    MAX_ROUNDS,
+    Hypergraph3,
+    edge_disjoint_triangles,
+    near_perfect_matching,
+    triangle_hypergraph,
+)
+from imforge.spectral import adjacency_spectrum
+from imforge.util import derive_seed, np_rng
+
+
+def reference_matching(h, alpha_target=0.2, seed=0):
+    """The one-problem matcher: one seeded stream drawn round by round."""
+    t = h.triples
+    n_v = h.n_vertices
+    if len(t) == 0:
+        return t.copy(), 0, 0
+    rng = np_rng(seed, "nibble")
+    free = np.ones(n_v, dtype=bool)
+    selected = []
+    surviving = np.arange(len(t))
+    rounds = 0
+    for _ in range(MAX_ROUNDS):
+        surviving = surviving[free[t[surviving, 0]] & free[t[surviving, 1]]
+                              & free[t[surviving, 2]]]
+        if surviving.size == 0:
+            break
+        rounds += 1
+        live = np.zeros(n_v, dtype=bool)
+        live[t[surviving].ravel()] = True
+        want = nibble.BITE_FRACTION * int(np.count_nonzero(live)) / 3
+        p = min(1.0, want / surviving.size)
+        bite = surviving[rng.random(surviving.size) < p]
+        if bite.size == 0:
+            continue
+        uniq, counts = np.unique(t[bite].ravel(), return_counts=True)
+        conflicted = set(uniq[counts > 1].tolist())
+        for row in bite.tolist():
+            a, b, c = t[row]
+            if a in conflicted or b in conflicted or c in conflicted:
+                continue
+            free[a] = free[b] = free[c] = False
+            selected.append(row)
+
+    def sweep(free, rows):
+        taken = []
+        for row in rows.tolist():
+            a, b, c = t[row]
+            if free[a] and free[b] and free[c]:
+                free[a] = free[b] = free[c] = False
+                taken.append(row)
+        return taken
+
+    selected += sweep(free, surviving)
+    plain = sweep(np.ones(n_v, dtype=bool), np.arange(len(t)))
+    if len(plain) > len(selected):
+        selected = plain
+    return t[np.array(sorted(selected), dtype=np.int64)] if selected else t[:0], rounds, len(plain)
+
+
+def reference_hypergraph(g, parts):
+    """The dense-matrix triangle builder: a Python loop over the A-B edges
+    against na x nc id and mask matrices."""
+    part_a, part_b, part_c = (sorted(set(p)) for p in parts)
+    part_of, offset = {}, {}
+    for idx, block in enumerate([part_a, part_b, part_c]):
+        for off, v in enumerate(block):
+            part_of[v] = idx
+            offset[v] = off
+    cross_edges = [e for e in g.edges()
+                   if e[0] in part_of and e[1] in part_of and part_of[e[0]] != part_of[e[1]]]
+    na, nb, nc = len(part_a), len(part_b), len(part_c)
+    id_ac = np.full((na, nc), -1, dtype=np.int64)
+    id_bc = np.full((nb, nc), -1, dtype=np.int64)
+    adj_ac = np.zeros((na, nc), dtype=bool)
+    adj_bc = np.zeros((nb, nc), dtype=bool)
+    ab_edges = []
+    for eid, (u, v) in enumerate(cross_edges):
+        pu, pv = part_of[u], part_of[v]
+        if pu > pv:
+            u, v, pu, pv = v, u, pv, pu
+        if (pu, pv) == (0, 1):
+            ab_edges.append((eid, offset[u], offset[v]))
+        elif (pu, pv) == (0, 2):
+            id_ac[offset[u], offset[v]] = eid
+            adj_ac[offset[u], offset[v]] = True
+        else:
+            id_bc[offset[u], offset[v]] = eid
+            adj_bc[offset[u], offset[v]] = True
+    rows = []
+    for eid, ai, bi in ab_edges:
+        for c in np.nonzero(adj_ac[ai] & adj_bc[bi])[0].tolist():
+            rows.append((eid, int(id_ac[ai, c]), int(id_bc[bi, c])))
+    return Hypergraph3.from_triples(len(cross_edges), rows, vertex_labels=cross_edges)
+
+
+# -- lock-step matcher ------------------------------------------------------
+
+@st.composite
+def triple_systems(draw):
+    """(n, triples): no triples, one triple, sparse random triples, or a
+    dense system whose bites are so rare that it runs into MAX_ROUNDS."""
+    shape = draw(st.sampled_from(["empty", "one", "random", "capped"]))
+    if shape == "empty":
+        return draw(st.integers(0, 6)), []
+    if shape == "one":
+        return 3, [(0, 1, 2)]
+    if shape == "capped":  # each triple survives 50 rounds w.p. 0.9**50
+        k = draw(st.integers(600, 1000))
+        return 3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)]
+    n = draw(st.integers(3, 12))
+    ids = st.integers(0, n - 1)
+    raw = draw(st.lists(st.tuples(ids, ids, ids), max_size=30))
+    return n, [t for t in raw if len(set(t)) == 3]
+
+
+def union_of(systems):
+    """The sub-problems side by side: vertex ids shifted by an offset each."""
+    starts, rows, offset = [], [], 0
+    for n, triples in systems:
+        starts.append(offset)
+        rows += [(a + offset, b + offset, c + offset) for a, b, c in triples]
+        offset += n
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return Hypergraph3.from_array(offset, arr, group_starts=starts), starts
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(triple_systems(), min_size=1, max_size=6),
+       st.lists(st.integers(0, 2 ** 64 - 1), min_size=6, max_size=6),
+       st.sampled_from([nibble.BLOCK_DRAWS, 7]))
+def test_lock_step_matcher_equals_each_group_alone(systems, seeds, block_draws):
+    # a small BLOCK_DRAWS sends every sub-problem with more than a few
+    # triples through the round-by-round draws after its first block
+    h, starts = union_of(systems)
+    seeds = seeds[:len(systems)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nibble, "BLOCK_DRAWS", block_draws)
+        batched = near_perfect_matching(h, alpha_target=0.3, seed=seeds)
+    rounds, greedy = [], []
+    for (n, triples), start, seed in zip(systems, starts, seeds):
+        alone_h = Hypergraph3.from_triples(n, triples)
+        alone = near_perfect_matching(alone_h, alpha_target=0.3, seed=seed)
+        ref_triples, ref_rounds, ref_greedy = reference_matching(alone_h, 0.3, seed)
+        assert np.array_equal(alone.triples, ref_triples)
+        assert (alone.diagnostics["rounds"], alone.diagnostics["greedy_size"]) == \
+            (ref_rounds, ref_greedy)
+        mine = batched.triples[(batched.triples[:, 0] >= start)
+                               & (batched.triples[:, 0] < start + n)] - start
+        assert np.array_equal(mine, ref_triples)
+        rounds.append(ref_rounds)
+        greedy.append(ref_greedy)
+    assert batched.diagnostics["group_rounds"] == rounds
+    assert batched.diagnostics["group_greedy_size"] == greedy
+    assert batched.diagnostics["rounds"] == max(rounds)
+    assert batched.diagnostics["greedy_size"] == sum(greedy)
+
+
+def test_capped_group_reaches_max_rounds():
+    disjoint = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]
+    h, _ = union_of([(3000, disjoint), (3, [(0, 1, 2)]), (4, [])])
+    m = near_perfect_matching(h, seed=[1, 2, 3])
+    assert m.diagnostics["group_rounds"][0] == MAX_ROUNDS
+    assert m.diagnostics["group_rounds"][2] == 0
+
+
+def test_block_draws_continue_one_stream():
+    a, b = np_rng(5, "nibble"), np_rng(5, "nibble")
+    assert np.array_equal(np.concatenate([a.random(7), a.random(4)]), b.random(11))
+
+
+def test_matcher_needs_one_seed_per_group():
+    h, _ = union_of([(3, [(0, 1, 2)]), (3, [(0, 1, 2)])])
+    with pytest.raises(ValueError):
+        near_perfect_matching(h, seed=0)
+
+
+# -- join-based triangle hypergraph -----------------------------------------
+
+@st.composite
+def tripartite_graphs(draw):
+    """A random graph with three disjoint parts in shuffled id order, plus
+    edges inside parts and vertices outside every part."""
+    n = draw(st.integers(3, 16))
+    order = draw(st.permutations(range(n)))
+    cut1 = draw(st.integers(1, n - 2))
+    cut2 = draw(st.integers(cut1 + 1, n - 1))
+    end = draw(st.integers(cut2 + 1, n))
+    parts = (order[:cut1], order[cut1:cut2], order[cut2:end])
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return build_graph(n, edges), parts
+
+
+def assert_same_hypergraph(h, ref):
+    assert h.n_vertices == ref.n_vertices
+    assert h.vertex_labels == ref.vertex_labels
+    assert np.array_equal(h.triples, ref.triples)
+    assert h.isolated_count == ref.isolated_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(tripartite_graphs())
+def test_join_hypergraph_matches_dense_builder(case):
+    g, parts = case
+    assert_same_hypergraph(triangle_hypergraph(g, parts), reference_hypergraph(g, parts))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_join_hypergraph_matches_dense_builder_criterion4_shape(seed):
+    # criterion 4's host at a smaller t: random A-B, A-C, B-C halves
+    t = k = 30
+    rng = np_rng(seed, "acceptance-tripartite")
+    edges = [(i, t + j) for i, j in zip(*np.nonzero(rng.random((t, t)) < 0.5))]
+    edges += [(i, 2 * t + j) for i, j in zip(*np.nonzero(rng.random((t, k)) < 0.5))]
+    edges += [(t + i, 2 * t + j) for i, j in zip(*np.nonzero(rng.random((t, k)) < 0.5))]
+    g = build_graph(2 * t + k, edges)
+    parts = (range(t), range(t, 2 * t), range(2 * t, 2 * t + k))
+    h = triangle_hypergraph(g, parts)
+    assert h.n_triples > 1000
+    assert_same_hypergraph(h, reference_hypergraph(g, parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(tripartite_graphs(), min_size=1, max_size=4))
+def test_grouped_hypergraph_is_each_group_shifted(cases):
+    starts, edges, parts, offset = [], [], ([], [], []), 0
+    for g, p in cases:
+        starts.append(offset)
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        for side, block in zip(parts, p):
+            side.extend(v + offset for v in block)
+        offset += g.n
+    h = triangle_hypergraph(build_graph(offset, edges), parts, groups=starts)
+    rows, labels, shift = [], [], 0
+    for (g, p), start in zip(cases, starts):
+        alone = triangle_hypergraph(g, p)
+        rows.append(alone.triples + shift)
+        labels += [(u + start, v + start) for u, v in alone.vertex_labels]
+        shift += alone.n_vertices
+    assert h.vertex_labels == labels
+    assert np.array_equal(h.triples, np.concatenate(rows))
+    assert h.group_starts.tolist() == np.cumsum(
+        [0] + [triangle_hypergraph(g, p).n_vertices for g, p in cases[:-1]]).tolist()
+
+
+def test_hypergraph_rejects_an_edge_between_groups():
+    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(nibble.BadPartitionError):
+        triangle_hypergraph(g, ([0, 3], [1, 4], [2, 5]), groups=[0, 3])
+
+
+# -- batched red-edge replacement -------------------------------------------
+
+def reference_replace(rb, fact, beta, seed, used):
+    """One mini graph and one matcher call per (class, pair)."""
+    sch = rb.scheme
+    two_paths, leftovers = {}, []
+    for ci, cls in enumerate(fact.classes, start=1):
+        u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
+        for (j, k) in cls:
+            reds = rb.red.get((j, k), [])
+            if not reds:
+                continue
+            vj, vk = sch.v_parts[j], sch.v_parts[k]
+            local = list(vj) + list(vk) + list(u_cell)
+            pos = {v: i for i, v in enumerate(local)}
+            edges = [(pos[a], pos[b]) for a, b in reds]
+            for a in list(vj) + list(vk):
+                for u in u_cell:
+                    e = normalize_edge(a, u)
+                    if e in rb.black and e not in used:
+                        edges.append((pos[a], pos[u]))
+            parts = (range(len(vj)), range(len(vj), len(vj) + len(vk)),
+                     range(len(vj) + len(vk), len(local)))
+            triangles, _, _ = edge_disjoint_triangles(
+                build_graph(len(local), edges), parts, beta=beta,
+                seed=derive_seed(seed, f"red-replace:{ci}:{j}:{k}"))
+            replaced = set()
+            for tri in triangles:
+                back = sorted(local[x] for x in tri)
+                a = next(v for v in back if v in set(vj))
+                b = next(v for v in back if v in set(vk))
+                u = next(v for v in back if v in set(u_cell))
+                pair = normalize_edge(a, b)
+                two_paths[pair] = [pair[0], u, pair[1]]
+                used.add(normalize_edge(a, u))
+                used.add(normalize_edge(b, u))
+                replaced.add(pair)
+            leftovers.extend(p for p in reds if p not in replaced)
+    return two_paths, sorted(leftovers)
+
+
+def hand_scheme(g: Graph, t: int, m1: int, s: int, m2: int, shuffle_seed: int) -> PartitionScheme:
+    """F = m1 cells of size t (plus a one-vertex cell 0), and m2 middle
+    cells of size s, on shuffled vertex ids, so that m2 may fall below chi."""
+    order = np_rng(shuffle_seed, "hand-scheme").permutation(g.n).tolist()
+    f = 1 + m1 * t
+    v_parts = [tuple(order[:1])] + [tuple(order[1 + i * t: 1 + (i + 1) * t]) for i in range(m1)]
+    rest = order[f:]
+    u_parts = [()] + [tuple(rest[j * s:(j + 1) * s]) for j in range(m2)]
+    d = len(g.neighbors(0))
+    return PartitionScheme(n=g.n, d=d, eta=0.4, c=d / g.n, q=1 - d / g.n, f=f, t=t, s=s,
+                           m1=m1, m2=m2, v_parts=v_parts, u_parts=u_parts)
+
+
+def assert_same_replacement(g, scheme, beta, seed):
+    rb = build_red_black(g, scheme)
+    fact = one_factorization(scheme.m1)
+    f_set = set(scheme.f_set)
+    inside = {normalize_edge(u, v) for u in f_set for v in g.neighbors(u) if v in f_set}
+    used, ref_used = set(inside), set(inside)
+    two_paths, leftovers, counters = replace_red_edges(g, rb, fact, beta=beta, seed=seed,
+                                                       used=used)
+    ref_paths, ref_leftovers = reference_replace(rb, fact, beta, seed, ref_used)
+    assert list(two_paths.items()) == list(ref_paths.items())
+    assert leftovers == ref_leftovers
+    assert used == ref_used
+    assert counters["reds_replaced_2path"] == len(ref_paths)
+    assert counters["cells_reused"] == (scheme.m2 < fact.chi)
+    return counters
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(3, 9), st.integers(1, 4), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([0.1, 0.3]))
+def test_replace_red_edges_matches_per_pair_calls(t, m1, s, m2, seed, beta):
+    g = random_regular(80, 40, seed=seed % 7)
+    if 1 + m1 * t + m2 * s > g.n:
+        m2 = (g.n - 1 - m1 * t) // s
+    assert_same_replacement(g, hand_scheme(g, t, m1, s, m2, seed), beta, seed)
+
+
+def test_replace_red_edges_runs_several_batches():
+    # chi = 7 classes over 2 middle cells: batches of 2, 2, 2 and 1 classes
+    g = random_regular(80, 40, seed=3)
+    scheme = hand_scheme(g, t=3, m1=8, s=4, m2=2, shuffle_seed=5)
+    counters = assert_same_replacement(g, scheme, beta=0.2, seed=11)
+    assert counters["cells_reused"] and counters["reds_replaced_2path"] > 0
+    assert math.ceil(one_factorization(8).chi / scheme.m2) == 4
+
+
+def test_replace_red_edges_matches_per_pair_calls_on_paley():
+    # the benchmark's Paley(401) cell at eta 0.45: 55 classes, 97 cells
+    g = paley(401)
+    scheme = dense_partition(g, adjacency_spectrum(g), 0.45)
+    counters = assert_same_replacement(g, scheme, beta=0.2, seed=7)
+    assert not counters["cells_reused"]
+
+
+def test_replace_red_edges_without_middle_cells_leaves_every_red_pair():
+    g = random_regular(40, 20, seed=1)
+    scheme = hand_scheme(g, t=2, m1=4, s=3, m2=0, shuffle_seed=2)
+    rb = build_red_black(g, scheme)
+    two_paths, leftovers, _ = replace_red_edges(g, rb, one_factorization(4))
+    assert two_paths == {} and leftovers == sorted(p for v in rb.red.values() for p in v)

@@ -1,3 +1,5 @@
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +62,35 @@ def test_verify_rejects_unknown_kind():
                                                        pairs=pairs))
         assert not report.valid
         assert ("UNKNOWN_KIND", f"kind {kind!r}") in report.violations
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("where", ["branch", "path", "pair"])
+def test_verify_rejects_non_integer_ids(bad, where):
+    cert = k3_identity_cert()
+    if where == "branch":
+        cert.branch[1] = bad
+    elif where == "path":
+        cert.pairs[(0, 1)] = [0, bad]
+    else:
+        cert.pairs[(0, bad)] = cert.pairs.pop((0, 1))
+    report = verify(complete(3), cert)
+    assert not report.valid
+    assert [code for code, _ in report.violations] == ["BAD_ID"]
+
+
+def test_verify_rejects_non_integer_ell():
+    cert = k3_identity_cert()
+    cert.ell = "0"
+    assert [code for code, _ in verify(complete(3), cert).violations] == ["BAD_ID"]
+
+
+def test_verify_accepts_numpy_integer_ids():
+    cert = k3_identity_cert()
+    cert.branch = [np.int64(0), np.int32(1), 2]
+    cert.pairs[(0, 1)] = [np.int64(0), np.int16(1)]
+    cert.ell = np.int64(0)
+    assert verify(complete(3), cert).valid
 
 
 def test_verify_missing_pair_and_edge():

@@ -51,6 +51,25 @@ def test_verify_command_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("branch", [[0, True], [0, 1.0], [0, "1"]])
+def test_verify_command_reports_non_integer_ids(tmp_path, capsys, branch):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "c.json"
+    rpath = tmp_path / "r.json"
+    main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)])
+    cert = {"kind": "immersion", "branch": branch,
+            "pairs": [{"i": 0, "j": 1, "path": [0, 1]}], "ell": None}
+    cpath.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code = main(["verify", "--graph", str(gpath), "--cert", str(cpath),
+                 "--report", str(rpath)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(rpath.read_text())
+    assert not report["valid"]
+    assert [v[0] for v in report["violations"]] == ["BAD_ID"]
+
+
 def test_cli_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["immerse-dense"])  # missing --eta

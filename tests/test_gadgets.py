@@ -192,6 +192,37 @@ def test_k3_immersion_strict_precondition():
         bipartite_k3_immersion(g, range(8), range(8, 16), p=5, seed=0, mode="strict")
 
 
+def random_bipartite(n1, n2, density, seed):
+    import random
+
+    rng = random.Random(seed)
+    edges = [(i, n1 + j) for i in range(n1) for j in range(n2) if rng.random() < density]
+    return build_graph(n1 + n2, edges)
+
+
+def test_k3_immersion_best_effort_peels_stuck_pairs():
+    # p = 4 breaks the density bound, so strict raises; best-effort gets
+    # stuck on pair (5, 10) (it used to raise StuckError) and peels
+    g = random_bipartite(24, 60, 0.5, seed=0)
+    with pytest.raises(PreconditionFailedError):
+        bipartite_k3_immersion(g, range(24), range(24, 84), p=4, seed=0, mode="strict")
+    cert = bipartite_k3_immersion(g, range(24), range(24, 84), p=4, seed=0)
+    report = verify(g, cert)
+    assert report.valid, report.violations
+    assert 2 <= len(cert.branch) < 4
+    assert set(report.length_histogram) == {4}
+
+
+@pytest.mark.parametrize("n1, n2, p", [(8, 8, 5), (4, 64, 6)])
+def test_k3_immersion_best_effort_hub_shortfall(n1, n2, p):
+    # the hub leaves fewer than p candidates: strict raises, best-effort
+    # keeps the candidates there are and peels
+    g = complete_bipartite(n1, n2)
+    cert = bipartite_k3_immersion(g, range(n1), range(n1, n1 + n2), p=p, seed=0)
+    assert verify(g, cert).valid
+    assert len(cert.branch) < p and set(cert.branch) <= set(range(n1))
+
+
 def test_k3_immersion_medium_random():
     import random
 

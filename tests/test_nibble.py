@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -124,7 +125,8 @@ def test_triangle_hypergraph_codegree_at_most_one():
     # two base edges lie in at most one common triangle in a simple graph
     g = complete_tripartite(3, 3, 3)
     h = triangle_hypergraph(g, (range(3), range(3, 6), range(6, 9)))
-    assert h.max_codegree() == 1
+    codegree = Counter(pair for row in h.triples.tolist() for pair in combinations(row, 2))
+    assert h.n_triples == 27 and max(codegree.values()) == 1
 
 
 def test_triangle_hypergraph_bad_partition():
@@ -153,14 +155,6 @@ def test_edge_disjoint_triangles_triangle_free():
         g, ([0, 1], [2, 3], [4, 5]), seed=0)
     assert triangles == []
     assert len(uncovered) == 6
-
-
-def test_degree_report():
-    g = complete_tripartite(3, 3, 3)
-    h = triangle_hypergraph(g, (range(3), range(3, 6), range(6, 9)))
-    rep = h.degree_report(reference=3.0, gamma=0.5, k_factor=2.0)
-    assert rep["n_active"] == 27
-    assert rep["max_codegree"] == 1
 
 
 def test_dump_load_round_trip():
