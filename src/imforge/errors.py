@@ -25,10 +25,6 @@ class OverlapError(ImforgeError):
     """Two vertex sets required to be disjoint overlap."""
 
 
-class SameVertexError(ImforgeError):
-    """A codegree query received twice the same vertex."""
-
-
 class NotRegularError(ImforgeError):
     """An operation requiring a regular graph got an irregular one."""
 

@@ -1,5 +1,5 @@
-"""Sublinear-expansion machinery: the expansion profile, robustness audits,
-short path routing around forbidden sets, star packing, and units.
+"""Sublinear-expansion machinery: the path-length scale, short path routing
+around forbidden sets, star packing, and units.
 
 ``pack_stars`` is the one greedy star packer: units pack their stars with
 it in (degree, id) center order, and the balanced subdivision packs its
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -24,21 +23,16 @@ from .errors import DomainError, NoPathError, UnitFailedError
 from .graphs import Edge, Graph, GraphView, normalize_edge, view_minus
 from .util import stream_rng
 
+# centers a unit tries by rank before the few seeded extras
+CENTER_TRIALS = 8
+
 
 @dataclass(frozen=True)
 class ExpanderParams:
-    """Expansion profile parameters; k is the degree-scaled threshold."""
+    """Expansion profile parameters of the path-length scale."""
 
     eps1: float = 0.125
     eps2: float = 0.2
-    k: float = 1.0
-
-
-def rho(x: float, params: ExpanderParams) -> float:
-    """Expansion ratio profile: 0 below k/5, else eps1 / ln^2(15x/k)."""
-    if x < params.k / 5:
-        return 0.0
-    return params.eps1 / math.log(15 * x / params.k) ** 2
 
 
 def mix_length_m(n: int, d: int, params: ExpanderParams) -> float:
@@ -49,86 +43,6 @@ def mix_length_m(n: int, d: int, params: ExpanderParams) -> float:
     if ratio <= 1:
         raise DomainError("eps2*d must stay below 15n")
     return (2 / params.eps1) * math.log(ratio) ** 3
-
-
-@dataclass
-class ExpansionAudit:
-    """Sampled search for a robust-expansion counterexample."""
-
-    passed: bool
-    trials: int
-    witness_set: Optional[tuple[int, ...]] = None
-    witness_edges: Optional[tuple[Edge, ...]] = None
-
-
-def _boundary_adversary(g: Graph, x_set: set[int], budget: int) -> tuple[set[Edge], set[int]]:
-    """Delete boundary edges so as to erase outside neighbors greedily,
-    cheapest neighbor (fewest edges into X) first; returns (deleted edges,
-    surviving neighborhood)."""
-    into: dict[int, list[Edge]] = {}
-    for u in x_set:
-        for w in g.neighbors(u):
-            if w not in x_set:
-                into.setdefault(w, []).append(normalize_edge(u, w))
-    removed: set[Edge] = set()
-    survivors = set(into)
-    for w in sorted(into, key=lambda w: (len(into[w]), w)):
-        if len(into[w]) <= budget:
-            removed.update(into[w])
-            budget -= len(into[w])
-            survivors.discard(w)
-        else:
-            break
-    return removed, survivors
-
-
-def robust_expansion_audit(g: Graph, params: ExpanderParams, d_ref: float,
-                           trials: int, seed: int) -> ExpansionAudit:
-    """Try to refute robust expansion: sample subsets X in the admissible
-    size window (random sets plus BFS balls), hit each with the greedy
-    boundary adversary, and check the surviving neighborhood.
-
-    Passing means no counterexample was found.
-    """
-    n = g.n
-    lo = max(1, math.ceil(params.k / 2))
-    hi = n // 2
-    if lo > hi:
-        return ExpansionAudit(passed=True, trials=0)
-    rng = stream_rng(seed, "robust-expansion-audit")
-    candidates: list[set[int]] = []
-    verts = list(range(n))
-    for _ in range(trials):
-        size = rng.randint(lo, hi)
-        candidates.append(set(rng.sample(verts, size)))
-    for root in rng.sample(verts, min(n, max(1, trials // 4))):
-        ball = [root]
-        seen = {root}
-        queue = deque([root])
-        while queue and len(ball) < hi:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    ball.append(w)
-                    queue.append(w)
-                    if len(ball) >= hi:
-                        break
-        if len(ball) >= lo:
-            candidates.append(set(ball[:max(lo, min(len(ball), hi))]))
-    checked = 0
-    for x_set in candidates:
-        if not (lo <= len(x_set) <= hi):
-            continue
-        checked += 1
-        need = rho(len(x_set), params) * len(x_set)
-        budget = int(d_ref * rho(len(x_set), params) * len(x_set))
-        removed, survivors = _boundary_adversary(g, x_set, budget)
-        if len(survivors) < need:
-            return ExpansionAudit(passed=False, trials=checked,
-                                  witness_set=tuple(sorted(x_set)),
-                                  witness_edges=tuple(sorted(removed)))
-    return ExpansionAudit(passed=True, trials=checked)
 
 
 def short_avoiding_path(view: GraphView, x1: Iterable[int], x2: Iterable[int],
@@ -163,8 +77,6 @@ def short_avoiding_path(view: GraphView, x1: Iterable[int], x2: Iterable[int],
                         path.append(parent[path[-1]])
                     path.reverse()
                     return path
-                if w in x1_set:
-                    continue  # other sources are not internal vertices
                 visited.add(w)
                 parent[w] = u
                 nxt.append(w)
@@ -219,10 +131,6 @@ class Unit:
     stars: list[Star]
     h_params: tuple[int, int, int]
 
-    @property
-    def star_centers(self) -> list[int]:
-        return [s.center for s in self.stars]
-
     def exterior(self) -> set[int]:
         out: set[int] = set()
         for s in self.stars:
@@ -274,9 +182,7 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
     Returns (unit, stage_reached); unit is None on failure and the stage
     names where the construction ran out of room.
     """
-    pool_view = GraphView(view.base,
-                          view.removed_vertices | {center},
-                          view.removed_edges, ())
+    pool_view = GraphView(view.base, view.removed_vertices | {center}, view.removed_edges)
     # stars first, centers in ascending (degree, id) order; each grabs up to
     # twice its required size so the prune step has slack
     order = sorted(pool_view.active_vertices(), key=lambda v: (pool_view.degree(v), v))
@@ -294,7 +200,7 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
             break
         bfs_view = GraphView(view.base, view.removed_vertices,
                              view.removed_edges | frozenset(star_edges) |
-                             frozenset(used_edges), ())
+                             frozenset(used_edges))
         try:
             path = short_avoiding_path(bfs_view, [center], [star.center], h3)
         except NoPathError:
@@ -325,8 +231,7 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
 
 
 def build_unit(g: Graph, removed_vertices: Iterable[int], removed_edges: Iterable[Edge],
-               h1: int, h2: int, h3: int, seed: int = 0,
-               max_center_trials: int = 8) -> Unit:
+               h1: int, h2: int, h3: int, seed: int = 0) -> Unit:
     """Build one unit in the graph minus the forbidden vertex and edge sets.
 
     Candidate centers are tried by descending available degree (plus a few
@@ -336,8 +241,8 @@ def build_unit(g: Graph, removed_vertices: Iterable[int], removed_edges: Iterabl
     """
     view = view_minus(g, removed_vertices, removed_edges)
     ranked = sorted(view.active_vertices(), key=lambda v: (-view.degree(v), v))
-    candidates = ranked[:max_center_trials]
-    extra_pool = ranked[max_center_trials:]
+    candidates = ranked[:CENTER_TRIALS]
+    extra_pool = ranked[CENTER_TRIALS:]
     if extra_pool:
         rng = stream_rng(seed, "build-unit-centers")
         candidates += rng.sample(extra_pool, min(4, len(extra_pool)))

@@ -244,7 +244,7 @@ def _orient(path: list[int], first: int) -> list[int]:
 def _path_inside(view, members: set[int], start: int, target: int) -> list[int]:
     """BFS path between two vertices staying inside a vertex set."""
     outside = frozenset(v for v in range(view.n) if v not in members)
-    inside = GraphView(view.base, view.removed_vertices | outside, view.removed_edges, ())
+    inside = GraphView(view.base, view.removed_vertices | outside, view.removed_edges)
     try:
         return short_avoiding_path(inside, [start], [target], max_len=len(members))
     except NoPathError:
@@ -335,8 +335,9 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
 
     Strict mode raises when p breaks the density bound, when the hub leaves
     fewer than p usable candidates, and on a pair it cannot link.
-    Best-effort takes the candidates there are and peels the branch set to
-    the pairs it linked.
+    Best-effort takes the candidates there are, less one for the pool when
+    the hub leaves p or fewer, and peels the branch set to the pairs it
+    linked.
     """
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
@@ -392,7 +393,10 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     if len(keep) < p and mode == STRICT:
         raise PreconditionFailedError(
             f"hub {hub} leaves only {len(keep)} usable branch candidates for p={p}")
-    branch_rows, pool_rows = keep[:p], keep[p:]
+    # best-effort leaves at least one candidate to the pool of middle
+    # vertices: with an empty pool no pair can be linked
+    q = p if mode == STRICT or len(keep) > p else max(len(keep) - 1, 1)
+    branch_rows, pool_rows = keep[:q], keep[q:]
     branch = [a_list[i] for i in branch_rows.tolist()]
     pool = [a_list[i] for i in pool_rows.tolist()]
     # strong[i][k]: branch i and pool vertex k have codegree at least 3p

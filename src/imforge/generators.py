@@ -12,7 +12,7 @@ import os
 
 from .errors import BadModulusError, GenerationFailedError, ParityError
 from .graphs import Graph, build_graph, format_edge_list, parse_edge_list
-from .util import stream_rng
+from .util import read_ascii, stream_rng
 
 
 def _pairing_attempt(n: int, d: int, rng) -> set[tuple[int, int]] | None:
@@ -102,8 +102,7 @@ def paley(q: int) -> Graph:
 
 def load_graph(path: str | os.PathLike) -> Graph:
     """Read a graph from the canonical edge-list text format."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(read_ascii(path))
 
 
 def save_graph(g: Graph, path: str | os.PathLike) -> None:

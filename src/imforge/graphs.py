@@ -30,7 +30,6 @@ from .errors import (
     OutOfRangeError,
     OverlapError,
     ParseError,
-    SameVertexError,
     SelfLoopError,
 )
 
@@ -166,20 +165,17 @@ class GraphView:
 
     Queries agree with the graph that would be obtained by materializing the
     deletions.  Vertices in U report no neighbors.  Pairs of W that are not
-    edges of the base graph are recorded in ``ignored_pairs`` rather than
-    rejected.  The degree list and the endpoints of the removed edges are
-    computed on first use.
+    edges of the base graph change nothing.  The degree list and the
+    endpoints of the removed edges are computed on first use.
     """
 
-    __slots__ = ("base", "removed_vertices", "removed_edges", "ignored_pairs",
-                 "_degrees", "_edge_ends")
+    __slots__ = ("base", "removed_vertices", "removed_edges", "_degrees", "_edge_ends")
 
     def __init__(self, base: Graph, removed_vertices: frozenset[int],
-                 removed_edges: frozenset[Edge], ignored_pairs: tuple[Edge, ...]):
+                 removed_edges: frozenset[Edge]):
         self.base = base
         self.removed_vertices = removed_vertices
         self.removed_edges = removed_edges
-        self.ignored_pairs = ignored_pairs
         self._degrees: list[int] | None = None
         self._edge_ends: frozenset[int] | None = None
 
@@ -245,9 +241,6 @@ class GraphView:
             out.append((u, v))
         return out
 
-    def edge_count(self) -> int:
-        return len(self.edges())
-
     def materialize(self) -> Graph:
         """Copy the view into a standalone Graph (same vertex ids)."""
         return build_graph(self.base.n, self.edges())
@@ -261,22 +254,19 @@ def view_minus(g: Graph, removed_vertices: Iterable[int] = (),
                removed_edges: Iterable[tuple[int, int]] = ()) -> GraphView:
     """View of g with a vertex set and an edge set deleted.
 
-    Unknown pairs in the edge set are ignored (and recorded); vertex ids
-    outside 0..n-1 are rejected.
+    Unknown pairs in the edge set are ignored; vertex ids outside 0..n-1
+    are rejected.
     """
     u_set = frozenset(removed_vertices)
     for v in u_set:
         if not (0 <= v < g.n):
             raise OutOfRangeError(f"removed vertex {v} outside 0..{g.n - 1}")
     w_norm = set()
-    ignored = []
     for a, b in removed_edges:
         e = normalize_edge(a, b)
         if e in g.edge_set():
             w_norm.add(e)
-        else:
-            ignored.append(e)
-    return GraphView(g, u_set, frozenset(w_norm), tuple(sorted(set(ignored))))
+    return GraphView(g, u_set, frozenset(w_norm))
 
 
 def edges_between(g, a_side: Iterable[int], b_side: Iterable[int]) -> int:
@@ -298,15 +288,6 @@ def pair_density(g, a_side: Sequence[int], b_side: Sequence[int]) -> float:
     if a_set & b_set:
         raise OverlapError("density sides must be disjoint")
     return edges_between(g, a_set, b_set) / (len(a_set) * len(b_set))
-
-
-def codegree(g, u: int, v: int) -> int:
-    """Number of common neighbors of two distinct vertices."""
-    if u == v:
-        raise SameVertexError(f"codegree of {u} with itself")
-    nu = g.neighbors(u)
-    nv = set(g.neighbors(v))
-    return sum(1 for w in nu if w in nv)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -22,7 +22,7 @@ from .errors import (
     IncompleteEmbeddingError,
     PreconditionFailedError,
 )
-from .graphs import Edge, Graph, build_graph, normalize_edge, pair_density
+from .graphs import Edge, Graph, build_graph, normalize_edge
 from .nibble import edge_disjoint_triangles
 from .spectral import SpectralReport
 from .util import BEST_EFFORT, STRICT, derive_seed, peel_to_complete
@@ -91,10 +91,6 @@ class RedBlackGraph:
     @property
     def red_total(self) -> int:
         return sum(len(v) for v in self.red.values())
-
-    def e0_bound(self) -> float:
-        sch = self.scheme
-        return sch.t * sch.f + sch.m1 * sch.t * (sch.t - 1) / 2
 
 
 def build_red_black(g: Graph, scheme: PartitionScheme) -> RedBlackGraph:
@@ -245,15 +241,10 @@ def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization,
 
 def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
                        f_set: Iterable[int],
-                       cap_per_vertex: Optional[int] = None,
                        ) -> tuple[dict[Edge, list[int]], list[Edge]]:
     """Link pairs inside F by paths of length three through outside
     vertices, falling back to a length-2 path when the free neighborhoods
-    intersect; every edge is taken from and recorded in ``used``.
-
-    ``cap_per_vertex`` optionally limits how many paths may pass through
-    one outside vertex.
-    """
+    intersect; every edge is taken from and recorded in ``used``."""
     f_members = set(f_set)
     free_nbrs: dict[int, set[int]] = {}
 
@@ -271,28 +262,20 @@ def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
             if x in free_nbrs and y in free_nbrs[x]:
                 free_nbrs[x].discard(y)
 
-    load: dict[int, int] = {}
-
-    def loaded(v: int) -> bool:
-        return cap_per_vertex is not None and load.get(v, 0) >= cap_per_vertex
-
     out: dict[Edge, list[int]] = {}
     stuck: list[Edge] = []
     for pair in pairs:
         u, v = pair
         nu, nv = free_of(u), free_of(v)
-        common = sorted(w for w in nu & nv if not loaded(w))
+        common = nu & nv
         path = None
         if common:
-            w = common[0]
-            path = [u, w, v]
+            path = [u, min(common), v]
         else:
             for a in sorted(nu):
-                if loaded(a):
-                    continue
                 hits = nv.intersection(g.neighbors(a))
                 for b in sorted(hits):
-                    if loaded(b) or normalize_edge(a, b) in used:
+                    if normalize_edge(a, b) in used:
                         continue
                     path = [u, a, b, v]
                     break
@@ -303,8 +286,6 @@ def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
             continue
         for x, y in zip(path, path[1:]):
             consume(x, y)
-        for w in path[1:-1]:
-            load[w] = load.get(w, 0) + 1
         out[pair] = path
     return out, stuck
 
@@ -341,28 +322,8 @@ def regularity_prerequisites(c: float, eta: float) -> tuple[float, float, float]
     return eps, delta, k_required
 
 
-def audit_partition_regularity(g: Graph, scheme: PartitionScheme, eps: float,
-                               sample: int = 8) -> list[dict]:
-    """Report pair densities of sampled cells against the c and q targets;
-    data for diagnostics, not assertions (small hosts routinely miss)."""
-    rows = []
-    checked = 0
-    for j in range(1, scheme.m1 + 1):
-        for k in range(j + 1, scheme.m1 + 1):
-            if checked >= sample:
-                return rows
-            dens = pair_density(g, scheme.v_parts[j], scheme.v_parts[k])
-            rows.append({"pair": (f"V{j}", f"V{k}"), "density": dens,
-                         "target": scheme.c, "within": abs(dens - scheme.c) <= eps,
-                         "complement_density": 1 - dens,
-                         "complement_target": scheme.q})
-            checked += 1
-    return rows
-
-
 def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
                           seed: int = 0, mode: str = BEST_EFFORT,
-                          beta: Optional[float] = None,
                           ) -> tuple[EmbeddingCertificate, DenseDiagnostics]:
     """Clique immersion over the branch set F with paths of lengths 1-3.
 
@@ -375,8 +336,7 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     c = report.d / g.n
     eps, delta, k_required = regularity_prerequisites(c, eta)
     gap_ok = report.d >= k_required * report.lam
-    if beta is None:
-        beta = max(min(c * eta * eta / 10, 0.9), 0.01)
+    beta = max(min(c * eta * eta / 10, 0.9), 0.01)
     scheme = None
     degenerate = False
     try:

@@ -92,8 +92,7 @@ def _assemble(unit_i: Unit, star_i: int, unit_j: Unit, star_j: int,
     return full, edges
 
 
-def connect_units(g: Graph, units: list[Unit], max_len: int,
-                  retry_passes: int = 1) -> ConnectionLedger:
+def connect_units(g: Graph, units: list[Unit], max_len: int) -> ConnectionLedger:
     """Greedy maximal pair connection in ascending pair order.
 
     Each pair gets one exterior-to-exterior path found by BFS that avoids
@@ -113,7 +112,7 @@ def connect_units(g: Graph, units: list[Unit], max_len: int,
 
     pairs = [(i, j) for i in range(len(units)) for j in range(i + 1, len(units))]
     todo = list(pairs)
-    for _ in range(1 + retry_passes):
+    for _ in range(2):
         failed: list[tuple[int, int]] = []
         for (i, j) in todo:
             if (i, j) in ledger.full_paths:
@@ -128,17 +127,17 @@ def connect_units(g: Graph, units: list[Unit], max_len: int,
 
 
 def _try_connect(g: Graph, units: list[Unit], i: int, j: int, max_len: int,
-                 ledger: ConnectionLedger, branch_edges: set[Edge],
-                 endpoint_retries: int = 4) -> bool:
+                 ledger: ConnectionLedger, branch_edges: set[Edge]) -> bool:
+    """Connect units i and j, trying up to four endpoint choices: a leaf
+    pair whose full path is not simple or reuses an edge is banned."""
     unit_i, unit_j = units[i], units[j]
     removed = (set(ledger.forbidden_centers) | unit_i.branch_vertices()
                | unit_j.branch_vertices())
     banned_leaves: set[int] = set()
     occ_i = ledger.occupied_stars[unit_i.center]
     occ_j = ledger.occupied_stars[unit_j.center]
-    for _ in range(endpoint_retries):
-        view = GraphView(g, frozenset(removed),
-                         frozenset(branch_edges | ledger.used_edges), ())
+    for _ in range(4):
+        view = GraphView(g, frozenset(removed), frozenset(branch_edges | ledger.used_edges))
         x1 = [v for v in _eligible_leaves(unit_i, occ_i, ledger.used_edges, view)
               if v not in banned_leaves]
         x2 = [v for v in _eligible_leaves(unit_j, occ_j, ledger.used_edges, view)
@@ -151,20 +150,13 @@ def _try_connect(g: Graph, units: list[Unit], i: int, j: int, max_len: int,
             return False
         star_i = _leaf_star(unit_i, mid[0], occ_i)
         star_j = _leaf_star(unit_j, mid[-1], occ_j)
-        pend_i = normalize_edge(unit_i.stars[star_i].center, mid[0])
-        pend_j = normalize_edge(unit_j.stars[star_j].center, mid[-1])
-        mid_edges = [normalize_edge(a, b) for a, b in zip(mid, mid[1:])]
         assembled = _assemble(unit_i, star_i, unit_j, star_j, mid)
-        new_edges = set(mid_edges) | {pend_i, pend_j}
-        if assembled is None or (new_edges & ledger.used_edges) or \
-                len(new_edges) != len(mid_edges) + 2:
+        # a simple full path has distinct edges, and they include the
+        # exterior path's edges and both pendant edges
+        if assembled is None or set(assembled[1]) & ledger.used_edges:
             banned_leaves.update((mid[0], mid[-1]))
             continue
         full, full_edges = assembled
-        if len(set(full_edges)) != len(full_edges) or \
-                set(full_edges) & ledger.used_edges:
-            banned_leaves.update((mid[0], mid[-1]))
-            continue
         ledger.mid_paths[(i, j)] = mid
         ledger.full_paths[(i, j)] = full
         ledger.used_edges.update(full_edges)
@@ -218,11 +210,9 @@ def default_h_params(n: int, d: int, eta: float, y: float,
 def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
                            seed: int = 0, mode: str = BEST_EFFORT,
                            y: float = 1.0,
-                           params: ExpanderParams | None = None,
                            h_params: tuple[int, int, int] | None = None,
                            target_order: int | None = None,
                            max_len: int | None = None,
-                           bad_threshold: float | None = None,
                            ) -> tuple[EmbeddingCertificate, MediumDiagnostics]:
     """Unit-based clique immersion under the two-eigenvalue-gap hypothesis.
 
@@ -230,21 +220,19 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     clique; best-effort mode always returns a verifier-passing certificate
     for the largest center subset it managed to connect completely.
     """
-    if params is None:
-        params = ExpanderParams(eps1=0.125, eps2=0.2, k=0.2 * report.d)
     precondition_ok = report.d > 2 * report.lam
     if mode == STRICT and not precondition_ok:
         raise PreconditionFailedError(
             f"need d > 2*lambda, got d={report.d}, lambda={report.lam:.3f}")
 
-    h1f, h2f, h3f, m_scale = default_h_params(g.n, report.d, eta, y, params)
+    h1f, h2f, h3f, m_scale = default_h_params(g.n, report.d, eta, y, ExpanderParams())
     h1, h2, h3 = h_params if h_params is not None else (h1f, h2f, h3f)
     if target_order is None:
         target_order = max(1, math.floor((1 - 5 * eta) * report.d))
     if max_len is None:
         max_len = int(min(max(m_scale, 2), g.n))
-    if bad_threshold is None:
-        bad_threshold = max(1.0, eta * report.d * h2 / 2)
+    # a unit with more pendant edges eaten than this is dropped
+    bad_threshold = max(1.0, eta * report.d * h2 / 2)
 
     units = collect_units(g, count=max(target_order, 1), h1=h1, h2=h2, h3=h3,
                           seed=seed)

@@ -59,17 +59,11 @@ class Hypergraph3:
     group_starts: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     @staticmethod
-    def from_triples(n_vertices: int, triples: Sequence[Sequence[int]],
-                     vertex_labels: Optional[list[Edge]] = None) -> "Hypergraph3":
-        arr = np.array(sorted({tuple(sorted(t)) for t in triples}), dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 3)
-        return Hypergraph3.from_array(n_vertices, arr, vertex_labels)
-
-    @staticmethod
-    def from_array(n_vertices: int, arr: np.ndarray,
+    def from_array(n_vertices: int, arr: np.ndarray | Sequence[Sequence[int]],
                    vertex_labels: Optional[list[Edge]] = None,
                    group_starts: Sequence[int] = (0,)) -> "Hypergraph3":
+        """Hypergraph on the rows of an (M, 3) integer array or list of
+        triples; each row is sorted and repeated rows are dropped."""
         arr = _unique_rows(np.sort(np.asarray(arr, dtype=np.int64).reshape(-1, 3), axis=1))
         starts = np.asarray(group_starts, dtype=np.int64)
         if arr.size and ((arr[:, 0] == arr[:, 1]) | (arr[:, 1] == arr[:, 2])).any():
@@ -95,13 +89,6 @@ class Hypergraph3:
         lines = [f"{self.n_vertices} {self.n_triples}"]
         lines.extend(f"{a} {b} {c}" for a, b, c in self.triples.tolist())
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def load(text: str) -> "Hypergraph3":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        n, m = map(int, lines[0].split())
-        triples = [tuple(map(int, lines[1 + i].split())) for i in range(m)]
-        return Hypergraph3.from_triples(n, triples)
 
 
 @dataclass

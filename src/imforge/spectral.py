@@ -53,10 +53,6 @@ class SpectralReport:
     tol: float
     spectrum: Optional[np.ndarray] = field(default=None, repr=False)
 
-    @property
-    def lambda1(self) -> float:
-        return self.spectrum[0] if self.spectrum is not None else float(self.d)
-
     def to_json(self) -> str:
         payload = {
             "n": self.n,
@@ -67,12 +63,6 @@ class SpectralReport:
             "tol": self.tol,
         }
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralReport":
-        obj = json.loads(text)
-        return cls(n=obj["n"], d=obj["d"], lam=obj["lambda"], lambda2=obj["lambda2"],
-                   lambdan=obj["lambdan"], is_regular=True, tol=obj["tol"])
 
 
 @dataclass

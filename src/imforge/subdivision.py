@@ -50,12 +50,6 @@ class StarSystem:
     def t(self) -> int:
         return len(self.centers)
 
-    def all_vertices(self) -> set[int]:
-        out = set(self.centers)
-        for leaves in self.leaf_sets:
-            out.update(leaves)
-        return out
-
 
 def pack_disjoint_stars(g: Graph, report: SpectralReport, eta: float,
                         t: Optional[int] = None) -> StarSystem:
@@ -69,10 +63,6 @@ def pack_disjoint_stars(g: Graph, report: SpectralReport, eta: float,
     stars = pack_stars(g, range(g.n), t, size, size)
     return StarSystem(centers=[s.center for s in stars],
                       leaf_sets=[s.leaves for s in stars])
-
-
-def star_packing_precondition(g: Graph, report: SpectralReport, eta: float) -> bool:
-    return 2 / eta <= report.d <= eta * math.sqrt(g.n)
 
 
 def draw_reservoir(g: Graph, centers: Iterable[int], eta: float, seed: int) -> set[int]:
@@ -301,7 +291,6 @@ class SubdivisionDiagnostics:
     reservoir_strict: bool
     achieved_order: int
     failed_pairs: int
-    stage: str = "done"
 
 
 def variant_params(n: int, eta: float, variant: str) -> tuple[int, float, float, float]:
@@ -359,7 +348,6 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     if mode == STRICT and not reservoir_strict:
         raise SampleFailedError(retries)
     stars.reservoir = sample
-    stage = "reservoir"
 
     # per-pair leaves: the rank of the partner among the other centers
     t = stars.t
@@ -375,7 +363,6 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
             chosen[(i, j)] = pools[i][rank]
     stars.chosen = chosen
     s_prime = set(stars.centers) | set(chosen.values())
-    stage = "leaves"
 
     pair_keys = [(i, j) for i in range(t) for j in range(i + 1, t)]
     leaf_pairs = [(chosen[(i, j)], chosen[(j, i)]) for (i, j) in pair_keys]
@@ -391,7 +378,6 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
             routed[key] = by_leaf_pair[pair]
         else:
             failed.append(key)
-    stage = "routing"
 
     # star indices ascend with center ids, so every key below has a < b
     full = {(stars.centers[i], stars.centers[j]):
@@ -408,5 +394,5 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
         length=length, length_formula=length_formula, n0=n0, d0=d0,
         p_alpha_pass=pa_pass, p_alpha_margin=pa_margin,
         reservoir_attempts=attempts, reservoir_strict=reservoir_strict,
-        achieved_order=len(branch), failed_pairs=len(failed), stage=stage)
+        achieved_order=len(branch), failed_pairs=len(failed))
     return cert, diag

@@ -1,4 +1,5 @@
-"""Seed derivation and shared RNG plumbing.
+"""Seed derivation and shared RNG plumbing, plus the pipeline modes, the
+branch-set peel, and the ASCII file reader shared by the loaders.
 
 A single 64-bit root seed reproduces a whole run: every stochastic stage
 derives its own stream seed by hashing the root together with a fixed label,
@@ -10,7 +11,11 @@ from __future__ import annotations
 import hashlib
 import random
 
+import os
+
 import numpy as np
+
+from .errors import ParseError
 
 MASK64 = (1 << 64) - 1
 
@@ -32,6 +37,18 @@ def stream_rng(root: int, label: str) -> random.Random:
 
 def np_rng(root: int, label: str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root, label))
+
+
+def read_ascii(path: str | os.PathLike) -> str:
+    """A graph or certificate file's text; a byte outside ASCII raises
+    ``ParseError`` with its line number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(line, f"non-ASCII byte 0x{data[err.start]:02x}") from None
 
 
 def peel_to_complete(vertices: list[int], connected: set[tuple[int, int]]) -> list[int]:

@@ -137,11 +137,11 @@ def brute_max_matching(triples):
 def test_criterion_03_nibble_small_cases():
     started = time.time()
     full9 = list(combinations(range(9), 3))
-    m_full = near_perfect_matching(Hypergraph3.from_triples(9, full9), seed=0)
+    m_full = near_perfect_matching(Hypergraph3.from_array(9, full9), seed=0)
     assert m_full.size == 3 == brute_max_matching(full9) == 3
-    m_fano = near_perfect_matching(Hypergraph3.from_triples(7, FANO), seed=0)
+    m_fano = near_perfect_matching(Hypergraph3.from_array(7, FANO), seed=0)
     assert m_fano.size == 1 == brute_max_matching(FANO)
-    m_sts = near_perfect_matching(Hypergraph3.from_triples(9, STS9), seed=0)
+    m_sts = near_perfect_matching(Hypergraph3.from_array(9, STS9), seed=0)
     assert m_sts.size == 3 == brute_max_matching(STS9)
     g222 = complete_tripartite(2, 2, 2)
     triangles, uncovered, _ = edge_disjoint_triangles(

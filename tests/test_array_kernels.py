@@ -37,7 +37,7 @@ def views(draw):
                           if g.m else ())
     ids = st.integers(min_value=0, max_value=g.n - 1)
     pairs = draw(st.sets(st.tuples(ids, ids).filter(lambda p: p[0] != p[1])))
-    return GraphView(g, frozenset(verts), frozenset(pairs), ())
+    return GraphView(g, frozenset(verts), frozenset(pairs))
 
 
 @settings(max_examples=150, deadline=None)

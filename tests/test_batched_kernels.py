@@ -115,7 +115,7 @@ def reference_hypergraph(g, parts):
     for eid, ai, bi in ab_edges:
         for c in np.nonzero(adj_ac[ai] & adj_bc[bi])[0].tolist():
             rows.append((eid, int(id_ac[ai, c]), int(id_bc[bi, c])))
-    return Hypergraph3.from_triples(len(cross_edges), rows, vertex_labels=cross_edges)
+    return Hypergraph3.from_array(len(cross_edges), rows, vertex_labels=cross_edges)
 
 
 # -- lock-step matcher ------------------------------------------------------
@@ -163,7 +163,7 @@ def test_lock_step_matcher_equals_each_group_alone(systems, seeds, block_draws):
         batched = near_perfect_matching(h, alpha_target=0.3, seed=seeds)
     rounds, greedy = [], []
     for (n, triples), start, seed in zip(systems, starts, seeds):
-        alone_h = Hypergraph3.from_triples(n, triples)
+        alone_h = Hypergraph3.from_array(n, triples)
         alone = near_perfect_matching(alone_h, alpha_target=0.3, seed=seed)
         ref_triples, ref_rounds, ref_greedy = reference_matching(alone_h, 0.3, seed)
         assert np.array_equal(alone.triples, ref_triples)

@@ -104,6 +104,35 @@ def test_subdivide_and_k3(tmp_path):
         assert int(row["achieved_order"]) >= 2
 
 
+def test_k3_metrics_row_leaves_stuck_empty(tmp_path):
+    # the gadget does not report stuck pairs, so the column stays empty
+    metrics = tmp_path / "m.csv"
+    assert main(["k3-bipartite", "--n1", "4", "--n2", "64", "--density", "1",
+                 "--p", "6", "--metrics", str(metrics)]) == 0
+    [row] = list(csv.DictReader(metrics.open()))
+    assert row["command"] == "k3-bipartite"
+    assert row["t"] == "6" and row["stuck"] == "" and row["achieved_order"] == "3"
+
+
+@pytest.mark.parametrize("bad", ["graph", "cert", "spectral"])
+def test_non_ascii_files_exit_2(tmp_path, capsys, bad):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "c.json"
+    main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)])
+    cpath.write_text(json.dumps({"kind": "immersion", "branch": [0, 1],
+                                 "pairs": [{"i": 0, "j": 1, "path": [0, 1]}]}))
+    target = cpath if bad == "cert" else gpath
+    target.write_bytes(target.read_bytes().replace(b"1", "\u00e9".encode(), 1))
+    capsys.readouterr()
+    if bad == "spectral":
+        code = main(["spectral", "--graph", str(gpath)])
+    else:
+        code = main(["verify", "--graph", str(gpath), "--cert", str(cpath)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: non-ASCII byte 0xc3") and "Traceback" not in err
+
+
 def test_nibble_command(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text("6 12\n0 2\n0 3\n0 4\n0 5\n1 2\n1 3\n1 4\n1 5\n2 4\n2 5\n3 4\n3 5\n")

@@ -10,36 +10,12 @@ from imforge.expanders import (
     collect_units,
     mix_length_m,
     pack_stars,
-    rho,
-    robust_expansion_audit,
     short_avoiding_path,
 )
-from imforge.generators import paley
 from imforge.graphs import build_graph, normalize_edge, view_minus
-from imforge.spectral import adjacency_spectrum
 from imforge.util import stream_rng
 
 from helpers import complete, cycle, path, star
-
-
-P = ExpanderParams(eps1=0.125, eps2=0.2, k=100.0)
-
-
-def test_rho_below_threshold():
-    assert rho(10, P) == 0.0
-
-
-def test_rho_value():
-    # direct evaluation: 0.125 / ln(3)^2
-    expect = 0.125 / math.log(3) ** 2
-    assert abs(rho(20, P) - expect) < 1e-12
-    assert abs(rho(20, P) - 0.1036) < 5e-4
-
-
-def test_rho_monotone_after_threshold():
-    xs = [20, 40, 80, 200, 1000, 10 ** 6]
-    vals = [rho(x, P) for x in xs]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_mix_length_value():
@@ -68,36 +44,6 @@ def test_mix_length_domain():
         mix_length_m(0, 10, ExpanderParams())
     with pytest.raises(DomainError):
         mix_length_m(1, 10 ** 9, ExpanderParams())
-
-
-def test_robust_audit_complete_graph_passes():
-    g = complete(20)
-    params = ExpanderParams(eps1=0.125, eps2=0.2, k=10.0)
-    audit = robust_expansion_audit(g, params, d_ref=19, trials=40, seed=1)
-    assert audit.passed
-
-
-def test_robust_audit_bridge_witness():
-    # two 10-cliques joined by one edge: a clique-sized BFS ball is a witness
-    # once the adversary deletes the bridge
-    edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
-    edges += [(10 + u, 10 + v) for u in range(10) for v in range(u + 1, 10)]
-    edges.append((9, 10))
-    g = build_graph(20, edges)
-    params = ExpanderParams(eps1=0.125, eps2=0.2, k=10.0)
-    audit = robust_expansion_audit(g, params, d_ref=9, trials=8, seed=2)
-    assert not audit.passed
-    assert audit.witness_set is not None and len(audit.witness_set) == 10
-    assert audit.witness_edges is not None
-
-
-def test_robust_audit_paley101_passes():
-    g = paley(101)
-    r = adjacency_spectrum(g)
-    assert r.d >= 2 * r.lam  # spectral hypothesis behind guaranteed expansion
-    params = ExpanderParams(eps1=0.125, eps2=0.2, k=0.2 * r.d)
-    audit = robust_expansion_audit(g, params, d_ref=r.d, trials=100, seed=3)
-    assert audit.passed
 
 
 def test_short_path_zero_length():
@@ -198,7 +144,7 @@ def test_build_unit_recovers_spider():
     g = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     unit = build_unit(g, (), (), h1=2, h2=2, h3=1, seed=0)
     assert unit.center == 0
-    assert sorted(unit.star_centers) == [1, 2]
+    assert sorted(s.center for s in unit.stars) == [1, 2]
     check_unit_structure(g, unit)
 
 
@@ -206,7 +152,7 @@ def test_build_unit_k20():
     g = complete(20)
     unit = build_unit(g, (), (), h1=3, h2=2, h3=1, seed=0)
     check_unit_structure(g, unit)
-    verts = {unit.center} | unit.exterior() | set(unit.star_centers)
+    verts = {unit.center} | unit.exterior() | {s.center for s in unit.stars}
     for b in unit.branches:
         verts.update(b)
     assert len(verts) == 10  # 1 center + 3 star centers + 6 leaves

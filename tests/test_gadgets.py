@@ -223,6 +223,20 @@ def test_k3_immersion_best_effort_hub_shortfall(n1, n2, p):
     assert len(cert.branch) < p and set(cert.branch) <= set(range(n1))
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_k3_immersion_best_effort_keeps_a_pool_on_hub_shortfall(p):
+    # the hub leaves 4 candidates: taking all of them as branch vertices
+    # leaves no middle vertex and peels to order 1; one goes to the pool
+    g = complete_bipartite(4, 64)
+    with pytest.raises(PreconditionFailedError):
+        bipartite_k3_immersion(g, range(4), range(4, 68), p=p, seed=0, mode="strict")
+    cert = bipartite_k3_immersion(g, range(4), range(4, 68), p=p, seed=0)
+    report = verify(g, cert)
+    assert report.valid, report.violations
+    assert cert.branch == [0, 1, 2]
+    assert set(report.length_histogram) == {4}
+
+
 def test_k3_immersion_medium_random():
     import random
 

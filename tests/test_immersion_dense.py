@@ -70,7 +70,8 @@ def test_red_black_e0_bound():
     r = adjacency_spectrum(g)
     scheme = dense_partition(g, r, eta=0.45)
     rb = build_red_black(g, scheme)
-    assert len(rb.e0) < rb.e0_bound()
+    # leftover pairs: those touching V_0 (fewer than t vertices), plus those inside cells
+    assert len(rb.e0) < scheme.t * scheme.f + scheme.m1 * scheme.t * (scheme.t - 1) / 2
     # red pairs are cross-part complement pairs only
     for (j, k), pairs in rb.red.items():
         pj, pk = set(scheme.v_parts[j]), set(scheme.v_parts[k])
@@ -215,18 +216,3 @@ def test_pairs_3path_counts_length_three_paths():
         cert, diag = build_dense_immersion(g, r, eta=eta, seed=7)
         assert diag.stuck == 0
         assert diag.pairs_3path == verify(g, cert).length_histogram.get(3, 0)
-
-
-def test_audit_partition_regularity_reports_rows():
-    from imforge.immersion_dense import audit_partition_regularity, regularity_prerequisites
-
-    g = random_regular(300, 150, seed=1)
-    r = adjacency_spectrum(g)
-    scheme = dense_partition(g, r, eta=0.45)
-    eps, delta, k_req = regularity_prerequisites(scheme.c, 0.45)
-    rows = audit_partition_regularity(g, scheme, eps, sample=5)
-    assert len(rows) == 5
-    for row in rows:
-        assert 0.0 <= row["density"] <= 1.0
-        assert abs(row["complement_density"] - (1 - row["density"])) < 1e-12
-        assert isinstance(row["within"], bool)

@@ -52,28 +52,28 @@ def brute_force_max_matching(n, triples):
 
 def test_fano_matching_is_one():
     assert brute_force_max_matching(7, FANO) == 1
-    h = Hypergraph3.from_triples(7, FANO)
+    h = Hypergraph3.from_array(7, FANO)
     m = near_perfect_matching(h, seed=0)
     assert m.size == 1
 
 
 def test_sts9_matching_is_three():
     assert brute_force_max_matching(9, STS9) == 3
-    h = Hypergraph3.from_triples(9, STS9)
+    h = Hypergraph3.from_array(9, STS9)
     m = near_perfect_matching(h, seed=0)
     assert m.size == 3
 
 
 def test_complete_3_graph_on_9():
     triples = list(combinations(range(9), 3))
-    h = Hypergraph3.from_triples(9, triples)
+    h = Hypergraph3.from_array(9, triples)
     m = near_perfect_matching(h, seed=0)
     assert m.size == 3  # perfect
 
 
 def test_matching_triples_pairwise_disjoint():
     triples = list(combinations(range(12), 3))
-    h = Hypergraph3.from_triples(12, triples)
+    h = Hypergraph3.from_array(12, triples)
     m = near_perfect_matching(h, seed=5)
     flat = m.triples.ravel().tolist()
     assert len(flat) == len(set(flat))
@@ -81,7 +81,7 @@ def test_matching_triples_pairwise_disjoint():
 
 def test_matching_deterministic():
     triples = list(combinations(range(15), 3))[::3]
-    h = Hypergraph3.from_triples(15, triples)
+    h = Hypergraph3.from_array(15, triples)
     a = near_perfect_matching(h, seed=9)
     b = near_perfect_matching(h, seed=9)
     assert np.array_equal(a.triples, b.triples)
@@ -93,7 +93,7 @@ def test_matching_deterministic():
        st.integers(0, 2 ** 32 - 1))
 def test_matching_dominates_plain_greedy(raw, seed):
     triples = [t for t in raw if len(set(t)) == 3]
-    h = Hypergraph3.from_triples(12, triples)
+    h = Hypergraph3.from_array(12, triples)
     m = near_perfect_matching(h, seed=seed)
     flat = m.triples.ravel().tolist()
     assert len(flat) == len(set(flat))
@@ -158,7 +158,8 @@ def test_edge_disjoint_triangles_triangle_free():
 
 
 def test_dump_load_round_trip():
-    h = Hypergraph3.from_triples(9, STS9)
-    h2 = Hypergraph3.load(h.dump())
-    assert h2.n_vertices == 9
+    h = Hypergraph3.from_array(9, STS9)
+    head, *rows = h.dump().splitlines()
+    assert head == "9 12"
+    h2 = Hypergraph3.from_array(9, [[int(x) for x in row.split()] for row in rows])
     assert np.array_equal(h2.triples, h.triples)

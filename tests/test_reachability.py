@@ -1,0 +1,117 @@
+"""Reachability guard: every top-level function and class of ``src/imforge``,
+and every public method of such a class, is referenced by name or attribute
+from code that is itself reached, or is allowlisted below with the reason it
+is kept.
+
+Reached code starts at module-level statements (tables, ``__main__``
+blocks) and the allowlisted definitions, and grows by every definition whose
+name it mentions; a class brings along its fields and private methods.
+Names match by spelling only, so an attribute ``x.to_json`` reaches every
+``to_json``.  Import statements do not count, so a re-export in
+``__init__`` reaches nothing.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "imforge"
+
+ALLOWLIST = {
+    "certify.verify_adjuster": "criterion 10 verifies chained adjusters with it",
+    "gadgets.build_1_adjuster": "criterion 10 builds adjusters with it",
+    "gadgets.chain_adjusters": "criterion 10 chains adjusters with it",
+    "immersion_medium.ConnectionLedger.check_invariants":
+        "criterion 7 checks the connection ledger with it",
+    "nibble.Matching3.achieved_fraction": "criterion 4 measures the matching with it",
+    "spectral.complement_report": "spectral toolbox documented in the README",
+    "spectral.mixing_discrepancy": "spectral toolbox documented in the README",
+    "spectral.cut_lower_bound": "spectral toolbox documented in the README",
+    "spectral.regular_pair_audit": "spectral toolbox documented in the README",
+    "spectral.RegularityAudit.passed": "the verdict of the toolbox's regular_pair_audit",
+    "spectral.good_vertices": "spectral toolbox documented in the README",
+    "certify.verify_unit": "test oracle for units",
+    "graphs.GraphView.materialize": "test oracle for views",
+}
+
+
+def _names(nodes) -> set[str]:
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _is_public_method(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+        and not node.name.startswith("_")
+
+
+def scan(src: Path):
+    """Definitions as {qualified name: (name, names its code mentions)},
+    and the names mentioned by module-level code."""
+    defs: dict[str, tuple[str, set[str]]] = {}
+    top_level: set[str] = set()
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{module}.{node.name}"] = (node.name, _names([node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if _is_public_method(m)]
+                rest = [m for m in node.body if not _is_public_method(m)]
+                body = _names(rest + node.bases + node.decorator_list + node.keywords)
+                defs[f"{module}.{node.name}"] = (node.name, body)
+                for m in methods:
+                    defs[f"{module}.{node.name}.{m.name}"] = (m.name, _names([m]))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                top_level |= _names([node])
+    return defs, top_level
+
+
+def unreached(defs, top_level, roots) -> set[str]:
+    """Definitions not reached from module-level code and the roots."""
+    live = set(roots) & set(defs)
+    mentioned = set(top_level)
+    for qual in live:
+        mentioned |= defs[qual][1]
+    grew = True
+    while grew:
+        grew = False
+        for qual, (name, body) in defs.items():
+            if qual not in live and name in mentioned:
+                live.add(qual)
+                mentioned |= body
+                grew = True
+    return set(defs) - live
+
+
+DEFS, TOP_LEVEL = scan(SRC)
+
+
+def test_every_definition_is_reached_or_allowlisted():
+    assert sorted(unreached(DEFS, TOP_LEVEL, ALLOWLIST)) == []
+
+
+@pytest.mark.parametrize("qual", sorted(ALLOWLIST))
+def test_allowlist_entry_is_needed(qual):
+    # the name still exists, and nothing but the allowlist keeps it
+    assert qual in DEFS, f"{qual} no longer exists"
+    assert qual in unreached(DEFS, TOP_LEVEL, set(ALLOWLIST) - {qual})
+
+
+def test_guard_catches_an_unreached_helper(tmp_path):
+    # a helper only a test would call, and a chain hanging off it
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    extra = "\n\ndef orphan_helper(x):\n    return orphan_leaf(x)\n\n\ndef orphan_leaf(x):\n    return x\n"
+    with open(tmp_path / "graphs.py", "a", encoding="utf-8") as fh:
+        fh.write(extra)
+    defs, top_level = scan(tmp_path)
+    assert unreached(defs, top_level, ALLOWLIST) == {"graphs.orphan_helper",
+                                                     "graphs.orphan_leaf"}

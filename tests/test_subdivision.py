@@ -23,7 +23,6 @@ from imforge.subdivision import (
     p_alpha_certificate,
     reservoir_conditions,
     sample_reservoir,
-    star_packing_precondition,
 )
 
 from helpers import complete, hypercube, path
@@ -44,7 +43,6 @@ def test_pack_stars_hypercube():
 def test_pack_stars_k5_insufficient():
     g = complete(5)
     r = adjacency_spectrum(g)
-    assert not star_packing_precondition(g, r, eta=0.25)
     stars = pack_disjoint_stars(g, r, eta=0.25)  # target t = 3
     assert stars.t == 1
 
