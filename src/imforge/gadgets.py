@@ -335,9 +335,10 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
 
     Strict mode raises when p breaks the density bound, when the hub leaves
     fewer than p usable candidates, and on a pair it cannot link.
-    Best-effort takes the candidates there are, less one for the pool when
-    the hub leaves p or fewer, and peels the branch set to the pairs it
-    linked.
+    Best-effort takes the candidates there are (every hub neighbor when
+    fewer than three are left), less one for the pool when the hub leaves
+    p or fewer; links through any common pool vertex when no pair shares a
+    strong one; and peels the branch set to the pairs it linked.
     """
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
@@ -393,6 +394,9 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     if len(keep) < p and mode == STRICT:
         raise PreconditionFailedError(
             f"hub {hub} leaves only {len(keep)} usable branch candidates for p={p}")
+    if len(keep) < 3 and mode != STRICT:
+        # two branch vertices and a middle one are the least that link a pair
+        keep = rows
     # best-effort leaves at least one candidate to the pool of middle
     # vertices: with an empty pool no pair can be linked
     q = p if mode == STRICT or len(keep) > p else max(len(keep) - 1, 1)
@@ -400,7 +404,12 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     branch = [a_list[i] for i in branch_rows.tolist()]
     pool = [a_list[i] for i in pool_rows.tolist()]
     # strong[i][k]: branch i and pool vertex k have codegree at least 3p
-    strong = (codeg[np.ix_(branch_rows, pool_rows)] >= 3 * p).tolist()
+    strong = codeg[np.ix_(branch_rows, pool_rows)] >= 3 * p
+    if mode != STRICT and not np.triu(strong.astype(np.int64) @ strong.T, 1).any():
+        # no pair shares a strong pool vertex, so none would link: any
+        # common pool neighbour will do
+        strong[:] = True
+    strong = strong.tolist()
 
     used_edges: set[tuple[int, int]] = set()
     used_b: set[int] = set()

@@ -10,41 +10,45 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .errors import BadModulusError, GenerationFailedError, ParityError
 from .graphs import Graph, build_graph, format_edge_list, parse_edge_list
 from .util import read_ascii, stream_rng
 
 
-def _pairing_attempt(n: int, d: int, rng) -> set[tuple[int, int]] | None:
-    """One pairing-model attempt; returns None when stuck."""
-    edges: set[tuple[int, int]] = set()
+def _pairing_attempt(n: int, d: int, rng) -> np.ndarray | None:
+    """One pairing-model attempt: the edges as an (m, 2) array, or None
+    when stuck.
+
+    Each round shuffles the stubs and pairs them off in order.  A pair,
+    ordered (min, max), is placed unless it is a loop, an edge already
+    placed, or a repeat of an earlier pair of the round; the rejected pairs
+    are the next round's stubs, in order.
+    """
+    # placed edges as sorted keys u * n + v, ending in a sentinel above any key
+    placed = np.array([np.iinfo(np.int64).max])
     stubs = list(range(n)) * d
     while stubs:
         rng.shuffle(stubs)
-        leftovers: list[int] = []
-        it = iter(stubs)
-        for s1, s2 in zip(it, it):
-            if s1 > s2:
-                s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
-            else:
-                leftovers += [s1, s2]
-        if len(leftovers) == len(stubs):
-            # no progress is possible iff every leftover pair collides
-            ok = False
-            distinct = sorted(set(leftovers))
-            for i, a in enumerate(distinct):
-                for b in distinct[i + 1:]:
-                    if (a, b) not in edges:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
+        pairs = np.fromiter(stubs, dtype=np.int64, count=len(stubs)).reshape(-1, 2)
+        pairs.sort(axis=1)
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        first = np.ones(len(keys), dtype=bool)
+        first[order[1:]] = np.diff(keys[order]) != 0
+        ok = first & (pairs[:, 0] != pairs[:, 1]) & (placed[np.searchsorted(placed, keys)] != keys)
+        if not ok.any():
+            # no progress is possible iff every pair of distinct leftovers collides
+            left = np.unique(pairs)
+            a, b = np.triu_indices(len(left), 1)
+            cand = left[a] * n + left[b]
+            if (placed[np.searchsorted(placed, cand)] == cand).all():
                 return None
-        stubs = leftovers
-    return edges
+        new = np.sort(keys[ok])
+        placed = np.insert(placed, np.searchsorted(placed, new), new)
+        stubs = pairs[~ok].ravel().tolist()
+    return np.column_stack(np.divmod(placed[:-1], n))
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

@@ -1,13 +1,14 @@
 """Immutable simple graphs, deletion views, and the basic counting queries.
 
-A ``Graph`` is a simple undirected graph on vertices ``0..n-1`` with sorted
-adjacency lists; it never changes after construction, so it is safe to share
-between pipelines and threads.  The tuple adjacency serves the Python
-loops (BFS, packers, the verifier).  Whole-graph queries run on a CSR pair
-``(indptr, indices)`` built from it on first use and cached, as the dense
-adjacency matrix is: ``neighbor_counts`` counts, for every vertex at once,
-its neighbors inside a vertex set, and the spectral solver's sparse
-operator is the same pair.
+A ``Graph`` is a simple undirected graph on vertices ``0..n-1``; it never
+changes after construction, so it is safe to share between pipelines and
+threads.  ``build_graph`` makes every graph in one numpy pass: ascending
+neighbour tuples for the Python loops (BFS, packers, the verifier), and the
+CSR pair ``(indptr, indices)`` for whole-graph queries (``neighbor_counts``,
+the spectral solver's sparse operator).  No object is kept per edge: the
+tuples share one int per vertex, ``has_edge`` bisects a tuple, and
+``edge_set()`` is an ``EdgeSet`` view over the tuples, so a resident host
+costs a garbage collection O(n), not O(m).
 
 A ``GraphView`` answers the same queries as the graph obtained by deleting
 a vertex set and an edge set, without copying anything.  Its degrees come
@@ -20,8 +21,10 @@ deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
+from operator import index
 
 import numpy as np
 
@@ -41,17 +44,61 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _adjacent(adj: tuple[tuple[int, ...], ...], u, v) -> bool:
+    """Whether v is in u's ascending neighbour tuple; False unless both are
+    integer vertex ids (int, bool or numpy integer) and u is in range."""
+    try:
+        u, v = index(u), index(v)
+    except TypeError:
+        return False
+    if not 0 <= u < len(adj):
+        return False
+    a = adj[u]
+    i = bisect_left(a, v)
+    return i < len(a) and a[i] == v
+
+
+class EdgeSet:
+    """Read-only set of a graph's edges as pairs (u, v) with u < v, viewed
+    through its ascending neighbour tuples.  ``in`` never raises: reversed
+    pairs, out-of-range ids and anything that is not a pair of integers are
+    not members.  Iteration is lexicographic; the hash is the adjacency's,
+    so two builds of one graph hash alike."""
+
+    __slots__ = ("_adj",)
+
+    def __init__(self, adjacency: tuple[tuple[int, ...], ...]):
+        self._adj = adjacency
+
+    def __contains__(self, e) -> bool:
+        return (isinstance(e, tuple) and len(e) == 2 and _adjacent(self._adj, *e)
+                and e[0] < e[1])
+
+    def __len__(self) -> int:
+        return sum(map(len, self._adj)) // 2
+
+    def __iter__(self) -> Iterator[Edge]:
+        for u, a in enumerate(self._adj):
+            for v in a[bisect_right(a, u):]:
+                yield (u, v)
+
+    def __hash__(self) -> int:
+        return hash(self._adj)
+
+
 class Graph:
     """Simple undirected graph with fixed vertex set 0..n-1."""
 
     __slots__ = ("_n", "_adj", "_edges", "_matrix", "_csr")
 
-    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...], edges: frozenset[Edge]):
+    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...], edges: EdgeSet,
+                 csr: tuple[np.ndarray, np.ndarray] | None = None):
+        """``edges`` views ``adjacency``; ``csr``, if not given, is built on first use."""
         self._n = n
         self._adj = adjacency
         self._edges = edges
         self._matrix: np.ndarray | None = None
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._csr = csr
 
     @property
     def n(self) -> int:
@@ -68,14 +115,14 @@ class Graph:
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self._edges
+        return _adjacent(self._adj, u, v)
 
-    def edge_set(self) -> frozenset[Edge]:
+    def edge_set(self) -> EdgeSet:
         return self._edges
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return sorted(self._edges)
+        return list(self._edges)
 
     def degrees(self) -> list[int]:
         return [len(a) for a in self._adj]
@@ -116,48 +163,63 @@ class Graph:
         return self._matrix
 
     def complement(self) -> "Graph":
-        missing = []
-        for u in range(self._n):
-            adj_u = set(self._adj[u])
-            for v in range(u + 1, self._n):
-                if v not in adj_u:
-                    missing.append((u, v))
-        return build_graph(self._n, missing)
+        return build_graph(self._n, np.argwhere(np.triu(self.adjacency_matrix() == 0, 1)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
 
 
-def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list, deduplicating repeated pairs.
+def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
+    """Build a Graph from an edge list (pairs, or an (m, 2) integer array),
+    deduplicating repeated pairs.
 
     Raises OutOfRangeError for an endpoint >= n (or < 0) and SelfLoopError
-    for a loop; parallel edges are silently collapsed.
+    for a loop, naming the first offending pair in input order; parallel
+    edges are silently collapsed.
     """
     if n < 0:
         raise OutOfRangeError(f"negative vertex count {n}")
-    edges = set()
-    for u, v in edge_list:
-        u, v = int(u), int(v)  # accept numpy integers
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise OutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoopError(f"loop at vertex {u}")
-        edges.add(normalize_edge(u, v))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    return Graph(n, adjacency, frozenset(edges))
+    if isinstance(edge_list, np.ndarray):
+        pairs = edge_list.astype(np.int64, copy=False).reshape(-1, 2)
+    else:
+        edge_list = list(edge_list)
+        if set(map(len, edge_list)) - {2}:
+            raise ValueError("every edge must be a pair")
+        try:
+            pairs = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64,
+                                count=2 * len(edge_list)).reshape(-1, 2)
+        except OverflowError:
+            raise OutOfRangeError(f"edge endpoint outside 0..{n - 1}") from None
+    u, v = pairs[:, 0], pairs[:, 1]
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    bad = np.flatnonzero(outside | (u == v))
+    if bad.size:
+        a, b = pairs[bad[0]].tolist()
+        if outside[bad[0]]:
+            raise OutOfRangeError(f"edge ({a}, {b}) outside 0..{n - 1}")
+        raise SelfLoopError(f"loop at vertex {a}")
+    # one int64 key per half-edge, source-major: sorting puts every
+    # neighbour list in place, and equal neighbours are adjacent
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    src, dst = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indices = dst.astype(np.intp)
+    # one shared int object per vertex instead of one per half-edge
+    flat = np.arange(n).astype(object)[indices].tolist()
+    bounds = indptr.tolist()
+    adjacency = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return Graph(n, adjacency, EdgeSet(adjacency), (indptr, indices))
 
 
 class GraphView:
@@ -228,8 +290,7 @@ class GraphView:
     def has_edge(self, u: int, v: int) -> bool:
         if u in self.removed_vertices or v in self.removed_vertices:
             return False
-        e = normalize_edge(u, v)
-        return e not in self.removed_edges and e in self.base.edge_set()
+        return normalize_edge(u, v) not in self.removed_edges and self.base.has_edge(u, v)
 
     def edges(self) -> list[Edge]:
         out = []
@@ -261,12 +322,8 @@ def view_minus(g: Graph, removed_vertices: Iterable[int] = (),
     for v in u_set:
         if not (0 <= v < g.n):
             raise OutOfRangeError(f"removed vertex {v} outside 0..{g.n - 1}")
-    w_norm = set()
-    for a, b in removed_edges:
-        e = normalize_edge(a, b)
-        if e in g.edge_set():
-            w_norm.add(e)
-    return GraphView(g, u_set, frozenset(w_norm))
+    w_norm = frozenset(normalize_edge(a, b) for a, b in removed_edges if g.has_edge(a, b))
+    return GraphView(g, u_set, w_norm)
 
 
 def edges_between(g, a_side: Iterable[int], b_side: Iterable[int]) -> int:

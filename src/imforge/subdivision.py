@@ -34,6 +34,7 @@ from .util import BEST_EFFORT, STRICT, derive_seed, np_rng, peel_to_complete
 
 VARIANT_FIXED = "d0-3"
 VARIANT_POWER = "d0-power"
+RESERVOIR_RETRIES = 10  # reservoir draws before best-effort keeps its best
 
 
 @dataclass
@@ -96,7 +97,7 @@ def reservoir_conditions(g: Graph, stars: StarSystem, eta: float,
 
 
 def sample_reservoir(g: Graph, stars: StarSystem, eta: float, seed: int,
-                     retries: int = 10) -> tuple[set[int], int, bool]:
+                     retries: int = RESERVOIR_RETRIES) -> tuple[set[int], int, bool]:
     """Retry Bernoulli draws until both acceptance events hold.
 
     Returns (sample, draws, accepted).  When no draw is accepted the sample
@@ -312,7 +313,6 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
                                eps: float = 0.05, seed: int = 0,
                                mode: str = BEST_EFFORT,
                                variant: str = VARIANT_FIXED,
-                               retries: int = 10,
                                ) -> tuple[EmbeddingCertificate, SubdivisionDiagnostics]:
     """Balanced clique subdivision: stars give branch vertices and
     per-pair leaves; leaves of each pair are joined by vertex-disjoint
@@ -343,10 +343,9 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     if mode == STRICT and stars.t < t_target:
         raise InsufficientStarsError(0, stars.t)
 
-    sample, attempts, reservoir_strict = sample_reservoir(g, stars, eta, seed,
-                                                          retries=retries)
+    sample, attempts, reservoir_strict = sample_reservoir(g, stars, eta, seed)
     if mode == STRICT and not reservoir_strict:
-        raise SampleFailedError(retries)
+        raise SampleFailedError(RESERVOIR_RETRIES)
     stars.reservoir = sample
 
     # per-pair leaves: the rank of the partner among the other centers

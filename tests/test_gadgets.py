@@ -237,6 +237,21 @@ def test_k3_immersion_best_effort_keeps_a_pool_on_hub_shortfall(p):
     assert set(report.length_histogram) == {4}
 
 
+@pytest.mark.parametrize("n1, n2, p", [(8, 8, 3), (8, 8, 5), (8, 8, 7), (3, 3, 2), (6, 6, 4)])
+def test_k3_immersion_best_effort_keeps_order_two_without_strong_pairs(n1, n2, p):
+    # every A-pair has codegree n2 < 3p, so the hub keeps no candidate and
+    # no pool vertex is strong: best-effort used to return branch [];
+    # linking through any common pool neighbour gives order 2 or more
+    g = complete_bipartite(n1, n2)
+    with pytest.raises(PreconditionFailedError):
+        bipartite_k3_immersion(g, range(n1), range(n1, n1 + n2), p=p, seed=0, mode="strict")
+    cert = bipartite_k3_immersion(g, range(n1), range(n1, n1 + n2), p=p, seed=0)
+    report = verify(g, cert)
+    assert report.valid, report.violations
+    assert 2 <= len(cert.branch) <= p
+    assert set(report.length_histogram) == {4}
+
+
 def test_k3_immersion_medium_random():
     import random
 

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import pytest
 
+from imforge import generators
 from imforge.errors import BadModulusError, ParityError, ParseError
 from imforge.generators import load_graph, paley, random_regular, save_graph
+from imforge.graphs import format_edge_list
 from imforge.spectral import adjacency_spectrum
 
 from helpers import complete, cycle
@@ -32,6 +35,37 @@ def test_random_regular_deterministic():
     c = random_regular(60, 5, seed=43)
     assert a == b
     assert a != c
+
+
+# Edge-list digests of hosts drawn by the pure-Python pairing loop; the
+# array rounds must reproduce every host exactly.  (8, 3, 0) gets stuck
+# twice before an attempt succeeds; d > n/2 takes the complement path.
+@pytest.mark.parametrize("n, d, seed, digest", [
+    (50, 4, 0, "7ee898df0df7a9c9"),
+    (200, 7, 3, "a336f8b72e2c9d24"),
+    (1000, 16, 2, "817323200e5a94bd"),
+    (8, 3, 0, "320ab60eb074b914"),
+    (14, 6, 0, "35163d3efa373627"),
+    (100, 60, 5, "4dd0b8ee82a0f5cc"),
+    (30, 27, 4, "cbedb7b356c41f5c"),
+])
+def test_random_regular_hosts_pinned(n, d, seed, digest):
+    g = random_regular(n, d, seed=seed)
+    assert hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:16] == digest
+
+
+def test_random_regular_retries_stuck_attempts(monkeypatch):
+    attempts = []
+    pairing = generators._pairing_attempt
+
+    def recorded(n, d, rng):
+        attempts.append(pairing(n, d, rng))
+        return attempts[-1]
+
+    monkeypatch.setattr(generators, "_pairing_attempt", recorded)
+    g = random_regular(8, 3, seed=0)
+    assert [a is None for a in attempts] == [True, True, False]
+    assert g.degrees() == [3] * 8
 
 
 def test_random_regular_high_degree_via_complement():

@@ -1,3 +1,6 @@
+import gc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +12,11 @@ from imforge.errors import (
     ParseError,
     SelfLoopError,
 )
+from imforge.generators import random_regular
 from imforge.graphs import (
     build_graph,
     format_edge_list,
+    normalize_edge,
     pair_density,
     parse_edge_list,
     view_minus,
@@ -40,6 +45,115 @@ def test_build_out_of_range():
 def test_build_self_loop():
     with pytest.raises(SelfLoopError):
         build_graph(3, [(1, 1)])
+
+
+def reference_build(n, edge_list):
+    """The per-pair loop the array builder replaced: the edge frozenset it
+    kept, or the error it raised first."""
+    edges = set()
+    for u, v in edge_list:
+        u, v = int(u), int(v)
+        if not (0 <= u < n) or not (0 <= v < n):
+            return OutOfRangeError, f"edge ({u}, {v}) outside 0..{n - 1}"
+        if u == v:
+            return SelfLoopError, f"loop at vertex {u}"
+        edges.add(normalize_edge(u, v))
+    return frozenset(edges)
+
+
+def wrap_ids(pairs, kind):
+    """The same pairs as Python ints, numpy scalars, or a generator."""
+    if kind == "numpy":
+        return [(np.int64(u), np.int32(v)) for u, v in pairs]
+    if kind == "generator":
+        return ((u, v) for u, v in pairs)
+    return list(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=7),
+       st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=30),
+       st.sampled_from(["int", "numpy", "generator"]))
+def test_build_graph_matches_reference_loop(n, pairs, kind):
+    expect = reference_build(n, pairs)
+    if isinstance(expect, frozenset):
+        g = build_graph(n, wrap_ids(pairs, kind))
+        assert g.edges() == sorted(expect)
+        assert g.m == len(expect)
+        for u in range(n):
+            assert list(g.neighbors(u)) == sorted({b for a, b in expect if a == u}
+                                                  | {a for a, b in expect if b == u})
+    else:
+        err_type, message = expect
+        with pytest.raises(err_type) as err:
+            build_graph(n, wrap_ids(pairs, kind))
+        assert str(err.value) == message
+
+
+def test_build_graph_rejects_non_pairs():
+    with pytest.raises(ValueError):
+        build_graph(4, [(0, 1), (1, 2, 3)])
+    with pytest.raises(OutOfRangeError):
+        build_graph(4, [(0, 1), (2 ** 70, 1)])
+
+
+@st.composite
+def graphs_and_probes(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    ids = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]),
+                          max_size=20)) if n > 1 else []
+    near = st.integers(min_value=-3, max_value=n + 3)
+    probes = draw(st.lists(st.one_of(
+        st.tuples(near, near),
+        st.tuples(near, near).map(lambda p: (np.int64(p[0]), np.uint8(abs(p[1])))),
+        st.tuples(st.booleans(), near),
+        st.tuples(near, near, near),
+        st.just(()), st.just(None), st.just("01"), near,
+    ), max_size=25))
+    return n, pairs, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_probes())
+def test_edge_set_agrees_with_frozenset_of_edges(case):
+    n, pairs, probes = case
+    g = build_graph(n, pairs)
+    old = frozenset(normalize_edge(u, v) for u, v in pairs)
+    es = g.edge_set()
+    assert len(es) == len(old) == g.m
+    assert list(es) == sorted(old) == g.edges()
+    for probe in probes + [(v, u) for u, v in old]:
+        assert (probe in es) == (probe in old)
+        if isinstance(probe, tuple) and len(probe) == 2:
+            assert g.has_edge(*probe) == (normalize_edge(*probe) in old)
+    assert [0, 1] not in es  # an unhashable probe is not a member
+    rebuilt = build_graph(n, reversed(pairs))
+    assert hash(rebuilt.edge_set()) == hash(es)
+
+
+def collector_visits(root) -> int:
+    """Referents the collector visits in the tracked containers reachable
+    from root, classes excluded."""
+    seen, stack, total = {id(root)}, [root], 0
+    while stack:
+        obj = stack.pop()
+        if not gc.is_tracked(obj) or isinstance(obj, type):
+            continue
+        refs = gc.get_referents(obj)
+        total += len(refs)
+        for r in refs:
+            if id(r) not in seen:
+                seen.add(id(r))
+                stack.append(r)
+    return total
+
+
+def test_graph_costs_the_collector_order_n():
+    g = random_regular(2000, 40, seed=1)
+    gc.collect()  # untracks the tuples that hold only ints
+    assert g.m == 40_000
+    assert collector_visits(g) < 2 * g.n
 
 
 def test_view_k4_minus_vertex_is_k3():

@@ -13,6 +13,7 @@ from imforge.generators import random_regular
 from imforge.graphs import build_graph
 from imforge.spectral import SpectralReport, adjacency_spectrum
 from imforge.subdivision import (
+    RESERVOIR_RETRIES,
     PAlphaParams,
     _route_all,
     audit_sprime,
@@ -69,9 +70,9 @@ def test_strict_pipeline_raises_on_star_shortfall():
 def test_strict_pipeline_raises_on_rejected_reservoir():
     g, report = padded_host(2)  # isolated vertices fail the outside event
     with pytest.raises(SampleFailedError):
-        build_balanced_subdivision(g, report, eta=0.5, mode="strict", retries=3)
-    _, diag = build_balanced_subdivision(g, report, eta=0.5, retries=3)
-    assert diag.reservoir_attempts == 3 and not diag.reservoir_strict
+        build_balanced_subdivision(g, report, eta=0.5, mode="strict")
+    _, diag = build_balanced_subdivision(g, report, eta=0.5)
+    assert diag.reservoir_attempts == RESERVOIR_RETRIES and not diag.reservoir_strict
 
 
 def test_pack_stars_with_target_override():
