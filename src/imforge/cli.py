@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from . import generators
 from .certify import EmbeddingCertificate, VerifyReport, verify
 from .errors import ImforgeError
@@ -198,14 +200,12 @@ def cmd_pipeline(args) -> int:
 
 def cmd_k3_bipartite(args) -> int:
     started = time.time()
-    rng = np_rng(args.seed, "k3-bipartite-host")
     n1, n2 = args.n1, args.n2
-    if args.density >= 1.0:
-        edges = [(i, n1 + j) for i in range(n1) for j in range(n2)]
-    else:
-        mask = rng.random((n1, n2)) < args.density
-        edges = [(i, n1 + j) for i in range(n1) for j in range(n2) if mask[i, j]]
-    g = build_graph(n1 + n2, edges)
+    if n1 < 0 or n2 < 0:
+        raise ImforgeError("--n1 and --n2 must be nonnegative")
+    # random() < density everywhere when density >= 1
+    mask = np_rng(args.seed, "k3-bipartite-host").random((n1, n2)) < args.density
+    g = build_graph(n1 + n2, np.argwhere(mask) + (0, n1))
     a_side, b_side = list(range(n1)), list(range(n1, n1 + n2))
     p = args.p
     if p is None:

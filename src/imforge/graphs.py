@@ -188,7 +188,9 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     if n < 0:
         raise OutOfRangeError(f"negative vertex count {n}")
     if isinstance(edge_list, np.ndarray):
-        pairs = edge_list.astype(np.int64, copy=False).reshape(-1, 2)
+        pairs = edge_list.astype(np.int64, copy=False)
+        if pairs.shape[1:] != (2,):
+            raise ValueError("every edge must be a pair")
     else:
         edge_list = list(edge_list)
         if set(map(len, edge_list)) - {2}:

@@ -114,6 +114,12 @@ def test_k3_metrics_row_leaves_stuck_empty(tmp_path):
     assert row["t"] == "6" and row["stuck"] == "" and row["achieved_order"] == "3"
 
 
+@pytest.mark.parametrize("density", ["1", "0.5"])
+def test_k3_negative_side_exits_2(capsys, density):
+    assert main(["k3-bipartite", "--n1", "-1", "--n2", "5", "--density", density]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["graph", "cert", "spectral"])
 def test_non_ascii_files_exit_2(tmp_path, capsys, bad):
     gpath = tmp_path / "g.txt"

@@ -93,6 +93,8 @@ def test_build_graph_matches_reference_loop(n, pairs, kind):
 def test_build_graph_rejects_non_pairs():
     with pytest.raises(ValueError):
         build_graph(4, [(0, 1), (1, 2, 3)])
+    with pytest.raises(ValueError):
+        build_graph(4, np.array([[0, 1, 2], [1, 2, 3]]))
     with pytest.raises(OutOfRangeError):
         build_graph(4, [(0, 1), (2 ** 70, 1)])
 
