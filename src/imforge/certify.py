@@ -7,8 +7,9 @@ edge-disjoint paths, subdivisions pairwise internally vertex-disjoint paths
 that also dodge every branch vertex.  It consults nothing but the graph and
 the certificate, and reports every defect instead of stopping at the first.
 Ids are Python or numpy integers: a bool, float or string branch id, pair
-index, path vertex or ``ell`` is a ``BAD_ID`` violation, and the checks
-that compare ids are then skipped.
+index, path vertex or ``ell`` is a ``BAD_ID`` violation, and so is a
+branch or path that is not a list or tuple, or pairs that are not a dict;
+the other checks are then skipped.
 """
 
 from __future__ import annotations
@@ -71,11 +72,14 @@ class EmbeddingCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "EmbeddingCertificate":
-        """Parse a certificate; malformed text raises ``ParseError``."""
+        """Parse a certificate; malformed text, or a second entry for one
+        pair, raises ``ParseError``."""
         try:
             obj = json.loads(text)
-            pairs = {(entry["i"], entry["j"]): list(entry["path"])
-                     for entry in obj["pairs"]}
+            pairs = {(e["i"], e["j"]): list(e["path"]) for e in obj["pairs"]}
+            if len(pairs) < len(obj["pairs"]):
+                twice = Counter((e["i"], e["j"]) for e in obj["pairs"]).most_common(1)[0][0]
+                raise ParseError(1, f"duplicate entry for pair {twice}")
             return cls(kind=obj["kind"], branch=list(obj["branch"]),
                        pairs=pairs, ell=obj.get("ell"))
         except json.JSONDecodeError as err:
@@ -116,16 +120,25 @@ def _is_id(x: Any) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _bad_list(where: str, ids: Any) -> list[str]:
+    """Where a branch list or path is not a list or tuple of integer ids."""
+    if not isinstance(ids, (list, tuple)):
+        return [f"{where} is a {type(ids).__name__}"]
+    return [f"{where}[{k}] = {v!r}" for k, v in enumerate(ids) if not _is_id(v)]
+
+
 def _bad_ids(cert: EmbeddingCertificate) -> list[str]:
-    """Where the certificate holds a branch id, pair index, path vertex or
-    ``ell`` that is not an integer."""
-    out = [f"branch[{k}] = {v!r}" for k, v in enumerate(cert.branch) if not _is_id(v)]
+    """Where the certificate holds a branch list, pairs dict, pair index,
+    path, path vertex or ``ell`` of the wrong type."""
+    out = _bad_list("branch", cert.branch)
+    if cert.ell is not None and not _is_id(cert.ell):
+        out.append(f"ell = {cert.ell!r}")
+    if not isinstance(cert.pairs, dict):
+        return out + [f"pairs is a {type(cert.pairs).__name__}"]
     for key, path in cert.pairs.items():
         if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_id, key))):
             out.append(f"pair key {key!r}")
-        out.extend(f"pair {key!r} vertex {v!r}" for v in path if not _is_id(v))
-    if cert.ell is not None and not _is_id(cert.ell):
-        out.append(f"ell = {cert.ell!r}")
+        out += _bad_list(f"pair {key!r} path", path)
     return out
 
 
@@ -137,9 +150,11 @@ def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
     bad_ids = _bad_ids(cert)
     if bad_ids:
         violations.extend(("BAD_ID", where) for where in bad_ids)
-        return VerifyReport(valid=False, kind=cert.kind, t=len(cert.branch),
-                            path_count=len(cert.pairs), length_histogram={},
-                            violations=violations)
+        sized = (list, tuple, dict)
+        return VerifyReport(valid=False, kind=cert.kind,
+                            t=len(cert.branch) if isinstance(cert.branch, sized) else 0,
+                            path_count=len(cert.pairs) if isinstance(cert.pairs, sized) else 0,
+                            length_histogram={}, violations=violations)
     branch = cert.branch
     t = len(branch)
     if len(set(branch)) != t:

@@ -182,7 +182,7 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
     Returns (unit, stage_reached); unit is None on failure and the stage
     names where the construction ran out of room.
     """
-    pool_view = GraphView(view.base, view.removed_vertices | {center}, view.removed_edges)
+    pool_view = view.minus(vertices=[center])
     # stars first, centers in ascending (degree, id) order; each grabs up to
     # twice its required size so the prune step has slack
     order = sorted(pool_view.active_vertices(), key=lambda v: (pool_view.degree(v), v))
@@ -190,22 +190,15 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
     if len(stars) < h1:
         return None, "stars"
 
-    star_edges: set[Edge] = set()
-    for s in stars:
-        star_edges.update(s.edges())
-    used_edges: set[Edge] = set()
+    # branch paths avoid the star edges and each other's edges
+    bfs_view = view.minus(edges=[e for s in stars for e in s.edges()])
     connected: list[tuple[Star, list[int]]] = []
     for star in stars:
-        if len(connected) >= n_stars:
-            break
-        bfs_view = GraphView(view.base, view.removed_vertices,
-                             view.removed_edges | frozenset(star_edges) |
-                             frozenset(used_edges))
         try:
             path = short_avoiding_path(bfs_view, [center], [star.center], h3)
         except NoPathError:
             continue
-        used_edges.update(normalize_edge(a, b) for a, b in zip(path, path[1:]))
+        bfs_view = bfs_view.minus(edges=zip(path, path[1:]))
         connected.append((star, path))
     if len(connected) < h1:
         return None, "connect"

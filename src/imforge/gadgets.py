@@ -29,7 +29,7 @@ from .errors import (
     StuckError,
 )
 from .expanders import short_avoiding_path
-from .graphs import Graph, GraphView, normalize_edge, view_minus
+from .graphs import Graph, normalize_edge, view_minus
 from .util import BEST_EFFORT, STRICT, np_rng, peel_to_complete
 
 
@@ -96,8 +96,7 @@ def shortest_even_cycle(g, cap: Optional[int] = None) -> Optional[list[int]]:
     For every edge (u, v) the shortest odd simple u-v path avoiding that
     edge closes into an even cycle; the global minimum over edges is exact.
     """
-    n = g.n if isinstance(g, Graph) else g.base.n
-    limit = min(cap, n) if cap is not None else n
+    limit = min(cap, g.n) if cap is not None else g.n
     if limit < 4:
         return None
     best: Optional[list[int]] = None
@@ -243,8 +242,7 @@ def _orient(path: list[int], first: int) -> list[int]:
 
 def _path_inside(view, members: set[int], start: int, target: int) -> list[int]:
     """BFS path between two vertices staying inside a vertex set."""
-    outside = frozenset(v for v in range(view.n) if v not in members)
-    inside = GraphView(view.base, view.removed_vertices | outside, view.removed_edges)
+    inside = view.minus(v for v in range(view.n) if v not in members)
     try:
         return short_avoiding_path(inside, [start], [target], max_len=len(members))
     except NoPathError:

@@ -11,12 +11,13 @@ tuples share one int per vertex, ``has_edge`` bisects a tuple, and
 costs a garbage collection O(n), not O(m).
 
 A ``GraphView`` answers the same queries as the graph obtained by deleting
-a vertex set and an edge set, without copying anything.  Its degrees come
-from one lazily computed list (base degrees minus removed-vertex hits,
-then minus removed edges), and a vertex the deletions do not touch gets
-its base neighbor tuple back as is.  Neighbor iteration is always in
-ascending vertex order, which keeps every greedy routine downstream
-deterministic.
+a vertex set and an edge set, without copying the graph.  It keeps the
+removed edges per vertex, as the partners that vertex lost, so neighbor
+filtering is plain set lookups; ``minus`` derives a smaller view and
+shares what it does not change.  Degrees come from one lazily computed
+list, and a vertex the deletions do not touch gets its base neighbor tuple
+back as is.  Neighbor iteration is always in ascending vertex order, which
+keeps every greedy routine downstream deterministic.
 """
 
 from __future__ import annotations
@@ -127,12 +128,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [len(a) for a in self._adj]
 
-    def is_regular(self) -> bool:
-        if self._n == 0:
-            return True
-        d0 = len(self._adj[0])
-        return all(len(a) == d0 for a in self._adj)
-
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR pair (indptr, indices) of the adjacency (cached; intp): the
         neighbors of v are indices[indptr[v]:indptr[v + 1]], ascending."""
@@ -225,27 +220,50 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
 
 
 class GraphView:
-    """Read-only view of a graph minus a vertex set U and an edge set W.
+    """Read-only view of a graph minus a vertex set and an edge set.
 
     Queries agree with the graph that would be obtained by materializing the
-    deletions.  Vertices in U report no neighbors.  Pairs of W that are not
-    edges of the base graph change nothing.  The degree list and the
-    endpoints of the removed edges are computed on first use.
+    deletions.  Removed vertices report no neighbors.  Removed edges are
+    kept per vertex, as the frozenset of partners that vertex lost; ``minus``
+    derives every further view, and one that removes no edge shares its
+    parent's map.  The degree list is computed on first use.
     """
 
-    __slots__ = ("base", "removed_vertices", "removed_edges", "_degrees", "_edge_ends")
+    __slots__ = ("base", "removed_vertices", "_lost", "_degrees")
 
-    def __init__(self, base: Graph, removed_vertices: frozenset[int],
-                 removed_edges: frozenset[Edge]):
+    def __init__(self, base: Graph, removed_vertices: frozenset[int] = frozenset(),
+                 lost: dict[int, frozenset[int]] | None = None):
+        """The whole of ``base``; the other arguments are for ``minus``."""
         self.base = base
         self.removed_vertices = removed_vertices
-        self.removed_edges = removed_edges
+        self._lost = {} if lost is None else lost
         self._degrees: list[int] | None = None
-        self._edge_ends: frozenset[int] | None = None
 
     @property
     def n(self) -> int:
         return self.base.n
+
+    def minus(self, vertices: Iterable[int] = (),
+              edges: Iterable[tuple[int, int]] = ()) -> "GraphView":
+        """This view with more vertices and edges deleted.
+
+        Vertex ids outside 0..n-1 are rejected; pairs in either orientation
+        are accepted, and pairs that are not edges of the base graph are
+        ignored.
+        """
+        vertices = frozenset(vertices)
+        for v in vertices:
+            if not (0 <= v < self.base.n):
+                raise OutOfRangeError(f"removed vertex {v} outside 0..{self.base.n - 1}")
+        new: dict[int, set[int]] = {}
+        for a, b in edges:
+            if self.base.has_edge(a, b):
+                new.setdefault(a, set()).add(b)
+                new.setdefault(b, set()).add(a)
+        lost = self._lost
+        if new:
+            lost = {**lost, **{v: lost.get(v, frozenset()) | ws for v, ws in new.items()}}
+        return GraphView(self.base, self.removed_vertices | vertices, lost)
 
     def contains_vertex(self, v: int) -> bool:
         return 0 <= v < self.base.n and v not in self.removed_vertices
@@ -260,12 +278,10 @@ class GraphView:
         if v in removed:
             return []
         adj = self.base.neighbors(v)
-        if self._edge_ends is None:
-            self._edge_ends = frozenset(chain.from_iterable(self.removed_edges))
-        if v not in self._edge_ends:
+        lost = self._lost.get(v)
+        if lost is None:
             return adj if removed.isdisjoint(adj) else [w for w in adj if w not in removed]
-        return [w for w in adj
-                if w not in removed and normalize_edge(v, w) not in self.removed_edges]
+        return [w for w in adj if w not in removed and w not in lost]
 
     def degree(self, v: int) -> int:
         if self._degrees is None:
@@ -274,43 +290,32 @@ class GraphView:
 
     def _degree_list(self) -> list[int]:
         """Base degrees minus removed-vertex hits (vectorized), zero on
-        removed vertices, then minus each removed edge the vertex deletion
-        did not already account for."""
+        removed vertices, then minus the lost partners still present."""
         base, removed = self.base, self.removed_vertices
         deg = np.diff(base.csr()[0])
         if removed:
             deg -= base.neighbor_counts(removed)
             deg[np.fromiter(removed, dtype=np.intp)] = 0
         out = deg.tolist()
-        edges = base.edge_set()
-        for a, b in self.removed_edges:
-            if a not in removed and b not in removed and (a, b) in edges:
-                out[a] -= 1
-                out[b] -= 1
+        for v, lost in self._lost.items():
+            if v not in removed:
+                out[v] -= len(lost - removed)
         return out
 
     def has_edge(self, u: int, v: int) -> bool:
         if u in self.removed_vertices or v in self.removed_vertices:
             return False
-        return normalize_edge(u, v) not in self.removed_edges and self.base.has_edge(u, v)
+        return v not in self._lost.get(u, ()) and self.base.has_edge(u, v)
 
     def edges(self) -> list[Edge]:
-        out = []
-        for u, v in self.base.edges():
-            if u in self.removed_vertices or v in self.removed_vertices:
-                continue
-            if (u, v) in self.removed_edges:
-                continue
-            out.append((u, v))
-        return out
+        return [(u, v) for u, v in self.base.edges() if self.has_edge(u, v)]
 
     def materialize(self) -> Graph:
         """Copy the view into a standalone Graph (same vertex ids)."""
         return build_graph(self.base.n, self.edges())
 
     def __repr__(self) -> str:
-        return (f"GraphView(base={self.base!r}, |U|={len(self.removed_vertices)}, "
-                f"|W|={len(self.removed_edges)})")
+        return f"GraphView(base={self.base!r}, |U|={len(self.removed_vertices)})"
 
 
 def view_minus(g: Graph, removed_vertices: Iterable[int] = (),
@@ -320,23 +325,7 @@ def view_minus(g: Graph, removed_vertices: Iterable[int] = (),
     Unknown pairs in the edge set are ignored; vertex ids outside 0..n-1
     are rejected.
     """
-    u_set = frozenset(removed_vertices)
-    for v in u_set:
-        if not (0 <= v < g.n):
-            raise OutOfRangeError(f"removed vertex {v} outside 0..{g.n - 1}")
-    w_norm = frozenset(normalize_edge(a, b) for a, b in removed_edges if g.has_edge(a, b))
-    return GraphView(g, u_set, w_norm)
-
-
-def edges_between(g, a_side: Iterable[int], b_side: Iterable[int]) -> int:
-    """Number of edges with one endpoint in each (disjoint) side."""
-    b_set = set(b_side)
-    count = 0
-    for u in a_side:
-        for w in g.neighbors(u):
-            if w in b_set:
-                count += 1
-    return count
+    return GraphView(g).minus(removed_vertices, removed_edges)
 
 
 def pair_density(g, a_side: Sequence[int], b_side: Sequence[int]) -> float:
@@ -346,7 +335,8 @@ def pair_density(g, a_side: Sequence[int], b_side: Sequence[int]) -> float:
         raise EmptySideError("density needs two nonempty sides")
     if a_set & b_set:
         raise OverlapError("density sides must be disjoint")
-    return edges_between(g, a_set, b_set) / (len(a_set) * len(b_set))
+    crossing = sum(w in b_set for u in a_set for w in g.neighbors(u))
+    return crossing / (len(a_set) * len(b_set))
 
 
 def parse_edge_list(text: str) -> Graph:

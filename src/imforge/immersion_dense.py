@@ -4,7 +4,11 @@ parts (triangle matching per color class of a round-robin factorization),
 then link the leftovers greedily by paths of length three.
 
 All path families (lengths 1, 2, 3) stay globally edge-disjoint through a
-single shared ledger of used edges.
+single shared ledger of used edges.  The pairs inside F (the block of ids
+0..f-1) come from one f×f adjacency block cut from the CSR: its edges are
+the length-1 paths, and its non-adjacent pairs split into the red pairs of
+each part pair and the leftover bucket.  The black edges are never stored:
+for a in F and u outside it, ``g.has_edge(a, u)`` is the test.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
 )
 from .graphs import Edge, Graph, build_graph, normalize_edge
 from .nibble import edge_disjoint_triangles
-from .spectral import SpectralReport
+from .spectral import SpectralReport, adjacency_operator
 from .util import BEST_EFFORT, STRICT, derive_seed, peel_to_complete
 
 
@@ -80,12 +84,12 @@ def dense_partition(g: Graph, report: SpectralReport, eta: float) -> PartitionSc
 
 @dataclass
 class RedBlackGraph:
-    """Cross-part complement pairs inside F (red), host edges leaving F
-    (black), and the leftover bucket of intra-part or cell-0 pairs."""
+    """Cross-part complement pairs inside F (red), and the leftover bucket
+    of intra-part or cell-0 pairs; the black edges are the host edges
+    leaving F."""
 
     scheme: PartitionScheme
     red: dict[tuple[int, int], list[Edge]]
-    black: frozenset[Edge]
     e0: list[Edge]
 
     @property
@@ -93,34 +97,31 @@ class RedBlackGraph:
         return sum(len(v) for v in self.red.values())
 
 
+def f_pairs(g: Graph, f_verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacent and the non-adjacent pairs inside F, as (k, 2) arrays of
+    positions i < j in ``f_verts``, row-major, from one |F|×|F| adjacency
+    block cut from the graph's CSR operator."""
+    block = adjacency_operator(g)[f_verts][:, f_verts].toarray() > 0
+    return np.argwhere(np.triu(block, 1)), np.argwhere(np.triu(~block, 1))
+
+
 def build_red_black(g: Graph, scheme: PartitionScheme) -> RedBlackGraph:
-    f_set = set(scheme.f_set)
-    black = set()
-    for u in f_set:
-        for w in g.neighbors(u):
-            if w not in f_set:
-                black.add(normalize_edge(u, w))
-    red: dict[tuple[int, int], list[Edge]] = {}
-    for j in range(1, scheme.m1 + 1):
-        for k in range(j + 1, scheme.m1 + 1):
-            pairs = [normalize_edge(a, b)
-                     for a in scheme.v_parts[j] for b in scheme.v_parts[k]
-                     if not g.has_edge(a, b)]
-            if pairs:
-                red[(j, k)] = sorted(pairs)
-    e0 = []
-    v0 = set(scheme.v_parts[0])
-    for part in scheme.v_parts[1:]:
-        for i, a in enumerate(part):
-            for b in part[i + 1:]:
-                if not g.has_edge(a, b):
-                    e0.append(normalize_edge(a, b))
-    for a in sorted(v0):
-        for b in scheme.f_set:
-            if b > a and not g.has_edge(a, b):
-                e0.append(normalize_edge(a, b))
-    return RedBlackGraph(scheme=scheme, red=red, black=frozenset(black),
-                         e0=sorted(set(e0)))
+    """Split the non-adjacent pairs of F by the parts of their ends: pairs
+    across two parts V_j, V_k (1 <= j < k) are red, the rest go to e0."""
+    f_verts = np.array(scheme.f_set, dtype=np.intp)
+    part = np.repeat(np.arange(scheme.m1 + 1), [len(p) for p in scheme.v_parts])
+    _, holes = f_pairs(g, f_verts)
+    pj, pk = part[holes[:, 0]], part[holes[:, 1]]
+    # key 0 for e0, j * (m1 + 1) + k for the red pairs of (j, k)
+    key = np.where((pj >= 1) & (pj < pk), pj * (scheme.m1 + 1) + pk, 0)
+    ends = np.sort(f_verts[holes], axis=1)
+    order = np.lexsort((ends[:, 1], ends[:, 0], key))
+    groups: dict[int, list[Edge]] = {}
+    for k, pair in zip(key[order].tolist(), ends[order].tolist()):
+        groups.setdefault(k, []).append(tuple(pair))
+    e0 = groups.pop(0, [])
+    return RedBlackGraph(scheme=scheme, e0=e0,
+                         red={divmod(k, scheme.m1 + 1): v for k, v in groups.items()})
 
 
 @dataclass
@@ -208,8 +209,7 @@ def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization,
                 edges.extend((pos[a], pos[b]) for a, b in reds)
                 for a in local[:len(vj) + len(vk)]:
                     for u in u_cell:
-                        e = normalize_edge(a, u)
-                        if e in rb.black and e not in used:
+                        if g.has_edge(a, u) and normalize_edge(a, u) not in used:
                             edges.append((pos[a], pos[u]))
                 starts.append(base)
                 seeds.append(derive_seed(seed, f"red-replace:{ci}:{j}:{k}"))
@@ -351,16 +351,12 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
             f"need d >= K*lambda with K={k_required:.1f}, have d={report.d}, "
             f"lambda={report.lam:.3f}")
 
-    if scheme is not None:
-        f_list = list(scheme.f_set)
-    else:
-        f_list = list(range(math.floor((1 - eta) * report.d)))
-    f_set = set(f_list)
-    used: set[Edge] = {normalize_edge(u, v) for u in f_list for v in g.neighbors(u)
-                       if v in f_set}
-    paths: dict[Edge, list[int]] = {}
-    for e in sorted(used):
-        paths[e] = [e[0], e[1]]
+    f = scheme.f if scheme is not None else math.floor((1 - eta) * report.d)
+    f_list = list(range(f))
+    # F is the block 0..f-1, so its positions are its vertex ids
+    inside, holes = (list(map(tuple, pairs.tolist())) for pairs in f_pairs(g, np.arange(f)))
+    used: set[Edge] = set(inside)
+    paths: dict[Edge, list[int]] = {e: list(e) for e in inside}
 
     two_paths: dict[Edge, list[int]] = {}
     leftovers: list[Edge] = []
@@ -375,14 +371,12 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
             g, rb, fact, beta=beta, seed=seed, used=used)
         leftovers = sorted(set(leftovers) | set(rb.e0))
     else:
-        leftovers = sorted(normalize_edge(a, b)
-                           for i, a in enumerate(f_list) for b in f_list[i + 1:]
-                           if not g.has_edge(a, b))
+        leftovers = holes
         if scheme is not None:
             counters["reds_total"] = len(leftovers)
     paths.update(two_paths)
 
-    three_paths, stuck = greedy_three_paths(g, leftovers, used, f_set)
+    three_paths, stuck = greedy_three_paths(g, leftovers, used, f_list)
     paths.update(three_paths)
 
     if mode == STRICT and stuck:

@@ -102,22 +102,22 @@ def connect_units(g: Graph, units: list[Unit], max_len: int) -> ConnectionLedger
     through the branches to a full center-to-center path; missing pairs get
     one more pass at the end.
     """
-    ledger = ConnectionLedger()
-    ledger.forbidden_centers = {u.center for u in units}
-    branch_edges: set[Edge] = set()
-    for u in units:
-        branch_edges |= u.branch_edges()
-    for u in units:
-        ledger.occupied_stars[u.center] = set()
+    ledger = ConnectionLedger(occupied_stars={u.center: set() for u in units},
+                              forbidden_centers={u.center for u in units})
+    # the host minus every center, branch edge and used edge
+    free = GraphView(g).minus(ledger.forbidden_centers,
+                              (e for u in units for e in u.branch_edges()))
 
-    pairs = [(i, j) for i in range(len(units)) for j in range(i + 1, len(units))]
-    todo = list(pairs)
+    todo = [(i, j) for i in range(len(units)) for j in range(i + 1, len(units))]
     for _ in range(2):
         failed: list[tuple[int, int]] = []
         for (i, j) in todo:
             if (i, j) in ledger.full_paths:
                 continue
-            if not _try_connect(g, units, i, j, max_len, ledger, branch_edges):
+            if _try_connect(free, units, i, j, max_len, ledger):
+                full = ledger.full_paths[(i, j)]
+                free = free.minus(edges=zip(full, full[1:]))
+            else:
                 failed.append((i, j))
         todo = failed
         if not todo:
@@ -126,18 +126,17 @@ def connect_units(g: Graph, units: list[Unit], max_len: int) -> ConnectionLedger
     return ledger
 
 
-def _try_connect(g: Graph, units: list[Unit], i: int, j: int, max_len: int,
-                 ledger: ConnectionLedger, branch_edges: set[Edge]) -> bool:
-    """Connect units i and j, trying up to four endpoint choices: a leaf
-    pair whose full path is not simple or reuses an edge is banned."""
+def _try_connect(free: GraphView, units: list[Unit], i: int, j: int, max_len: int,
+                 ledger: ConnectionLedger) -> bool:
+    """Connect units i and j in the free view minus their branch vertices,
+    trying up to four endpoint choices: a leaf pair whose full path is not
+    simple or reuses an edge is banned."""
     unit_i, unit_j = units[i], units[j]
-    removed = (set(ledger.forbidden_centers) | unit_i.branch_vertices()
-               | unit_j.branch_vertices())
+    view = free.minus(unit_i.branch_vertices() | unit_j.branch_vertices())
     banned_leaves: set[int] = set()
     occ_i = ledger.occupied_stars[unit_i.center]
     occ_j = ledger.occupied_stars[unit_j.center]
     for _ in range(4):
-        view = GraphView(g, frozenset(removed), frozenset(branch_edges | ledger.used_edges))
         x1 = [v for v in _eligible_leaves(unit_i, occ_i, ledger.used_edges, view)
               if v not in banned_leaves]
         x2 = [v for v in _eligible_leaves(unit_j, occ_j, ledger.used_edges, view)
@@ -257,9 +256,9 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     good_centers = [units[i].center for i in good_idx]
     if mode == STRICT:
         want = good_centers[:target_order]
+        connected = {normalize_edge(*p) for p in connected_center_pairs}
         missing = [(u, v) for a, u in enumerate(want) for v in want[a + 1:]
-                   if tuple(sorted((u, v))) not in
-                   {tuple(sorted(p)) for p in connected_center_pairs}]
+                   if normalize_edge(u, v) not in connected]
         if len(want) < target_order:
             raise UnitShortfallError(
                 f"only {len(want)} good units for target {target_order}")

@@ -34,7 +34,7 @@ def _unique_rows(arr: np.ndarray) -> np.ndarray:
     if not arr.size:
         return arr
     m = int(arr.max()) + 1
-    if arr.min() < 0 or m ** 3 > np.iinfo(np.int64).max:
+    if m ** 3 > np.iinfo(np.int64).max:
         return np.unique(arr, axis=0)
     keys = np.sort((arr[:, 0] * m + arr[:, 1]) * m + arr[:, 2])
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
@@ -63,8 +63,12 @@ class Hypergraph3:
                    vertex_labels: Optional[list[Edge]] = None,
                    group_starts: Sequence[int] = (0,)) -> "Hypergraph3":
         """Hypergraph on the rows of an (M, 3) integer array or list of
-        triples; each row is sorted and repeated rows are dropped."""
-        arr = _unique_rows(np.sort(np.asarray(arr, dtype=np.int64).reshape(-1, 3), axis=1))
+        triples; each row is sorted and repeated rows are dropped.  An id
+        outside 0..n_vertices-1 raises ``BadPartitionError``."""
+        arr = np.sort(np.asarray(arr, dtype=np.int64).reshape(-1, 3), axis=1)
+        if arr.size and (arr[:, 0].min() < 0 or arr[:, 2].max() >= n_vertices):
+            raise BadPartitionError(f"a triple has an id outside 0..{n_vertices - 1}")
+        arr = _unique_rows(arr)
         starts = np.asarray(group_starts, dtype=np.int64)
         if arr.size and ((arr[:, 0] == arr[:, 1]) | (arr[:, 1] == arr[:, 2])).any():
             raise BadPartitionError("triples must have three distinct members")

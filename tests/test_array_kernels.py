@@ -1,18 +1,23 @@
 """Array kernels against the plain loops they replaced: the view's degree
 list and its untouched-vertex neighbor path, the vectorized reservoir and
-S' tests, the 1-D-key row dedup of the triangle hypergraph, and the sparse
-operator of the iterative eigensolver, all on the graph's cached CSR pair."""
+S' tests, the 1-D-key row dedup of the triangle hypergraph, the sparse
+operator of the iterative eigensolver, and the dense stage's pairs inside
+F, all on the graph's cached CSR pair."""
 
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imforge.graphs import GraphView, build_graph, view_minus
+from imforge.errors import DegenerateTError
+from imforge.generators import paley, random_regular
+from imforge.graphs import build_graph, normalize_edge, view_minus
+from imforge.immersion_dense import PartitionScheme, build_red_black, dense_partition, f_pairs
 from imforge.nibble import Hypergraph3
-from imforge.spectral import adjacency_operator
+from imforge.spectral import adjacency_operator, adjacency_spectrum
 from imforge.subdivision import StarSystem, audit_sprime, reservoir_conditions
 
 from helpers import complete, cycle, petersen
@@ -28,30 +33,109 @@ def small_graphs(draw, max_n=12):
 
 @st.composite
 def views(draw):
-    """A view made by ``view_minus``, or built directly with removed pairs
-    that may be non-edges or listed in reverse order."""
+    """A view made by ``view_minus`` and a chain of ``minus`` calls, with
+    every vertex and pair removed on the way; the pairs mix edges in either
+    orientation and non-edges."""
     g = draw(small_graphs())
-    verts = draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
-    if draw(st.booleans()):
-        return view_minus(g, verts, draw(st.lists(st.sampled_from(g.edges())))
-                          if g.m else ())
     ids = st.integers(min_value=0, max_value=g.n - 1)
-    pairs = draw(st.sets(st.tuples(ids, ids).filter(lambda p: p[0] != p[1])))
-    return GraphView(g, frozenset(verts), frozenset(pairs))
+    pair = st.tuples(ids, ids)
+    if g.m:
+        pair = st.one_of(pair, st.tuples(st.sampled_from(g.edges()), st.booleans()).map(
+            lambda eb: eb[0][::-1] if eb[1] else eb[0]))
+    verts, pairs = draw(st.sets(ids, max_size=3)), draw(st.lists(pair, max_size=6))
+    view = view_minus(g, verts, pairs)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        more_verts, more_pairs = draw(st.sets(ids, max_size=3)), draw(st.lists(pair, max_size=6))
+        view = view.minus(more_verts, more_pairs)
+        verts |= more_verts
+        pairs += more_pairs
+    return view, verts, pairs
 
 
 @settings(max_examples=150, deadline=None)
 @given(views())
-def test_view_degree_and_neighbors_match_materialized(view):
+def test_view_degree_and_neighbors_match_materialized(case):
+    view, verts, pairs = case
+    g = view.base
+    gone = {tuple(sorted(p)) for p in pairs}
+    expected = build_graph(g.n, [e for e in g.edges() if not verts & set(e) and e not in gone])
     mat = view.materialize()
-    ends = {x for pair in view.removed_edges for x in pair}
+    assert mat == expected and view.edges() == mat.edges()
+    ends = {x for p in pairs if g.has_edge(*p) for x in p}
     for v in range(view.n):
         assert view.degree(v) == len(mat.neighbors(v))
         assert list(view.neighbors(v)) == list(mat.neighbors(v))
-        untouched = (v not in view.removed_vertices and v not in ends
-                     and view.removed_vertices.isdisjoint(view.base.neighbors(v)))
-        if untouched:
-            assert view.neighbors(v) is view.base.neighbors(v)
+        assert [view.has_edge(v, w) for w in range(g.n)] == \
+            [mat.has_edge(v, w) for w in range(g.n)]
+        if v not in verts and v not in ends and verts.isdisjoint(g.neighbors(v)):
+            assert view.neighbors(v) is g.neighbors(v)
+
+
+def reference_f_split(g, f_list):
+    """The comprehensions the F block replaced: the host edges inside F
+    (its length-1 paths) and its non-adjacent pairs (the leftovers when
+    there are fewer than two parts)."""
+    f_set = set(f_list)
+    inside = {normalize_edge(u, v) for u in f_list for v in g.neighbors(u) if v in f_set}
+    holes = sorted(normalize_edge(a, b) for i, a in enumerate(f_list) for b in f_list[i + 1:]
+                   if not g.has_edge(a, b))
+    return sorted(inside), holes
+
+
+def reference_red_black(g, scheme):
+    """The pair loops ``build_red_black`` replaced: (red, e0)."""
+    red = {}
+    for j in range(1, scheme.m1 + 1):
+        for k in range(j + 1, scheme.m1 + 1):
+            pairs = [normalize_edge(a, b)
+                     for a in scheme.v_parts[j] for b in scheme.v_parts[k]
+                     if not g.has_edge(a, b)]
+            if pairs:
+                red[(j, k)] = sorted(pairs)
+    e0 = []
+    for part in scheme.v_parts[1:]:
+        for i, a in enumerate(part):
+            for b in part[i + 1:]:
+                if not g.has_edge(a, b):
+                    e0.append(normalize_edge(a, b))
+    for a in sorted(scheme.v_parts[0]):
+        for b in scheme.f_set:
+            if b > a and not g.has_edge(a, b):
+                e0.append(normalize_edge(a, b))
+    return red, sorted(set(e0))
+
+
+def block_scheme(g, d, t, f):
+    """F = 0..f-1 cut into parts of size t after a short cell 0, as
+    ``dense_partition`` lays it out, for hosts too sparse for its formulas."""
+    m1 = f // t
+    v0 = f - m1 * t
+    v_parts = [tuple(range(v0))] + [tuple(range(v0 + i * t, v0 + (i + 1) * t))
+                                     for i in range(m1)]
+    return PartitionScheme(n=g.n, d=d, eta=0.0, c=d / g.n, q=1 - d / g.n, f=f, t=t, s=1,
+                           m1=m1, m2=0, v_parts=v_parts, u_parts=[()])
+
+
+@pytest.mark.parametrize("name, eta, m1", [("paley101", 0.65, 17), ("rr600x24", 0.4, None),
+                                           ("paley401", 0.93, 1)])
+def test_f_block_matches_reference_loops(name, eta, m1):
+    g = {"paley101": lambda: paley(101), "paley401": lambda: paley(401),
+         "rr600x24": lambda: random_regular(600, 24, seed=1)}[name]()
+    report = adjacency_spectrum(g)
+    if m1 is None:  # the pipeline's fallback when the cell size is 0
+        with pytest.raises(DegenerateTError):
+            dense_partition(g, report, eta)
+        scheme = block_scheme(g, report.d, 2, math.floor((1 - eta) * report.d))
+    else:
+        scheme = dense_partition(g, report, eta)
+        assert scheme.m1 == m1
+    inside, holes = f_pairs(g, np.arange(scheme.f))
+    assert (list(map(tuple, inside.tolist())), list(map(tuple, holes.tolist()))) == \
+        reference_f_split(g, list(range(scheme.f)))
+    rb = build_red_black(g, scheme)
+    red, e0 = reference_red_black(g, scheme)
+    assert list(rb.red.items()) == list(red.items()) and rb.e0 == e0
+    assert red or scheme.m1 < 2
 
 
 def reference_conditions(g, stars, eta, sample):

@@ -276,9 +276,11 @@ def test_hypergraph_rejects_an_edge_between_groups():
 
 # -- batched red-edge replacement -------------------------------------------
 
-def reference_replace(rb, fact, beta, seed, used):
+def reference_replace(g, rb, fact, beta, seed, used):
     """One mini graph and one matcher call per (class, pair)."""
     sch = rb.scheme
+    f_set = set(sch.f_set)
+    black = {normalize_edge(u, w) for u in f_set for w in g.neighbors(u) if w not in f_set}
     two_paths, leftovers = {}, []
     for ci, cls in enumerate(fact.classes, start=1):
         u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
@@ -293,7 +295,7 @@ def reference_replace(rb, fact, beta, seed, used):
             for a in list(vj) + list(vk):
                 for u in u_cell:
                     e = normalize_edge(a, u)
-                    if e in rb.black and e not in used:
+                    if e in black and e not in used:
                         edges.append((pos[a], pos[u]))
             parts = (range(len(vj)), range(len(vj), len(vj) + len(vk)),
                      range(len(vj) + len(vk), len(local)))
@@ -336,7 +338,7 @@ def assert_same_replacement(g, scheme, beta, seed):
     used, ref_used = set(inside), set(inside)
     two_paths, leftovers, counters = replace_red_edges(g, rb, fact, beta=beta, seed=seed,
                                                        used=used)
-    ref_paths, ref_leftovers = reference_replace(rb, fact, beta, seed, ref_used)
+    ref_paths, ref_leftovers = reference_replace(g, rb, fact, beta, seed, ref_used)
     assert list(two_paths.items()) == list(ref_paths.items())
     assert leftovers == ref_leftovers
     assert used == ref_used

@@ -85,6 +85,22 @@ def test_verify_rejects_non_integer_ell():
     assert [code for code, _ in verify(complete(3), cert).violations] == ["BAD_ID"]
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda c: c.pairs.update({(0, 1): None}),
+    lambda c: c.pairs.update({(0, 1): 1}),
+    lambda c: c.pairs.update({(0, 1): np.array([0, 1])}),
+    lambda c: setattr(c, "branch", None),
+    lambda c: setattr(c, "pairs", list(c.pairs.values())),
+], ids=["path-none", "path-int", "path-array", "branch-none", "pairs-list"])
+def test_verify_reports_malformed_containers_as_bad_ids(mutate):
+    cert = k3_identity_cert()
+    mutate(cert)
+    report = verify(complete(3), cert)
+    assert not report.valid
+    assert [code for code, _ in report.violations] == ["BAD_ID"]
+    report.to_json()
+
+
 def test_verify_accepts_numpy_integer_ids():
     cert = k3_identity_cert()
     cert.branch = [np.int64(0), np.int32(1), 2]

@@ -51,6 +51,20 @@ def test_verify_command_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_command_rejects_a_pair_listed_twice(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "c.json"
+    main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)])
+    # (0, 5) is not an edge of Paley(13); a second entry must not mask it
+    cert = {"kind": "immersion", "branch": [0, 1],
+            "pairs": [{"i": 0, "j": 1, "path": [0, 5, 1]}, {"i": 0, "j": 1, "path": [0, 1]}],
+            "ell": None}
+    cpath.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 2
+    assert "duplicate entry for pair (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("branch", [[0, True], [0, 1.0], [0, "1"]])
 def test_verify_command_reports_non_integer_ids(tmp_path, capsys, branch):
     gpath = tmp_path / "g.txt"

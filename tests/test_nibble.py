@@ -135,6 +135,12 @@ def test_triangle_hypergraph_bad_partition():
         triangle_hypergraph(g, ([0, 1], [1, 3], [4, 5]))
 
 
+@pytest.mark.parametrize("row", [[0, 1, 4], [-1, -2, 3], [-3, -2, -1]])
+def test_hypergraph_rejects_ids_out_of_range(row):
+    with pytest.raises(BadPartitionError, match="outside"):
+        Hypergraph3.from_array(4, [[0, 1, 2], row])
+
+
 def test_k222_four_disjoint_triangles():
     # brute force: a resolution into 4 transversal triangles covers all 12 edges
     g = complete_tripartite(2, 2, 2)

@@ -33,6 +33,7 @@ ALLOWLIST = {
     "spectral.good_vertices": "spectral toolbox documented in the README",
     "certify.verify_unit": "test oracle for units",
     "graphs.GraphView.materialize": "test oracle for views",
+    "graphs.Graph.edge_set": "perfbench `Host` rebuilds graph shells from it",
 }
 
 
