@@ -68,14 +68,24 @@ def write_metrics(path: Optional[str], rows: list[dict]) -> None:
 
 
 def resolve_graph(args, seed: int) -> Graph:
-    if getattr(args, "graph", None):
+    """The host a given graph-source flag names; an invalid value is the
+    loader's or generator's error to report."""
+    if getattr(args, "graph", None) is not None:
         return generators.load_graph(args.graph)
-    if getattr(args, "q", None):
+    if getattr(args, "q", None) is not None:
         return generators.paley(args.q)
-    if getattr(args, "n", None) and getattr(args, "d", None):
+    if getattr(args, "n", None) is not None and getattr(args, "d", None) is not None:
         return generators.random_regular(args.n, args.d,
                                          derive_seed(seed, "gen:random-regular"))
     raise ImforgeError("supply --graph PATH, --q Q, or both --n and --d")
+
+
+def numbers(flag: str, text: str, kind: type) -> list:
+    """A comma-separated flag value as numbers of one kind."""
+    try:
+        return [kind(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ImforgeError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 def emit(path: Optional[str], text: str) -> None:
@@ -88,8 +98,12 @@ def emit(path: Optional[str], text: str) -> None:
 
 def cmd_gen(args) -> int:
     if args.kind == "paley":
+        if args.q is None:
+            raise ImforgeError("--kind paley needs --q")
         g = generators.paley(args.q)
     else:
+        if args.n is None or args.d is None:
+            raise ImforgeError("--kind random-regular needs --n and --d")
         g = generators.random_regular(args.n, args.d,
                                       derive_seed(args.seed, "gen:random-regular"))
     if args.out:
@@ -230,7 +244,7 @@ def cmd_k3_bipartite(args) -> int:
 
 def cmd_nibble(args) -> int:
     g = resolve_graph(args, args.seed)
-    sizes = [int(x) for x in args.parts.split(",")]
+    sizes = numbers("--parts", args.parts, int)
     if len(sizes) != 3 or sum(sizes) > g.n:
         raise ImforgeError("--parts must be three sizes summing to at most n")
     bounds = [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
@@ -258,6 +272,7 @@ def cmd_sweep(args) -> int:
     not depend on eta.  A failed cell still gets its row, and the sweep
     then exits 2."""
     command = args.command_name
+    etas = numbers("--eta-grid", args.eta_grid, float)
     host, host_error = None, None
     try:
         host = certified_host(args)
@@ -265,7 +280,7 @@ def cmd_sweep(args) -> int:
         host_error = err
     rows: list[dict] = []
     code = 0
-    for eta in [float(x) for x in args.eta_grid.split(",") if x.strip()]:
+    for eta in etas:
         # the swept pipeline's own flags keep their defaults
         cell = argparse.Namespace(**{**PIPELINES[command].defaults(), **vars(args),
                                      "eta": eta})

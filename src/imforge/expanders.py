@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DomainError, NoPathError, UnitFailedError
-from .graphs import Edge, Graph, GraphView, normalize_edge, view_minus
+from .graphs import Edge, Graph, GraphView, normalize_edge
 from .util import stream_rng
 
 # centers a unit tries by rank before the few seeded extras
@@ -223,16 +223,14 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
                 (h1, h2, h3)), "done"
 
 
-def build_unit(g: Graph, removed_vertices: Iterable[int], removed_edges: Iterable[Edge],
-               h1: int, h2: int, h3: int, seed: int = 0) -> Unit:
-    """Build one unit in the graph minus the forbidden vertex and edge sets.
+def build_unit(view: GraphView, h1: int, h2: int, h3: int, seed: int = 0) -> Unit:
+    """Build one unit in the view.
 
-    Candidate centers are tried by descending available degree (plus a few
-    seeded extras); branch paths avoid forbidden vertices, star edges, and
-    previously used edges, and stars half-eaten by branch interiors are
-    discarded before the final trim to (h1, h2).
+    Candidate centers are tried by descending degree in the view (plus a
+    few seeded extras); branch paths avoid star edges and each other's
+    edges, and stars half-eaten by branch interiors are discarded before
+    the final trim to (h1, h2).
     """
-    view = view_minus(g, removed_vertices, removed_edges)
     ranked = sorted(view.active_vertices(), key=lambda v: (-view.degree(v), v))
     candidates = ranked[:CENTER_TRIALS]
     extra_pool = ranked[CENTER_TRIALS:]
@@ -255,20 +253,18 @@ def collect_units(g: Graph, count: int, h1: int, h2: int, h3: int,
                   seed: int = 0) -> list[Unit]:
     """Collect up to ``count`` edge-disjoint units with distinct centers.
 
-    Each unit is built in the graph minus all edges of its predecessors and
-    minus their centers; stops early (without raising) when construction
-    fails, leaving the partial collection to the caller.
+    One view of the host loses each unit's center and edges once the unit
+    is built, and the next unit is built in it; stops early (without
+    raising) when construction fails, leaving the partial collection to the
+    caller.
     """
     units: list[Unit] = []
-    forbidden_vertices: set[int] = set()
-    forbidden_edges: set[Edge] = set()
+    view = GraphView(g)
     for i in range(count):
         try:
-            unit = build_unit(g, forbidden_vertices, forbidden_edges,
-                              h1, h2, h3, seed=seed + i)
+            unit = build_unit(view, h1, h2, h3, seed=seed + i)
         except UnitFailedError:
             break
         units.append(unit)
-        forbidden_vertices.add(unit.center)
-        forbidden_edges.update(unit.all_edges())
+        view = view.minus([unit.center], unit.all_edges())
     return units

@@ -343,7 +343,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the canonical edge-list text format.
 
     Line 1 is "n m"; each of the following m lines is "u v" with
-    0 <= u < v < n.  Errors carry 1-based line numbers.
+    0 <= u < v < n, no pair listed twice in either orientation, and only
+    blank lines after them.  Errors carry 1-based line numbers.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -355,7 +356,9 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(1, f"non-integer header {lines[0]!r}") from None
-    edges = []
+    if n < 0 or m < 0:
+        raise ParseError(1, f"negative count in header {lines[0]!r}")
+    first_seen: dict[Edge, int] = {}
     for i in range(m):
         lineno = i + 2
         if lineno - 1 >= len(lines) or not lines[lineno - 1].strip():
@@ -371,8 +374,14 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(lineno, f"self-loop at {u}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise ParseError(lineno, f"endpoint outside 0..{n - 1}")
-        edges.append((u, v))
-    return build_graph(n, edges)
+        e = normalize_edge(u, v)
+        if e in first_seen:
+            raise ParseError(lineno, f"edge {e} already listed on line {first_seen[e]}")
+        first_seen[e] = lineno
+    for lineno in range(m + 2, len(lines) + 1):
+        if lines[lineno - 1].strip():
+            raise ParseError(lineno, f"line after the {m} edge lines: {lines[lineno - 1]!r}")
+    return build_graph(n, list(first_seen))
 
 
 def format_edge_list(g: Graph) -> str:

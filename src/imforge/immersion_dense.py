@@ -29,7 +29,7 @@ from .errors import (
 from .graphs import Edge, Graph, build_graph, normalize_edge
 from .nibble import edge_disjoint_triangles
 from .spectral import SpectralReport, adjacency_operator
-from .util import BEST_EFFORT, STRICT, derive_seed, peel_to_complete
+from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, peel_to_complete
 
 
 @dataclass
@@ -312,10 +312,10 @@ class DenseDiagnostics:
 
 
 def regularity_prerequisites(c: float, eta: float) -> tuple[float, float, float]:
-    """(epsilon, delta, K) governing the partition-regularity hypotheses;
-    K is finite only for 0 < c < 1 and eta > 0."""
-    if not (eta > 0 and 0 < c < 1):
-        raise DomainError(f"need eta > 0 and density 0 < c < 1; got eta={eta}, c={c:.4g}")
+    """(epsilon, delta, K) governing the partition-regularity hypotheses for
+    0 < eta < 1; K is finite only for density 0 < c < 1."""
+    if not 0 < c < 1:
+        raise DomainError(f"need density 0 < c < 1; got c={c:.4g}")
     eps = min(c, 1 - c, eta) ** 2 / 64
     delta = min(c * eta * eta, (1 - c) * eta * eta) / 20
     k_required = 10 / (eps * eps * delta)
@@ -333,6 +333,7 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     degenerate parameter or unlinked pair; best-effort peels the branch set
     to the largest fully connected subset.
     """
+    check_eta(eta)
     c = report.d / g.n
     eps, delta, k_required = regularity_prerequisites(c, eta)
     gap_ok = report.d >= k_required * report.lam

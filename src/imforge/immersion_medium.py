@@ -3,16 +3,16 @@ collect edge-disjoint units, connect their centers pairwise through the
 unit exteriors, drop units whose pendant edges got eaten, and emit a
 verifier-ready certificate.
 
-Connection bookkeeping lives in a ledger whose invariants are checkable
-from stored data alone: the exterior-to-exterior subpaths are pairwise
-edge-disjoint, never ride a unit branch, and never pass through a center.
+The linker's one record of its used edges is a view of the host without
+them.  The ledger's invariants are checkable from stored data alone: the
+exterior-to-exterior subpaths are pairwise edge-disjoint, never ride a unit
+branch, and never pass through a center.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .certify import IMMERSION, EmbeddingCertificate
 from .errors import (
@@ -24,18 +24,16 @@ from .errors import (
 from .expanders import ExpanderParams, Unit, collect_units, mix_length_m, short_avoiding_path
 from .graphs import Edge, Graph, GraphView, normalize_edge
 from .spectral import SpectralReport
-from .util import BEST_EFFORT, STRICT, peel_to_complete
+from .util import BEST_EFFORT, STRICT, check_eta, peel_to_complete
 
 
 @dataclass
 class ConnectionLedger:
-    """Per-pair exterior paths plus the state that keeps them disjoint."""
+    """Per-pair exterior and full paths, and the stars each unit has spent."""
 
     mid_paths: dict[tuple[int, int], list[int]] = field(default_factory=dict)
     full_paths: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-    used_edges: set[Edge] = field(default_factory=set)
     occupied_stars: dict[int, set[int]] = field(default_factory=dict)
-    forbidden_centers: set[int] = field(default_factory=set)
     missing_pairs: list[tuple[int, int]] = field(default_factory=list)
 
     def check_invariants(self, units: list[Unit]) -> None:
@@ -44,52 +42,28 @@ class ConnectionLedger:
         branch_edges: set[Edge] = set()
         for u in units:
             branch_edges |= u.branch_edges()
+        centers = {u.center for u in units}
         for pair, path in sorted(self.mid_paths.items()):
             for e in (normalize_edge(a, b) for a, b in zip(path, path[1:])):
                 assert e not in seen, f"mid-path edge {e} reused at {pair}"
                 seen.add(e)
                 assert e not in branch_edges, f"mid-path edge {e} rides a branch"
             for v in path[1:-1]:
-                assert v not in self.forbidden_centers, f"center {v} internal at {pair}"
+                assert v not in centers, f"center {v} internal at {pair}"
 
 
-def _eligible_leaves(unit: Unit, occupied: set[int], used_edges: set[Edge],
-                     view: GraphView) -> list[int]:
-    """Exterior leaves usable as endpoints: star not yet occupied, pendant
-    edge still free, vertex alive in the view."""
-    out = []
+def _eligible_leaves(unit: Unit, occupied: set[int], free: GraphView,
+                     view: GraphView) -> dict[int, int]:
+    """Usable exterior leaves with their star indices: star unoccupied,
+    pendant edge still free, leaf alive in the pair's view."""
+    out = {}
     for idx, star in enumerate(unit.stars):
         if idx in occupied:
             continue
         for leaf in star.leaves:
-            if not view.contains_vertex(leaf):
-                continue
-            if normalize_edge(star.center, leaf) in used_edges:
-                continue
-            out.append(leaf)
+            if view.contains_vertex(leaf) and free.has_edge(star.center, leaf):
+                out[leaf] = idx
     return out
-
-
-def _leaf_star(unit: Unit, leaf: int, occupied: set[int]) -> int:
-    for idx, star in enumerate(unit.stars):
-        if idx not in occupied and leaf in star.leaves:
-            return idx
-    raise KeyError(leaf)
-
-
-def _assemble(unit_i: Unit, star_i: int, unit_j: Unit, star_j: int,
-              mid: list[int]) -> Optional[tuple[list[int], list[Edge]]]:
-    """Extend an exterior path through both units to a center-to-center
-    path; returns (path, new edges) or None when the result is not simple."""
-    branch_i = unit_i.branches[star_i]
-    branch_j = unit_j.branches[star_j]
-    # junction steps branch_i[-1] -> mid[0] and mid[-1] -> branch_j[-1]
-    # are the two pendant edges
-    full = list(branch_i) + list(mid) + list(reversed(branch_j))
-    if len(set(full)) != len(full):
-        return None
-    edges = [normalize_edge(a, b) for a, b in zip(full, full[1:])]
-    return full, edges
 
 
 def connect_units(g: Graph, units: list[Unit], max_len: int) -> ConnectionLedger:
@@ -102,63 +76,54 @@ def connect_units(g: Graph, units: list[Unit], max_len: int) -> ConnectionLedger
     through the branches to a full center-to-center path; missing pairs get
     one more pass at the end.
     """
-    ledger = ConnectionLedger(occupied_stars={u.center: set() for u in units},
-                              forbidden_centers={u.center for u in units})
-    # the host minus every center, branch edge and used edge
-    free = GraphView(g).minus(ledger.forbidden_centers,
-                              (e for u in units for e in u.branch_edges()))
+    ledger = ConnectionLedger(occupied_stars={u.center: set() for u in units})
+    centers = frozenset(u.center for u in units)
+    # the host minus every branch edge and every used edge
+    free = GraphView(g).minus(edges=(e for u in units for e in u.branch_edges()))
 
     todo = [(i, j) for i in range(len(units)) for j in range(i + 1, len(units))]
     for _ in range(2):
         failed: list[tuple[int, int]] = []
         for (i, j) in todo:
-            if (i, j) in ledger.full_paths:
-                continue
-            if _try_connect(free, units, i, j, max_len, ledger):
+            if _try_connect(free, centers, units, i, j, max_len, ledger):
                 full = ledger.full_paths[(i, j)]
                 free = free.minus(edges=zip(full, full[1:]))
             else:
                 failed.append((i, j))
         todo = failed
-        if not todo:
-            break
     ledger.missing_pairs = sorted(todo)
     return ledger
 
 
-def _try_connect(free: GraphView, units: list[Unit], i: int, j: int, max_len: int,
-                 ledger: ConnectionLedger) -> bool:
-    """Connect units i and j in the free view minus their branch vertices,
-    trying up to four endpoint choices: a leaf pair whose full path is not
-    simple or reuses an edge is banned."""
+def _try_connect(free: GraphView, centers: frozenset[int], units: list[Unit],
+                 i: int, j: int, max_len: int, ledger: ConnectionLedger) -> bool:
+    """Connect units i and j in the free view minus every center and both
+    units' branch vertices, trying up to four endpoint choices: the leaves
+    of a full path that is not simple are no longer endpoints."""
     unit_i, unit_j = units[i], units[j]
-    view = free.minus(unit_i.branch_vertices() | unit_j.branch_vertices())
-    banned_leaves: set[int] = set()
+    view = free.minus(centers | unit_i.branch_vertices() | unit_j.branch_vertices())
     occ_i = ledger.occupied_stars[unit_i.center]
     occ_j = ledger.occupied_stars[unit_j.center]
+    x1 = _eligible_leaves(unit_i, occ_i, free, view)
+    x2 = _eligible_leaves(unit_j, occ_j, free, view)
     for _ in range(4):
-        x1 = [v for v in _eligible_leaves(unit_i, occ_i, ledger.used_edges, view)
-              if v not in banned_leaves]
-        x2 = [v for v in _eligible_leaves(unit_j, occ_j, ledger.used_edges, view)
-              if v not in banned_leaves]
         if not x1 or not x2:
             return False
         try:
             mid = short_avoiding_path(view, x1, x2, max_len)
         except NoPathError:
             return False
-        star_i = _leaf_star(unit_i, mid[0], occ_i)
-        star_j = _leaf_star(unit_j, mid[-1], occ_j)
-        assembled = _assemble(unit_i, star_i, unit_j, star_j, mid)
-        # a simple full path has distinct edges, and they include the
-        # exterior path's edges and both pendant edges
-        if assembled is None or set(assembled[1]) & ledger.used_edges:
-            banned_leaves.update((mid[0], mid[-1]))
+        star_i, star_j = x1[mid[0]], x2[mid[-1]]
+        # every edge is free (a branch edge enters a full path only through
+        # the star it occupies), but two units' branches may share a vertex
+        full = [*unit_i.branches[star_i], *mid, *reversed(unit_j.branches[star_j])]
+        if len(set(full)) != len(full):
+            for leaf in (mid[0], mid[-1]):
+                x1.pop(leaf, None)
+                x2.pop(leaf, None)
             continue
-        full, full_edges = assembled
         ledger.mid_paths[(i, j)] = mid
         ledger.full_paths[(i, j)] = full
-        ledger.used_edges.update(full_edges)
         occ_i.add(star_i)
         occ_j.add(star_j)
         return True
@@ -167,13 +132,15 @@ def _try_connect(free: GraphView, units: list[Unit], i: int, j: int, max_len: in
 
 def filter_bad_units(units: list[Unit], ledger: ConnectionLedger,
                      threshold: float) -> list[int]:
-    """Indices of units whose pendant-edge consumption stays at or below
-    the threshold (strictly more consumed means dropped)."""
+    """Indices of units whose pendant edges the full paths use at most
+    ``threshold`` times (strictly more consumed means dropped)."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+    used = {normalize_edge(a, b) for path in ledger.full_paths.values()
+            for a, b in zip(path, path[1:])}
     good = []
     for idx, unit in enumerate(units):
-        eaten = sum(1 for e in unit.pendant_edges() if e in ledger.used_edges)
+        eaten = sum(1 for e in unit.pendant_edges() if e in used)
         if eaten <= threshold:
             good.append(idx)
     return good
@@ -219,6 +186,7 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     clique; best-effort mode always returns a verifier-passing certificate
     for the largest center subset it managed to connect completely.
     """
+    check_eta(eta)
     precondition_ok = report.d > 2 * report.lam
     if mode == STRICT and not precondition_ok:
         raise PreconditionFailedError(
@@ -251,14 +219,14 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     ledger = connect_units(g, units, max_len=max_len)
     good_idx = filter_bad_units(units, ledger, bad_threshold)
 
-    connected_center_pairs = {
-        (units[i].center, units[j].center) for (i, j) in ledger.full_paths}
+    # the full paths by ascending center pair
+    by_centers = {normalize_edge(units[i].center, units[j].center): path
+                  for (i, j), path in ledger.full_paths.items()}
     good_centers = [units[i].center for i in good_idx]
     if mode == STRICT:
         want = good_centers[:target_order]
-        connected = {normalize_edge(*p) for p in connected_center_pairs}
         missing = [(u, v) for a, u in enumerate(want) for v in want[a + 1:]
-                   if normalize_edge(u, v) not in connected]
+                   if normalize_edge(u, v) not in by_centers]
         if len(want) < target_order:
             raise UnitShortfallError(
                 f"only {len(want)} good units for target {target_order}")
@@ -266,17 +234,12 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
             raise IncompleteEmbeddingError(f"unconnected pairs: {missing[:5]}")
         chosen = want
     else:
-        chosen = peel_to_complete(good_centers, connected_center_pairs)
+        chosen = peel_to_complete(good_centers, set(by_centers))
         if not chosen:
             chosen = good_centers[:1] or [units[0].center]
 
-    center_index = {units[i].center: i for i in range(len(units))}
-
-    def path_of(a: int, b: int) -> list[int]:
-        ui, uj = center_index[a], center_index[b]
-        return ledger.full_paths[(ui, uj) if ui < uj else (uj, ui)]
-
-    cert = EmbeddingCertificate.from_paths(IMMERSION, chosen, path_of)
+    cert = EmbeddingCertificate.from_paths(IMMERSION, chosen,
+                                           lambda a, b: by_centers[(a, b)])
     diag = MediumDiagnostics(g.n, report.d, report.lam, eta, m_scale,
                              (h1, h2, h3), len(units), len(good_idx),
                              len(ledger.full_paths), len(ledger.missing_pairs),

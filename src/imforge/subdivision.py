@@ -6,7 +6,8 @@ Stars come from ``expanders.pack_stars`` in id order and the reservoir
 from the one retry loop ``sample_reservoir``; both report a shortfall to
 the pipeline, which raises on it in strict mode and carries on with what
 it got in best-effort mode.  ``_route_all`` is the fixed-length routing
-engine.
+engine; it reports the pairs it could not route, and the pipeline raises
+on the first of them in strict mode after routing.
 
 Every connecting path is star edge + fixed-length path + star edge, so the
 certificate is balanced: all paths share one total length.
@@ -15,7 +16,7 @@ certificate is balanced: all paths share one total length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
 from .expanders import pack_stars
 from .graphs import Graph
 from .spectral import SpectralReport
-from .util import BEST_EFFORT, STRICT, derive_seed, np_rng, peel_to_complete
+from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, np_rng, peel_to_complete
 
 VARIANT_FIXED = "d0-3"
 VARIANT_POWER = "d0-power"
@@ -44,8 +45,6 @@ class StarSystem:
 
     centers: list[int]
     leaf_sets: list[tuple[int, ...]]
-    reservoir: set[int] = field(default_factory=set)
-    chosen: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def t(self) -> int:
@@ -198,8 +197,7 @@ def _extract(parent: dict[int, int], root: int, leaf: int) -> list[int]:
 
 
 def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
-               length: int, drop_failures: bool,
-               ) -> tuple[dict[tuple[int, int], list[int]], list[tuple[int, int]]]:
+               length: int) -> tuple[dict[tuple[int, int], list[int]], list[tuple[int, int]]]:
     """Vertex-disjoint paths of one exact length between the given pairs.
 
     Interior vertices avoid S' and all previously used vertices.  Routing
@@ -207,9 +205,8 @@ def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
     the lexicographically first edge; one rollback (unroute the previous
     pair, route this one, re-route the other with flipped frontier order)
     is attempted before giving up on a pair.  ``length`` must be odd and at
-    least 3.  Each path starts at the first vertex of its pair.  A pair that
-    still fails raises, or is returned in the failure list when
-    ``drop_failures`` is set.
+    least 3.  Each path starts at the first vertex of its pair.  The pairs
+    that still fail are returned, in the order they failed.
     """
     half_depth = (length - 3) // 2 + 1
     used: set[int] = set()
@@ -250,26 +247,21 @@ def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
             # rollback: free the most recent path, route this pair first,
             # then redo the freed pair with flipped frontier ordering
             prev_pair, prev_path = routed.pop()
-            for v in prev_path:
-                used.discard(v)
+            used.difference_update(prev_path)
             path = route(pair, flip=False)
             if path is not None:
                 commit(pair, path)
+            else:
+                failed.append(pair)
             redo = route(prev_pair, flip=True)
             if redo is not None:
                 commit(prev_pair, redo)
-            if path is None or redo is None:
-                victim = pair if path is None else prev_pair
-                if drop_failures:
-                    failed.append(victim)
-                    continue
-                raise RoutingFailedError(victim)
+            else:
+                failed.append(prev_pair)
             continue
         if path is None:
-            if drop_failures:
-                failed.append(pair)
-                continue
-            raise RoutingFailedError(pair)
+            failed.append(pair)
+            continue
         commit(pair, path)
     return dict(routed), failed
 
@@ -322,6 +314,7 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     and both reservoir events; best-effort proceeds with the best sample
     it saw and peels branch vertices whose pairs failed to route.
     """
+    check_eta(eta)
     n, d, lam = g.n, report.d, report.lam
     d0, n0_formula, alpha, beta = variant_params(n, eta, variant)
     # keep the routing depth usable on small hosts
@@ -346,42 +339,28 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     sample, attempts, reservoir_strict = sample_reservoir(g, stars, eta, seed)
     if mode == STRICT and not reservoir_strict:
         raise SampleFailedError(RESERVOIR_RETRIES)
-    stars.reservoir = sample
 
-    # per-pair leaves: the rank of the partner among the other centers
     t = stars.t
     pools = [sorted(set(leaves) & sample) for leaves in stars.leaf_sets]
     while any(len(pool) < t - 1 for pool in pools) and t > 1:
         worst = min(range(t), key=lambda i: len(pools[i]))
         del pools[worst], stars.centers[worst], stars.leaf_sets[worst]
         t = stars.t
-    chosen: dict[tuple[int, int], int] = {}
-    for i in range(t):
-        others = [j for j in range(t) if j != i]
-        for rank, j in enumerate(others):
-            chosen[(i, j)] = pools[i][rank]
-    stars.chosen = chosen
-    s_prime = set(stars.centers) | set(chosen.values())
-
+    # star i's leaf toward star j is pools[i][rank of j among the other stars]
     pair_keys = [(i, j) for i in range(t) for j in range(i + 1, t)]
-    leaf_pairs = [(chosen[(i, j)], chosen[(j, i)]) for (i, j) in pair_keys]
+    leaf_pairs = [(pools[i][j - 1], pools[j][i]) for (i, j) in pair_keys]
+    s_prime = set(stars.centers).union(*leaf_pairs)
     sp_ok, sp_load = audit_sprime(g, s_prime, beta)
     if mode == STRICT and not sp_ok:
         raise PreconditionFailedError(f"S' load {sp_load:.3f} exceeds beta")
-    by_leaf_pair, _ = _route_all(g, leaf_pairs, s_prime, length,
-                                 drop_failures=(mode != STRICT))
-    routed: dict[tuple[int, int], list[int]] = {}
-    failed: list[tuple[int, int]] = []
-    for key, pair in zip(pair_keys, leaf_pairs):
-        if pair in by_leaf_pair:
-            routed[key] = by_leaf_pair[pair]
-        else:
-            failed.append(key)
+    routed, failed = _route_all(g, leaf_pairs, s_prime, length)
+    if mode == STRICT and failed:
+        raise RoutingFailedError(failed[0])
 
     # star indices ascend with center ids, so every key below has a < b
     full = {(stars.centers[i], stars.centers[j]):
-            [stars.centers[i]] + path + [stars.centers[j]]
-            for (i, j), path in routed.items()}
+            [stars.centers[i], *routed[pair], stars.centers[j]]
+            for (i, j), pair in zip(pair_keys, leaf_pairs) if pair in routed}
     branch = peel_to_complete(list(stars.centers), set(full)) if failed \
         else list(stars.centers)
     # every routed path has exactly `length` edges, plus the two star edges

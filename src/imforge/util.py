@@ -1,5 +1,6 @@
 """Seed derivation and shared RNG plumbing, plus the pipeline modes, the
-branch-set peel, and the ASCII file reader shared by the loaders.
+eta domain check, the branch-set peel, and the ASCII file reader shared by
+the loaders.
 
 A single 64-bit root seed reproduces a whole run: every stochastic stage
 derives its own stream seed by hashing the root together with a fixed label,
@@ -15,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 MASK64 = (1 << 64) - 1
 
@@ -23,6 +24,12 @@ MASK64 = (1 << 64) - 1
 # to the largest branch set it connected completely
 STRICT = "strict"
 BEST_EFFORT = "best-effort"
+
+
+def check_eta(eta: float) -> None:
+    """Every pipeline's slack parameter lies strictly between 0 and 1."""
+    if not 0 < eta < 1:
+        raise DomainError(f"need 0 < eta < 1, got eta={eta}")
 
 
 def derive_seed(root: int, label: str) -> int:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from imforge.certify import EmbeddingCertificate, verify, verify_unit
 from imforge.expanders import Star, Unit, build_unit
-from imforge.graphs import build_graph
+from imforge.graphs import build_graph, view_minus
 
 from helpers import complete, cycle, petersen
 
@@ -162,7 +162,7 @@ def test_certificate_json_round_trip():
 
 def test_verify_unit_round_trip():
     g = complete(20)
-    unit = build_unit(g, (), (), h1=3, h2=2, h3=2, seed=0)
+    unit = build_unit(view_minus(g, (), ()), h1=3, h2=2, h3=2, seed=0)
     report = verify_unit(g, unit)
     assert report.valid, report.violations
 

@@ -209,6 +209,30 @@ def test_immerse_dense_eta_zero_is_a_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,says", [
+    (["nibble", "--q", "13", "--parts", "a,b,c"], "--parts"),
+    (["sweep", "--command-name", "subdivide", "--q", "13", "--eta-grid", "x"], "--eta-grid"),
+    (["gen", "--kind", "paley"], "--q"),
+    (["gen", "--kind", "random-regular", "--n", "10"], "--d"),
+    (["spectral", "--n", "0", "--d", "0"], "0 < d < n"),  # the generator's own error
+])
+def test_malformed_flags_exit_2(capsys, argv, says):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
+
+
+@pytest.mark.parametrize("mode", ["strict", "best-effort"])
+@pytest.mark.parametrize("command,eta", [
+    ("subdivide", "0"), ("subdivide", "-1"), ("subdivide", "2"),
+    ("immerse-medium", "-3"), ("immerse-medium", "1"),
+    ("immerse-dense", "1.5"), ("immerse-dense", "nan"),
+])
+def test_eta_outside_the_open_unit_interval_exits_2(capsys, command, eta, mode):
+    assert main([command, "--q", "13", "--eta", eta, "--mode", mode]) == 2
+    assert "0 < eta < 1" in capsys.readouterr().err
+
+
 def test_sweep_certifies_the_host_once(tmp_path, monkeypatch):
     single = tmp_path / "single.csv"
     swept = tmp_path / "sweep.csv"

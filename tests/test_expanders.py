@@ -12,6 +12,7 @@ from imforge.expanders import (
     pack_stars,
     short_avoiding_path,
 )
+from imforge.generators import random_regular
 from imforge.graphs import build_graph, normalize_edge, view_minus
 from imforge.util import stream_rng
 
@@ -142,7 +143,7 @@ def check_unit_structure(g, unit: Unit):
 def test_build_unit_recovers_spider():
     # a graph that is exactly a (2,2,1)-unit: center 0, stars at 1 and 2
     g = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-    unit = build_unit(g, (), (), h1=2, h2=2, h3=1, seed=0)
+    unit = build_unit(view_minus(g, (), ()), h1=2, h2=2, h3=1, seed=0)
     assert unit.center == 0
     assert sorted(s.center for s in unit.stars) == [1, 2]
     check_unit_structure(g, unit)
@@ -150,7 +151,7 @@ def test_build_unit_recovers_spider():
 
 def test_build_unit_k20():
     g = complete(20)
-    unit = build_unit(g, (), (), h1=3, h2=2, h3=1, seed=0)
+    unit = build_unit(view_minus(g, (), ()), h1=3, h2=2, h3=1, seed=0)
     check_unit_structure(g, unit)
     verts = {unit.center} | unit.exterior() | {s.center for s in unit.stars}
     for b in unit.branches:
@@ -161,7 +162,7 @@ def test_build_unit_k20():
 
 def test_build_unit_c6_fails_at_stars():
     with pytest.raises(UnitFailedError) as err:
-        build_unit(cycle(6), (), (), h1=3, h2=2, h3=1, seed=0)
+        build_unit(view_minus(cycle(6), (), ()), h1=3, h2=2, h3=1, seed=0)
     assert err.value.stage == "stars"
 
 
@@ -169,7 +170,7 @@ def test_build_unit_respects_forbidden_sets():
     g = complete(20)
     forbidden_v = {0, 1}
     forbidden_e = {(2, 3), (2, 4)}
-    unit = build_unit(g, forbidden_v, forbidden_e, h1=3, h2=2, h3=2, seed=0)
+    unit = build_unit(view_minus(g, forbidden_v, forbidden_e), h1=3, h2=2, h3=2, seed=0)
     check_unit_structure(g, unit)
     touched = {unit.center} | unit.branch_vertices() | unit.exterior()
     assert not (touched & forbidden_v)
@@ -185,6 +186,34 @@ def test_collect_units_k30():
     assert len(all_edges) == len(set(all_edges))  # pairwise edge-disjoint
     for u in units:
         check_unit_structure(g, u)
+
+
+def reference_collect_units(g, count, h1, h2, h3, seed):
+    """The collection loop with a fresh view of the host minus every earlier
+    center and unit edge for each unit."""
+    units, centers, edges = [], set(), set()
+    for i in range(count):
+        try:
+            unit = build_unit(view_minus(g, centers, edges), h1, h2, h3, seed=seed + i)
+        except UnitFailedError:
+            break
+        units.append(unit)
+        centers.add(unit.center)
+        edges |= unit.all_edges()
+    return units
+
+
+@pytest.mark.parametrize("host,h_params", [
+    (lambda: complete(30), (2, 2, 1)),
+    (lambda: random_regular(300, 24, seed=4), (6, 2, 4)),
+])
+def test_collect_units_matches_a_fresh_view_per_unit(host, h_params):
+    g = host()
+    # both hosts run out of room before 40 units
+    got = collect_units(g, 40, *h_params, seed=3)
+    want = reference_collect_units(g, 40, *h_params, seed=3)
+    assert 2 <= len(got) < 40
+    assert [u.to_json() for u in got] == [u.to_json() for u in want]
 
 
 def test_collect_units_zero():
@@ -220,7 +249,7 @@ def test_unit_json_shape():
     import json
 
     g = complete(20)
-    unit = build_unit(g, (), (), h1=2, h2=2, h3=1, seed=0)
+    unit = build_unit(view_minus(g, (), ()), h1=2, h2=2, h3=1, seed=0)
     obj = json.loads(unit.to_json())
     assert set(obj) == {"center", "branches", "stars"}
     assert obj["center"] == unit.center

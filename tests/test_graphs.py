@@ -272,6 +272,22 @@ def test_edge_list_parse_error_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text,line", [
+    ("3 1\n0 1\ngarbage here\n", 3),  # a line after the declared edges
+    ("3 2\n0 1\n1 0\n", 3),  # one pair in both orientations
+    ("3 3\n0 1\n1 2\n0 1\n", 4),
+    ("3 -1\n", 1),
+])
+def test_edge_list_rejects_what_the_format_forbids(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line == line
+
+
+def test_edge_list_allows_trailing_blank_lines():
+    assert parse_edge_list("3 1\n0 1\n\n  \n") == build_graph(3, [(0, 1)])
+
+
 def test_edge_list_parse_bad_header():
     with pytest.raises(ParseError) as err:
         parse_edge_list("nope\n")

@@ -38,13 +38,13 @@ def test_connect_units_disconnected_components():
     # two far-apart cliques: units in each, exteriors unreachable
     edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     edges += [(20 + u, 20 + v) for u in range(20) for v in range(u + 1, 20)]
-    from imforge.graphs import build_graph
+    from imforge.graphs import build_graph, view_minus
 
     g = build_graph(40, edges)
     from imforge.expanders import build_unit
 
-    u1 = build_unit(g, (), (), h1=2, h2=2, h3=1, seed=0)
-    u2 = build_unit(g, {v for v in range(20)}, (), h1=2, h2=2, h3=1, seed=0)
+    u1 = build_unit(view_minus(g, (), ()), h1=2, h2=2, h3=1, seed=0)
+    u2 = build_unit(view_minus(g, {v for v in range(20)}, ()), h1=2, h2=2, h3=1, seed=0)
     ledger = connect_units(g, [u1, u2], max_len=10)
     assert ledger.missing_pairs == [(0, 1)]
 
@@ -64,7 +64,7 @@ def test_filter_bad_units_threshold_boundary():
 
     ledger = ConnectionLedger()
     pendants = sorted(units[0].pendant_edges())
-    ledger.used_edges = set(pendants[:2])
+    ledger.full_paths = {(0, k): list(e) for k, e in enumerate(pendants[:2], 1)}
     assert filter_bad_units(units, ledger, threshold=2) == [0]  # exactly at threshold
     assert filter_bad_units(units, ledger, threshold=1) == []
 

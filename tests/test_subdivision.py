@@ -9,6 +9,7 @@ from imforge.errors import (
     RoutingFailedError,
     SampleFailedError,
 )
+from imforge import subdivision
 from imforge.generators import random_regular
 from imforge.graphs import build_graph
 from imforge.spectral import SpectralReport, adjacency_spectrum
@@ -73,6 +74,18 @@ def test_strict_pipeline_raises_on_rejected_reservoir():
         build_balanced_subdivision(g, report, eta=0.5, mode="strict")
     _, diag = build_balanced_subdivision(g, report, eta=0.5)
     assert diag.reservoir_attempts == RESERVOIR_RETRIES and not diag.reservoir_strict
+
+
+def test_pipeline_reports_unrouted_pairs(monkeypatch):
+    # with the reservoir accepted, leaves in different K5s have no path
+    g, report = padded_host(2)
+    monkeypatch.setattr(subdivision, "reservoir_conditions",
+                        lambda *args: (True, True, {}))
+    with pytest.raises(RoutingFailedError) as err:
+        build_balanced_subdivision(g, report, eta=0.5, mode="strict")
+    assert err.value.pair == (1, 6)
+    cert, diag = build_balanced_subdivision(g, report, eta=0.5)
+    assert diag.achieved_order == len(cert.branch) == 1 and diag.failed_pairs == 1
 
 
 def test_pack_stars_with_target_override():
@@ -152,15 +165,14 @@ def test_connect_exact_path_graph():
     # host graph is exactly a length-5 path between the endpoints
     g = path(6)
     length = fixed_path_length(32, 3)
-    by_pair, failed = _route_all(g, [(0, 5)], {0, 5}, length, drop_failures=False)
+    by_pair, failed = _route_all(g, [(0, 5)], {0, 5}, length)
     assert by_pair == {(0, 5): [0, 1, 2, 3, 4, 5]} and failed == []
 
 
 def test_connect_two_disjoint_paths():
     edges = [(i, i + 1) for i in range(5)] + [(6 + i, 6 + i + 1) for i in range(5)]
     g = build_graph(12, edges)
-    by_pair, _ = _route_all(g, [(0, 5), (6, 11)], {0, 5, 6, 11}, 5,
-                            drop_failures=False)
+    by_pair, _ = _route_all(g, [(0, 5), (6, 11)], {0, 5, 6, 11}, 5)
     paths = [by_pair[(0, 5)], by_pair[(6, 11)]]
     assert not (set(paths[0]) & set(paths[1]))
     assert all(len(p) - 1 == 5 for p in paths)
@@ -168,9 +180,7 @@ def test_connect_two_disjoint_paths():
 
 def test_connect_length_violation():
     g = path(4)
-    with pytest.raises(RoutingFailedError):
-        _route_all(g, [(0, 3)], {0, 3}, 5, drop_failures=False)  # needs length 5
-    assert _route_all(g, [(0, 3)], {0, 3}, 5, drop_failures=True) == ({}, [(0, 3)])
+    assert _route_all(g, [(0, 3)], {0, 3}, 5) == ({}, [(0, 3)])  # needs length 5
 
 
 def test_connect_audits_sprime_load():
