@@ -302,7 +302,8 @@ def verify_adjuster(g: Graph, adj: "Adjuster") -> VerifyReport:
 
 def _expansion_radius_ok(g: Graph, root: int, vertices: set[int], m: int) -> bool:
     """Every vertex of the set must sit within distance m of the root inside
-    the induced subgraph."""
+    the induced subgraph.  Its own search, not ``expanders.bfs_tree``: the
+    verifier must not share the code it checks."""
     if root not in vertices:
         return False
     seen = {root}

@@ -143,15 +143,14 @@ def _build_medium(g: Graph, report: SpectralReport, args) -> tuple[EmbeddingCert
             raise ImforgeError("--h1/--h2/--h3 must be given together")
         h_params = None
     return build_medium_immersion(
-        g, report, eta=args.eta, seed=args.seed, mode=args.mode, y=args.y,
+        g, report, eta=args.eta, seed=args.seed, mode=args.mode,
         h_params=h_params, target_order=args.target, max_len=args.max_len)
 
 
 PIPELINES = {
     "immerse-medium": Pipeline(
         "unit-based clique immersion",
-        (("--y", {"type": float, "default": 1.0}),
-         ("--h1", {"type": int, "default": None}),
+        (("--h1", {"type": int, "default": None}),
          ("--h2", {"type": int, "default": None}),
          ("--h3", {"type": int, "default": None}),
          ("--target", {"type": int, "default": None}),

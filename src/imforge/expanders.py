@@ -1,5 +1,10 @@
-"""Sublinear-expansion machinery: the path-length scale, short path routing
-around forbidden sets, star packing, and units.
+"""Sublinear-expansion machinery: the breadth-first kernel, the path-length
+scale, short path routing around forbidden sets, star packing, and units.
+
+``bfs_tree`` is the one breadth-first search of the constructions: unit
+branches, the medium linker (both through ``short_avoiding_path``), the
+subdivision router and ``gadgets.grow_expansion`` all break ties by its scan
+order, ascending ids level by level.
 
 ``pack_stars`` is the one greedy star packer: units pack their stars with
 it in (degree, id) center order, and the balanced subdivision packs its
@@ -17,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import DomainError, NoPathError, UnitFailedError
 from .graphs import Edge, Graph, GraphView, normalize_edge
@@ -45,42 +50,62 @@ def mix_length_m(n: int, d: int, params: ExpanderParams) -> float:
     return (2 / params.eps1) * math.log(ratio) ** 3
 
 
+def bfs_tree(view: Graph | GraphView, sources: Iterable[int], depth: int,
+             reverse: bool = False) -> Iterator[tuple[int, Optional[int], int]]:
+    """Breadth-first discovery from the sources, up to ``depth`` levels.
+
+    Yields ``(level, parent, vertex)`` in discovery order: the sources
+    first, at level 0 with parent None, then each further level.  Every
+    level, and every neighbour list within it, is scanned in ascending id
+    order, or descending when ``reverse`` is set; a vertex's parent is the
+    first vertex of the previous level to reach it.  The caller stops the
+    search by no longer iterating.
+    """
+    frontier = sorted(set(sources), reverse=reverse)
+    seen = set(frontier)
+    for v in frontier:
+        yield 0, None, v
+    for level in range(1, depth + 1):
+        nxt = []
+        for u in frontier:
+            nbrs = view.neighbors(u)
+            for w in (reversed(nbrs) if reverse else nbrs):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    yield level, u, w
+        if not nxt:
+            return
+        frontier = sorted(nxt, reverse=reverse)
+
+
+def path_to(parent: dict[int, Optional[int]], v: int) -> list[int]:
+    """The tree path from its source to v, given every discovered vertex's
+    parent as ``bfs_tree`` yields it."""
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
 def short_avoiding_path(view: GraphView, x1: Iterable[int], x2: Iterable[int],
                         max_len: int) -> list[int]:
     """BFS-shortest path from X1 to X2 in the view, touching X1 and X2 only
     at its endpoints, of length at most max_len.
 
-    Ties break toward ascending vertex ids, so the result is deterministic.
-    A common active vertex of X1 and X2 yields the zero-length path.
+    The search stops at the first X2 vertex ``bfs_tree`` reaches, so ties
+    break toward ascending vertex ids and the result is deterministic.  A
+    common active vertex of X1 and X2 yields the zero-length path.
     """
     x1_set = {v for v in x1 if view.contains_vertex(v)}
     x2_set = {v for v in x2 if view.contains_vertex(v)}
     if not x1_set or not x2_set:
         raise NoPathError(max_len, "empty endpoint set in the view")
-    common = x1_set & x2_set
-    if common:
-        return [min(common)]
-    parent: dict[int, int] = {}
-    frontier = sorted(x1_set)
-    visited = set(x1_set)
-    depth = 0
-    while frontier and depth < max_len:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in view.neighbors(u):
-                if w in visited:
-                    continue
-                if w in x2_set:
-                    path = [w, u]
-                    while path[-1] not in x1_set:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                visited.add(w)
-                parent[w] = u
-                nxt.append(w)
-        frontier = sorted(nxt)
+    parent: dict[int, Optional[int]] = {}
+    for _, p, v in bfs_tree(view, x1_set, max_len):
+        parent[v] = p
+        if v in x2_set:
+            return path_to(parent, v)
     raise NoPathError(max_len)
 
 

@@ -2,6 +2,9 @@
 length-adjusting connectors, and the bipartite clique immersion with
 uniform length-4 paths.
 
+Expansions and connectors search with the kernel ``expanders.bfs_tree``;
+the even-cycle search keeps its own parity BFS (``_parity_distances``).
+
 An adjuster couples two expansion ends through a small center set that
 realizes connector paths of k+1 consecutive even-spaced lengths; chaining
 adjusters adds their flexibilities.  All constructions are best-effort and
@@ -14,6 +17,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,14 +32,15 @@ from .errors import (
     PreconditionFailedError,
     StuckError,
 )
-from .expanders import short_avoiding_path
+from .expanders import bfs_tree, short_avoiding_path
 from .graphs import Graph, normalize_edge, view_minus
 from .util import BEST_EFFORT, STRICT, np_rng, peel_to_complete
 
 
 def _parity_distances(view, target: int, banned_edge) -> dict[tuple[int, int], int]:
     """Shortest walk lengths to ``target`` by parity (bipartite double cover
-    BFS); used as an admissible pruning bound for simple-path search."""
+    BFS); used as an admissible pruning bound for simple-path search.  Not
+    ``expanders.bfs_tree``: it searches (vertex, parity) states, not vertices."""
     dist: dict[tuple[int, int], int] = {(target, 0): 0}
     queue = deque([(target, 0)])
     while queue:
@@ -126,29 +131,14 @@ class Expansion:
 
 def grow_expansion(view, root: int, size: int, radius: int,
                    forbidden: Iterable[int] = ()) -> Expansion:
-    """BFS-grow an expansion of the root to the requested size."""
+    """The root and the first vertices ``bfs_tree`` discovers from it in the
+    view minus the forbidden set, up to the requested size, all within the
+    radius."""
     banned = set(forbidden)
     if not view.contains_vertex(root) or root in banned:
         raise ExpansionFailedError(f"root {root} unavailable")
-    order = [root]
-    seen = {root}
-    frontier = [root]
-    depth = 0
-    while len(order) < size and frontier and depth < radius:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in view.neighbors(u):
-                if w in seen or w in banned:
-                    continue
-                seen.add(w)
-                order.append(w)
-                nxt.append(w)
-                if len(order) == size:
-                    break
-            if len(order) == size:
-                break
-        frontier = nxt
+    order = [v for _, _, v in islice(bfs_tree(view.minus(banned), [root], radius),
+                                     max(size, 1))]
     if len(order) < size:
         raise ExpansionFailedError(f"only {len(order)} of {size} vertices within radius {radius}")
     return Expansion(root, tuple(order))

@@ -251,10 +251,10 @@ class GraphView:
         are accepted, and pairs that are not edges of the base graph are
         ignored.
         """
-        vertices = frozenset(vertices)
+        vertices, n = frozenset(vertices), self.base.n
         for v in vertices:
-            if not (0 <= v < self.base.n):
-                raise OutOfRangeError(f"removed vertex {v} outside 0..{self.base.n - 1}")
+            if not (0 <= v < n):
+                raise OutOfRangeError(f"removed vertex {v} outside 0..{n - 1}")
         new: dict[int, set[int]] = {}
         for a, b in edges:
             if self.base.has_edge(a, b):

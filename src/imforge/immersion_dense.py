@@ -162,8 +162,7 @@ def one_factorization(m1: int) -> Factorization:
     return Factorization(m1=m1, classes=classes)
 
 
-def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization,
-                      beta: float = 0.2, seed: int = 0,
+def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization, seed: int = 0,
                       used: Optional[set[Edge]] = None,
                       ) -> tuple[dict[Edge, list[int]], list[Edge], dict]:
     """Replace red pairs by length-2 paths with both steps leaving F.
@@ -221,8 +220,7 @@ def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization,
         mini = build_graph(len(host_of), edges)
         sides = np.array(side)
         parts = tuple(np.flatnonzero(sides == x) for x in range(3))
-        triangles, _, _ = edge_disjoint_triangles(mini, parts, beta=beta, seed=seeds,
-                                                  groups=starts)
+        triangles, _, _ = edge_disjoint_triangles(mini, parts, seed=seeds, groups=starts)
         replaced: set[Edge] = set()
         # a triangle is (V_j, V_k, cell) vertices of one pair, ascending
         for x, y, z in triangles:
@@ -337,7 +335,6 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     c = report.d / g.n
     eps, delta, k_required = regularity_prerequisites(c, eta)
     gap_ok = report.d >= k_required * report.lam
-    beta = max(min(c * eta * eta / 10, 0.9), 0.01)
     scheme = None
     degenerate = False
     try:
@@ -369,7 +366,7 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
             raise PreconditionFailedError(
                 f"need m2 >= chi, got m2={scheme.m2}, chi={fact.chi}")
         two_paths, leftovers, counters = replace_red_edges(
-            g, rb, fact, beta=beta, seed=seed, used=used)
+            g, rb, fact, seed=seed, used=used)
         leftovers = sorted(set(leftovers) | set(rb.e0))
     else:
         leftovers = holes

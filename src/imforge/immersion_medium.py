@@ -162,20 +162,19 @@ class MediumDiagnostics:
     precondition_ok: bool
 
 
-def default_h_params(n: int, d: int, eta: float, y: float,
+def default_h_params(n: int, d: int, eta: float,
                      params: ExpanderParams) -> tuple[int, int, int, float]:
     """Formula h-parameters, clamped so small hosts stay constructible."""
     m_raw = mix_length_m(n, d, params)
     m = min(max(m_raw, 2.0), float(n))
     h1 = min(max(1, math.ceil((1 - 4 * eta) * d)), d)
-    h2 = min(max(1, math.ceil(m ** y)), max(1, d // 4))
+    h2 = min(math.ceil(m), max(1, d // 4))
     h3 = min(max(2, math.ceil(m)), n)
     return h1, h2, h3, m
 
 
 def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
                            seed: int = 0, mode: str = BEST_EFFORT,
-                           y: float = 1.0,
                            h_params: tuple[int, int, int] | None = None,
                            target_order: int | None = None,
                            max_len: int | None = None,
@@ -192,7 +191,7 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
         raise PreconditionFailedError(
             f"need d > 2*lambda, got d={report.d}, lambda={report.lam:.3f}")
 
-    h1f, h2f, h3f, m_scale = default_h_params(g.n, report.d, eta, y, ExpanderParams())
+    h1f, h2f, h3f, m_scale = default_h_params(g.n, report.d, eta, ExpanderParams())
     h1, h2, h3 = h_params if h_params is not None else (h1f, h2f, h3f)
     if target_order is None:
         target_order = max(1, math.floor((1 - 5 * eta) * report.d))

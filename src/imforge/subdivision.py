@@ -6,8 +6,10 @@ Stars come from ``expanders.pack_stars`` in id order and the reservoir
 from the one retry loop ``sample_reservoir``; both report a shortfall to
 the pipeline, which raises on it in strict mode and carries on with what
 it got in best-effort mode.  ``_route_all`` is the fixed-length routing
-engine; it reports the pairs it could not route, and the pipeline raises
-on the first of them in strict mode after routing.
+engine: it grows its level trees with the shared breadth-first kernel
+``expanders.bfs_tree`` in a ``GraphView`` of the host minus what is taken,
+reports the pairs it could not route, and the pipeline raises on the first
+of them in strict mode after routing.
 
 Every connecting path is star edge + fixed-length path + star edge, so the
 certificate is balanced: all paths share one total length.
@@ -28,8 +30,8 @@ from .errors import (
     RoutingFailedError,
     SampleFailedError,
 )
-from .expanders import pack_stars
-from .graphs import Graph
+from .expanders import bfs_tree, pack_stars, path_to
+from .graphs import Graph, GraphView
 from .spectral import SpectralReport
 from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, np_rng, peel_to_complete
 
@@ -168,101 +170,63 @@ def audit_sprime(g: Graph, s_prime: set[int], beta: float) -> tuple[bool, float]
     return worst <= beta, worst
 
 
-def _grow_level_tree(g: Graph, root: int, depth: int, blocked: set[int],
-                     taken: set[int], flip: bool) -> tuple[list[list[int]], dict[int, int]]:
-    """Leveled tree of simple paths from the root: each level picks fresh
-    vertices outside everything blocked or already taken."""
-    levels = [[root]]
-    parent: dict[int, int] = {}
-    seen = {root}
-    for _ in range(depth):
-        nxt: list[int] = []
-        frontier = sorted(levels[-1], reverse=flip)
-        for u in frontier:
-            for w in sorted(g.neighbors(u), reverse=flip):
-                if w in seen or w in blocked or w in taken:
-                    continue
-                seen.add(w)
-                parent[w] = u
-                nxt.append(w)
-        levels.append(nxt)
-    return levels, parent
-
-
-def _extract(parent: dict[int, int], root: int, leaf: int) -> list[int]:
-    path = [leaf]
-    while path[-1] != root:
-        path.append(parent[path[-1]])
-    return path[::-1]
-
-
 def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
                length: int) -> tuple[dict[tuple[int, int], list[int]], list[tuple[int, int]]]:
     """Vertex-disjoint paths of one exact length between the given pairs.
 
-    Interior vertices avoid S' and all previously used vertices.  Routing
-    grows leveled trees from both endpoints and joins their top levels by
-    the lexicographically first edge; one rollback (unroute the previous
-    pair, route this one, re-route the other with flipped frontier order)
-    is attempted before giving up on a pair.  ``length`` must be odd and at
-    least 3.  Each path starts at the first vertex of its pair.  The pairs
-    that still fail are returned, in the order they failed.
+    Interior vertices avoid S' and all previously used vertices.  Both
+    endpoints grow a ``bfs_tree`` level tree in the host minus S' and the
+    used vertices (the pair excepted), a's also minus b and b's minus a's
+    tree, and the top levels are joined by the lexicographically first edge;
+    one rollback (unroute the previous pair, route this one, re-route the
+    other with reversed scan order) is attempted before giving up on a pair.
+    ``length`` must be odd and at least 3.  Each path starts at the first
+    vertex of its pair.  The pairs that still fail are returned, in the
+    order they failed.
     """
     half_depth = (length - 3) // 2 + 1
     used: set[int] = set()
     routed: list[tuple[tuple[int, int], list[int]]] = []
     failed: list[tuple[int, int]] = []
 
-    def route(pair: tuple[int, int], flip: bool) -> Optional[list[int]]:
+    def tree(view: GraphView, root: int, reverse: bool) -> tuple[dict, set[int]]:
+        """Parents of the root's level tree, and its top level."""
+        parent, top = {}, set()
+        for level, p, v in bfs_tree(view, [root], half_depth, reverse):
+            parent[v] = p
+            if level == half_depth:
+                top.add(v)
+        return parent, top
+
+    def route(pair: tuple[int, int], reverse: bool) -> Optional[list[int]]:
         a, b = pair
-        blocked = (s_prime - {a, b})
-        levels_a, parent_a = _grow_level_tree(g, a, half_depth, blocked, used | {b}, flip)
-        taken_a = {v for lvl in levels_a for v in lvl}
-        levels_b, parent_b = _grow_level_tree(g, b, half_depth, blocked,
-                                              used | taken_a, flip)
-        top_a = set(levels_a[half_depth])
-        top_b = set(levels_b[half_depth])
-        best_edge = None
+        free = GraphView(g).minus((s_prime | used) - {a, b})
+        parent_a, top_a = tree(free.minus([b]), a, reverse)
+        parent_b, top_b = tree(free.minus(parent_a), b, reverse)
         for x in sorted(top_a):
-            for y in sorted(g.neighbors(x)):
-                if y in top_b:
-                    best_edge = (x, y)
-                    break
-            if best_edge:
-                break
-        if best_edge is None:
-            return None
-        x, y = best_edge
-        left = _extract(parent_a, a, x)
-        right = _extract(parent_b, b, y)
-        return left + right[::-1]
+            y = next((y for y in g.neighbors(x) if y in top_b), None)
+            if y is not None:
+                return path_to(parent_a, x) + path_to(parent_b, y)[::-1]
+        return None
 
-    def commit(pair, path):
-        routed.append((pair, path))
-        used.update(path)
-
-    for pair in pairs:
-        path = route(pair, flip=False)
-        if path is None and routed:
-            # rollback: free the most recent path, route this pair first,
-            # then redo the freed pair with flipped frontier ordering
-            prev_pair, prev_path = routed.pop()
-            used.difference_update(prev_path)
-            path = route(pair, flip=False)
-            if path is not None:
-                commit(pair, path)
-            else:
-                failed.append(pair)
-            redo = route(prev_pair, flip=True)
-            if redo is not None:
-                commit(prev_pair, redo)
-            else:
-                failed.append(prev_pair)
-            continue
+    def settle(pair: tuple[int, int], path: Optional[list[int]]) -> None:
         if path is None:
             failed.append(pair)
-            continue
-        commit(pair, path)
+        else:
+            routed.append((pair, path))
+            used.update(path)
+
+    for pair in pairs:
+        path = route(pair, reverse=False)
+        if path is None and routed:
+            # rollback: free the most recent path, route this pair first,
+            # then redo the freed pair with reversed scan order
+            prev_pair, prev_path = routed.pop()
+            used.difference_update(prev_path)
+            settle(pair, route(pair, reverse=False))
+            settle(prev_pair, route(prev_pair, reverse=True))
+        else:
+            settle(pair, path)
     return dict(routed), failed
 
 

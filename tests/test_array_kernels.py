@@ -14,42 +14,13 @@ from hypothesis import strategies as st
 
 from imforge.errors import DegenerateTError
 from imforge.generators import paley, random_regular
-from imforge.graphs import build_graph, normalize_edge, view_minus
+from imforge.graphs import build_graph, normalize_edge
 from imforge.immersion_dense import PartitionScheme, build_red_black, dense_partition, f_pairs
 from imforge.nibble import Hypergraph3
 from imforge.spectral import adjacency_operator, adjacency_spectrum
 from imforge.subdivision import StarSystem, audit_sprime, reservoir_conditions
 
-from helpers import complete, cycle, petersen
-
-
-@st.composite
-def small_graphs(draw, max_n=12):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
-    return build_graph(n, chosen)
-
-
-@st.composite
-def views(draw):
-    """A view made by ``view_minus`` and a chain of ``minus`` calls, with
-    every vertex and pair removed on the way; the pairs mix edges in either
-    orientation and non-edges."""
-    g = draw(small_graphs())
-    ids = st.integers(min_value=0, max_value=g.n - 1)
-    pair = st.tuples(ids, ids)
-    if g.m:
-        pair = st.one_of(pair, st.tuples(st.sampled_from(g.edges()), st.booleans()).map(
-            lambda eb: eb[0][::-1] if eb[1] else eb[0]))
-    verts, pairs = draw(st.sets(ids, max_size=3)), draw(st.lists(pair, max_size=6))
-    view = view_minus(g, verts, pairs)
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        more_verts, more_pairs = draw(st.sets(ids, max_size=3)), draw(st.lists(pair, max_size=6))
-        view = view.minus(more_verts, more_pairs)
-        verts |= more_verts
-        pairs += more_pairs
-    return view, verts, pairs
+from helpers import complete, cycle, petersen, small_graphs, views
 
 
 @settings(max_examples=150, deadline=None)

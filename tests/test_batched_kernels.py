@@ -336,7 +336,7 @@ def assert_same_replacement(g, scheme, beta, seed):
     f_set = set(scheme.f_set)
     inside = {normalize_edge(u, v) for u in f_set for v in g.neighbors(u) if v in f_set}
     used, ref_used = set(inside), set(inside)
-    two_paths, leftovers, counters = replace_red_edges(g, rb, fact, beta=beta, seed=seed,
+    two_paths, leftovers, counters = replace_red_edges(g, rb, fact, seed=seed,
                                                        used=used)
     ref_paths, ref_leftovers = reference_replace(g, rb, fact, beta, seed, ref_used)
     assert list(two_paths.items()) == list(ref_paths.items())

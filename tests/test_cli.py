@@ -273,3 +273,12 @@ def test_commands_reject_flags_they_do_not_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("y", ["nan", "inf", "1e9", "1.0"])
+def test_immerse_medium_has_no_y_flag(y):
+    # --h1/--h2/--h3 set h2; an exponent flag beside them used to die with a
+    # ValueError or OverflowError traceback (exit 1) on nan, inf or 1e9
+    with pytest.raises(SystemExit) as exc:
+        main(["immerse-medium", "--q", "13", "--eta", "0.1", "--y", y])
+    assert exc.value.code == 2
