@@ -140,10 +140,11 @@ class Graph:
         return self._csr
 
     def neighbor_counts(self, vertices: Iterable[int]) -> np.ndarray:
-        """Per vertex, the number of its neighbors in the given vertex set."""
+        """Per vertex, the number of its neighbors in the given vertex set
+        (ids outside 0..n-1 raise OutOfRangeError)."""
         indptr, indices = self.csr()
         mask = np.zeros(self._n, dtype=bool)
-        mask[np.fromiter(vertices, dtype=np.intp)] = True
+        mask[vertex_ids(self._n, vertices)] = True
         hits = np.zeros(len(indices) + 1, dtype=np.intp)
         np.cumsum(mask[indices], out=hits[1:])
         return hits[indptr[1:]] - hits[indptr[:-1]]
@@ -170,6 +171,14 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
+
+
+def vertex_ids(n: int, vertices: Iterable[int]) -> np.ndarray:
+    """Vertex ids as an intp array; OutOfRangeError for any outside 0..n-1."""
+    ids = np.fromiter(vertices, dtype=np.intp)
+    if ids.size and not (ids.min() >= 0 and ids.max() < n):
+        raise OutOfRangeError(f"vertex id outside 0..{n - 1}")
+    return ids
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
@@ -328,14 +337,14 @@ def view_minus(g: Graph, removed_vertices: Iterable[int] = (),
     return GraphView(g).minus(removed_vertices, removed_edges)
 
 
-def pair_density(g, a_side: Sequence[int], b_side: Sequence[int]) -> float:
+def pair_density(g: Graph, a_side: Sequence[int], b_side: Sequence[int]) -> float:
     """Edge density e(A,B) / (|A||B|) between two disjoint nonempty sets."""
     a_set, b_set = set(a_side), set(b_side)
     if not a_set or not b_set:
         raise EmptySideError("density needs two nonempty sides")
     if a_set & b_set:
         raise OverlapError("density sides must be disjoint")
-    crossing = sum(w in b_set for u in a_set for w in g.neighbors(u))
+    crossing = int(g.neighbor_counts(b_set)[vertex_ids(g.n, a_set)].sum())
     return crossing / (len(a_set) * len(b_set))
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .certify import IMMERSION, EmbeddingCertificate
 from .errors import (
+    DomainError,
     IncompleteEmbeddingError,
     NoPathError,
     PreconditionFailedError,
@@ -197,6 +198,10 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
         target_order = max(1, math.floor((1 - 5 * eta) * report.d))
     if max_len is None:
         max_len = int(min(max(m_scale, 2), g.n))
+    for name, value in zip(("h1", "h2", "h3", "target_order", "max_len"),
+                           (h1, h2, h3, target_order, max_len)):
+        if value < 1:
+            raise DomainError(f"need {name} >= 1, got {name}={value}")
     # a unit with more pendant edges eaten than this is dropped
     bad_threshold = max(1.0, eta * report.d * h2 / 2)
 

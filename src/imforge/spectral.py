@@ -22,12 +22,13 @@ import scipy.sparse.linalg
 
 from .errors import (
     DegenerateCutError,
+    DomainError,
     NotConvergedError,
     NotRegularError,
     OverlapError,
     TooSmallError,
 )
-from .graphs import Graph, pair_density
+from .graphs import Graph, pair_density, vertex_ids
 from .util import np_rng
 
 DENSE_CUTOFF = 4096
@@ -94,72 +95,60 @@ def adjacency_operator(g: Graph) -> scipy.sparse.csr_matrix:
 
 
 def adjacency_spectrum(g: Graph, tol: float | None = None) -> SpectralReport:
-    """Certify a graph: full dense eigensolve up to 4096 vertices, else
-    a sparse iterative solve of the top two and bottom eigenvalues only."""
+    """Certify a graph: full dense eigensolve up to 4096 vertices, else one
+    both-ends Lanczos run for the top two and bottom eigenvalues.  A ``tol``
+    that is not a finite number >= 0 raises DomainError."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"need a finite tol >= 0, got tol={tol}")
     n = g.n
     if n == 0:
         raise NotRegularError("empty graph has no spectrum")
     degrees = g.degrees()
     is_regular = all(x == degrees[0] for x in degrees)
     d = degrees[0] if is_regular else int(round(2 * g.m / n))
-    if n == 1:
-        report_tol = tol if tol is not None else DENSE_TOL
-        return SpectralReport(1, 0, 0.0, 0.0, 0.0, True, report_tol,
-                              spectrum=np.zeros(1))
-    if n <= DENSE_CUTOFF:
-        report_tol = tol if tol is not None else DENSE_TOL
-        vals = scipy.linalg.eigvalsh(g.adjacency_matrix().astype(np.float64))
-        spectrum = vals[::-1].copy()
-        lambda2 = float(spectrum[1])
-        lambdan = float(spectrum[-1])
-        lam = max(abs(lambda2), abs(lambdan))
-        return SpectralReport(n, d, lam, lambda2, lambdan, is_regular,
-                              report_tol, spectrum=spectrum)
-    report_tol = tol if tol is not None else ITERATIVE_TOL
-    mat = adjacency_operator(g)
-    # fixed pseudorandom start vector keeps ARPACK deterministic without
-    # seeding it with an exact eigenvector (the all-ones vector is one)
-    v0 = np.random.default_rng(0x5EED).standard_normal(n)
-    try:
-        top = scipy.sparse.linalg.eigsh(
-            mat, k=2, which="LA", tol=report_tol, v0=v0,
-            return_eigenvectors=False)
-        bottom = scipy.sparse.linalg.eigsh(
-            mat, k=1, which="SA", tol=report_tol, v0=v0,
-            return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackNoConvergence as err:
-        raise NotConvergedError(str(err)) from err
-    top = np.sort(top)[::-1]
-    lambda2 = float(top[1])
-    lambdan = float(bottom[0])
+    dense = n <= DENSE_CUTOFF
+    report_tol = tol if tol is not None else (DENSE_TOL if dense else ITERATIVE_TOL)
+    if dense:
+        spectrum = scipy.linalg.eigvalsh(g.adjacency_matrix().astype(np.float64))[::-1].copy()
+        # a single vertex has lambda_2 = lambda_1 = 0
+        lambda2, lambdan = float(spectrum[min(1, n - 1)]), float(spectrum[-1])
+    else:
+        # fixed pseudorandom start vector keeps ARPACK deterministic without
+        # seeding it with an exact eigenvector (the all-ones vector is one)
+        v0 = np.random.default_rng(0x5EED).standard_normal(n)
+        try:
+            # k=3 at both ends: the bottom one and the top two, ascending
+            low, second, _ = scipy.sparse.linalg.eigsh(
+                adjacency_operator(g), k=3, which="BE", tol=report_tol, v0=v0,
+                return_eigenvectors=False)
+        except scipy.sparse.linalg.ArpackNoConvergence as err:
+            raise NotConvergedError(str(err)) from err
+        spectrum, lambda2, lambdan = None, float(second), float(low)
     lam = max(abs(lambda2), abs(lambdan))
     return SpectralReport(n, d, lam, lambda2, lambdan, is_regular, report_tol,
-                          spectrum=None)
+                          spectrum=spectrum)
 
 
 def complement_report(r: SpectralReport) -> tuple[SpectralReport, float]:
     """Spectral report of the complement graph, computed from the original
-    spectrum, together with the classical second-eigenvalue parameter
+    report, together with the classical second-eigenvalue parameter
     -(lambda_n + 1) of the complement.
 
-    The parameter equals the complement's lambda_2 exactly, but can differ
-    from its max-absolute-value lambda; callers get both.
+    Eigenvectors orthogonal to all-ones map lambda_i to -1 - lambda_i, so
+    the complement's ends are -1 - lambda_n and -1 - lambda_2, and an
+    iterative report suffices.  The parameter equals the complement's
+    lambda_2 exactly, but can differ from its max-absolute-value lambda.
     """
     if not r.is_regular:
         raise NotRegularError("complement spectrum formula needs a regular graph")
-    if r.spectrum is None:
-        raise NotRegularError("complement report needs the full spectrum")
-    fact_value = -(r.lambdan + 1.0)
     comp_d = r.n - 1 - r.d
-    # eigenvectors orthogonal to all-ones map to -1 - lambda_i
-    others = -1.0 - r.spectrum[1:]
-    comp_spectrum = np.sort(np.concatenate(([float(comp_d)], others)))[::-1]
-    lambda2 = float(comp_spectrum[1]) if r.n >= 2 else 0.0
-    lambdan = float(comp_spectrum[-1])
-    lam = max(abs(lambda2), abs(lambdan))
-    comp = SpectralReport(r.n, comp_d, lam, lambda2, lambdan, True, r.tol,
-                          spectrum=comp_spectrum)
-    return comp, fact_value
+    lambda2, lambdan = (-1.0 - r.lambdan, -1.0 - r.lambda2) if r.n >= 2 else (0.0, 0.0)
+    comp_spectrum = None
+    if r.spectrum is not None:
+        comp_spectrum = np.sort(np.concatenate(([float(comp_d)], -1.0 - r.spectrum[1:])))[::-1]
+    comp = SpectralReport(r.n, comp_d, max(abs(lambda2), abs(lambdan)), lambda2, lambdan,
+                          True, r.tol, spectrum=comp_spectrum)
+    return comp, -(r.lambdan + 1.0)
 
 
 def _check_report(g: Graph, r: SpectralReport) -> None:
@@ -170,8 +159,7 @@ def _check_report(g: Graph, r: SpectralReport) -> None:
 def ordered_edge_count(g: Graph, u_side: Sequence[int], v_side: Sequence[int]) -> int:
     """e(U,V) counting ordered adjacent pairs: edges inside the overlap of
     U and V contribute twice, matching the mixing-bound convention."""
-    v_set = set(v_side)
-    return sum(1 for u in set(u_side) for w in g.neighbors(u) if w in v_set)
+    return int(g.neighbor_counts(v_side)[vertex_ids(g.n, set(u_side))].sum())
 
 
 def mixing_discrepancy(g: Graph, r: SpectralReport, u_side: Sequence[int],
@@ -200,8 +188,8 @@ def cut_lower_bound(g: Graph, r: SpectralReport,
 
 
 def _degree_sorted(g: Graph, side: Sequence[int], other: Sequence[int]) -> list[int]:
-    other_set = set(other)
-    return sorted(side, key=lambda v: (sum(1 for w in g.neighbors(v) if w in other_set), v))
+    ids = vertex_ids(g.n, side)
+    return ids[np.lexsort((ids, g.neighbor_counts(other)[ids]))].tolist()
 
 
 def regular_pair_audit(g: Graph, a_side: Sequence[int], b_side: Sequence[int],
@@ -265,21 +253,17 @@ def good_vertices(g: Graph, i_side: Sequence[int],
                   targets: Sequence[tuple[Sequence[int], Sequence[int]]],
                   epsilon: float) -> list[int]:
     """Vertices of I whose neighbor count into every chosen subset J' matches
-    the pair density of (I, J) within epsilon, scaled by |J'|."""
-    out = []
-    for u in sorted(set(i_side)):
-        ok = True
-        for j_side, j_sub in targets:
-            dens = pair_density(g, i_side, j_side)
-            j_sub_set = set(j_sub)
-            if len(j_sub_set) < epsilon * len(set(j_side)):
-                raise TooSmallError("target subset below the epsilon fraction")
-            hits = sum(1 for w in g.neighbors(u) if w in j_sub_set)
-            lo = (dens - epsilon) * len(j_sub_set)
-            hi = (dens + epsilon) * len(j_sub_set)
-            if not (lo - 1e-12 <= hits <= hi + 1e-12):
-                ok = False
-                break
-        if ok:
-            out.append(u)
-    return out
+    the pair density of (I, J) within epsilon, scaled by |J'|; every target
+    is checked, whether or not a vertex of I reaches it."""
+    i_ids = vertex_ids(g.n, sorted(set(i_side)))
+    good = np.ones(len(i_ids), dtype=bool)
+    for j_side, j_sub in targets:
+        dens = pair_density(g, i_side, j_side)
+        j_sub_set = set(j_sub)
+        if len(j_sub_set) < epsilon * len(set(j_side)):
+            raise TooSmallError("target subset below the epsilon fraction")
+        hits = g.neighbor_counts(j_sub_set)[i_ids]
+        lo = (dens - epsilon) * len(j_sub_set)
+        hi = (dens + epsilon) * len(j_sub_set)
+        good &= (lo - 1e-12 <= hits) & (hits <= hi + 1e-12)
+    return i_ids[good].tolist()

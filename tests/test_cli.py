@@ -282,3 +282,26 @@ def test_immerse_medium_has_no_y_flag(y):
     with pytest.raises(SystemExit) as exc:
         main(["immerse-medium", "--q", "13", "--eta", "0.1", "--y", y])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+def test_spectral_rejects_a_tol_that_is_not_finite_and_nonnegative(capsys, tol):
+    # --q 13 takes the dense path, which never reads tol; the check comes first
+    assert main(["spectral", "--q", "13", f"--tol={tol}"]) == 2
+    assert capsys.readouterr().err.startswith("error: need a finite tol")
+
+
+def test_spectral_accepts_tol_zero(capsys):
+    assert main(["spectral", "--q", "13", "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--h1", "0", "--h2", "0", "--h3", "0"],
+    ["--h1", "-1", "--h2", "1", "--h3", "1"],
+    ["--target", "-3"],
+    ["--max-len", "0"],
+])
+def test_immerse_medium_parameters_below_one_exit_2(capsys, flags):
+    assert main(["immerse-medium", "--q", "13", "--eta", "0.1", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: need ")

@@ -233,6 +233,29 @@ def test_pair_density_errors():
         pair_density(g, [0, 1], [1, 2])
 
 
+@pytest.mark.parametrize("query", [
+    lambda g: g.neighbor_counts([-1]),
+    lambda g: g.neighbor_counts([4]),
+    lambda g: pair_density(g, [-1], [0]),
+    lambda g: pair_density(g, [4], [0]),
+    lambda g: pair_density(g, [0], [-1]),
+    lambda g: pair_density(g, [0], [4]),
+], ids=["counts-neg", "counts-n", "density-a-neg", "density-a-n", "density-b-neg",
+        "density-b-n"])
+def test_counting_queries_reject_ids_outside_the_graph(query):
+    # a negative id must not stand in for vertex n-1 (here vertex 3)
+    with pytest.raises(OutOfRangeError):
+        query(build_graph(4, [(0, 3)]))
+
+
+def test_neighbor_counts_matches_a_loop():
+    g = random_regular(60, 5, 3)
+    inside = set(range(0, 60, 7))
+    assert g.neighbor_counts(inside).tolist() == [
+        sum(w in inside for w in g.neighbors(v)) for v in range(60)]
+    assert g.neighbor_counts([]).tolist() == [0] * 60
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=9))

@@ -1,7 +1,7 @@
 import pytest
 
 from imforge.certify import verify
-from imforge.errors import PreconditionFailedError
+from imforge.errors import DomainError, PreconditionFailedError
 from imforge.expanders import collect_units
 from imforge.generators import paley, random_regular
 from imforge.graphs import normalize_edge
@@ -86,6 +86,21 @@ def test_medium_pipeline_trivial_when_target_collapses():
     cert, diag = build_medium_immersion(g, r, eta=0.4, seed=3)
     # (1 - 5 eta) d < 2: certificate collapses but still verifies
     assert verify(g, cert).valid
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"h_params": (0, 0, 0)},
+    {"h_params": (-1, 1, 1)},
+    {"h_params": (1, 0, 1)},
+    {"h_params": (1, 1, 0)},
+    {"target_order": -3},
+    {"target_order": 0},
+    {"max_len": 0},
+])
+def test_medium_pipeline_rejects_parameters_below_one(kwargs):
+    g = paley(13)
+    with pytest.raises(DomainError):
+        build_medium_immersion(g, adjacency_spectrum(g), eta=0.1, **kwargs)
 
 
 def test_medium_pipeline_strict_precondition():

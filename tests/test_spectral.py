@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imforge.errors import DegenerateCutError, NotRegularError, TooSmallError
+import imforge.spectral as spectral
+from imforge.errors import (
+    DegenerateCutError,
+    DomainError,
+    NotRegularError,
+    OutOfRangeError,
+    TooSmallError,
+)
+from imforge.generators import paley, random_regular
 from imforge.graphs import build_graph
 from imforge.spectral import (
     adjacency_spectrum,
@@ -49,6 +58,63 @@ def test_iterative_path_used_above_cutoff():
     assert r.spectrum is None
     assert abs(r.lam - 2.0) < 1e-4
     assert r.is_regular and r.d == 2
+
+
+@pytest.mark.parametrize("host", [
+    lambda: random_regular(600, 24, 1),
+    lambda: random_regular(1000, 3, 2),
+    lambda: paley(101),
+    lambda: cycle(101),
+    lambda: complete_bipartite(50, 50),
+], ids=["rr600x24", "rr1000x3", "paley101", "c101", "k50-50"])
+def test_one_lanczos_run_matches_the_dense_solver(monkeypatch, host):
+    # differential test of the iterative path against eigvalsh: one eigsh
+    # call per report, and the same ends, also for the complement
+    g = host()
+    dense = adjacency_spectrum(g)
+    direct = adjacency_spectrum(g.complement())
+    calls = []
+    real_eigsh = scipy.sparse.linalg.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(kwargs.get("which"))
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    r = adjacency_spectrum(g)
+    assert len(calls) == 1
+    assert r.spectrum is None and r.tol == spectral.ITERATIVE_TOL
+    assert (r.n, r.d, r.is_regular) == (dense.n, dense.d, True)
+    for got, want in ((r.lambda2, dense.lambda2), (r.lambdan, dense.lambdan),
+                      (r.lam, dense.lam)):
+        assert abs(got - want) < 1e-8
+    comp, fact = complement_report(r)
+    assert comp.spectrum is None and comp.d == direct.d
+    for got, want in ((comp.lambda2, direct.lambda2), (comp.lambdan, direct.lambdan),
+                      (comp.lam, direct.lam), (fact, direct.lambda2)):
+        assert abs(got - want) < 1e-8
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_tol_must_be_finite_and_nonnegative(monkeypatch, tol):
+    # rejected before a path is chosen: on the dense path, and on the
+    # iterative one, where a NaN tol would never return
+    g = petersen()
+    with pytest.raises(DomainError):
+        adjacency_spectrum(g, tol=tol)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    with pytest.raises(DomainError):
+        adjacency_spectrum(g, tol=tol)
+
+
+def test_single_vertex_report():
+    r = adjacency_spectrum(build_graph(1, []))
+    assert (r.n, r.d, r.lam, r.lambda2, r.lambdan) == (1, 0, 0.0, 0.0, 0.0)
+    assert r.spectrum.tolist() == [0.0] and r.tol == spectral.DENSE_TOL
+    comp, fact = complement_report(r)
+    assert (comp.d, comp.lam, comp.lambda2, comp.lambdan) == (0, 0.0, 0.0, 0.0)
 
 
 def test_trace_identities_small_graphs():
@@ -215,6 +281,27 @@ def test_good_vertices_half_graph_matches_brute_force():
         if (dens - eps) * 4 - 1e-12 <= hits <= (dens + eps) * 4 + 1e-12:
             brute.append(u)
     assert good_vertices(g, i_side, [(j_side, j_sub)], eps) == brute == [2]
+
+
+def test_good_vertices_checks_every_target():
+    # half of I is complete to J and half is isolated, so at density 1/2 the
+    # first target leaves no vertex good; the undersized second target
+    # still raises
+    g = build_graph(12, [(i, j) for i in range(3) for j in range(6, 12)])
+    i_side, j_side = list(range(6)), list(range(6, 12))
+    assert good_vertices(g, i_side, [(j_side, j_side)], 0.1) == []
+    with pytest.raises(TooSmallError):
+        good_vertices(g, i_side, [(j_side, j_side), (j_side, [])], 0.1)
+
+
+def test_counting_toolbox_rejects_ids_outside_the_graph():
+    g = build_graph(4, [(0, 3)])
+    with pytest.raises(OutOfRangeError):
+        ordered_edge_count(g, [-1], [0])
+    with pytest.raises(OutOfRangeError):
+        ordered_edge_count(g, [0], [4])
+    with pytest.raises(OutOfRangeError):
+        good_vertices(g, [-1], [([0], [0])], 0.5)
 
 
 def test_good_vertex_count_bound_on_regular_pairs():
