@@ -9,7 +9,8 @@ the certificate, and reports every defect instead of stopping at the first.
 Ids are Python or numpy integers: a bool, float or string branch id, pair
 index, path vertex or ``ell`` is a ``BAD_ID`` violation, and so is a
 branch or path that is not a list or tuple, or pairs that are not a dict;
-the other checks are then skipped.
+the other checks are then skipped.  A negative ``ell`` is a ``BAD_ELL``
+violation, whether or not any pair is there to miss its length.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
                             t=len(cert.branch) if isinstance(cert.branch, sized) else 0,
                             path_count=len(cert.pairs) if isinstance(cert.pairs, sized) else 0,
                             length_histogram={}, violations=violations)
+    if cert.ell is not None and cert.ell < 0:
+        violations.append(("BAD_ELL", f"ell = {cert.ell}"))
     branch = cert.branch
     t = len(branch)
     if len(set(branch)) != t:

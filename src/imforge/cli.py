@@ -248,10 +248,10 @@ def cmd_nibble(args) -> int:
         raise ImforgeError("--parts must be three sizes summing to at most n")
     bounds = [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
     parts = tuple(range(bounds[i], bounds[i + 1]) for i in range(3))
-    if args.dump:
-        emit(args.dump, triangle_hypergraph(g, parts).dump())
     triangles, uncovered, diag = edge_disjoint_triangles(
         g, parts, beta=args.beta, seed=args.seed)
+    if args.dump:
+        emit(args.dump, triangle_hypergraph(g, parts).dump())
     payload = {"triangles": [list(t) for t in triangles],
                "uncovered": [list(e) for e in uncovered],
                "diagnostics": {k: v for k, v in diag.items()}}

@@ -5,17 +5,17 @@ then link the leftovers greedily by paths of length three.
 
 All path families (lengths 1, 2, 3) stay globally edge-disjoint through a
 single shared ledger of used edges.  The pairs inside F (the block of ids
-0..f-1) come from one f×f adjacency block cut from the CSR: its edges are
-the length-1 paths, and its non-adjacent pairs split into the red pairs of
-each part pair and the leftover bucket.  The black edges are never stored:
-for a in F and u outside it, ``g.has_edge(a, u)`` is the test.
+0..f-1) come from one f×f adjacency block cut from the CSR once per run:
+its edges are the length-1 paths, and its non-adjacent pairs split into the
+red pairs of each part pair and the leftover bucket.  The black edges are
+never stored: for a in F and u outside it, ``g.has_edge(a, u)`` is the test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,11 +37,6 @@ class PartitionScheme:
     """Branch set F split into cells of size t, remainder into cells of
     size s; cell 0 on each side holds the short leftover."""
 
-    n: int
-    d: int
-    eta: float
-    c: float
-    q: float
     f: int
     t: int
     s: int
@@ -60,26 +55,19 @@ def dense_partition(g: Graph, report: SpectralReport, eta: float) -> PartitionSc
     sides are split sequentially."""
     n, d = g.n, report.d
     c = d / n
-    q = 1 - c
     f = math.floor((1 - eta) * d)
     t = math.floor(c * eta * eta * d / 10)
     if t < 1:
         raise DegenerateTError(f"cell size t = 0 for d={d}, eta={eta}")
     m1 = f // t
-    s = math.ceil(q * t / c)
+    s = math.ceil((1 - c) * t / c)
     m2 = (n - f) // s
-    f_verts = list(range(f))
-    v0_size = f - m1 * t
-    v_parts = [tuple(f_verts[:v0_size])]
-    for i in range(m1):
-        v_parts.append(tuple(f_verts[v0_size + i * t: v0_size + (i + 1) * t]))
-    rest = list(range(f, n))
-    u0_size = (n - f) - m2 * s
-    u_parts = [tuple(rest[:u0_size])]
-    for j in range(m2):
-        u_parts.append(tuple(rest[u0_size + j * s: u0_size + (j + 1) * s]))
-    return PartitionScheme(n=n, d=d, eta=eta, c=c, q=q, f=f, t=t, s=s,
-                           m1=m1, m2=m2, v_parts=v_parts, u_parts=u_parts)
+    v0, u0 = f - m1 * t, n - m2 * s  # where V_0 and U_0 end
+    v_parts = [tuple(range(v0))] + [tuple(range(v0 + i * t, v0 + (i + 1) * t))
+                                     for i in range(m1)]
+    u_parts = [tuple(range(f, u0))] + [tuple(range(u0 + j * s, u0 + (j + 1) * s))
+                                        for j in range(m2)]
+    return PartitionScheme(f=f, t=t, s=s, m1=m1, m2=m2, v_parts=v_parts, u_parts=u_parts)
 
 
 @dataclass
@@ -105,12 +93,13 @@ def f_pairs(g: Graph, f_verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argwhere(np.triu(block, 1)), np.argwhere(np.triu(~block, 1))
 
 
-def build_red_black(g: Graph, scheme: PartitionScheme) -> RedBlackGraph:
-    """Split the non-adjacent pairs of F by the parts of their ends: pairs
-    across two parts V_j, V_k (1 <= j < k) are red, the rest go to e0."""
+def build_red_black(scheme: PartitionScheme, holes: np.ndarray) -> RedBlackGraph:
+    """Split the non-adjacent pairs of F, given as positions in
+    ``scheme.f_set`` (the second array of ``f_pairs``), by the parts of
+    their ends: pairs across two parts V_j, V_k (1 <= j < k) are red, the
+    rest go to e0."""
     f_verts = np.array(scheme.f_set, dtype=np.intp)
     part = np.repeat(np.arange(scheme.m1 + 1), [len(p) for p in scheme.v_parts])
-    _, holes = f_pairs(g, f_verts)
     pj, pk = part[holes[:, 0]], part[holes[:, 1]]
     # key 0 for e0, j * (m1 + 1) + k for the red pairs of (j, k)
     key = np.where((pj >= 1) & (pj < pk), pj * (scheme.m1 + 1) + pk, 0)
@@ -124,78 +113,58 @@ def build_red_black(g: Graph, scheme: PartitionScheme) -> RedBlackGraph:
                          red={divmod(k, scheme.m1 + 1): v for k, v in groups.items()})
 
 
-@dataclass
-class Factorization:
-    """Proper edge coloring of the complete graph on part labels 1..m1."""
-
-    m1: int
-    classes: list[list[tuple[int, int]]]
-
-    @property
-    def chi(self) -> int:
-        return len(self.classes)
-
-
-def one_factorization(m1: int) -> Factorization:
-    """Round-robin (circle method) coloring: m1 - 1 perfect matchings for
-    even m1, m1 near-perfect matchings for odd m1."""
+def one_factorization(m1: int) -> list[list[tuple[int, int]]]:
+    """Round-robin (circle method) coloring of the complete graph on part
+    labels 1..m1, as its color classes: m1 - 1 perfect matchings for even
+    m1, m1 near-perfect matchings for odd m1.  Class r of the circle method
+    on m = m1 + (m1 mod 2) labels pairs r + 1 with m and r + 1 ± i (mod
+    m - 1) with each other; for odd m1 the pair holding label m is dropped.
+    The chromatic index χ is the number of classes."""
     if m1 < 2:
         raise ValueError("need at least two parts")
+    m = m1 + m1 % 2
     classes: list[list[tuple[int, int]]] = []
-    if m1 % 2 == 0:
-        mod = m1 - 1
-        for r in range(mod):
-            cls = [(min(m1 - 1, r) + 1, max(m1 - 1, r) + 1)]
-            for i in range(1, m1 // 2):
-                a = (r + i) % mod
-                b = (r - i) % mod
-                cls.append((min(a, b) + 1, max(a, b) + 1))
-            classes.append(sorted(cls))
-    else:
-        for r in range(m1):
-            cls = []
-            for i in range(1, (m1 + 1) // 2):
-                a = (r + i) % m1
-                b = (r - i) % m1
-                cls.append((min(a, b) + 1, max(a, b) + 1))
-            classes.append(sorted(cls))
-    return Factorization(m1=m1, classes=classes)
+    for r in range(m - 1):
+        cls = [(r + 1, m)]
+        for i in range(1, m // 2):
+            a, b = (r + i) % (m - 1) + 1, (r - i) % (m - 1) + 1
+            cls.append((min(a, b), max(a, b)))
+        classes.append(sorted(p for p in cls if p[1] <= m1))
+    return classes
 
 
-def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization, seed: int = 0,
-                      used: Optional[set[Edge]] = None,
-                      ) -> tuple[dict[Edge, list[int]], list[Edge], dict]:
+def replace_red_edges(g: Graph, rb: RedBlackGraph, classes: list[list[tuple[int, int]]],
+                      used: set[Edge], seed: int = 0,
+                      ) -> tuple[dict[Edge, list[int]], list[Edge]]:
     """Replace red pairs by length-2 paths with both steps leaving F.
 
     Color class i works inside the middle cell U_((i-1) mod m2 + 1): cells
     are reused round-robin when there are fewer cells than classes, with the
-    shared ledger keeping everything edge-disjoint.  Each pair (j, k) of a
-    class gets a mini graph on V_j, V_k and the cell, holding its red pairs
-    and its black edges not yet used, and its own matcher seed.  Classes
-    whose cells are distinct form one batch: their pairs share no black
-    edge, so the batch's mini graphs are laid side by side in one graph and
-    matched in one call, each exactly as it would be alone.  Batches run in
-    class order, each seeing the ledger the earlier ones left.  Returns
-    (replacements keyed by red pair, un-replaced red pairs, counters).
+    shared ledger ``used`` keeping everything edge-disjoint.  Each pair
+    (j, k) of a class gets a mini graph on V_j, V_k and the cell, holding
+    its red pairs and its black edges not yet used, and its own matcher
+    seed.  Classes whose cells are distinct form one batch: their pairs
+    share no black edge, so the batch's mini graphs are laid side by side in
+    one graph and matched in one call, each exactly as it would be alone.
+    Batches run in class order, each seeing the ledger the earlier ones
+    left.  Returns the replacements keyed by red pair, and the un-replaced
+    red pairs, sorted.
     """
     sch = rb.scheme
-    if used is None:
-        used = set()
     two_paths: dict[Edge, list[int]] = {}
     leftovers: list[Edge] = []
-    reused_cells = sch.m2 < fact.chi
-    classes = list(enumerate(fact.classes, start=1))
+    numbered = list(enumerate(classes, start=1))
     if sch.m2 < 1:  # no middle cell: every red pair is left over
         leftovers = [p for reds in rb.red.values() for p in reds]
-        classes = []
-    for first in range(0, len(classes), max(sch.m2, 1)):
+        numbered = []
+    for first in range(0, len(numbered), max(sch.m2, 1)):
         host_of: list[int] = []  # batch vertex -> host vertex
         side: list[int] = []  # batch vertex -> 0 (V_j), 1 (V_k) or 2 (cell)
         edges: list[Edge] = []
         starts: list[int] = []
         seeds: list[int] = []
         reds_in_batch: list[Edge] = []
-        for ci, cls in classes[first:first + sch.m2]:
+        for ci, cls in numbered[first:first + sch.m2]:
             u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
             for (j, k) in cls:
                 reds = rb.red.get((j, k), [])
@@ -231,10 +200,7 @@ def replace_red_edges(g: Graph, rb: RedBlackGraph, fact: Factorization, seed: in
             used.add(normalize_edge(b, u))
             replaced.add(pair)
         leftovers.extend(p for p in reds_in_batch if p not in replaced)
-    counters = {"reds_total": rb.red_total,
-                "reds_replaced_2path": len(two_paths),
-                "cells_reused": reused_cells}
-    return two_paths, sorted(leftovers), counters
+    return two_paths, sorted(leftovers)
 
 
 def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
@@ -242,7 +208,9 @@ def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
                        ) -> tuple[dict[Edge, list[int]], list[Edge]]:
     """Link pairs inside F by paths of length three through outside
     vertices, falling back to a length-2 path when the free neighborhoods
-    intersect; every edge is taken from and recorded in ``used``."""
+    intersect; every edge is taken from and recorded in ``used``.  The free
+    neighbors of a vertex (outside F, by edges not in ``used``) are cached
+    and kept current, and they also give the middle edge of a 3-path."""
     f_members = set(f_set)
     free_nbrs: dict[int, set[int]] = {}
 
@@ -254,10 +222,9 @@ def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
         return free_nbrs[v]
 
     def consume(a: int, b: int) -> None:
-        e = normalize_edge(a, b)
-        used.add(e)
+        used.add(normalize_edge(a, b))
         for x, y in ((a, b), (b, a)):
-            if x in free_nbrs and y in free_nbrs[x]:
+            if x in free_nbrs:
                 free_nbrs[x].discard(y)
 
     out: dict[Edge, list[int]] = {}
@@ -271,13 +238,9 @@ def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
             path = [u, min(common), v]
         else:
             for a in sorted(nu):
-                hits = nv.intersection(g.neighbors(a))
-                for b in sorted(hits):
-                    if normalize_edge(a, b) in used:
-                        continue
-                    path = [u, a, b, v]
-                    break
-                if path:
+                hits = nv & free_of(a)
+                if hits:
+                    path = [u, a, min(hits), v]
                     break
         if path is None:
             stuck.append(pair)
@@ -302,11 +265,11 @@ class DenseDiagnostics:
     pairs_3path: int
     stuck: int
     achieved_order: int
-    epsilon: float = 0.0
-    delta: float = 0.0
-    k_required: float = 0.0
-    gap_ok: bool = False
-    degenerate_fallback: bool = False
+    epsilon: float
+    delta: float
+    k_required: float
+    gap_ok: bool
+    degenerate_fallback: bool
 
 
 def regularity_prerequisites(c: float, eta: float) -> tuple[float, float, float]:
@@ -336,14 +299,12 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     eps, delta, k_required = regularity_prerequisites(c, eta)
     gap_ok = report.d >= k_required * report.lam
     scheme = None
-    degenerate = False
     try:
         scheme = dense_partition(g, report, eta)
     except DegenerateTError:
         if mode == STRICT:
             raise PreconditionFailedError(
                 f"degenerate cell size for d={report.d}, eta={eta}") from None
-        degenerate = True
     if mode == STRICT and not gap_ok:
         raise PreconditionFailedError(
             f"need d >= K*lambda with K={k_required:.1f}, have d={report.d}, "
@@ -352,26 +313,25 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     f = scheme.f if scheme is not None else math.floor((1 - eta) * report.d)
     f_list = list(range(f))
     # F is the block 0..f-1, so its positions are its vertex ids
-    inside, holes = (list(map(tuple, pairs.tolist())) for pairs in f_pairs(g, np.arange(f)))
-    used: set[Edge] = set(inside)
-    paths: dict[Edge, list[int]] = {e: list(e) for e in inside}
+    inside, holes = f_pairs(g, np.arange(f))
+    paths: dict[Edge, list[int]] = {e: list(e) for e in map(tuple, inside.tolist())}
+    used: set[Edge] = set(paths)
 
+    reds_total = 0
     two_paths: dict[Edge, list[int]] = {}
-    leftovers: list[Edge] = []
-    counters = {"reds_total": 0, "reds_replaced_2path": 0}
     if scheme is not None and scheme.m1 >= 2:
-        rb = build_red_black(g, scheme)
-        fact = one_factorization(scheme.m1)
-        if mode == STRICT and scheme.m2 < fact.chi:
+        rb = build_red_black(scheme, holes)
+        classes = one_factorization(scheme.m1)
+        if mode == STRICT and scheme.m2 < len(classes):
             raise PreconditionFailedError(
-                f"need m2 >= chi, got m2={scheme.m2}, chi={fact.chi}")
-        two_paths, leftovers, counters = replace_red_edges(
-            g, rb, fact, seed=seed, used=used)
-        leftovers = sorted(set(leftovers) | set(rb.e0))
+                f"need m2 >= chi, got m2={scheme.m2}, chi={len(classes)}")
+        two_paths, red_left = replace_red_edges(g, rb, classes, used, seed)
+        leftovers = sorted(red_left + rb.e0)
+        reds_total = rb.red_total
     else:
-        leftovers = holes
+        leftovers = list(map(tuple, holes.tolist()))
         if scheme is not None:
-            counters["reds_total"] = len(leftovers)
+            reds_total = len(leftovers)
     paths.update(two_paths)
 
     three_paths, stuck = greedy_three_paths(g, leftovers, used, f_list)
@@ -387,12 +347,12 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
         t=scheme.t if scheme else 0,
         m1=scheme.m1 if scheme else 0,
         m2=scheme.m2 if scheme else 0,
-        reds_total=counters.get("reds_total", 0),
-        reds_replaced_2path=counters.get("reds_replaced_2path", 0),
+        reds_total=reds_total,
+        reds_replaced_2path=len(two_paths),
         pairs_3path=sum(1 for path in three_paths.values() if len(path) == 4),
         stuck=len(stuck),
         achieved_order=len(cert.branch),
         epsilon=eps, delta=delta, k_required=k_required, gap_ok=gap_ok,
-        degenerate_fallback=degenerate,
+        degenerate_fallback=scheme is None,
     )
     return cert, diag

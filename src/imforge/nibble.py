@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BadPartitionError
+from .errors import BadPartitionError, DomainError
 from .graphs import Edge, Graph
 from .util import np_rng
 
@@ -293,8 +293,11 @@ def edge_disjoint_triangles(g: Graph, parts, beta: float = 0.2,
     When g is a disjoint union of sub-problems, ``groups`` holds the first
     vertex of each and ``seed`` one seed per sub-problem (see
     ``triangle_hypergraph`` and ``near_perfect_matching``); each gets the
-    triangles it would get alone, in sub-problem order.
+    triangles it would get alone, in sub-problem order.  The slack ``beta``
+    lies strictly between 0 and 1, else ``DomainError``.
     """
+    if not 0 < beta < 1:
+        raise DomainError(f"need 0 < beta < 1, got beta={beta}")
     h = triangle_hypergraph(g, parts, groups)
     matching = near_perfect_matching(h, alpha_target=beta, seed=seed)
     labels = h.vertex_labels or []

@@ -76,15 +76,14 @@ def reference_red_black(g, scheme):
     return red, sorted(set(e0))
 
 
-def block_scheme(g, d, t, f):
+def block_scheme(t, f):
     """F = 0..f-1 cut into parts of size t after a short cell 0, as
     ``dense_partition`` lays it out, for hosts too sparse for its formulas."""
     m1 = f // t
     v0 = f - m1 * t
     v_parts = [tuple(range(v0))] + [tuple(range(v0 + i * t, v0 + (i + 1) * t))
                                      for i in range(m1)]
-    return PartitionScheme(n=g.n, d=d, eta=0.0, c=d / g.n, q=1 - d / g.n, f=f, t=t, s=1,
-                           m1=m1, m2=0, v_parts=v_parts, u_parts=[()])
+    return PartitionScheme(f=f, t=t, s=1, m1=m1, m2=0, v_parts=v_parts, u_parts=[()])
 
 
 @pytest.mark.parametrize("name, eta, m1", [("paley101", 0.65, 17), ("rr600x24", 0.4, None),
@@ -96,14 +95,14 @@ def test_f_block_matches_reference_loops(name, eta, m1):
     if m1 is None:  # the pipeline's fallback when the cell size is 0
         with pytest.raises(DegenerateTError):
             dense_partition(g, report, eta)
-        scheme = block_scheme(g, report.d, 2, math.floor((1 - eta) * report.d))
+        scheme = block_scheme(2, math.floor((1 - eta) * report.d))
     else:
         scheme = dense_partition(g, report, eta)
         assert scheme.m1 == m1
     inside, holes = f_pairs(g, np.arange(scheme.f))
     assert (list(map(tuple, inside.tolist())), list(map(tuple, holes.tolist()))) == \
         reference_f_split(g, list(range(scheme.f)))
-    rb = build_red_black(g, scheme)
+    rb = build_red_black(scheme, holes)
     red, e0 = reference_red_black(g, scheme)
     assert list(rb.red.items()) == list(red.items()) and rb.e0 == e0
     assert red or scheme.m1 < 2

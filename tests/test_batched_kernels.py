@@ -19,6 +19,7 @@ from imforge.immersion_dense import (
     PartitionScheme,
     build_red_black,
     dense_partition,
+    f_pairs,
     one_factorization,
     replace_red_edges,
 )
@@ -276,13 +277,13 @@ def test_hypergraph_rejects_an_edge_between_groups():
 
 # -- batched red-edge replacement -------------------------------------------
 
-def reference_replace(g, rb, fact, beta, seed, used):
+def reference_replace(g, rb, classes, beta, seed, used):
     """One mini graph and one matcher call per (class, pair)."""
     sch = rb.scheme
     f_set = set(sch.f_set)
     black = {normalize_edge(u, w) for u in f_set for w in g.neighbors(u) if w not in f_set}
     two_paths, leftovers = {}, []
-    for ci, cls in enumerate(fact.classes, start=1):
+    for ci, cls in enumerate(classes, start=1):
         u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
         for (j, k) in cls:
             reds = rb.red.get((j, k), [])
@@ -325,26 +326,26 @@ def hand_scheme(g: Graph, t: int, m1: int, s: int, m2: int, shuffle_seed: int) -
     v_parts = [tuple(order[:1])] + [tuple(order[1 + i * t: 1 + (i + 1) * t]) for i in range(m1)]
     rest = order[f:]
     u_parts = [()] + [tuple(rest[j * s:(j + 1) * s]) for j in range(m2)]
-    d = len(g.neighbors(0))
-    return PartitionScheme(n=g.n, d=d, eta=0.4, c=d / g.n, q=1 - d / g.n, f=f, t=t, s=s,
-                           m1=m1, m2=m2, v_parts=v_parts, u_parts=u_parts)
+    return PartitionScheme(f=f, t=t, s=s, m1=m1, m2=m2, v_parts=v_parts, u_parts=u_parts)
+
+
+def red_black(g, scheme):
+    """``build_red_black`` on the non-adjacent pairs of the scheme's F."""
+    return build_red_black(scheme, f_pairs(g, np.array(scheme.f_set))[1])
 
 
 def assert_same_replacement(g, scheme, beta, seed):
-    rb = build_red_black(g, scheme)
-    fact = one_factorization(scheme.m1)
+    rb = red_black(g, scheme)
+    classes = one_factorization(scheme.m1)
     f_set = set(scheme.f_set)
     inside = {normalize_edge(u, v) for u in f_set for v in g.neighbors(u) if v in f_set}
     used, ref_used = set(inside), set(inside)
-    two_paths, leftovers, counters = replace_red_edges(g, rb, fact, seed=seed,
-                                                       used=used)
-    ref_paths, ref_leftovers = reference_replace(g, rb, fact, beta, seed, ref_used)
+    two_paths, leftovers = replace_red_edges(g, rb, classes, used, seed=seed)
+    ref_paths, ref_leftovers = reference_replace(g, rb, classes, beta, seed, ref_used)
     assert list(two_paths.items()) == list(ref_paths.items())
     assert leftovers == ref_leftovers
     assert used == ref_used
-    assert counters["reds_replaced_2path"] == len(ref_paths)
-    assert counters["cells_reused"] == (scheme.m2 < fact.chi)
-    return counters
+    return two_paths
 
 
 @settings(max_examples=25, deadline=None)
@@ -361,22 +362,22 @@ def test_replace_red_edges_runs_several_batches():
     # chi = 7 classes over 2 middle cells: batches of 2, 2, 2 and 1 classes
     g = random_regular(80, 40, seed=3)
     scheme = hand_scheme(g, t=3, m1=8, s=4, m2=2, shuffle_seed=5)
-    counters = assert_same_replacement(g, scheme, beta=0.2, seed=11)
-    assert counters["cells_reused"] and counters["reds_replaced_2path"] > 0
-    assert math.ceil(one_factorization(8).chi / scheme.m2) == 4
+    two_paths = assert_same_replacement(g, scheme, beta=0.2, seed=11)
+    assert scheme.m2 < len(one_factorization(8)) and two_paths
+    assert math.ceil(len(one_factorization(8)) / scheme.m2) == 4
 
 
 def test_replace_red_edges_matches_per_pair_calls_on_paley():
     # the benchmark's Paley(401) cell at eta 0.45: 55 classes, 97 cells
     g = paley(401)
     scheme = dense_partition(g, adjacency_spectrum(g), 0.45)
-    counters = assert_same_replacement(g, scheme, beta=0.2, seed=7)
-    assert not counters["cells_reused"]
+    assert_same_replacement(g, scheme, beta=0.2, seed=7)
+    assert scheme.m2 >= len(one_factorization(scheme.m1))
 
 
 def test_replace_red_edges_without_middle_cells_leaves_every_red_pair():
     g = random_regular(40, 20, seed=1)
     scheme = hand_scheme(g, t=2, m1=4, s=3, m2=0, shuffle_seed=2)
-    rb = build_red_black(g, scheme)
-    two_paths, leftovers, _ = replace_red_edges(g, rb, one_factorization(4))
+    rb = red_black(g, scheme)
+    two_paths, leftovers = replace_red_edges(g, rb, one_factorization(4), set())
     assert two_paths == {} and leftovers == sorted(p for v in rb.red.values() for p in v)

@@ -139,6 +139,18 @@ def test_verify_length_contract():
     assert any(code == "LENGTH_MISMATCH" for code, _ in report.violations)
 
 
+@pytest.mark.parametrize("branch", [[], [0], [0, 1]])
+def test_verify_rejects_a_negative_ell(branch):
+    # with fewer than two branch vertices no pair checks the length
+    pairs = {(0, 1): [0, 1]} if len(branch) == 2 else {}
+    cert = EmbeddingCertificate("subdivision", branch, pairs, ell=-3)
+    report = verify(complete(3), cert)
+    assert not report.valid
+    assert ("BAD_ELL", "ell = -3") in report.violations
+    cert.ell = 0
+    assert verify(complete(3), cert).valid
+
+
 def test_verify_trivial_certificate():
     cert = EmbeddingCertificate(kind="immersion", branch=[5], pairs={})
     assert verify(petersen(), cert).valid

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imforge.certify import verify
 from imforge.errors import DegenerateTError, PreconditionFailedError
@@ -8,6 +11,7 @@ from imforge.immersion_dense import (
     build_dense_immersion,
     build_red_black,
     dense_partition,
+    f_pairs,
     greedy_three_paths,
     one_factorization,
     replace_red_edges,
@@ -61,7 +65,7 @@ def test_red_black_complete_graph_no_red():
     g = complete(200)
     r = adjacency_spectrum(g)
     scheme = dense_partition(g, r, eta=0.3)
-    rb = build_red_black(g, scheme)
+    rb = build_red_black(scheme, f_pairs(g, np.arange(scheme.f))[1])
     assert rb.red_total == 0 and rb.e0 == []
 
 
@@ -69,7 +73,7 @@ def test_red_black_e0_bound():
     g = random_regular(300, 150, seed=1)
     r = adjacency_spectrum(g)
     scheme = dense_partition(g, r, eta=0.45)
-    rb = build_red_black(g, scheme)
+    rb = build_red_black(scheme, f_pairs(g, np.arange(scheme.f))[1])
     # leftover pairs: those touching V_0 (fewer than t vertices), plus those inside cells
     assert len(rb.e0) < scheme.t * scheme.f + scheme.m1 * scheme.t * (scheme.t - 1) / 2
     # red pairs are cross-part complement pairs only
@@ -82,11 +86,11 @@ def test_red_black_e0_bound():
 
 @pytest.mark.parametrize("m1", list(range(2, 101)))
 def test_one_factorization_exact(m1):
-    fact = one_factorization(m1)
+    classes = one_factorization(m1)
     expected_chi = m1 - 1 if m1 % 2 == 0 else m1
-    assert fact.chi == expected_chi
+    assert len(classes) == expected_chi
     seen = set()
-    for cls in fact.classes:
+    for cls in classes:
         touched = set()
         for a, b in cls:
             assert 1 <= a < b <= m1
@@ -102,14 +106,13 @@ def test_one_factorization_exact(m1):
 def test_replace_red_edges_single_pair():
     # V1 = {0}, V2 = {1} non-adjacent, U1 = {2} adjacent to both
     g = build_graph(3, [(0, 2), (1, 2)])
-    r = FakeReport(3, 2)
     scheme = dense_partition_like(g, f=2, t=1, s=1)
-    rb = build_red_black(g, scheme)
-    fact = one_factorization(2)
-    two, leftover, counters = replace_red_edges(g, rb, fact, seed=0)
+    rb = build_red_black(scheme, f_pairs(g, np.arange(2))[1])
+    used = set()
+    two, leftover = replace_red_edges(g, rb, one_factorization(2), used, seed=0)
     assert two == {(0, 1): [0, 2, 1]}
     assert leftover == []
-    assert counters["reds_replaced_2path"] == 1
+    assert used == {(0, 2), (1, 2)}
 
 
 def dense_partition_like(g, f, t, s):
@@ -127,8 +130,7 @@ def dense_partition_like(g, f, t, s):
     u_parts = [tuple(rest[:u0])]
     for j in range(m2):
         u_parts.append(tuple(rest[u0 + j * s: u0 + (j + 1) * s]))
-    return PartitionScheme(n=g.n, d=0, eta=0.0, c=0.5, q=0.5, f=f, t=t, s=s,
-                           m1=m1, m2=m2, v_parts=v_parts, u_parts=u_parts)
+    return PartitionScheme(f=f, t=t, s=s, m1=m1, m2=m2, v_parts=v_parts, u_parts=u_parts)
 
 
 def test_greedy_three_paths_k4_minus_edge():
@@ -216,3 +218,102 @@ def test_pairs_3path_counts_length_three_paths():
         cert, diag = build_dense_immersion(g, r, eta=eta, seed=7)
         assert diag.stuck == 0
         assert diag.pairs_3path == verify(g, cert).length_histogram.get(3, 0)
+
+
+# -- the one-loop factorization and the cached linker against the code they replaced
+
+def reference_one_factorization(m1):
+    """The two-branch round-robin coloring one_factorization replaced."""
+    classes = []
+    if m1 % 2 == 0:
+        mod = m1 - 1
+        for r in range(mod):
+            cls = [(min(m1 - 1, r) + 1, max(m1 - 1, r) + 1)]
+            for i in range(1, m1 // 2):
+                a = (r + i) % mod
+                b = (r - i) % mod
+                cls.append((min(a, b) + 1, max(a, b) + 1))
+            classes.append(sorted(cls))
+    else:
+        for r in range(m1):
+            cls = []
+            for i in range(1, (m1 + 1) // 2):
+                a = (r + i) % m1
+                b = (r - i) % m1
+                cls.append((min(a, b) + 1, max(a, b) + 1))
+            classes.append(sorted(cls))
+    return classes
+
+
+def test_one_factorization_matches_the_two_branch_coloring():
+    for m1 in range(2, 201):
+        assert one_factorization(m1) == reference_one_factorization(m1), m1
+
+
+def reference_greedy_three_paths(g, pairs, used, f_set):
+    """The linker that tested each middle edge against the host and the
+    ledger instead of the free-neighbor cache."""
+    f_members = set(f_set)
+    free_nbrs = {}
+
+    def free_of(v):
+        if v not in free_nbrs:
+            free_nbrs[v] = {w for w in g.neighbors(v)
+                            if w not in f_members and normalize_edge(v, w) not in used}
+        return free_nbrs[v]
+
+    out, stuck = {}, []
+    for pair in pairs:
+        u, v = pair
+        nu, nv = free_of(u), free_of(v)
+        common = nu & nv
+        path = None
+        if common:
+            path = [u, min(common), v]
+        else:
+            for a in sorted(nu):
+                for b in sorted(nv.intersection(g.neighbors(a))):
+                    if normalize_edge(a, b) not in used:
+                        path = [u, a, b, v]
+                        break
+                if path:
+                    break
+        if path is None:
+            stuck.append(pair)
+            continue
+        for x, y in zip(path, path[1:]):
+            used.add(normalize_edge(x, y))
+            for p, q in ((x, y), (y, x)):
+                if p in free_nbrs:
+                    free_nbrs[p].discard(q)
+        out[pair] = path
+    return out, stuck
+
+
+@st.composite
+def linker_cases(draw):
+    """A random host, a random F, pairs inside F, and a random ledger.  F
+    has few edges out, so that common neighbors are rare and most links
+    need a middle edge, often with a choice of several."""
+    n_f, n_out = draw(st.integers(2, 8)), draw(st.integers(2, 16))
+    ids = draw(st.permutations(range(n_f + n_out)))
+    f_set, out = ids[:n_f], ids[n_f:]
+    edges = {normalize_edge(a, w) for a in f_set
+             for w in draw(st.lists(st.sampled_from(out), max_size=3))}
+    inner = [(a, b) for i, a in enumerate(out) for b in out[i + 1:]]
+    inner += [(a, b) for i, a in enumerate(f_set) for b in f_set[i + 1:]]
+    edges |= {normalize_edge(*e) for e in draw(st.lists(st.sampled_from(inner)))}
+    f_pairs_all = [normalize_edge(a, b) for i, a in enumerate(f_set) for b in f_set[i + 1:]]
+    pairs = draw(st.lists(st.sampled_from(f_pairs_all), unique=True))
+    used = set(draw(st.lists(st.sampled_from(sorted(edges))))) if edges else set()
+    return build_graph(n_f + n_out, sorted(edges)), pairs, used, f_set
+
+
+@settings(max_examples=300, deadline=None)
+@given(linker_cases())
+def test_greedy_three_paths_matches_the_reference_linker(case):
+    g, pairs, used, f_set = case
+    ref_used = set(used)
+    assert greedy_three_paths(g, pairs, used, f_set) == \
+        reference_greedy_three_paths(g, pairs, ref_used, f_set)
+    assert used == ref_used

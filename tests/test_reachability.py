@@ -9,6 +9,10 @@ name it mentions; a class brings along its fields and private methods.
 Names match by spelling only, so an attribute ``x.to_json`` reaches every
 ``to_json``.  Import statements do not count, so a re-export in
 ``__init__`` reaches nothing.
+
+Import guard: every name an import binds in a module is used by that
+module's code.  ``__init__`` re-exports and imports under
+``if TYPE_CHECKING:`` are exempt.
 """
 
 import ast
@@ -116,3 +120,41 @@ def test_guard_catches_an_unreached_helper(tmp_path):
     defs, top_level = scan(tmp_path)
     assert unreached(defs, top_level, ALLOWLIST) == {"graphs.orphan_helper",
                                                      "graphs.orphan_leaf"}
+
+
+def unused_imports(src: Path) -> list[str]:
+    """``module:line name`` for each name an import binds that the rest of
+    its module never mentions as a plain name."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and "TYPE_CHECKING" in _names([node.test])
+                  for sub in ast.walk(node)}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or id(node) in exempt \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    out.append(f"{path.stem}:{node.lineno} {name}")
+    return out
+
+
+def test_every_import_is_used():
+    assert unused_imports(SRC) == []
+
+
+def test_import_guard_catches_an_unused_import(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "graphs.py", "a", encoding="utf-8") as fh:
+        fh.write("\nif TYPE_CHECKING:\n    from .expanders import Unit\n")
+        fh.write("\n\ndef helper():\n    import os.path\n    from typing import Optional as Opt\n")
+        fh.write("    return TYPE_CHECKING\n")
+    lines = len((tmp_path / "graphs.py").read_text(encoding="utf-8").splitlines())
+    assert unused_imports(tmp_path) == [f"graphs:{lines - 2} os", f"graphs:{lines - 1} Opt"]
