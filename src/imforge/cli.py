@@ -173,7 +173,7 @@ PIPELINES = {
         lambda g, report, args: build_balanced_subdivision(
             g, report, eta=args.eta, eps=args.eps, seed=args.seed,
             mode=args.mode, variant=args.variant),
-        lambda diag: {"t": diag.t, "stuck": diag.failed_pairs}),
+        lambda diag: {"t": diag.achieved_order, "stuck": diag.failed_pairs}),
 }
 
 
@@ -248,8 +248,7 @@ def cmd_nibble(args) -> int:
         raise ImforgeError("--parts must be three sizes summing to at most n")
     bounds = [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
     parts = tuple(range(bounds[i], bounds[i + 1]) for i in range(3))
-    triangles, uncovered, diag = edge_disjoint_triangles(
-        g, parts, beta=args.beta, seed=args.seed)
+    triangles, uncovered, diag = edge_disjoint_triangles(g, parts, seed=args.seed)
     if args.dump:
         emit(args.dump, triangle_hypergraph(g, parts).dump())
     payload = {"triangles": [list(t) for t in triangles],
@@ -367,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "tripartite graph")
     _add_common(nib, "--out")
     nib.add_argument("--parts", required=True, help="three part sizes a,b,c")
-    nib.add_argument("--beta", type=float, default=0.2)
     nib.add_argument("--dump", default=None, help="hypergraph dump path")
     nib.set_defaults(func=cmd_nibble)
 

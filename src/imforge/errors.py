@@ -63,7 +63,8 @@ class ParseError(ImforgeError):
 
 
 class DomainError(ImforgeError):
-    """Arguments outside the domain of a closed-form formula."""
+    """Arguments outside the domain of an operation or a closed-form
+    formula."""
 
 
 class NoPathError(ImforgeError):

@@ -30,6 +30,7 @@ from operator import index
 import numpy as np
 
 from .errors import (
+    DomainError,
     EmptySideError,
     OutOfRangeError,
     OverlapError,
@@ -194,11 +195,11 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     if isinstance(edge_list, np.ndarray):
         pairs = edge_list.astype(np.int64, copy=False)
         if pairs.shape[1:] != (2,):
-            raise ValueError("every edge must be a pair")
+            raise DomainError("every edge must be a pair")
     else:
         edge_list = list(edge_list)
         if set(map(len, edge_list)) - {2}:
-            raise ValueError("every edge must be a pair")
+            raise DomainError("every edge must be a pair")
         try:
             pairs = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64,
                                 count=2 * len(edge_list)).reshape(-1, 2)

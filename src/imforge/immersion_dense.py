@@ -121,7 +121,7 @@ def one_factorization(m1: int) -> list[list[tuple[int, int]]]:
     m - 1) with each other; for odd m1 the pair holding label m is dropped.
     The chromatic index χ is the number of classes."""
     if m1 < 2:
-        raise ValueError("need at least two parts")
+        raise DomainError(f"need at least two parts, got m1={m1}")
     m = m1 + m1 % 2
     classes: list[list[tuple[int, int]]] = []
     for r in range(m - 1):
@@ -253,10 +253,6 @@ def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
 
 @dataclass
 class DenseDiagnostics:
-    n: int
-    d: int
-    lam: float
-    eta: float
     t: int
     m1: int
     m2: int
@@ -343,7 +339,6 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     cert = EmbeddingCertificate.from_paths(IMMERSION, branch,
                                            lambda a, b: paths[(a, b)])
     diag = DenseDiagnostics(
-        n=g.n, d=report.d, lam=report.lam, eta=eta,
         t=scheme.t if scheme else 0,
         m1=scheme.m1 if scheme else 0,
         m2=scheme.m2 if scheme else 0,

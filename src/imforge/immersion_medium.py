@@ -136,7 +136,7 @@ def filter_bad_units(units: list[Unit], ledger: ConnectionLedger,
     """Indices of units whose pendant edges the full paths use at most
     ``threshold`` times (strictly more consumed means dropped)."""
     if threshold <= 0:
-        raise ValueError("threshold must be positive")
+        raise DomainError(f"need threshold > 0, got threshold={threshold}")
     used = {normalize_edge(a, b) for path in ledger.full_paths.values()
             for a, b in zip(path, path[1:])}
     good = []
@@ -149,10 +149,6 @@ def filter_bad_units(units: list[Unit], ledger: ConnectionLedger,
 
 @dataclass
 class MediumDiagnostics:
-    n: int
-    d: int
-    lam: float
-    eta: float
     m_scale: float
     h_params: tuple[int, int, int]
     units_built: int
@@ -197,7 +193,7 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     if target_order is None:
         target_order = max(1, math.floor((1 - 5 * eta) * report.d))
     if max_len is None:
-        max_len = int(min(max(m_scale, 2), g.n))
+        max_len = int(m_scale)
     for name, value in zip(("h1", "h2", "h3", "target_order", "max_len"),
                            (h1, h2, h3, target_order, max_len)):
         if value < 1:
@@ -205,47 +201,32 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     # a unit with more pendant edges eaten than this is dropped
     bad_threshold = max(1.0, eta * report.d * h2 / 2)
 
-    units = collect_units(g, count=max(target_order, 1), h1=h1, h2=h2, h3=h3,
-                          seed=seed)
-    if len(units) < 2:
-        cert = EmbeddingCertificate(kind=IMMERSION,
-                                    branch=[units[0].center] if units else
-                                           ([0] if g.n else []),
-                                    pairs={}, ell=None)
-        diag = MediumDiagnostics(g.n, report.d, report.lam, eta, m_scale,
-                                 (h1, h2, h3), len(units), len(units), 0, 0,
-                                 len(cert.branch), precondition_ok)
-        if mode == STRICT and target_order > len(cert.branch):
-            raise UnitShortfallError(
-                f"built {len(units)} units, target order {target_order}")
-        return cert, diag
-
+    units = collect_units(g, count=target_order, h1=h1, h2=h2, h3=h3, seed=seed)
     ledger = connect_units(g, units, max_len=max_len)
     good_idx = filter_bad_units(units, ledger, bad_threshold)
 
     # the full paths by ascending center pair
     by_centers = {normalize_edge(units[i].center, units[j].center): path
                   for (i, j), path in ledger.full_paths.items()}
-    good_centers = [units[i].center for i in good_idx]
+    # vertex 0 stands in for a center when no unit is built
+    centers = [u.center for u in units] or [0]
+    good_centers = [centers[i] for i in good_idx] if units else centers
     if mode == STRICT:
         want = good_centers[:target_order]
         missing = [(u, v) for a, u in enumerate(want) for v in want[a + 1:]
                    if normalize_edge(u, v) not in by_centers]
         if len(want) < target_order:
             raise UnitShortfallError(
-                f"only {len(want)} good units for target {target_order}")
+                f"only {len(good_idx)} good units for target {target_order}")
         if missing:
             raise IncompleteEmbeddingError(f"unconnected pairs: {missing[:5]}")
         chosen = want
     else:
-        chosen = peel_to_complete(good_centers, set(by_centers))
-        if not chosen:
-            chosen = good_centers[:1] or [units[0].center]
+        chosen = peel_to_complete(good_centers, set(by_centers)) or centers[:1]
 
     cert = EmbeddingCertificate.from_paths(IMMERSION, chosen,
                                            lambda a, b: by_centers[(a, b)])
-    diag = MediumDiagnostics(g.n, report.d, report.lam, eta, m_scale,
-                             (h1, h2, h3), len(units), len(good_idx),
+    diag = MediumDiagnostics(m_scale, (h1, h2, h3), len(units), len(good_idx),
                              len(ledger.full_paths), len(ledger.missing_pairs),
                              len(cert.branch), precondition_ok)
     return cert, diag

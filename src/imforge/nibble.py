@@ -97,7 +97,8 @@ class Hypergraph3:
 
 @dataclass
 class Matching3:
-    """Pairwise-disjoint triples, plus size accounting against the target."""
+    """Pairwise-disjoint triples, and the active vertex count they are
+    measured against."""
 
     triples: np.ndarray
     n_active: int
@@ -192,13 +193,11 @@ def _greedy_sweep(triples: np.ndarray, free: list[bool], rows: np.ndarray) -> li
     return taken
 
 
-def near_perfect_matching(h: Hypergraph3, alpha_target: float = 0.2,
-                          seed: Union[int, Sequence[int]] = 0) -> Matching3:
+def near_perfect_matching(h: Hypergraph3, seed: Union[int, Sequence[int]] = 0) -> Matching3:
     """Matching via random bites plus greedy cleanup, deterministic in seed.
 
     The result is guaranteed to be at least as large as a plain ascending
     greedy run, so the cleanup-dominance property holds on every input.
-    Shortfall against (1 - alpha) * n_active / 3 is reported, not raised.
 
     Every group of ``h`` is its own sub-problem with its own seed (``seed``
     holds one per group; a lone problem may pass one int).  The groups run
@@ -217,7 +216,7 @@ def near_perfect_matching(h: Hypergraph3, alpha_target: float = 0.2,
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     n_groups = len(h.group_starts)
     if len(seeds) != n_groups:
-        raise ValueError(f"need one seed per group: {len(seeds)} seeds, {n_groups} groups")
+        raise DomainError(f"need one seed per group: {len(seeds)} seeds, {n_groups} groups")
     row_group = np.searchsorted(h.group_starts, t[:, 0], side="right") - 1
     vertex_group = np.searchsorted(h.group_starts, np.arange(n_v), side="right") - 1
     size = np.bincount(row_group, minlength=n_groups)
@@ -277,15 +276,13 @@ def near_perfect_matching(h: Hypergraph3, alpha_target: float = 0.2,
     swap = greedy_size > np.bincount(row_group[selected], minlength=n_groups)
     selected = np.where(swap[row_group], plain, selected)
 
-    target = (1 - alpha_target) * h.n_active / 3
-    diag = {"rounds": int(rounds.max(initial=0)), "target_alpha": alpha_target,
-            "target_size": target, "greedy_size": int(greedy_size.sum()),
+    diag = {"rounds": int(rounds.max(initial=0)), "greedy_size": int(greedy_size.sum()),
             "group_rounds": rounds.tolist(), "group_greedy_size": greedy_size.tolist()}
     return Matching3(t[selected], h.n_active, diag)
 
 
-def edge_disjoint_triangles(g: Graph, parts, beta: float = 0.2,
-                            seed: Union[int, Sequence[int]] = 0, groups: Sequence[int] = (0,)
+def edge_disjoint_triangles(g: Graph, parts, seed: Union[int, Sequence[int]] = 0,
+                            groups: Sequence[int] = (0,)
                             ) -> tuple[list[tuple[int, int, int]], list[Edge], dict]:
     """Edge-disjoint triangles of a tripartite graph via the hypergraph
     matcher; returns (triangles, uncovered cross edges, diagnostics).
@@ -293,24 +290,19 @@ def edge_disjoint_triangles(g: Graph, parts, beta: float = 0.2,
     When g is a disjoint union of sub-problems, ``groups`` holds the first
     vertex of each and ``seed`` one seed per sub-problem (see
     ``triangle_hypergraph`` and ``near_perfect_matching``); each gets the
-    triangles it would get alone, in sub-problem order.  The slack ``beta``
-    lies strictly between 0 and 1, else ``DomainError``.
+    triangles it would get alone, in sub-problem order.
     """
-    if not 0 < beta < 1:
-        raise DomainError(f"need 0 < beta < 1, got beta={beta}")
     h = triangle_hypergraph(g, parts, groups)
-    matching = near_perfect_matching(h, alpha_target=beta, seed=seed)
+    matching = near_perfect_matching(h, seed=seed)
     labels = h.vertex_labels or []
     triangles = [tuple(sorted({v for vid in row for v in labels[vid]}))
                  for row in matching.triples.tolist()]
     covered = np.zeros(len(labels), dtype=bool)
     covered[matching.triples.ravel()] = True
     uncovered = [labels[i] for i in np.flatnonzero(~covered).tolist()]
-    e_cross = len(labels)
     diag = {
-        "cross_edges": e_cross,
+        "cross_edges": len(labels),
         "triangles": len(triangles),
-        "target": (1 - beta) * e_cross / 3,
         "isolated_edges": h.isolated_count,
         **matching.diagnostics,
     }

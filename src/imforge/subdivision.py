@@ -2,10 +2,12 @@
 a robustness certificate for the expansion property behind fixed-length
 routing, and vertex-disjoint connections of one exact length.
 
-Stars come from ``expanders.pack_stars`` in id order and the reservoir
-from the one retry loop ``sample_reservoir``; both report a shortfall to
-the pipeline, which raises on it in strict mode and carries on with what
-it got in best-effort mode.  ``_route_all`` is the fixed-length routing
+Stars come from ``expanders.pack_stars`` in id order as one ``list[Star]``,
+which the reservoir's retry loop ``sample_reservoir`` reads and the pool
+trim that caps the order deletes from.  Both report a shortfall to the
+pipeline, which raises on it in strict mode and carries on with what it
+got in best-effort mode.  The S' load bound beta = 2*alpha - 1 is derived
+from the variant's alpha.  ``_route_all`` is the fixed-length routing
 engine: it grows its level trees with the shared breadth-first kernel
 ``expanders.bfs_tree`` in a ``GraphView`` of the host minus what is taken,
 reports the pairs it could not route, and the pipeline raises on the first
@@ -30,7 +32,7 @@ from .errors import (
     RoutingFailedError,
     SampleFailedError,
 )
-from .expanders import bfs_tree, pack_stars, path_to
+from .expanders import Star, bfs_tree, pack_stars, path_to
 from .graphs import Graph, GraphView
 from .spectral import SpectralReport
 from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, np_rng, peel_to_complete
@@ -40,31 +42,14 @@ VARIANT_POWER = "d0-power"
 RESERVOIR_RETRIES = 10  # reservoir draws before best-effort keeps its best
 
 
-@dataclass
-class StarSystem:
-    """Vertex-disjoint stars: centers become branch vertices, leaves the
-    attachment points for the fixed-length connections."""
-
-    centers: list[int]
-    leaf_sets: list[tuple[int, ...]]
-
-    @property
-    def t(self) -> int:
-        return len(self.centers)
-
-
 def pack_disjoint_stars(g: Graph, report: SpectralReport, eta: float,
-                        t: Optional[int] = None) -> StarSystem:
-    """Greedily pack up to t = floor((1-eta)d) vertex-disjoint stars with
-    floor((1-eta/2)d) leaves each, centers in ascending id order; returns
-    the stars found, which may be fewer than t."""
-    d = report.d
-    if t is None:
-        t = math.floor((1 - eta) * d)
-    size = max(1, math.floor((1 - eta / 2) * d))
-    stars = pack_stars(g, range(g.n), t, size, size)
-    return StarSystem(centers=[s.center for s in stars],
-                      leaf_sets=[s.leaves for s in stars])
+                        t: int) -> list[Star]:
+    """Greedily pack up to t vertex-disjoint stars with floor((1-eta/2)d)
+    leaves each, centers in ascending id order; returns the stars found,
+    which may be fewer than t.  Centers become branch vertices, leaves the
+    attachment points for the fixed-length connections."""
+    size = max(1, math.floor((1 - eta / 2) * report.d))
+    return pack_stars(g, range(g.n), t, size, size)
 
 
 def draw_reservoir(g: Graph, centers: Iterable[int], eta: float, seed: int) -> set[int]:
@@ -76,16 +61,16 @@ def draw_reservoir(g: Graph, centers: Iterable[int], eta: float, seed: int) -> s
     return {v for v, hit in zip(pool, mask) if hit}
 
 
-def reservoir_conditions(g: Graph, stars: StarSystem, eta: float,
+def reservoir_conditions(g: Graph, stars: Sequence[Star], eta: float,
                          sample: set[int]) -> tuple[bool, bool, dict]:
     """Re-verify the two acceptance events from scratch: enough sampled
     leaves per star, and enough neighbors outside centers and sample for
     every vertex."""
-    d = max(len(g.neighbors(stars.centers[0])), 1) if stars.centers else 1
-    u_set = set(stars.centers)
+    d = max(len(g.neighbors(stars[0].center)), 1) if stars else 1
+    u_set = {s.center for s in stars}
     need_leaves = (1 - eta) * d
-    leaf_ok = all(sum(1 for leaf in leaves if leaf in sample) >= need_leaves
-                  for leaves in stars.leaf_sets)
+    leaf_ok = all(sum(1 for leaf in s.leaves if leaf in sample) >= need_leaves
+                  for s in stars)
     need_outside = eta * eta * d / 8
     outside = np.diff(g.csr()[0]) - g.neighbor_counts(u_set | sample)
     worst_outside = int(outside.min()) if g.n else math.inf
@@ -97,29 +82,30 @@ def reservoir_conditions(g: Graph, stars: StarSystem, eta: float,
     }
 
 
-def sample_reservoir(g: Graph, stars: StarSystem, eta: float, seed: int,
-                     retries: int = RESERVOIR_RETRIES) -> tuple[set[int], int, bool]:
-    """Retry Bernoulli draws until both acceptance events hold.
+def sample_reservoir(g: Graph, stars: Sequence[Star], eta: float,
+                     seed: int) -> tuple[set[int], int, bool]:
+    """Retry Bernoulli draws, up to RESERVOIR_RETRIES, until both acceptance
+    events hold.
 
     Returns (sample, draws, accepted).  When no draw is accepted the sample
     is the draw that met the leaf event with the most sampled leaves, or,
     when none met it, one extra fallback draw.
     """
+    centers = [s.center for s in stars]
     best_sample, best_count = None, -1
-    for attempt in range(retries):
-        sample = draw_reservoir(g, stars.centers, eta,
+    for attempt in range(RESERVOIR_RETRIES):
+        sample = draw_reservoir(g, centers, eta,
                                 derive_seed(seed, f"reservoir-try:{attempt}"))
         leaf_ok, outside_ok, _ = reservoir_conditions(g, stars, eta, sample)
         if leaf_ok and outside_ok:
             return sample, attempt + 1, True
-        count = sum(1 for leaves in stars.leaf_sets
-                    for leaf in leaves if leaf in sample)
+        count = sum(1 for s in stars for leaf in s.leaves if leaf in sample)
         if leaf_ok and count > best_count:
             best_sample, best_count = sample, count
     if best_sample is None:
-        best_sample = draw_reservoir(g, stars.centers, eta,
+        best_sample = draw_reservoir(g, centers, eta,
                                      derive_seed(seed, "reservoir-fallback"))
-    return best_sample, retries, False
+    return best_sample, RESERVOIR_RETRIES, False
 
 
 @dataclass(frozen=True)
@@ -129,13 +115,10 @@ class PAlphaParams:
     n0: float
     d0: int
     alpha: float
-    beta: float
 
     def __post_init__(self):
         if not (3 <= self.d0 < self.n0):
             raise PreconditionFailedError(f"need 3 <= d0 < n0, got {self.d0}, {self.n0}")
-        if abs(self.beta - (2 * self.alpha - 1)) > 1e-12:
-            raise PreconditionFailedError("beta must equal 2*alpha - 1")
 
 
 def p_alpha_certificate(n: int, d: int, lam: float,
@@ -232,12 +215,6 @@ def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
 
 @dataclass
 class SubdivisionDiagnostics:
-    n: int
-    d: int
-    lam: float
-    eta: float
-    variant: str
-    t: int
     length: int
     length_formula: int
     n0: float
@@ -250,10 +227,9 @@ class SubdivisionDiagnostics:
     failed_pairs: int
 
 
-def variant_params(n: int, eta: float, variant: str) -> tuple[int, float, float, float]:
-    """(d0, n0, alpha, beta) for the chosen parameterization."""
+def variant_params(n: int, eta: float, variant: str) -> tuple[int, float, float]:
+    """(d0, n0, alpha) for the chosen parameterization."""
     alpha = 1 - eta * eta / 16
-    beta = 2 * alpha - 1
     if variant == VARIANT_FIXED:
         d0 = 3
         n0 = eta * eta * n / 256
@@ -262,7 +238,7 @@ def variant_params(n: int, eta: float, variant: str) -> tuple[int, float, float,
         n0 = (eta / 8) * n ** (1 - eta)
     else:
         raise PreconditionFailedError(f"unknown variant {variant!r}")
-    return d0, n0, alpha, beta
+    return d0, n0, alpha
 
 
 def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
@@ -280,10 +256,10 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     """
     check_eta(eta)
     n, d, lam = g.n, report.d, report.lam
-    d0, n0_formula, alpha, beta = variant_params(n, eta, variant)
+    d0, n0_formula, alpha = variant_params(n, eta, variant)
     # keep the routing depth usable on small hosts
     n0 = max(n0_formula, 16 * (d0 - 1))
-    params = PAlphaParams(n0=n0, d0=d0, alpha=alpha, beta=beta)
+    params = PAlphaParams(n0=n0, d0=d0, alpha=alpha)
     pa_pass, pa_margin = p_alpha_certificate(n, d, lam, params)
     length_formula = fixed_path_length(n0_formula, d0) if n0_formula > 16 else -1
     length = fixed_path_length(n0, d0)
@@ -296,25 +272,25 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
             raise PreconditionFailedError(f"expansion certificate margin {pa_margin:.3g}")
 
     t_target = math.floor((1 - eta) * d)
-    stars = pack_disjoint_stars(g, report, eta, t=t_target)
-    if mode == STRICT and stars.t < t_target:
-        raise InsufficientStarsError(0, stars.t)
+    stars = pack_disjoint_stars(g, report, eta, t_target)
+    if mode == STRICT and len(stars) < t_target:
+        raise InsufficientStarsError(0, len(stars))
 
     sample, attempts, reservoir_strict = sample_reservoir(g, stars, eta, seed)
     if mode == STRICT and not reservoir_strict:
         raise SampleFailedError(RESERVOIR_RETRIES)
 
-    t = stars.t
-    pools = [sorted(set(leaves) & sample) for leaves in stars.leaf_sets]
-    while any(len(pool) < t - 1 for pool in pools) and t > 1:
-        worst = min(range(t), key=lambda i: len(pools[i]))
-        del pools[worst], stars.centers[worst], stars.leaf_sets[worst]
-        t = stars.t
+    pools = [sorted(set(s.leaves) & sample) for s in stars]
+    while len(stars) > 1 and any(len(pool) < len(stars) - 1 for pool in pools):
+        worst = min(range(len(stars)), key=lambda i: len(pools[i]))
+        del pools[worst], stars[worst]
+    centers = [s.center for s in stars]
+    t = len(centers)
     # star i's leaf toward star j is pools[i][rank of j among the other stars]
     pair_keys = [(i, j) for i in range(t) for j in range(i + 1, t)]
     leaf_pairs = [(pools[i][j - 1], pools[j][i]) for (i, j) in pair_keys]
-    s_prime = set(stars.centers).union(*leaf_pairs)
-    sp_ok, sp_load = audit_sprime(g, s_prime, beta)
+    s_prime = set(centers).union(*leaf_pairs)
+    sp_ok, sp_load = audit_sprime(g, s_prime, beta=2 * alpha - 1)
     if mode == STRICT and not sp_ok:
         raise PreconditionFailedError(f"S' load {sp_load:.3f} exceeds beta")
     routed, failed = _route_all(g, leaf_pairs, s_prime, length)
@@ -322,17 +298,14 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
         raise RoutingFailedError(failed[0])
 
     # star indices ascend with center ids, so every key below has a < b
-    full = {(stars.centers[i], stars.centers[j]):
-            [stars.centers[i], *routed[pair], stars.centers[j]]
+    full = {(centers[i], centers[j]): [centers[i], *routed[pair], centers[j]]
             for (i, j), pair in zip(pair_keys, leaf_pairs) if pair in routed}
-    branch = peel_to_complete(list(stars.centers), set(full)) if failed \
-        else list(stars.centers)
+    branch = peel_to_complete(centers, set(full)) if failed else centers
     # every routed path has exactly `length` edges, plus the two star edges
     cert = EmbeddingCertificate.from_paths(
         SUBDIVISION, branch, lambda a, b: full[(a, b)],
         ell=length + 1 if len(branch) > 1 else None)
     diag = SubdivisionDiagnostics(
-        n=n, d=d, lam=lam, eta=eta, variant=variant, t=len(branch),
         length=length, length_formula=length_formula, n0=n0, d0=d0,
         p_alpha_pass=pa_pass, p_alpha_margin=pa_margin,
         reservoir_attempts=attempts, reservoir_strict=reservoir_strict,

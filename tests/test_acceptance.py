@@ -169,7 +169,7 @@ def test_criterion_04_nibble_near_perfection():
         g = build_graph(2 * t + k, edges)
         h = triangle_hypergraph(g, (range(t), range(t, 2 * t),
                                     range(2 * t, 2 * t + k)))
-        m = near_perfect_matching(h, alpha_target=0.2, seed=s)
+        m = near_perfect_matching(h, seed=s)
         frac = m.achieved_fraction()
         worst = min(worst, frac)
         assert frac >= 0.8
@@ -251,13 +251,11 @@ def test_criterion_08_subdivision_pipeline(rr4096):
     # arithmetic oracles at the stated tolerance
     n, d, lam, eta = 10 ** 10, 10 ** 5, 10.0, 0.2
     alpha = 1 - eta * eta / 16
-    params = PAlphaParams(n0=eta * eta * n / 256, d0=3, alpha=alpha,
-                          beta=2 * alpha - 1)
+    params = PAlphaParams(n0=eta * eta * n / 256, d0=3, alpha=alpha)
     ok, margin = p_alpha_certificate(n, d, lam, params)
     rhs = (params.n0 * 13) / (2 * n) + (lam / d) * (1 + math.sqrt(6))
     assert ok and abs(margin - ((1 - alpha) - rhs)) < 1e-12
-    params_fail = PAlphaParams(n0=0.04 * 10 ** 6 / 256, d0=3, alpha=alpha,
-                               beta=2 * alpha - 1)
+    params_fail = PAlphaParams(n0=0.04 * 10 ** 6 / 256, d0=3, alpha=alpha)
     ok2, margin2 = p_alpha_certificate(10 ** 6, 10 ** 3, 10.0, params_fail)
     rhs2 = (params_fail.n0 * 13) / (2 * 10 ** 6) + (10.0 / 10 ** 3) * (1 + math.sqrt(6))
     assert (not ok2) and abs(margin2 - ((1 - alpha) - rhs2)) < 1e-12

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imforge.errors import DegenerateTError
+from imforge.expanders import Star
 from imforge.generators import paley, random_regular
 from imforge.graphs import build_graph, normalize_edge
 from imforge.immersion_dense import PartitionScheme, build_red_black, dense_partition, f_pairs
 from imforge.nibble import Hypergraph3
 from imforge.spectral import adjacency_operator, adjacency_spectrum
-from imforge.subdivision import StarSystem, audit_sprime, reservoir_conditions
+from imforge.subdivision import audit_sprime, reservoir_conditions
 
 from helpers import complete, cycle, petersen, small_graphs, views
 
@@ -110,11 +111,11 @@ def test_f_block_matches_reference_loops(name, eta, m1):
 
 def reference_conditions(g, stars, eta, sample):
     """The per-vertex loop that ``reservoir_conditions`` replaced."""
-    d = max(len(g.neighbors(stars.centers[0])), 1) if stars.centers else 1
-    u_set = set(stars.centers)
+    d = max(len(g.neighbors(stars[0].center)), 1) if stars else 1
+    u_set = {s.center for s in stars}
     need_leaves = (1 - eta) * d
-    leaf_ok = all(sum(1 for leaf in leaves if leaf in sample) >= need_leaves
-                  for leaves in stars.leaf_sets)
+    leaf_ok = all(sum(1 for leaf in s.leaves if leaf in sample) >= need_leaves
+                  for s in stars)
     need_outside = eta * eta * d / 8
     worst_outside = math.inf
     outside_ok = True
@@ -135,7 +136,7 @@ def reservoir_cases(draw):
                  if g.degree(c) else () for c in centers]
     sample = draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
     eta = draw(st.sampled_from([0.1, 0.5, 0.9]))
-    return g, StarSystem(centers=centers, leaf_sets=leaf_sets), eta, sample
+    return g, [Star(c, leaves) for c, leaves in zip(centers, leaf_sets)], eta, sample
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,7 +150,7 @@ def test_reservoir_conditions_match_reference_loop(case):
 
 def test_reservoir_conditions_empty_centers_and_sample():
     for g in (complete(5), cycle(7), petersen(), build_graph(3, [])):
-        for stars in (StarSystem([], []), StarSystem([0], [g.neighbors(0)])):
+        for stars in ([], [Star(0, tuple(g.neighbors(0)))]):
             for sample in (set(), set(range(1, g.n))):
                 assert reservoir_conditions(g, stars, 0.5, sample) == \
                     reference_conditions(g, stars, 0.5, sample)

@@ -34,7 +34,7 @@ from imforge.spectral import adjacency_spectrum
 from imforge.util import derive_seed, np_rng
 
 
-def reference_matching(h, alpha_target=0.2, seed=0):
+def reference_matching(h, seed=0):
     """The one-problem matcher: one seeded stream drawn round by round."""
     t = h.triples
     n_v = h.n_vertices
@@ -161,12 +161,12 @@ def test_lock_step_matcher_equals_each_group_alone(systems, seeds, block_draws):
     seeds = seeds[:len(systems)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nibble, "BLOCK_DRAWS", block_draws)
-        batched = near_perfect_matching(h, alpha_target=0.3, seed=seeds)
+        batched = near_perfect_matching(h, seed=seeds)
     rounds, greedy = [], []
     for (n, triples), start, seed in zip(systems, starts, seeds):
         alone_h = Hypergraph3.from_array(n, triples)
-        alone = near_perfect_matching(alone_h, alpha_target=0.3, seed=seed)
-        ref_triples, ref_rounds, ref_greedy = reference_matching(alone_h, 0.3, seed)
+        alone = near_perfect_matching(alone_h, seed=seed)
+        ref_triples, ref_rounds, ref_greedy = reference_matching(alone_h, seed)
         assert np.array_equal(alone.triples, ref_triples)
         assert (alone.diagnostics["rounds"], alone.diagnostics["greedy_size"]) == \
             (ref_rounds, ref_greedy)
@@ -196,7 +196,7 @@ def test_block_draws_continue_one_stream():
 
 def test_matcher_needs_one_seed_per_group():
     h, _ = union_of([(3, [(0, 1, 2)]), (3, [(0, 1, 2)])])
-    with pytest.raises(ValueError):
+    with pytest.raises(nibble.DomainError):
         near_perfect_matching(h, seed=0)
 
 
@@ -277,7 +277,7 @@ def test_hypergraph_rejects_an_edge_between_groups():
 
 # -- batched red-edge replacement -------------------------------------------
 
-def reference_replace(g, rb, classes, beta, seed, used):
+def reference_replace(g, rb, classes, seed, used):
     """One mini graph and one matcher call per (class, pair)."""
     sch = rb.scheme
     f_set = set(sch.f_set)
@@ -301,7 +301,7 @@ def reference_replace(g, rb, classes, beta, seed, used):
             parts = (range(len(vj)), range(len(vj), len(vj) + len(vk)),
                      range(len(vj) + len(vk), len(local)))
             triangles, _, _ = edge_disjoint_triangles(
-                build_graph(len(local), edges), parts, beta=beta,
+                build_graph(len(local), edges), parts,
                 seed=derive_seed(seed, f"red-replace:{ci}:{j}:{k}"))
             replaced = set()
             for tri in triangles:
@@ -334,14 +334,14 @@ def red_black(g, scheme):
     return build_red_black(scheme, f_pairs(g, np.array(scheme.f_set))[1])
 
 
-def assert_same_replacement(g, scheme, beta, seed):
+def assert_same_replacement(g, scheme, seed):
     rb = red_black(g, scheme)
     classes = one_factorization(scheme.m1)
     f_set = set(scheme.f_set)
     inside = {normalize_edge(u, v) for u in f_set for v in g.neighbors(u) if v in f_set}
     used, ref_used = set(inside), set(inside)
     two_paths, leftovers = replace_red_edges(g, rb, classes, used, seed=seed)
-    ref_paths, ref_leftovers = reference_replace(g, rb, classes, beta, seed, ref_used)
+    ref_paths, ref_leftovers = reference_replace(g, rb, classes, seed, ref_used)
     assert list(two_paths.items()) == list(ref_paths.items())
     assert leftovers == ref_leftovers
     assert used == ref_used
@@ -350,19 +350,19 @@ def assert_same_replacement(g, scheme, beta, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.integers(3, 9), st.integers(1, 4), st.integers(1, 8),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([0.1, 0.3]))
-def test_replace_red_edges_matches_per_pair_calls(t, m1, s, m2, seed, beta):
+       st.integers(0, 2 ** 32 - 1))
+def test_replace_red_edges_matches_per_pair_calls(t, m1, s, m2, seed):
     g = random_regular(80, 40, seed=seed % 7)
     if 1 + m1 * t + m2 * s > g.n:
         m2 = (g.n - 1 - m1 * t) // s
-    assert_same_replacement(g, hand_scheme(g, t, m1, s, m2, seed), beta, seed)
+    assert_same_replacement(g, hand_scheme(g, t, m1, s, m2, seed), seed)
 
 
 def test_replace_red_edges_runs_several_batches():
     # chi = 7 classes over 2 middle cells: batches of 2, 2, 2 and 1 classes
     g = random_regular(80, 40, seed=3)
     scheme = hand_scheme(g, t=3, m1=8, s=4, m2=2, shuffle_seed=5)
-    two_paths = assert_same_replacement(g, scheme, beta=0.2, seed=11)
+    two_paths = assert_same_replacement(g, scheme, seed=11)
     assert scheme.m2 < len(one_factorization(8)) and two_paths
     assert math.ceil(len(one_factorization(8)) / scheme.m2) == 4
 
@@ -371,7 +371,7 @@ def test_replace_red_edges_matches_per_pair_calls_on_paley():
     # the benchmark's Paley(401) cell at eta 0.45: 55 classes, 97 cells
     g = paley(401)
     scheme = dense_partition(g, adjacency_spectrum(g), 0.45)
-    assert_same_replacement(g, scheme, beta=0.2, seed=7)
+    assert_same_replacement(g, scheme, seed=7)
     assert scheme.m2 >= len(one_factorization(scheme.m1))
 
 

@@ -167,16 +167,6 @@ def test_nibble_command(tmp_path):
     assert head == "12 8"
 
 
-@pytest.mark.parametrize("beta", ["nan", "-1", "0", "1", "inf"])
-def test_nibble_beta_outside_the_open_unit_interval_exits_2(tmp_path, capsys, beta):
-    # a NaN target used to reach the JSON output, which then was not JSON
-    dump = tmp_path / "h.txt"
-    assert main(["nibble", "--q", "13", "--parts", "4,4,5", f"--beta={beta}",
-                 "--dump", str(dump)]) == 2
-    assert "0 < beta < 1" in capsys.readouterr().err
-    assert not dump.exists()
-
-
 def test_sweep_rows_and_determinism(tmp_path):
     m1 = tmp_path / "a.csv"
     m2 = tmp_path / "b.csv"

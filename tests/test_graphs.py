@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imforge.errors import (
+    DomainError,
     EmptySideError,
     OutOfRangeError,
     OverlapError,
@@ -91,9 +92,9 @@ def test_build_graph_matches_reference_loop(n, pairs, kind):
 
 
 def test_build_graph_rejects_non_pairs():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         build_graph(4, [(0, 1), (1, 2, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         build_graph(4, np.array([[0, 1, 2], [1, 2, 3]]))
     with pytest.raises(OutOfRangeError):
         build_graph(4, [(0, 1), (2 ** 70, 1)])

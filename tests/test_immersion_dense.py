@@ -164,7 +164,7 @@ def test_dense_pipeline_complete_graph():
     report = verify(g, cert)
     assert report.valid, report.violations
     assert set(report.length_histogram) == {1}
-    assert diag.achieved_order == len(cert.branch) == diag.n - \
+    assert diag.achieved_order == len(cert.branch) == g.n - \
         (g.n - len(cert.branch))
 
 

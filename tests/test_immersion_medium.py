@@ -1,16 +1,16 @@
 import pytest
 
 from imforge.certify import verify
-from imforge.errors import DomainError, PreconditionFailedError
+from imforge.errors import DomainError, PreconditionFailedError, UnitShortfallError
 from imforge.expanders import collect_units
 from imforge.generators import paley, random_regular
-from imforge.graphs import normalize_edge
+from imforge.graphs import build_graph, normalize_edge
 from imforge.immersion_medium import (
     build_medium_immersion,
     connect_units,
     filter_bad_units,
 )
-from imforge.spectral import adjacency_spectrum
+from imforge.spectral import SpectralReport, adjacency_spectrum
 
 from helpers import complete
 
@@ -86,6 +86,58 @@ def test_medium_pipeline_trivial_when_target_collapses():
     cert, diag = build_medium_immersion(g, r, eta=0.4, seed=3)
     # (1 - 5 eta) d < 2: certificate collapses but still verifies
     assert verify(g, cert).valid
+
+
+def test_medium_pipeline_without_units_stands_in_vertex_0():
+    g = paley(13)
+    r = adjacency_spectrum(g)
+    cert, diag = build_medium_immersion(g, r, eta=0.05)
+    assert (cert.branch, cert.pairs, cert.ell) == ([0], {}, None)
+    assert (diag.units_built, diag.units_good, diag.pairs_connected, diag.pairs_missing,
+            diag.achieved_order) == (0, 0, 0, 0, 1)
+    with pytest.raises(UnitShortfallError):
+        build_medium_immersion(g, r, eta=0.05, mode="strict")
+    cert, _ = build_medium_immersion(g, r, eta=0.05, mode="strict", target_order=1)
+    assert (cert.branch, cert.pairs) == ([0], {})
+
+
+def test_medium_pipeline_with_one_unit_keeps_its_center():
+    # Paley(13) on 1..13 beside an isolated vertex 0: one unit, centered off 0
+    p = paley(13)
+    g = build_graph(14, [(u + 1, v + 1) for u, v in p.edges()])
+    r = adjacency_spectrum(p)
+    cert, diag = build_medium_immersion(g, r, eta=0.1)
+    assert diag.h_params == (4, 1, 14)
+    units = collect_units(g, count=3, h1=4, h2=1, h3=14, seed=0)
+    assert [u.center for u in units] == [1]
+    assert (cert.branch, cert.pairs, cert.ell) == ([1], {}, None)
+    assert (diag.units_built, diag.units_good, diag.pairs_connected, diag.pairs_missing,
+            diag.achieved_order) == (1, 1, 0, 0, 1)
+    with pytest.raises(UnitShortfallError):
+        build_medium_immersion(g, r, eta=0.1, mode="strict")
+    cert, _ = build_medium_immersion(g, r, eta=0.1, mode="strict", target_order=1)
+    assert (cert.branch, cert.pairs) == ([1], {})
+
+
+def test_medium_pipeline_with_every_unit_dropped_keeps_the_first_center():
+    # at eta 0.01 a unit that spends two pendant edges is dropped
+    g = complete(40)
+    r = adjacency_spectrum(g)
+    kwargs = dict(eta=0.01, h_params=(2, 2, 1), target_order=3, max_len=8)
+    cert, diag = build_medium_immersion(g, r, **kwargs)
+    units = collect_units(g, count=3, h1=2, h2=2, h3=1, seed=0)
+    assert (diag.units_built, diag.units_good, diag.pairs_connected) == (3, 0, 3)
+    assert (cert.branch, cert.pairs) == ([units[0].center], {})
+    with pytest.raises(UnitShortfallError):
+        build_medium_immersion(g, r, mode="strict", **kwargs)
+
+
+def test_medium_pipeline_rejects_an_empty_host():
+    # the path-length scale m has no value at n = 0
+    report = SpectralReport(n=0, d=4, lam=0.0, lambda2=0.0, lambdan=0.0,
+                            is_regular=False, tol=0.0)
+    with pytest.raises(DomainError):
+        build_medium_immersion(build_graph(0, []), report, eta=0.1, max_len=3)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imforge.errors import BadPartitionError, DomainError
+from imforge.errors import BadPartitionError
 from imforge.graphs import build_graph
 from imforge.nibble import (
     Hypergraph3,
@@ -161,12 +161,6 @@ def test_edge_disjoint_triangles_triangle_free():
         g, ([0, 1], [2, 3], [4, 5]), seed=0)
     assert triangles == []
     assert len(uncovered) == 6
-
-
-@pytest.mark.parametrize("beta", [float("nan"), -1.0, 0.0, 1.0, float("inf")])
-def test_edge_disjoint_triangles_rejects_beta_outside_the_open_unit_interval(beta):
-    with pytest.raises(DomainError, match="0 < beta < 1"):
-        edge_disjoint_triangles(complete_tripartite(2, 2, 2), ([0, 1], [2, 3], [4, 5]), beta=beta)
 
 
 def test_dump_load_round_trip():

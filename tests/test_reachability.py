@@ -10,9 +10,9 @@ Names match by spelling only, so an attribute ``x.to_json`` reaches every
 ``to_json``.  Import statements do not count, so a re-export in
 ``__init__`` reaches nothing.
 
-Import guard: every name an import binds in a module is used by that
-module's code.  ``__init__`` re-exports and imports under
-``if TYPE_CHECKING:`` are exempt.
+Import guard: every name an import binds in a module of ``src/imforge`` or
+``tests`` is used by that module's code.  ``__init__`` re-exports and
+imports under ``if TYPE_CHECKING:`` are exempt.
 """
 
 import ast
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "imforge"
+TESTS = Path(__file__).resolve().parent
 
 ALLOWLIST = {
     "certify.verify_adjuster": "criterion 10 verifies chained adjusters with it",
@@ -147,6 +148,10 @@ def unused_imports(src: Path) -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports(SRC) == []
+
+
+def test_every_test_import_is_used():
+    assert unused_imports(TESTS) == []
 
 
 def test_import_guard_catches_an_unused_import(tmp_path):

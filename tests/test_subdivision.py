@@ -33,10 +33,10 @@ from helpers import complete, hypercube, path
 def test_pack_stars_hypercube():
     g = hypercube(4)
     r = adjacency_spectrum(g)
-    stars = pack_disjoint_stars(g, r, eta=0.25)
-    assert stars.t == 3
-    assert all(len(leaves) == 3 for leaves in stars.leaf_sets)
-    blocks = [set(leaves) | {c} for c, leaves in zip(stars.centers, stars.leaf_sets)]
+    stars = pack_disjoint_stars(g, r, eta=0.25, t=3)
+    assert len(stars) == 3
+    assert all(len(s.leaves) == 3 for s in stars)
+    blocks = [set(s.leaves) | {s.center} for s in stars]
     for i, a in enumerate(blocks):
         for b in blocks[i + 1:]:
             assert not (a & b)
@@ -45,8 +45,8 @@ def test_pack_stars_hypercube():
 def test_pack_stars_k5_insufficient():
     g = complete(5)
     r = adjacency_spectrum(g)
-    stars = pack_disjoint_stars(g, r, eta=0.25)  # target t = 3
-    assert stars.t == 1
+    stars = pack_disjoint_stars(g, r, eta=0.25, t=3)
+    assert len(stars) == 1
 
 
 def padded_host(cliques: int) -> tuple:
@@ -92,15 +92,15 @@ def test_pack_stars_with_target_override():
     g = random_regular(500, 120, seed=1)
     r = adjacency_spectrum(g)
     stars = pack_disjoint_stars(g, r, eta=0.9, t=5)
-    assert stars.t == 5
+    assert len(stars) == 5
 
 
 def test_reservoir_accepts_on_rich_graph():
     g = random_regular(500, 120, seed=1)
     r = adjacency_spectrum(g)
     stars = pack_disjoint_stars(g, r, eta=0.5, t=2)
-    sample, draws, accepted = sample_reservoir(g, stars, eta=0.5, seed=3, retries=10)
-    assert accepted and 1 <= draws <= 10
+    sample, draws, accepted = sample_reservoir(g, stars, eta=0.5, seed=3)
+    assert accepted and 1 <= draws <= RESERVOIR_RETRIES
     leaf_ok, outside_ok, info = reservoir_conditions(g, stars, eta=0.5, sample=sample)
     assert leaf_ok and outside_ok
     assert info["worst_outside"] >= info["need_outside"]
@@ -111,11 +111,11 @@ def test_reservoir_fails_on_tight_graph():
     # and with eta this small the per-vertex outside event is also hopeless
     g = hypercube(4)
     r = adjacency_spectrum(g)
-    stars = pack_disjoint_stars(g, r, eta=0.25)
-    sample, draws, accepted = sample_reservoir(g, stars, eta=0.25, seed=0, retries=5)
-    assert not accepted and draws == 5
+    stars = pack_disjoint_stars(g, r, eta=0.25, t=3)
+    sample, draws, accepted = sample_reservoir(g, stars, eta=0.25, seed=0)
+    assert not accepted and draws == RESERVOIR_RETRIES
     # the best rejected draw, or the fallback draw, is still a vertex sample
-    assert sample <= set(range(g.n)) - set(stars.centers)
+    assert sample <= set(range(g.n)) - {s.center for s in stars}
 
 
 def test_reservoir_draw_deterministic():
@@ -129,8 +129,7 @@ def test_p_alpha_pass_case():
     # hand-evaluated inequality at large scale
     n, d, lam, eta = 10 ** 10, 10 ** 5, 10.0, 0.2
     alpha = 1 - eta * eta / 16
-    params = PAlphaParams(n0=eta * eta * n / 256, d0=3, alpha=alpha,
-                          beta=2 * alpha - 1)
+    params = PAlphaParams(n0=eta * eta * n / 256, d0=3, alpha=alpha)
     rhs = (params.n0 * 13) / (2 * n) + (lam / d) * (1 + math.sqrt(6))
     ok, margin = p_alpha_certificate(n, d, lam, params)
     assert ok
@@ -141,15 +140,14 @@ def test_p_alpha_pass_case():
 def test_p_alpha_fail_case():
     n, d, lam, eta = 10 ** 6, 10 ** 3, 10.0, 0.2
     alpha = 1 - eta * eta / 16
-    params = PAlphaParams(n0=eta * eta * n / 256, d0=3, alpha=alpha,
-                          beta=2 * alpha - 1)
+    params = PAlphaParams(n0=eta * eta * n / 256, d0=3, alpha=alpha)
     ok, margin = p_alpha_certificate(n, d, lam, params)
     assert not ok
     assert abs(margin - (0.0025 - (156.25 * 13 / 2e6 + 0.01 * (1 + math.sqrt(6))))) < 1e-12
 
 
 def test_p_alpha_zero_lambda_limit():
-    params = PAlphaParams(n0=100.0, d0=3, alpha=0.9, beta=0.8)
+    params = PAlphaParams(n0=100.0, d0=3, alpha=0.9)
     ok, margin = p_alpha_certificate(10 ** 12, 100, 0.0, params)
     assert ok and abs(margin - (0.1 - 100 * 13 / 2e12)) < 1e-15
 
