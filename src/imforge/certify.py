@@ -222,10 +222,12 @@ def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
     )
 
 
-def verify_unit(g: Graph, unit: "Unit") -> VerifyReport:
-    """Structural check of a unit against the graph."""
+def verify_unit(g: Graph, unit: "Unit", h_params: tuple[int, int, int]) -> VerifyReport:
+    """Structural check of a unit against the graph and the spec
+    ``h_params = (h1, h2, h3)``: h1 branches and stars, stars of at least
+    h2 leaves, branches of length at most h3."""
     violations: list[tuple[str, str]] = []
-    h1, h2, h3 = unit.h_params
+    h1, h2, h3 = h_params
     if len(unit.stars) != h1 or len(unit.branches) != h1:
         violations.append(("WRONG_COUNT", f"{len(unit.stars)} stars, {len(unit.branches)} branches, need {h1}"))
     seen_edges: set[Edge] = set()

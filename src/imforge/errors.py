@@ -76,12 +76,12 @@ class NoPathError(ImforgeError):
 
 
 class InsufficientStarsError(ImforgeError):
-    """Greedy star packing could not fill a request; carries what it found."""
+    """Greedy star packing found fewer stars than asked for."""
 
-    def __init__(self, index: int, found: int):
-        super().__init__(f"star request {index} unmet (best available: {found})")
-        self.index = index
+    def __init__(self, found: int, wanted: int):
+        super().__init__(f"packed {found} of {wanted} stars")
         self.found = found
+        self.wanted = wanted
 
 
 class UnitFailedError(ImforgeError):

@@ -19,7 +19,6 @@ be validated by the independent certifier, never trusted from bookkeeping.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -31,23 +30,19 @@ from .util import stream_rng
 # centers a unit tries by rank before the few seeded extras
 CENTER_TRIALS = 8
 
-
-@dataclass(frozen=True)
-class ExpanderParams:
-    """Expansion profile parameters of the path-length scale."""
-
-    eps1: float = 0.125
-    eps2: float = 0.2
+# expansion profile parameters of the path-length scale
+EPS1 = 0.125
+EPS2 = 0.2
 
 
-def mix_length_m(n: int, d: int, params: ExpanderParams) -> float:
-    """Path-length scale (2/eps1) * ln^3(15n / (eps2 d))."""
+def mix_length_m(n: int, d: int) -> float:
+    """Path-length scale (2/EPS1) * ln^3(15n / (EPS2 d))."""
     if n <= 0 or d <= 0:
         raise DomainError(f"need positive n, d; got n={n}, d={d}")
-    ratio = 15 * n / (params.eps2 * d)
+    ratio = 15 * n / (EPS2 * d)
     if ratio <= 1:
-        raise DomainError("eps2*d must stay below 15n")
-    return (2 / params.eps1) * math.log(ratio) ** 3
+        raise DomainError("EPS2*d must stay below 15n")
+    return (2 / EPS1) * math.log(ratio) ** 3
 
 
 def bfs_tree(view: Graph | GraphView, sources: Iterable[int], depth: int,
@@ -154,7 +149,6 @@ class Unit:
     center: int
     branches: list[list[int]]
     stars: list[Star]
-    h_params: tuple[int, int, int]
 
     def exterior(self) -> set[int]:
         out: set[int] = set()
@@ -190,14 +184,6 @@ class Unit:
         for path in self.branches:
             out.update(path[1:-1])
         return out
-
-    def to_json(self) -> str:
-        payload = {
-            "center": self.center,
-            "branches": self.branches,
-            "stars": [{"center": s.center, "leaves": list(s.leaves)} for s in self.stars],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
@@ -244,8 +230,7 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
     if len(survivors) < h1:
         return None, "prune"
     kept = survivors[:h1]
-    return Unit(center, [path for _, path in kept], [s for s, _ in kept],
-                (h1, h2, h3)), "done"
+    return Unit(center, [path for _, path in kept], [s for s, _ in kept]), "done"
 
 
 def build_unit(view: GraphView, h1: int, h2: int, h3: int, seed: int = 0) -> Unit:

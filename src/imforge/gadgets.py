@@ -29,11 +29,12 @@ from .errors import (
     NoConnectionError,
     NoEvenCycleError,
     NoPathError,
+    OverlapError,
     PreconditionFailedError,
     StuckError,
 )
 from .expanders import bfs_tree, short_avoiding_path
-from .graphs import Graph, normalize_edge, view_minus
+from .graphs import Graph, normalize_edge, vertex_ids, view_minus
 from .util import BEST_EFFORT, STRICT, np_rng, peel_to_complete
 
 
@@ -59,38 +60,42 @@ def _parity_distances(view, target: int, banned_edge) -> dict[tuple[int, int], i
 def _shortest_odd_path(view, start: int, target: int, banned_edge,
                        bound: int) -> Optional[list[int]]:
     """Shortest simple odd-length path start..target avoiding one edge,
-    of length <= bound; DFS with parity-walk-distance pruning."""
+    of length <= bound; DFS with parity-walk-distance pruning, on an
+    explicit stack of neighbour iterators so long paths cannot exhaust the
+    call stack."""
     if bound < 1:
         return None
     dist = _parity_distances(view, target, banned_edge)
     best: Optional[list[int]] = None
     best_len = bound + 1
+
+    def worth_entering(v: int, length: int) -> bool:
+        h = dist.get((v, (1 - length) % 2))
+        return h is not None and length + h < best_len
+
+    if not worth_entering(start, 0):
+        return None
     path = [start]
     on_path = {start}
-
-    def dfs(v: int, length: int) -> None:
-        nonlocal best, best_len
-        if v == target:
-            if length % 2 == 1 and length < best_len:
-                best = list(path)
-                best_len = length
-            return
-        need_parity = (1 - length) % 2
-        h = dist.get((v, need_parity))
-        if h is None or length + h >= best_len:
-            return
-        for w in view.neighbors(v):
-            if w in on_path:
+    stack = [iter(view.neighbors(start))]
+    while stack:
+        v = path[-1]
+        length = len(path)
+        for w in stack[-1]:
+            if w in on_path or (banned_edge and normalize_edge(v, w) == banned_edge):
                 continue
-            if banned_edge and normalize_edge(v, w) == banned_edge:
-                continue
-            path.append(w)
-            on_path.add(w)
-            dfs(w, length + 1)
-            path.pop()
-            on_path.remove(w)
-
-    dfs(start, 0)
+            if w == target:
+                if length % 2 == 1 and length < best_len:
+                    best = path + [w]
+                    best_len = length
+            elif worth_entering(w, length):
+                path.append(w)
+                on_path.add(w)
+                stack.append(iter(view.neighbors(w)))
+                break
+        else:
+            stack.pop()
+            on_path.remove(path.pop())
     return best
 
 
@@ -154,19 +159,36 @@ def trim_expansion(expansion: Expansion, new_size: int) -> Expansion:
 
 @dataclass
 class Adjuster:
-    """Two cores with expansion ends and a center set realizing connector
-    paths of lengths ell, ell+2, ..., ell+2k."""
+    """Two expansion ends, whose roots are the cores, a center set, and
+    realizers: core-to-core paths of lengths ell, ell+2, ..., ell+2k through
+    the center.  k, ell and the end size are read off the realizers and the
+    first end; ``m`` is the budget the verifier checks."""
 
-    u1: int
-    u2: int
     end1: Expansion
     end2: Expansion
     center: tuple[int, ...]
-    k: int
-    ell: int
     realizers: list[list[int]]
-    d_size: int
     m: int
+
+    @property
+    def u1(self) -> int:
+        return self.end1.root
+
+    @property
+    def u2(self) -> int:
+        return self.end2.root
+
+    @property
+    def k(self) -> int:
+        return len(self.realizers) - 1
+
+    @property
+    def ell(self) -> int:
+        return len(self.realizers[0]) - 1
+
+    @property
+    def d_size(self) -> int:
+        return self.end1.size
 
     def vertices(self) -> set[int]:
         return set(self.center) | set(self.end1.vertices) | set(self.end2.vertices)
@@ -194,19 +216,16 @@ def _canonical_cycle(cycle: list[int]) -> list[int]:
 
 
 def build_1_adjuster(g: Graph, removed_vertices: Iterable[int] = (),
-                     removed_edges: Iterable[tuple[int, int]] = (),
-                     d_size: int = 1, m: int = 1,
-                     cycle_cap: Optional[int] = None) -> Adjuster:
+                     d_size: int = 1, m: int = 1) -> Adjuster:
     """Seed adjuster from a shortest even cycle: the two cores sit at
     distance r-1 along a 2r-cycle, the two arcs realize lengths r-1 and r+1,
     and the ends are expansions grown off the cycle.
 
-    The cycle cap defaults to m/16 when that is at least 4 (the asymptotic
+    The cycle is capped at m/16 when that is at least 4 (the asymptotic
     regime) and is otherwise unbounded, so small hosts stay usable.
     """
-    view = view_minus(g, removed_vertices, removed_edges)
-    if cycle_cap is None:
-        cycle_cap = m // 16 if m // 16 >= 4 else None
+    view = view_minus(g, removed_vertices)
+    cycle_cap = m // 16 if m // 16 >= 4 else None
     cycle = shortest_even_cycle(view, cycle_cap)
     if cycle is None:
         raise NoEvenCycleError(f"no even cycle within cap {cycle_cap}")
@@ -221,9 +240,7 @@ def build_1_adjuster(g: Graph, removed_vertices: Iterable[int] = (),
     end1 = grow_expansion(view, v1, d_size, m, forbidden=off_cycle - {v1})
     end2 = grow_expansion(view, v2, d_size, m,
                           forbidden=(off_cycle - {v2}) | set(end1.vertices))
-    return Adjuster(u1=v1, u2=v2, end1=end1, end2=end2, center=center,
-                    k=1, ell=r - 1, realizers=[arc_short, arc_long],
-                    d_size=d_size, m=m)
+    return Adjuster(end1, end2, center, [arc_short, arc_long], m)
 
 
 def _orient(path: list[int], first: int) -> list[int]:
@@ -241,22 +258,22 @@ def _path_inside(view, members: set[int], start: int, target: int) -> list[int]:
 
 
 def chain_adjusters(g: Graph, first: Adjuster, second: Optional[Adjuster],
-                    removed_vertices: Iterable[int] = (),
-                    removed_edges: Iterable[tuple[int, int]] = (),
                     m: int = 1) -> Adjuster:
-    """Link one end of each adjuster by a short path, producing an adjuster
-    whose flexibility is the sum of the two.
+    """Link one end of each adjuster by a path of length at most m,
+    producing an adjuster whose flexibility is the sum of the two.
 
     The connector is extended through the used ends to their cores; the new
-    center set is both old centers plus the connector, and the composed
-    realizers cover every length ell+2i for i = 0..k1+k2.
+    center set is both old centers plus the connector, the new ends are the
+    free ends trimmed to the smaller end size, the composed realizers cover
+    every length ell+2i for i = 0..k1+k2, and the budget is the largest of
+    the two budgets and m.
     """
     if second is None:
         return first
     if first.vertices() & second.vertices():
         raise NoConnectionError("adjusters must be vertex-disjoint")
     centers = set(first.center) | set(second.center)
-    view = view_minus(g, set(removed_vertices) | centers, removed_edges)
+    view = view_minus(g, centers)
     x1 = set(first.end1.vertices) | set(first.end2.vertices)
     x2 = set(second.end1.vertices) | set(second.end2.vertices)
     try:
@@ -264,47 +281,33 @@ def chain_adjusters(g: Graph, first: Adjuster, second: Optional[Adjuster],
     except NoPathError as err:
         raise NoConnectionError(str(err)) from err
 
-    used1 = first.end1 if mid[0] in set(first.end1.vertices) else first.end2
-    new_end1 = first.end2 if used1 is first.end1 else first.end1
-    core_used1 = used1.root
-    core_new1 = first.u2 if core_used1 == first.u1 else first.u1
-    used2 = second.end1 if mid[-1] in set(second.end1.vertices) else second.end2
-    new_end2 = second.end2 if used2 is second.end1 else second.end1
-    core_used2 = used2.root
-    core_new2 = second.u2 if core_used2 == second.u1 else second.u1
-
-    head = _path_inside(view, set(used1.vertices), core_used1, mid[0])
-    tail = _path_inside(view, set(used2.vertices), mid[-1], core_used2)
+    # (used end, free end) of each adjuster: the connector lands in the used one
+    used1, free1 = ((first.end1, first.end2) if mid[0] in first.end1.vertices
+                    else (first.end2, first.end1))
+    used2, free2 = ((second.end1, second.end2) if mid[-1] in second.end1.vertices
+                    else (second.end2, second.end1))
+    # the connector runs from used1's core to used2's core
+    head = _path_inside(view, set(used1.vertices), used1.root, mid[0])
+    tail = _path_inside(view, set(used2.vertices), mid[-1], used2.root)
     connector = head + mid[1:] + tail[1:] if len(mid) > 1 else head + tail[1:]
     if len(set(connector)) != len(connector):
         raise NoConnectionError("connector revisits a vertex")
 
-    k_new = first.k + second.k
-    ell_new = first.ell + second.ell + (len(connector) - 1)
     realizers: list[list[int]] = []
-    for i in range(k_new + 1):
+    for i in range(first.k + second.k + 1):
         i1 = min(i, first.k)
-        i2 = i - i1
-        part1 = _orient(first.realizers[i1], core_new1)
-        part2 = _orient(second.realizers[i2], core_used2)
-        rev_connector = connector if connector[0] == core_used1 else connector[::-1]
-        composed = part1 + rev_connector[1:] + part2[1:]
+        part1 = _orient(first.realizers[i1], free1.root)
+        part2 = _orient(second.realizers[i - i1], used2.root)
+        composed = part1 + connector[1:] + part2[1:]
         if len(set(composed)) != len(composed):
             raise NoConnectionError("composed realizer is not simple")
         realizers.append(composed)
 
-    center_new = tuple(sorted((centers | set(connector)) - {core_new1, core_new2}))
+    center_new = tuple(sorted((centers | set(connector)) - {free1.root, free2.root}))
     d_new = min(first.d_size, second.d_size)
-    if new_end1.size > d_new:
-        new_end1 = trim_expansion(new_end1, d_new)
-    if new_end2.size > d_new:
-        new_end2 = trim_expansion(new_end2, d_new)
-    m_new = max(first.m, second.m, m)
-    if len(center_new) > 10 * m_new * k_new:
-        m_new = math.ceil(len(center_new) / (10 * k_new))
-    return Adjuster(u1=core_new1, u2=core_new2, end1=new_end1, end2=new_end2,
-                    center=center_new, k=k_new, ell=ell_new,
-                    realizers=realizers, d_size=d_new, m=m_new)
+    end1, end2 = (end if end.size <= d_new else trim_expansion(end, d_new)
+                  for end in (free1, free2))
+    return Adjuster(end1, end2, center_new, realizers, max(first.m, second.m, m))
 
 
 def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int],
@@ -327,16 +330,20 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     fewer than three are left), less one for the pool when the hub leaves
     p or fewer; links through any common pool vertex when no pair shares a
     strong one; and peels the branch set to the pairs it linked.
+
+    Side ids outside the host raise OutOfRangeError, and an id on both
+    sides raises OverlapError.
     """
-    a_list = sorted(set(a_side))
-    b_list = sorted(set(b_side))
+    a_ids = np.unique(vertex_ids(g.n, a_side))
+    b_ids = np.unique(vertex_ids(g.n, b_side))
+    if np.intersect1d(a_ids, b_ids).size:
+        raise OverlapError("the two sides share a vertex")
+    a_list, b_list = a_ids.tolist(), b_ids.tolist()
     n1, n2 = len(a_list), len(b_list)
     if p < 0 or n1 == 0 or n2 == 0:
         raise PreconditionFailedError("need nonempty sides and p >= 0")
-    b_arr = np.array(b_list, dtype=np.int64)
-    in_graph = (b_arr >= 0) & (b_arr < g.n)
     b_col = np.full(g.n, -1, dtype=np.int64)
-    b_col[b_arr[in_graph]] = np.flatnonzero(in_graph)
+    b_col[b_ids] = np.arange(n2)
     mat = np.zeros((n1, n2), dtype=np.float32)
     for i, u in enumerate(a_list):
         cols = b_col[np.array(g.neighbors(u), dtype=np.int64)]
@@ -357,27 +364,21 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         candidates = sorted(rng.choice(n2, size=64, replace=False).tolist())
     codeg = mat @ mat.T
 
-    def hub_rows(j: int) -> tuple[np.ndarray, np.ndarray]:
-        """A-rows next to hub column j, and per row its bad-pair count."""
-        rows = np.flatnonzero(mat[:, j])
-        bad = codeg[np.ix_(rows, rows)] < 3 * p
-        np.fill_diagonal(bad, False)
-        return rows, bad.sum(axis=1)
-
+    # score each candidate hub column j by its A-rows and, per row, the
+    # number of low-codegree partners among them; keep the winner's
     ex = alpha * n1
     ey = max(3 * p * n1 * n1 / (2 * n2), 1e-12)
     best_score = -math.inf
-    best_j = candidates[0]
     for j in candidates:
-        rows, bad_counts = hub_rows(j)
-        x = float(rows.size)
-        y = float(bad_counts.sum()) / 2
+        cand_rows = np.flatnonzero(mat[:, j])
+        bad = codeg[np.ix_(cand_rows, cand_rows)] < 3 * p
+        np.fill_diagonal(bad, False)
+        cand_bad = bad.sum(axis=1)
+        x = float(cand_rows.size)
+        y = float(cand_bad.sum()) / 2
         score = x * x - (ex * ex / (2 * ey)) * y
         if score > best_score:
-            best_score = score
-            best_j = j
-    hub = b_list[best_j]
-    rows, bad_counts = hub_rows(best_j)
+            best_score, hub, rows, bad_counts = score, b_list[j], cand_rows, cand_bad
     keep = rows[bad_counts <= len(rows) / 16]
     if len(keep) < p and mode == STRICT:
         raise PreconditionFailedError(
@@ -402,6 +403,7 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     used_edges: set[tuple[int, int]] = set()
     used_b: set[int] = set()
     occupancy = {a: 0 for a in pool}
+    pool_nbrs: dict[int, set[int]] = {}
     linked: dict[tuple[int, int], list[int]] = {}
     for i in range(len(branch)):
         for j in range(i + 1, len(branch)):
@@ -410,7 +412,9 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
             for a, ok_u, ok_v in zip(pool, strong[i], strong[j]):
                 if not (ok_u and ok_v) or occupancy[a] > p:
                     continue
-                na = set(g.neighbors(a))
+                na = pool_nbrs.get(a)
+                if na is None:
+                    na = pool_nbrs[a] = set(g.neighbors(a))
                 bi = next((w for w in g.neighbors(u)
                            if w in na and normalize_edge(u, w) not in used_edges
                            and normalize_edge(a, w) not in used_edges), None)

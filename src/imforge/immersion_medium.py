@@ -22,7 +22,7 @@ from .errors import (
     PreconditionFailedError,
     UnitShortfallError,
 )
-from .expanders import ExpanderParams, Unit, collect_units, mix_length_m, short_avoiding_path
+from .expanders import Unit, collect_units, mix_length_m, short_avoiding_path
 from .graphs import Edge, Graph, GraphView, normalize_edge
 from .spectral import SpectralReport
 from .util import BEST_EFFORT, STRICT, check_eta, peel_to_complete
@@ -159,10 +159,9 @@ class MediumDiagnostics:
     precondition_ok: bool
 
 
-def default_h_params(n: int, d: int, eta: float,
-                     params: ExpanderParams) -> tuple[int, int, int, float]:
+def default_h_params(n: int, d: int, eta: float) -> tuple[int, int, int, float]:
     """Formula h-parameters, clamped so small hosts stay constructible."""
-    m_raw = mix_length_m(n, d, params)
+    m_raw = mix_length_m(n, d)
     m = min(max(m_raw, 2.0), float(n))
     h1 = min(max(1, math.ceil((1 - 4 * eta) * d)), d)
     h2 = min(math.ceil(m), max(1, d // 4))
@@ -188,7 +187,7 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
         raise PreconditionFailedError(
             f"need d > 2*lambda, got d={report.d}, lambda={report.lam:.3f}")
 
-    h1f, h2f, h3f, m_scale = default_h_params(g.n, report.d, eta, ExpanderParams())
+    h1f, h2f, h3f, m_scale = default_h_params(g.n, report.d, eta)
     h1, h2, h3 = h_params if h_params is not None else (h1f, h2f, h3f)
     if target_order is None:
         target_order = max(1, math.floor((1 - 5 * eta) * report.d))

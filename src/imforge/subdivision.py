@@ -274,7 +274,7 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     t_target = math.floor((1 - eta) * d)
     stars = pack_disjoint_stars(g, report, eta, t_target)
     if mode == STRICT and len(stars) < t_target:
-        raise InsufficientStarsError(0, len(stars))
+        raise InsufficientStarsError(len(stars), t_target)
 
     sample, attempts, reservoir_strict = sample_reservoir(g, stars, eta, seed)
     if mode == STRICT and not reservoir_strict:

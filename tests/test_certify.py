@@ -175,23 +175,22 @@ def test_certificate_json_round_trip():
 def test_verify_unit_round_trip():
     g = complete(20)
     unit = build_unit(view_minus(g, (), ()), h1=3, h2=2, h3=2, seed=0)
-    report = verify_unit(g, unit)
+    report = verify_unit(g, unit, (3, 2, 2))
     assert report.valid, report.violations
 
 
 def test_verify_unit_missing_edge():
     g = cycle(8)
-    unit = Unit(center=0, branches=[[0, 3]], stars=[Star(3, (2, 4))],
-                h_params=(1, 2, 1))
-    report = verify_unit(g, unit)
+    unit = Unit(center=0, branches=[[0, 3]], stars=[Star(3, (2, 4))])
+    report = verify_unit(g, unit, (1, 2, 1))
     assert any(code == "MISSING_EDGE" for code, _ in report.violations)
 
 
 def test_verify_unit_star_overlap():
     g = complete(8)
     unit = Unit(center=0, branches=[[0, 1], [0, 2]],
-                stars=[Star(1, (3, 4)), Star(2, (4, 5))], h_params=(2, 2, 1))
-    report = verify_unit(g, unit)
+                stars=[Star(1, (3, 4)), Star(2, (4, 5))])
+    report = verify_unit(g, unit, (2, 2, 1))
     assert any(code == "STAR_OVERLAP" for code, _ in report.violations)
 
 

@@ -6,6 +6,8 @@ from imforge.errors import (
     ExpansionFailedError,
     NoConnectionError,
     NoEvenCycleError,
+    OutOfRangeError,
+    OverlapError,
     PreconditionFailedError,
 )
 from imforge.gadgets import (
@@ -87,6 +89,12 @@ def test_even_cycle_matches_brute_force_on_circulants():
         assert cycle_length(shortest_even_cycle(g)) == brute_even_girth(g)
 
 
+def test_even_cycle_longer_than_the_recursion_limit():
+    # the odd-path search keeps its own stack: a 1010-vertex path is fine
+    found = shortest_even_cycle(cycle(1010))
+    assert sorted(found) == list(range(1010))
+
+
 def test_trim_expansion():
     g = star(5)
     exp = grow_expansion(view_minus(g), 0, size=6, radius=1)
@@ -126,6 +134,16 @@ def test_1_adjuster_petersen():
     assert report.valid, report.violations
 
 
+def test_1_adjuster_on_a_long_cycle():
+    # m = 16 * 1010 lets the m/16 cycle cap admit the whole cycle and the
+    # 10mk budget hold its 1008 center vertices
+    g = cycle(1010)
+    adj = build_1_adjuster(g, d_size=1, m=16 * 1010)
+    assert (adj.k, adj.ell, len(adj.center)) == (1, 504, 1008)
+    report = verify_adjuster(g, adj)
+    assert report.valid, report.violations
+
+
 def test_1_adjuster_tree():
     with pytest.raises(NoEvenCycleError):
         build_1_adjuster(path(8), d_size=1, m=1)
@@ -149,6 +167,21 @@ def test_chain_adjusters_k2():
                                                              chained.ell + 4]
     report = verify_adjuster(g, chained)
     assert report.valid, report.violations
+
+
+def test_chain_adjusters_keeps_the_budget_it_was_given():
+    # two C30s joined by the edge 14-30: each seed adjuster breaks the 10mk
+    # center budget at m = 1, and so does their chain, which keeps m = 1
+    edges = [(i, (i + 1) % 30) for i in range(30)]
+    edges += [(30 + i, 30 + (i + 1) % 30) for i in range(30)]
+    edges.append((14, 30))
+    g = build_graph(60, edges)
+    a1 = build_1_adjuster(g, removed_vertices=range(30, 60), d_size=1, m=1)
+    a2 = build_1_adjuster(g, removed_vertices=range(30), d_size=1, m=1)
+    assert [code for code, _ in verify_adjuster(g, a1).violations] == ["CENTER_BUDGET"]
+    chained = chain_adjusters(g, a1, a2, m=1)
+    assert (chained.k, chained.m, len(chained.center)) == (2, 1, 58)
+    assert [code for code, _ in verify_adjuster(g, chained).violations] == ["CENTER_BUDGET"]
 
 
 def test_chain_adjusters_identity():
@@ -190,6 +223,23 @@ def test_k3_immersion_strict_precondition():
     g = complete_bipartite(8, 8)
     with pytest.raises(PreconditionFailedError):
         bipartite_k3_immersion(g, range(8), range(8, 16), p=5, seed=0, mode="strict")
+
+
+@pytest.mark.parametrize("a_side, b_side", [
+    ([0, 1, 72], range(8, 72)),        # an A id equal to n
+    ([-1, 0, 1], range(8, 72)),        # a negative A id
+    (range(8), [*range(8, 72), 500]),  # a B id past n
+])
+def test_k3_immersion_rejects_ids_outside_the_host(a_side, b_side):
+    g = complete_bipartite(8, 64)
+    with pytest.raises(OutOfRangeError):
+        bipartite_k3_immersion(g, a_side, b_side, p=2, seed=0)
+
+
+def test_k3_immersion_rejects_sides_that_share_an_id():
+    g = complete_bipartite(8, 64)
+    with pytest.raises(OverlapError):
+        bipartite_k3_immersion(g, range(9), range(8, 72), p=2, seed=0)
 
 
 def random_bipartite(n1, n2, density, seed):

@@ -65,7 +65,7 @@ def test_strict_pipeline_raises_on_star_shortfall():
     g, report = padded_host(1)  # one K5 holds one star; t = 2 are needed
     with pytest.raises(InsufficientStarsError) as err:
         build_balanced_subdivision(g, report, eta=0.5, mode="strict")
-    assert err.value.found == 1
+    assert err.value.found == 1 and err.value.wanted == 2
 
 
 def test_strict_pipeline_raises_on_rejected_reservoir():
