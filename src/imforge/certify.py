@@ -265,25 +265,26 @@ def verify_unit(g: Graph, unit: "Unit", h_params: tuple[int, int, int]) -> Verif
 
 
 def verify_adjuster(g: Graph, adj: "Adjuster") -> VerifyReport:
-    """Structural check of an adjuster: disjointness, center budget,
-    expansion ends, and every realizer path re-walked in the graph."""
+    """Structural check of an adjuster: disjointness, a budget m >= 1, at
+    least one realizer, the center budget, ends of one size within radius m,
+    and every realizer path re-walked in the graph."""
     violations: list[tuple[str, str]] = []
     center = set(adj.center)
     end1 = set(adj.end1.vertices)
     end2 = set(adj.end2.vertices)
     if center & end1 or center & end2 or end1 & end2:
         violations.append(("OVERLAP", "center/ends not pairwise disjoint"))
-    if len(center) > 10 * adj.m * adj.k:
+    if adj.m < 1:
+        violations.append(("BAD_BUDGET", f"m={adj.m} < 1"))
+    if not adj.realizers:
+        violations.append(("REALIZER_COUNT", "no realizers"))
+    elif len(center) > 10 * adj.m * adj.k:
         violations.append(("CENTER_BUDGET", f"|A|={len(center)} > 10*{adj.m}*{adj.k}"))
-    for label, end, core in (("end1", adj.end1, adj.u1), ("end2", adj.end2, adj.u2)):
-        if end.root != core:
-            violations.append(("END_ROOT", label))
-        if len(end.vertices) != adj.d_size:
-            violations.append(("END_SIZE", f"{label} has {len(end.vertices)} != {adj.d_size}"))
+    if adj.end2.size != adj.end1.size:
+        violations.append(("END_SIZE", f"end2 has {adj.end2.size} != {adj.end1.size}"))
+    for label, end in (("end1", adj.end1), ("end2", adj.end2)):
         if not _expansion_radius_ok(g, end.root, set(end.vertices), adj.m):
             violations.append(("END_RADIUS", label))
-    if len(adj.realizers) != adj.k + 1:
-        violations.append(("REALIZER_COUNT", f"{len(adj.realizers)} != {adj.k + 1}"))
     for i, path in enumerate(adj.realizers):
         want = adj.ell + 2 * i
         if len(path) - 1 != want:

@@ -6,7 +6,8 @@ stream, certificates serialize canonically, and the metrics CSV is
 byte-stable apart from the wall-clock column.  The pipeline commands and
 ``sweep`` share one table, ``PIPELINES``, and one row function, so a run
 gets the same ``run_id`` (a hash of its command and inputs) whichever
-command ran it.
+command ran it.  Every host comes from ``resolve_graph``, and every
+construction command ends in ``write_run``.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import numpy as np
 from . import generators
 from .certify import EmbeddingCertificate, VerifyReport, verify
 from .errors import ImforgeError
-from .gadgets import bipartite_k3_immersion
+from .gadgets import bipartite_k3_immersion, k3_density_bound
 from .graphs import Graph, build_graph, pair_density
 from .immersion_dense import build_dense_immersion
 from .immersion_medium import build_medium_immersion
-from .nibble import edge_disjoint_triangles, triangle_hypergraph
+from .nibble import edge_disjoint_triangles
 from .spectral import SpectralReport, adjacency_spectrum
 from .subdivision import VARIANT_FIXED, VARIANT_POWER, build_balanced_subdivision
 from .util import BEST_EFFORT, STRICT, derive_seed, np_rng, read_ascii
@@ -67,16 +68,21 @@ def write_metrics(path: Optional[str], rows: list[dict]) -> None:
         write_rows(fh, rows, header=not exists)
 
 
-def resolve_graph(args, seed: int) -> Graph:
-    """The host a given graph-source flag names; an invalid value is the
-    loader's or generator's error to report."""
-    if getattr(args, "graph", None) is not None:
+def resolve_graph(args) -> Graph:
+    """The host the one graph source given names: ``--graph``, ``--q``, or
+    ``--n`` with ``--d``.  None or more than one is a usage error; an invalid
+    value is the loader's or generator's error to report."""
+    given = [args.graph is not None, args.q is not None,
+             args.n is not None or args.d is not None]
+    if sum(given) > 1:
+        raise ImforgeError("give one graph source: --graph PATH, --q Q, or --n and --d")
+    if args.graph is not None:
         return generators.load_graph(args.graph)
-    if getattr(args, "q", None) is not None:
+    if args.q is not None:
         return generators.paley(args.q)
-    if getattr(args, "n", None) is not None and getattr(args, "d", None) is not None:
+    if args.n is not None and args.d is not None:
         return generators.random_regular(args.n, args.d,
-                                         derive_seed(seed, "gen:random-regular"))
+                                         derive_seed(args.seed, "gen:random-regular"))
     raise ImforgeError("supply --graph PATH, --q Q, or both --n and --d")
 
 
@@ -97,15 +103,7 @@ def emit(path: Optional[str], text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "paley":
-        if args.q is None:
-            raise ImforgeError("--kind paley needs --q")
-        g = generators.paley(args.q)
-    else:
-        if args.n is None or args.d is None:
-            raise ImforgeError("--kind random-regular needs --n and --d")
-        g = generators.random_regular(args.n, args.d,
-                                      derive_seed(args.seed, "gen:random-regular"))
+    g = resolve_graph(args)
     if args.out:
         generators.save_graph(g, args.out)
     else:
@@ -114,9 +112,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    g = resolve_graph(args, args.seed)
-    report = adjacency_spectrum(g, tol=args.tol)
-    emit(args.out, report.to_json())
+    emit(args.out, adjacency_spectrum(resolve_graph(args)).to_json())
     return 0
 
 
@@ -167,12 +163,11 @@ PIPELINES = {
                       "pairs_3path": diag.pairs_3path, "stuck": diag.stuck}),
     "subdivide": Pipeline(
         "balanced clique subdivision",
-        (("--eps", {"type": float, "default": 0.05}),
-         ("--variant", {"choices": [VARIANT_FIXED, VARIANT_POWER],
-                        "default": VARIANT_FIXED})),
+        (("--variant", {"choices": [VARIANT_FIXED, VARIANT_POWER],
+                         "default": VARIANT_FIXED}),),
         lambda g, report, args: build_balanced_subdivision(
-            g, report, eta=args.eta, eps=args.eps, seed=args.seed,
-            mode=args.mode, variant=args.variant),
+            g, report, eta=args.eta, seed=args.seed, mode=args.mode,
+            variant=args.variant),
         lambda diag: {"t": diag.achieved_order, "stuck": diag.failed_pairs}),
 }
 
@@ -184,7 +179,7 @@ def pipeline_inputs(command: str, args) -> dict:
 
 
 def certified_host(args) -> tuple[Graph, SpectralReport]:
-    g = resolve_graph(args, args.seed)
+    g = resolve_graph(args)
     return g, adjacency_spectrum(g)
 
 
@@ -201,8 +196,10 @@ def run_pipeline(command: str, args, g: Graph, report: SpectralReport,
     return cert, rep, metrics_row(command, pipeline_inputs(command, args), columns, started)
 
 
-def cmd_pipeline(args) -> int:
-    cert, rep, row = run_pipeline(args.command, args, *certified_host(args))
+def write_run(args, cert: EmbeddingCertificate, rep: VerifyReport, row: dict) -> int:
+    """Write the certificate, verify report and metrics row that ``--out``,
+    ``--report`` and ``--metrics`` ask for; exit 0 when the certificate
+    verifies, else 1."""
     if args.out:
         emit(args.out, cert.to_json())
     if args.report:
@@ -211,8 +208,13 @@ def cmd_pipeline(args) -> int:
     return 0 if rep.valid else 1
 
 
+def cmd_pipeline(args) -> int:
+    return write_run(args, *run_pipeline(args.command, args, *certified_host(args)))
+
+
 def cmd_k3_bipartite(args) -> int:
-    started = time.time()
+    """The gadget never certifies its host, so its row leaves ``d`` and
+    ``lambda`` empty and no spectrum is computed."""
     n1, n2 = args.n1, args.n2
     if n1 < 0 or n2 < 0:
         raise ImforgeError("--n1 and --n2 must be nonnegative")
@@ -222,35 +224,25 @@ def cmd_k3_bipartite(args) -> int:
     a_side, b_side = list(range(n1)), list(range(n1, n1 + n2))
     p = args.p
     if p is None:
-        alpha = pair_density(g, a_side, b_side)
-        p = int(min(alpha * n1 / 16, alpha * alpha * n2 / 192))
+        p = int(k3_density_bound(pair_density(g, a_side, b_side), n1, n2))
+    started = time.time()
     cert = bipartite_k3_immersion(g, a_side, b_side, p=p, seed=args.seed,
                                   mode=args.mode)
     rep = verify(g, cert)
-    if args.out:
-        emit(args.out, cert.to_json())
-    if args.report:
-        emit(args.report, rep.to_json())
-    if args.metrics:
-        report = adjacency_spectrum(g)
-        inputs = {"n1": n1, "n2": n2, "density": args.density, "p": args.p,
-                  "seed": args.seed, "mode": args.mode}
-        columns = {"n": g.n, "d": report.d, "lambda": f"{report.lam:.6f}", "t": p,
-                   "achieved_order": len(cert.branch)}
-        write_metrics(args.metrics, [metrics_row("k3-bipartite", inputs, columns, started)])
-    return 0 if rep.valid else 1
+    inputs = {"n1": n1, "n2": n2, "density": args.density, "p": args.p,
+              "seed": args.seed, "mode": args.mode}
+    columns = {"n": g.n, "t": p, "achieved_order": len(cert.branch)}
+    return write_run(args, cert, rep, metrics_row("k3-bipartite", inputs, columns, started))
 
 
 def cmd_nibble(args) -> int:
-    g = resolve_graph(args, args.seed)
+    g = resolve_graph(args)
     sizes = numbers("--parts", args.parts, int)
     if len(sizes) != 3 or sum(sizes) > g.n:
         raise ImforgeError("--parts must be three sizes summing to at most n")
     bounds = [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
     parts = tuple(range(bounds[i], bounds[i + 1]) for i in range(3))
     triangles, uncovered, diag = edge_disjoint_triangles(g, parts, seed=args.seed)
-    if args.dump:
-        emit(args.dump, triangle_hypergraph(g, parts).dump())
     payload = {"triangles": [list(t) for t in triangles],
                "uncovered": [list(e) for e in uncovered],
                "diagnostics": {k: v for k, v in diag.items()}}
@@ -330,18 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "certified regular graphs")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="generate a graph file")
-    gen.add_argument("--kind", choices=["random-regular", "paley"], required=True)
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--d", type=int, default=None)
-    gen.add_argument("--q", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", default=None)
+    gen = subs.add_parser("gen", help="write a graph file in canonical form")
+    _add_common(gen, "--out")
     gen.set_defaults(func=cmd_gen)
 
     spec = subs.add_parser("spectral", help="spectral report for a graph")
     _add_common(spec, "--out")
-    spec.add_argument("--tol", type=float, default=None)
     spec.set_defaults(func=cmd_spectral)
 
     for name, pipe in PIPELINES.items():
@@ -366,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "tripartite graph")
     _add_common(nib, "--out")
     nib.add_argument("--parts", required=True, help="three part sizes a,b,c")
-    nib.add_argument("--dump", default=None, help="hypergraph dump path")
     nib.set_defaults(func=cmd_nibble)
 
     ver = subs.add_parser("verify", help="verify a certificate against a graph")

@@ -138,12 +138,13 @@ def grow_expansion(view, root: int, size: int, radius: int,
                    forbidden: Iterable[int] = ()) -> Expansion:
     """The root and the first vertices ``bfs_tree`` discovers from it in the
     view minus the forbidden set, up to the requested size, all within the
-    radius."""
+    radius; a size below 1 raises BadSizeError."""
+    if size < 1:
+        raise BadSizeError(f"size {size} below 1")
     banned = set(forbidden)
     if not view.contains_vertex(root) or root in banned:
         raise ExpansionFailedError(f"root {root} unavailable")
-    order = [v for _, _, v in islice(bfs_tree(view.minus(banned), [root], radius),
-                                     max(size, 1))]
+    order = [v for _, _, v in islice(bfs_tree(view.minus(banned), [root], radius), size)]
     if len(order) < size:
         raise ExpansionFailedError(f"only {len(order)} of {size} vertices within radius {radius}")
     return Expansion(root, tuple(order))
@@ -310,6 +311,12 @@ def chain_adjusters(g: Graph, first: Adjuster, second: Optional[Adjuster],
     return Adjuster(end1, end2, center_new, realizers, max(first.m, second.m, m))
 
 
+def k3_density_bound(alpha: float, n1: int, n2: int) -> float:
+    """The most branch vertices the length-4 gadget's hypotheses allow at
+    A-B density alpha between sides of sizes n1 and n2."""
+    return min(alpha * n1 / 16, alpha * alpha * n2 / 192)
+
+
 def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int],
                            p: int, seed: int = 0,
                            mode: str = BEST_EFFORT) -> EmbeddingCertificate:
@@ -350,7 +357,7 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         mat[i, cols[cols >= 0]] = 1.0
     alpha = float(mat.sum()) / (n1 * n2)
     if mode == STRICT:
-        bound = min(alpha * n1 / 16, alpha * alpha * n2 / 192)
+        bound = k3_density_bound(alpha, n1, n2)
         if p > bound:
             raise PreconditionFailedError(f"p={p} exceeds the density bound {bound:.3f}")
     if p <= 1:

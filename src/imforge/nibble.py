@@ -89,11 +89,6 @@ class Hypergraph3:
     def n_active(self) -> int:
         return self.n_vertices - self.isolated_count
 
-    def dump(self) -> str:
-        lines = [f"{self.n_vertices} {self.n_triples}"]
-        lines.extend(f"{a} {b} {c}" for a, b, c in self.triples.tolist())
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class Matching3:

@@ -22,7 +22,6 @@ import scipy.sparse.linalg
 
 from .errors import (
     DegenerateCutError,
-    DomainError,
     NotConvergedError,
     NotRegularError,
     OverlapError,
@@ -94,12 +93,9 @@ def adjacency_operator(g: Graph) -> scipy.sparse.csr_matrix:
                                    shape=(g.n, g.n))
 
 
-def adjacency_spectrum(g: Graph, tol: float | None = None) -> SpectralReport:
+def adjacency_spectrum(g: Graph) -> SpectralReport:
     """Certify a graph: full dense eigensolve up to 4096 vertices, else one
-    both-ends Lanczos run for the top two and bottom eigenvalues.  A ``tol``
-    that is not a finite number >= 0 raises DomainError."""
-    if tol is not None and not (math.isfinite(tol) and tol >= 0):
-        raise DomainError(f"need a finite tol >= 0, got tol={tol}")
+    both-ends Lanczos run for the top two and bottom eigenvalues."""
     n = g.n
     if n == 0:
         raise NotRegularError("empty graph has no spectrum")
@@ -107,7 +103,7 @@ def adjacency_spectrum(g: Graph, tol: float | None = None) -> SpectralReport:
     is_regular = all(x == degrees[0] for x in degrees)
     d = degrees[0] if is_regular else int(round(2 * g.m / n))
     dense = n <= DENSE_CUTOFF
-    report_tol = tol if tol is not None else (DENSE_TOL if dense else ITERATIVE_TOL)
+    tol = DENSE_TOL if dense else ITERATIVE_TOL
     if dense:
         spectrum = scipy.linalg.eigvalsh(g.adjacency_matrix().astype(np.float64))[::-1].copy()
         # a single vertex has lambda_2 = lambda_1 = 0
@@ -119,13 +115,13 @@ def adjacency_spectrum(g: Graph, tol: float | None = None) -> SpectralReport:
         try:
             # k=3 at both ends: the bottom one and the top two, ascending
             low, second, _ = scipy.sparse.linalg.eigsh(
-                adjacency_operator(g), k=3, which="BE", tol=report_tol, v0=v0,
+                adjacency_operator(g), k=3, which="BE", tol=tol, v0=v0,
                 return_eigenvectors=False)
         except scipy.sparse.linalg.ArpackNoConvergence as err:
             raise NotConvergedError(str(err)) from err
         spectrum, lambda2, lambdan = None, float(second), float(low)
     lam = max(abs(lambda2), abs(lambdan))
-    return SpectralReport(n, d, lam, lambda2, lambdan, is_regular, report_tol,
+    return SpectralReport(n, d, lam, lambda2, lambdan, is_regular, tol,
                           spectrum=spectrum)
 
 

@@ -40,6 +40,7 @@ from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, np_rng, peel_to_c
 VARIANT_FIXED = "d0-3"
 VARIANT_POWER = "d0-power"
 RESERVOIR_RETRIES = 10  # reservoir draws before best-effort keeps its best
+WINDOW_EPS = 0.05  # strict spectral window: d <= eta * n ** (1/2 - WINDOW_EPS)
 
 
 def pack_disjoint_stars(g: Graph, report: SpectralReport, eta: float,
@@ -242,8 +243,7 @@ def variant_params(n: int, eta: float, variant: str) -> tuple[int, float, float]
 
 
 def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
-                               eps: float = 0.05, seed: int = 0,
-                               mode: str = BEST_EFFORT,
+                               seed: int = 0, mode: str = BEST_EFFORT,
                                variant: str = VARIANT_FIXED,
                                ) -> tuple[EmbeddingCertificate, SubdivisionDiagnostics]:
     """Balanced clique subdivision: stars give branch vertices and
@@ -265,7 +265,7 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     length = fixed_path_length(n0, d0)
 
     if mode == STRICT:
-        if not (2048 * lam / (eta * eta) < d <= eta * n ** (0.5 - eps)):
+        if not (2048 * lam / (eta * eta) < d <= eta * n ** (0.5 - WINDOW_EPS)):
             raise PreconditionFailedError(
                 f"spectral window fails: lambda={lam:.3f}, d={d}, n={n}")
         if not pa_pass:

@@ -252,7 +252,7 @@ def test_grow_expansion_matches_the_former_grower_within_two_levels(case, data):
     ids = st.integers(min_value=0, max_value=view.n - 1)
     root = data.draw(ids)
     forbidden = data.draw(st.sets(ids, max_size=3))
-    size = data.draw(st.integers(min_value=0, max_value=view.n + 1))
+    size = data.draw(st.integers(min_value=1, max_value=view.n + 1))
     radius = data.draw(st.integers(min_value=0, max_value=2))
     assert outcome(grow_expansion, view, root, size, radius, forbidden) == \
         outcome(reference_grow_expansion, view, root, size, radius, forbidden)

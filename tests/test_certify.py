@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imforge.certify import EmbeddingCertificate, verify, verify_unit
+from imforge.certify import EmbeddingCertificate, verify, verify_adjuster, verify_unit
 from imforge.expanders import Star, Unit, build_unit
+from imforge.gadgets import Adjuster, Expansion
 from imforge.graphs import build_graph, view_minus
 
 from helpers import complete, cycle, petersen
@@ -216,3 +219,78 @@ def test_verify_rejects_any_single_edge_drop(t, salt):
     broken[victim] = [v := pairs[victim][0], v]
     mutated = EmbeddingCertificate(kind="immersion", branch=branch, pairs=broken)
     assert not verify(g, mutated).valid
+
+
+def codes(report):
+    return {code for code, _ in report.violations}
+
+
+def test_verify_branch_not_injective():
+    cert = EmbeddingCertificate(kind="immersion", branch=[0, 0], pairs={(0, 1): [0]})
+    report = verify(complete(3), cert)
+    assert [code for code, _ in report.violations] == ["BRANCH_NOT_INJECTIVE"]
+
+
+# a valid unit on K12 minus the edge (1, 11): center 0, branches to the star
+# centers 1 and 3, interior {2}, exterior {4, 5, 6, 7}
+UNIT_HOST = build_graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+                             if (u, v) != (1, 11)])
+UNIT = Unit(center=0, branches=[[0, 1], [0, 2, 3]], stars=[Star(1, (4, 5)), Star(3, (6, 7))])
+
+
+@pytest.mark.parametrize("code,branches,stars,h_params", [
+    ("WRONG_COUNT", None, None, (3, 2, 2)),
+    ("BAD_BRANCH_ENDPOINTS", [[0, 8], [0, 2, 3]], None, (2, 2, 2)),
+    ("BRANCH_TOO_LONG", None, None, (2, 2, 1)),
+    ("NOT_SIMPLE", [[0, 1], [0, 8, 9, 0, 2, 3]], None, (2, 2, 5)),
+    ("BRANCH_EDGE_REUSE", [[0, 1], [0, 1, 3]], None, (2, 2, 2)),
+    ("STAR_TOO_SMALL", None, [Star(1, (4, 5)), Star(3, (6,))], (2, 2, 2)),
+    ("MISSING_EDGE", None, [Star(1, (4, 11)), Star(3, (6, 7))], (2, 2, 2)),
+    ("EXT_INT_OVERLAP", None, [Star(1, (4, 2)), Star(3, (6, 7))], (2, 2, 2)),
+])
+def test_verify_unit_reports_each_mutation(code, branches, stars, h_params):
+    assert verify_unit(UNIT_HOST, UNIT, (2, 2, 2)).valid
+    unit = Unit(UNIT.center, branches or UNIT.branches, stars or UNIT.stars)
+    report = verify_unit(UNIT_HOST, unit, h_params)
+    assert codes(report) == {code}, report.violations
+
+
+# a valid adjuster on a 6-cycle with the chord (1, 4) and two pendant paths
+# 0-6-8 and 2-7-9: cores 0 and 2, ends {0, 6} and {2, 7}, realizers of
+# lengths 2 and 4 through the center {1, 3, 4, 5}
+ADJ_HOST = build_graph(10, [(i, (i + 1) % 6) for i in range(6)]
+                       + [(1, 4), (0, 6), (6, 8), (2, 7), (7, 9)])
+ADJ = Adjuster(Expansion(0, (0, 6)), Expansion(2, (2, 7)), (1, 3, 4, 5),
+               [[0, 1, 2], [0, 5, 4, 3, 2]], 1)
+
+
+@pytest.mark.parametrize("code,change", [
+    ("OVERLAP", {"end2": Expansion(2, (2, 3))}),
+    ("END_SIZE", {"end2": Expansion(2, (2,))}),
+    ("END_RADIUS", {"end1": Expansion(0, (0, 8))}),
+    ("LENGTH_PARITY", {"realizers": [[0, 1, 2], [0, 1, 2]]}),
+    ("BAD_ENDPOINT", {"realizers": [[2, 1, 0], [0, 5, 4, 3, 2]]}),
+    ("NOT_SIMPLE", {"realizers": [[0, 1, 2], [0, 1, 4, 1, 2]]}),
+    ("MISSING_EDGE", {"realizers": [[0, 1, 2], [0, 5, 1, 3, 2]]}),
+    ("INTERNAL_OUTSIDE_CENTER", {"center": (3, 4, 5)}),
+])
+def test_verify_adjuster_reports_each_mutation(code, change):
+    assert verify_adjuster(ADJ_HOST, ADJ).valid
+    report = verify_adjuster(ADJ_HOST, dataclasses.replace(ADJ, **change))
+    assert codes(report) == {code}, report.violations
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_verify_adjuster_needs_a_realizer(m):
+    adj = Adjuster(Expansion(0, (0,)), Expansion(1, (1,)), (), [], m)
+    report = verify_adjuster(build_graph(2, [(0, 1)]), adj)
+    assert not report.valid
+    assert codes(report) == {"REALIZER_COUNT"} | ({"BAD_BUDGET"} if m < 1 else set())
+
+
+def test_verify_adjuster_needs_a_budget_of_at_least_one():
+    # one realizer of length 1 and an empty center: nothing else breaks at m = 0
+    adj = Adjuster(Expansion(0, (0,)), Expansion(1, (1,)), (), [[0, 1]], 0)
+    host = build_graph(2, [(0, 1)])
+    assert verify_adjuster(host, dataclasses.replace(adj, m=1)).valid
+    assert codes(verify_adjuster(host, adj)) == {"BAD_BUDGET"}

@@ -10,7 +10,7 @@ from imforge.cli import main
 def test_gen_and_spectral(tmp_path):
     gpath = tmp_path / "g.txt"
     rpath = tmp_path / "r.json"
-    assert main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)]) == 0
+    assert main(["gen", "--q", "13", "--out", str(gpath)]) == 0
     assert main(["spectral", "--graph", str(gpath), "--out", str(rpath)]) == 0
     report = json.loads(rpath.read_text())
     assert report["n"] == 13 and report["d"] == 6
@@ -35,7 +35,7 @@ def test_immerse_dense_end_to_end(tmp_path):
 def test_verify_command_exit_codes(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     cpath = tmp_path / "c.json"
-    main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)])
+    main(["gen", "--q", "13", "--out", str(gpath)])
     cert = {"kind": "immersion", "branch": [0, 1],
             "pairs": [{"i": 0, "j": 1, "path": [0, 1]}], "ell": None}
     cpath.write_text(json.dumps(cert))
@@ -54,7 +54,7 @@ def test_verify_command_exit_codes(tmp_path, capsys):
 def test_verify_command_rejects_a_pair_listed_twice(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     cpath = tmp_path / "c.json"
-    main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)])
+    main(["gen", "--q", "13", "--out", str(gpath)])
     # (0, 5) is not an edge of Paley(13); a second entry must not mask it
     cert = {"kind": "immersion", "branch": [0, 1],
             "pairs": [{"i": 0, "j": 1, "path": [0, 5, 1]}, {"i": 0, "j": 1, "path": [0, 1]}],
@@ -70,7 +70,7 @@ def test_verify_command_reports_non_integer_ids(tmp_path, capsys, branch):
     gpath = tmp_path / "g.txt"
     cpath = tmp_path / "c.json"
     rpath = tmp_path / "r.json"
-    main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)])
+    main(["gen", "--q", "13", "--out", str(gpath)])
     cert = {"kind": "immersion", "branch": branch,
             "pairs": [{"i": 0, "j": 1, "path": [0, 1]}], "ell": None}
     cpath.write_text(json.dumps(cert))
@@ -138,7 +138,7 @@ def test_k3_negative_side_exits_2(capsys, density):
 def test_non_ascii_files_exit_2(tmp_path, capsys, bad):
     gpath = tmp_path / "g.txt"
     cpath = tmp_path / "c.json"
-    main(["gen", "--kind", "paley", "--q", "13", "--out", str(gpath)])
+    main(["gen", "--q", "13", "--out", str(gpath)])
     cpath.write_text(json.dumps({"kind": "immersion", "branch": [0, 1],
                                  "pairs": [{"i": 0, "j": 1, "path": [0, 1]}]}))
     target = cpath if bad == "cert" else gpath
@@ -157,14 +157,11 @@ def test_nibble_command(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text("6 12\n0 2\n0 3\n0 4\n0 5\n1 2\n1 3\n1 4\n1 5\n2 4\n2 5\n3 4\n3 5\n")
     out = tmp_path / "tri.json"
-    dump = tmp_path / "h.txt"
     code = main(["nibble", "--graph", str(gpath), "--parts", "2,2,2",
-                 "--seed", "0", "--out", str(out), "--dump", str(dump)])
+                 "--seed", "0", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["triangles"]) == 4
-    head = dump.read_text().splitlines()[0]
-    assert head == "12 8"
 
 
 def test_sweep_rows_and_determinism(tmp_path):
@@ -197,10 +194,8 @@ def test_sweep_row_matches_single_command_row(tmp_path):
 def test_gen_deterministic_bytes(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
-    main(["gen", "--kind", "random-regular", "--n", "60", "--d", "5",
-          "--seed", "9", "--out", str(a)])
-    main(["gen", "--kind", "random-regular", "--n", "60", "--d", "5",
-          "--seed", "9", "--out", str(b)])
+    main(["gen", "--n", "60", "--d", "5", "--seed", "9", "--out", str(a)])
+    main(["gen", "--n", "60", "--d", "5", "--seed", "9", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -212,9 +207,15 @@ def test_immerse_dense_eta_zero_is_a_usage_error(capsys):
 @pytest.mark.parametrize("argv,says", [
     (["nibble", "--q", "13", "--parts", "a,b,c"], "--parts"),
     (["sweep", "--command-name", "subdivide", "--q", "13", "--eta-grid", "x"], "--eta-grid"),
-    (["gen", "--kind", "paley"], "--q"),
-    (["gen", "--kind", "random-regular", "--n", "10"], "--d"),
+    (["gen"], "--q"),
+    (["gen", "--n", "10"], "--d"),
     (["spectral", "--n", "0", "--d", "0"], "0 < d < n"),  # the generator's own error
+    (["nibble", "--q", "13", "--parts", "4,4"], "--parts must be three sizes"),
+    (["nibble", "--q", "13", "--parts", "4,4,4,1"], "--parts must be three sizes"),
+    (["nibble", "--q", "13", "--parts", "5,5,5"], "summing to at most n"),
+    (["immerse-medium", "--q", "13", "--eta", "0.1", "--h1", "3"], "must be given together"),
+    (["immerse-medium", "--q", "13", "--eta", "0.1", "--h1", "3", "--h3", "2"],
+     "must be given together"),
 ])
 def test_malformed_flags_exit_2(capsys, argv, says):
     assert main(argv) == 2
@@ -268,6 +269,11 @@ def test_sweep_failed_cells_exit_2_with_rows(tmp_path, capsys):
      "--out", "c.json"],
     ["sweep", "--command-name", "subdivide", "--q", "13", "--eta-grid", "0.5",
      "--report", "r.json"],
+    # flags that are gone
+    ["gen", "--kind", "paley", "--q", "13"],
+    ["spectral", "--q", "13", "--tol", "0"],
+    ["subdivide", "--q", "13", "--eta", "0.5", "--eps", "0.1"],
+    ["nibble", "--q", "13", "--parts", "4,4,4", "--dump", "h.txt"],
 ])
 def test_commands_reject_flags_they_do_not_read(argv):
     with pytest.raises(SystemExit) as exc:
@@ -284,18 +290,6 @@ def test_immerse_medium_has_no_y_flag(y):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
-def test_spectral_rejects_a_tol_that_is_not_finite_and_nonnegative(capsys, tol):
-    # --q 13 takes the dense path, which never reads tol; the check comes first
-    assert main(["spectral", "--q", "13", f"--tol={tol}"]) == 2
-    assert capsys.readouterr().err.startswith("error: need a finite tol")
-
-
-def test_spectral_accepts_tol_zero(capsys):
-    assert main(["spectral", "--q", "13", "--tol", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["tol"] == 0.0
-
-
 @pytest.mark.parametrize("flags", [
     ["--h1", "0", "--h2", "0", "--h3", "0"],
     ["--h1", "-1", "--h2", "1", "--h3", "1"],
@@ -305,3 +299,49 @@ def test_spectral_accepts_tol_zero(capsys):
 def test_immerse_medium_parameters_below_one_exit_2(capsys, flags):
     assert main(["immerse-medium", "--q", "13", "--eta", "0.1", *flags]) == 2
     assert capsys.readouterr().err.startswith("error: need ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--q", "13", "--n", "10", "--d", "3"],
+    ["spectral", "--q", "13", "--n", "10"],
+    ["immerse-dense", "--q", "13", "--n", "100", "--d", "4", "--eta", "0.3"],
+    ["gen", "--q", "13", "--graph", "g.txt"],
+    ["nibble", "--graph", "g.txt", "--d", "4", "--parts", "4,4,4"],
+])
+def test_more_than_one_graph_source_exits_2(capsys, argv):
+    # one host per run: a second source used to be ignored yet hashed into run_id
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: give one graph source")
+
+
+def test_gen_writes_a_loaded_graph_back_in_canonical_form(tmp_path):
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("4 3\n2 3\n0 1\n1 2\n\n")
+    assert main(["gen", "--graph", str(src), "--out", str(out)]) == 0
+    assert out.read_text() == "4 3\n0 1\n1 2\n2 3\n"
+
+
+def test_k3_without_p_takes_the_density_bound(tmp_path, monkeypatch):
+    # density 1: alpha = 1, so p = int(min(64 / 16, 500 / 192)) = 2
+    monkeypatch.setattr(cli, "adjacency_spectrum", None)  # the gadget certifies nothing
+    report, metrics = tmp_path / "r.json", tmp_path / "m.csv"
+    assert main(["k3-bipartite", "--n1", "64", "--n2", "500", "--report", str(report),
+                 "--metrics", str(metrics)]) == 0
+    verdict = json.loads(report.read_text())
+    assert verdict["valid"] and verdict["t"] == 2
+    [row] = csv.DictReader(metrics.open())
+    assert (row["n"], row["t"], row["achieved_order"]) == ("564", "2", "2")
+    assert row["d"] == "" and row["lambda"] == ""
+
+
+def test_sweep_without_metrics_writes_csv_to_stdout(tmp_path, capsys):
+    single = tmp_path / "single.csv"
+    assert main(["immerse-dense", "--q", "101", "--eta", "0.45", "--seed", "7",
+                 "--metrics", str(single)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--command-name", "immerse-dense", "--q", "101",
+                 "--eta-grid", "0.45", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(cli.CSV_COLUMNS)
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
+    assert strip(csv.DictReader(lines)) == strip(csv.DictReader(single.open()))

@@ -116,6 +116,15 @@ def test_grow_expansion_radius_limit():
     assert exp.vertices == (0, 1, 2)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_expansions_reject_a_size_below_one(size):
+    # growing floors nothing: it rejects what trimming rejects
+    with pytest.raises(BadSizeError):
+        grow_expansion(view_minus(star(5)), 0, size=size, radius=1)
+    with pytest.raises(BadSizeError):
+        build_1_adjuster(cycle(6), d_size=size, m=1)
+
+
 def test_1_adjuster_c6():
     g = cycle(6)
     adj = build_1_adjuster(g, d_size=1, m=1)

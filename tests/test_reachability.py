@@ -39,6 +39,7 @@ ALLOWLIST = {
     "certify.verify_unit": "test oracle for units",
     "graphs.GraphView.materialize": "test oracle for views",
     "graphs.Graph.edge_set": "perfbench `Host` rebuilds graph shells from it",
+    "nibble.Hypergraph3.n_triples": "perfbench's trace counts nibble.triples with it",
 }
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import imforge.spectral as spectral
 from imforge.errors import (
     DegenerateCutError,
-    DomainError,
     NotRegularError,
     OutOfRangeError,
     TooSmallError,
@@ -95,18 +94,6 @@ def test_one_lanczos_run_matches_the_dense_solver(monkeypatch, host):
                       (comp.lam, direct.lam), (fact, direct.lambda2)):
         assert abs(got - want) < 1e-8
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
-def test_tol_must_be_finite_and_nonnegative(monkeypatch, tol):
-    # rejected before a path is chosen: on the dense path, and on the
-    # iterative one, where a NaN tol would never return
-    g = petersen()
-    with pytest.raises(DomainError):
-        adjacency_spectrum(g, tol=tol)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
-    with pytest.raises(DomainError):
-        adjacency_spectrum(g, tol=tol)
 
 
 def test_single_vertex_report():

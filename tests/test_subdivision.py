@@ -223,3 +223,21 @@ def test_subdivision_power_variant():
                                             variant="d0-power")
     assert verify(g, cert).valid
     assert diag.d0 >= 3
+
+
+def test_pipeline_drops_the_star_whose_pool_runs_short(monkeypatch):
+    # no reservoir draw keeps a leaf of the third star, so its pool cannot
+    # give a leaf toward each other star and the trim drops it
+    g = random_regular(400, 12, seed=2)
+    r = adjacency_spectrum(g)
+    stars = pack_disjoint_stars(g, r, 0.5, 6)
+    centers = [s.center for s in stars]
+    cert, _ = build_balanced_subdivision(g, r, eta=0.5, seed=2)
+    assert cert.branch == centers
+    lost = set(stars[2].leaves)
+    monkeypatch.setattr(subdivision, "draw_reservoir",
+                        lambda *args, draw=draw_reservoir: draw(*args) - lost)
+    cert, diag = build_balanced_subdivision(g, r, eta=0.5, seed=2)
+    assert cert.branch == centers[:2] + centers[3:]
+    assert diag.failed_pairs == 0
+    assert verify(g, cert).valid
