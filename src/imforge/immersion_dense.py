@@ -29,7 +29,7 @@ from .errors import (
 from .graphs import Edge, Graph, build_graph, normalize_edge
 from .nibble import edge_disjoint_triangles
 from .spectral import SpectralReport, adjacency_operator
-from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, peel_to_complete
+from .util import BEST_EFFORT, STRICT, check_eta, check_regular, derive_seed, peel_to_complete
 
 
 @dataclass
@@ -291,6 +291,7 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     to the largest fully connected subset.
     """
     check_eta(eta)
+    check_regular(report, mode)
     c = report.d / g.n
     eps, delta, k_required = regularity_prerequisites(c, eta)
     gap_ok = report.d >= k_required * report.lam

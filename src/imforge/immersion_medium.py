@@ -25,7 +25,7 @@ from .errors import (
 from .expanders import Unit, collect_units, mix_length_m, short_avoiding_path
 from .graphs import Edge, Graph, GraphView, normalize_edge
 from .spectral import SpectralReport
-from .util import BEST_EFFORT, STRICT, check_eta, peel_to_complete
+from .util import BEST_EFFORT, STRICT, check_eta, check_regular, peel_to_complete
 
 
 @dataclass
@@ -182,6 +182,7 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     for the largest center subset it managed to connect completely.
     """
     check_eta(eta)
+    check_regular(report, mode)
     precondition_ok = report.d > 2 * report.lam
     if mode == STRICT and not precondition_ok:
         raise PreconditionFailedError(

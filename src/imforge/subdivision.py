@@ -35,7 +35,8 @@ from .errors import (
 from .expanders import Star, bfs_tree, pack_stars, path_to
 from .graphs import Graph, GraphView
 from .spectral import SpectralReport
-from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, np_rng, peel_to_complete
+from .util import (BEST_EFFORT, STRICT, check_eta, check_regular, derive_seed, np_rng,
+                   peel_to_complete)
 
 VARIANT_FIXED = "d0-3"
 VARIANT_POWER = "d0-power"
@@ -255,6 +256,7 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     it saw and peels branch vertices whose pairs failed to route.
     """
     check_eta(eta)
+    check_regular(report, mode)
     n, d, lam = g.n, report.d, report.lam
     d0, n0_formula, alpha = variant_params(n, eta, variant)
     # keep the routing depth usable on small hosts

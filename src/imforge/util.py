@@ -1,6 +1,6 @@
 """Seed derivation and shared RNG plumbing, plus the pipeline modes, the
-eta domain check, the branch-set peel, and the ASCII file reader shared by
-the loaders.
+eta domain check, strict mode's regularity check, the branch-set peel, and
+the ASCII file reader shared by the loaders.
 
 A single 64-bit root seed reproduces a whole run: every stochastic stage
 derives its own stream seed by hashing the root together with a fixed label,
@@ -16,7 +16,8 @@ import os
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, NotRegularError, ParseError
+from .spectral import SpectralReport
 
 MASK64 = (1 << 64) - 1
 
@@ -30,6 +31,13 @@ def check_eta(eta: float) -> None:
     """Every pipeline's slack parameter lies strictly between 0 and 1."""
     if not 0 < eta < 1:
         raise DomainError(f"need 0 < eta < 1, got eta={eta}")
+
+
+def check_regular(report: SpectralReport, mode: str) -> None:
+    """Strict mode's first hypothesis: every pipeline's host is regular."""
+    if mode == STRICT and not report.is_regular:
+        raise NotRegularError(f"strict mode needs a regular host; the degrees of "
+                              f"this n={report.n} host differ")
 
 
 def derive_seed(root: int, label: str) -> int:

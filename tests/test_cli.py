@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,6 +6,10 @@ import pytest
 
 import imforge.cli as cli
 from imforge.cli import main
+from imforge.errors import NotRegularError
+from imforge.generators import paley
+from imforge.graphs import build_graph
+from imforge.spectral import adjacency_spectrum
 
 
 def test_gen_and_spectral(tmp_path):
@@ -216,6 +221,8 @@ def test_immerse_dense_eta_zero_is_a_usage_error(capsys):
     (["immerse-medium", "--q", "13", "--eta", "0.1", "--h1", "3"], "must be given together"),
     (["immerse-medium", "--q", "13", "--eta", "0.1", "--h1", "3", "--h3", "2"],
      "must be given together"),
+    *((["k3-bipartite", "--n1", "3", "--n2", "3", f"--density={density}"], "0 <= density <= 1")
+      for density in ("nan", "inf", "-inf", "-0.5", "1.5")),
 ])
 def test_malformed_flags_exit_2(capsys, argv, says):
     assert main(argv) == 2
@@ -232,6 +239,17 @@ def test_malformed_flags_exit_2(capsys, argv, says):
 def test_eta_outside_the_open_unit_interval_exits_2(capsys, command, eta, mode):
     assert main([command, "--q", "13", "--eta", eta, "--mode", mode]) == 2
     assert "0 < eta < 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli.PIPELINES))
+def test_strict_mode_refuses_an_irregular_host(command):
+    # Paley(101) minus one edge: regularity is checked before any other hypothesis
+    g = paley(101)
+    g = build_graph(g.n, g.edges()[1:])
+    args = argparse.Namespace(**cli.PIPELINES[command].defaults(), eta=0.45, seed=3,
+                              mode="strict")
+    with pytest.raises(NotRegularError):
+        cli.PIPELINES[command].build(g, adjacency_spectrum(g), args)
 
 
 def test_sweep_certifies_the_host_once(tmp_path, monkeypatch):

@@ -30,12 +30,6 @@ ALLOWLIST = {
     "immersion_medium.ConnectionLedger.check_invariants":
         "criterion 7 checks the connection ledger with it",
     "nibble.Matching3.achieved_fraction": "criterion 4 measures the matching with it",
-    "spectral.complement_report": "spectral toolbox documented in the README",
-    "spectral.mixing_discrepancy": "spectral toolbox documented in the README",
-    "spectral.cut_lower_bound": "spectral toolbox documented in the README",
-    "spectral.regular_pair_audit": "spectral toolbox documented in the README",
-    "spectral.RegularityAudit.passed": "the verdict of the toolbox's regular_pair_audit",
-    "spectral.good_vertices": "spectral toolbox documented in the README",
     "certify.verify_unit": "test oracle for units",
     "graphs.GraphView.materialize": "test oracle for views",
     "graphs.Graph.edge_set": "perfbench `Host` rebuilds graph shells from it",

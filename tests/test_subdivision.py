@@ -51,13 +51,14 @@ def test_pack_stars_k5_insufficient():
 
 def padded_host(cliques: int) -> tuple:
     """Disjoint K5s padded with isolated vertices, and a report with lambda
-    set to 0: large and gapped enough on paper to pass the strict spectral
-    window and the expansion certificate at eta = 0.5."""
+    set to 0 that claims regularity: large and gapped enough on paper to pass
+    the strict regularity check, spectral window and expansion certificate at
+    eta = 0.5."""
     n = 14000
     g = build_graph(n, [(5 * c + a, 5 * c + b) for c in range(cliques)
                         for a in range(5) for b in range(a + 1, 5)])
     report = SpectralReport(n=n, d=4, lam=0.0, lambda2=0.0, lambdan=0.0,
-                            is_regular=False, tol=0.0)
+                            is_regular=True, tol=0.0)
     return g, report
 
 
