@@ -8,7 +8,10 @@ order, ascending ids level by level.
 
 ``pack_stars`` is the one greedy star packer: units pack their stars with
 it in (degree, id) center order, and the balanced subdivision packs its
-branch stars with it in id order.
+branch stars with it in id order.  The rule that keeps a unit's star centers
+reachable lives in two places: the unit builder tries only centers with an
+edge to spare beyond h2 leaves, and the packer's slack leaves never take a
+center's last edge.
 
 A unit is the tree-like gadget used to anchor one branch vertex of an
 immersion: a center, edge-disjoint branch paths to a set of star centers,
@@ -119,8 +122,10 @@ def pack_stars(view: Graph | GraphView, order: Iterable[int], count: int,
 
     Centers are tried in the given order; a free center takes its lowest-id
     free neighbors, at most ``max_leaves`` of them, when at least
-    ``min_leaves`` are free.  Packing stops after ``count`` stars; a
-    shortfall is left for the caller to judge from the returned list.
+    ``min_leaves`` are free.  Leaves past ``min_leaves`` are slack and never
+    take the center's last edge in the view, so slack cannot cut a center
+    off.  Packing stops after ``count`` stars; a shortfall is left for the
+    caller to judge from the returned list.
     """
     used: set[int] = set()
     stars: list[Star] = []
@@ -129,9 +134,11 @@ def pack_stars(view: Graph | GraphView, order: Iterable[int], count: int,
             break
         if c in used:
             continue
-        avail = [w for w in view.neighbors(c) if w not in used]
+        nbrs = view.neighbors(c)
+        avail = [w for w in nbrs if w not in used]
         if len(avail) >= min_leaves:
-            star = Star(c, tuple(avail[:max_leaves]))
+            cap = max(min_leaves, min(max_leaves, len(nbrs) - 1))
+            star = Star(c, tuple(avail[:cap]))
             used.add(c)
             used.update(star.leaves)
             stars.append(star)
@@ -162,14 +169,8 @@ class Unit:
             out.update(normalize_edge(a, b) for a, b in zip(path, path[1:]))
         return out
 
-    def pendant_edges(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for s in self.stars:
-            out.update(s.edges())
-        return out
-
     def all_edges(self) -> set[Edge]:
-        return self.branch_edges() | self.pendant_edges()
+        return self.branch_edges() | {e for s in self.stars for e in s.edges()}
 
     def branch_vertices(self) -> set[int]:
         out: set[int] = set()
@@ -195,8 +196,10 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
     """
     pool_view = view.minus(vertices=[center])
     # stars first, centers in ascending (degree, id) order; each grabs up to
-    # twice its required size so the prune step has slack
-    order = sorted(pool_view.active_vertices(), key=lambda v: (pool_view.degree(v), v))
+    # twice its required size so the prune step has slack; a star center
+    # needs an edge of the view besides its h2 leaves, for its branch path
+    order = sorted((v for v in pool_view.active_vertices() if view.degree(v) > h2),
+                   key=lambda v: (pool_view.degree(v), v))
     stars = pack_stars(pool_view, order, n_stars, h2, 2 * h2)
     if len(stars) < h1:
         return None, "stars"
@@ -237,9 +240,10 @@ def build_unit(view: GraphView, h1: int, h2: int, h3: int, seed: int = 0) -> Uni
     """Build one unit in the view.
 
     Candidate centers are tried by descending degree in the view (plus a
-    few seeded extras); branch paths avoid star edges and each other's
-    edges, and stars half-eaten by branch interiors are discarded before
-    the final trim to (h1, h2).
+    few seeded extras); every star center keeps an edge outside its star,
+    branch paths avoid star edges and each other's edges, and stars
+    half-eaten by branch interiors are discarded before the final trim to
+    (h1, h2).
     """
     ranked = sorted(view.active_vertices(), key=lambda v: (-view.degree(v), v))
     candidates = ranked[:CENTER_TRIALS]

@@ -1,7 +1,8 @@
 """Clique immersion pipeline for moderately dense certified graphs:
 collect edge-disjoint units, connect their centers pairwise through the
-unit exteriors, drop units whose pendant edges got eaten, and emit a
-verifier-ready certificate.
+unit exteriors in one greedy pass, and emit a verifier-ready certificate on
+the largest center set whose pairs all connected.  Every unit built stays a
+candidate: the linked paths are already pairwise edge-disjoint.
 
 The linker's one record of its used edges is a view of the host without
 them.  The ledger's invariants are checkable from stored data alone: the
@@ -74,25 +75,23 @@ def connect_units(g: Graph, units: list[Unit], max_len: int) -> ConnectionLedger
     all centers, the branch vertices of the two units involved, every branch
     edge, and every previously used edge; endpoint leaves must belong to
     unoccupied stars with a free pendant edge.  A found path is extended
-    through the branches to a full center-to-center path; missing pairs get
-    one more pass at the end.
+    through the branches to a full center-to-center path.  The pairs get
+    one pass: the free view and the eligible leaves only shrink, so a pair
+    with no path finds none later; a retry could only help a pair whose four
+    tries all gave full paths that are not simple.
     """
     ledger = ConnectionLedger(occupied_stars={u.center: set() for u in units})
     centers = frozenset(u.center for u in units)
     # the host minus every branch edge and every used edge
     free = GraphView(g).minus(edges=(e for u in units for e in u.branch_edges()))
 
-    todo = [(i, j) for i in range(len(units)) for j in range(i + 1, len(units))]
-    for _ in range(2):
-        failed: list[tuple[int, int]] = []
-        for (i, j) in todo:
+    for i in range(len(units)):
+        for j in range(i + 1, len(units)):
             if _try_connect(free, centers, units, i, j, max_len, ledger):
                 full = ledger.full_paths[(i, j)]
                 free = free.minus(edges=zip(full, full[1:]))
             else:
-                failed.append((i, j))
-        todo = failed
-    ledger.missing_pairs = sorted(todo)
+                ledger.missing_pairs.append((i, j))
     return ledger
 
 
@@ -131,28 +130,11 @@ def _try_connect(free: GraphView, centers: frozenset[int], units: list[Unit],
     return False
 
 
-def filter_bad_units(units: list[Unit], ledger: ConnectionLedger,
-                     threshold: float) -> list[int]:
-    """Indices of units whose pendant edges the full paths use at most
-    ``threshold`` times (strictly more consumed means dropped)."""
-    if threshold <= 0:
-        raise DomainError(f"need threshold > 0, got threshold={threshold}")
-    used = {normalize_edge(a, b) for path in ledger.full_paths.values()
-            for a, b in zip(path, path[1:])}
-    good = []
-    for idx, unit in enumerate(units):
-        eaten = sum(1 for e in unit.pendant_edges() if e in used)
-        if eaten <= threshold:
-            good.append(idx)
-    return good
-
-
 @dataclass
 class MediumDiagnostics:
     m_scale: float
     h_params: tuple[int, int, int]
     units_built: int
-    units_good: int
     pairs_connected: int
     pairs_missing: int
     achieved_order: int
@@ -180,6 +162,10 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     Strict mode demands d > 2*lambda and a fully connected target-order
     clique; best-effort mode always returns a verifier-passing certificate
     for the largest center subset it managed to connect completely.
+
+    An empty host raises ``DomainError`` whatever parameters are given: the
+    path-length scale ``MediumDiagnostics.m_scale`` has no value at n = 0,
+    and no vertex could stand in for a missing unit.
     """
     check_eta(eta)
     check_regular(report, mode)
@@ -198,35 +184,29 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
                            (h1, h2, h3, target_order, max_len)):
         if value < 1:
             raise DomainError(f"need {name} >= 1, got {name}={value}")
-    # a unit with more pendant edges eaten than this is dropped
-    bad_threshold = max(1.0, eta * report.d * h2 / 2)
 
     units = collect_units(g, count=target_order, h1=h1, h2=h2, h3=h3, seed=seed)
     ledger = connect_units(g, units, max_len=max_len)
-    good_idx = filter_bad_units(units, ledger, bad_threshold)
 
     # the full paths by ascending center pair
     by_centers = {normalize_edge(units[i].center, units[j].center): path
                   for (i, j), path in ledger.full_paths.items()}
     # vertex 0 stands in for a center when no unit is built
     centers = [u.center for u in units] or [0]
-    good_centers = [centers[i] for i in good_idx] if units else centers
     if mode == STRICT:
-        want = good_centers[:target_order]
-        missing = [(u, v) for a, u in enumerate(want) for v in want[a + 1:]
-                   if normalize_edge(u, v) not in by_centers]
-        if len(want) < target_order:
+        if len(centers) < target_order:
             raise UnitShortfallError(
-                f"only {len(good_idx)} good units for target {target_order}")
+                f"only {len(units)} units for target {target_order}")
+        missing = [(centers[i], centers[j]) for i, j in ledger.missing_pairs]
         if missing:
             raise IncompleteEmbeddingError(f"unconnected pairs: {missing[:5]}")
-        chosen = want
+        chosen = centers
     else:
-        chosen = peel_to_complete(good_centers, set(by_centers)) or centers[:1]
+        chosen = peel_to_complete(centers, set(by_centers)) or centers[:1]
 
     cert = EmbeddingCertificate.from_paths(IMMERSION, chosen,
                                            lambda a, b: by_centers[(a, b)])
-    diag = MediumDiagnostics(m_scale, (h1, h2, h3), len(units), len(good_idx),
+    diag = MediumDiagnostics(m_scale, (h1, h2, h3), len(units),
                              len(ledger.full_paths), len(ledger.missing_pairs),
                              len(cert.branch), precondition_ok)
     return cert, diag

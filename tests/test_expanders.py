@@ -106,6 +106,15 @@ def test_pack_stars_leaf_window():
                                                       (5, (6, 7, 8))]
 
 
+def test_pack_stars_slack_keeps_the_centers_last_edge():
+    # leaves past min_leaves never take the last edge; the required ones may
+    g = star(5)
+    packed = pack_stars(view_minus(g), [0], count=1, min_leaves=2, max_leaves=5)
+    assert packed[0].leaves == (1, 2, 3, 4)
+    packed = pack_stars(view_minus(g), [0], count=1, min_leaves=5, max_leaves=6)
+    assert packed[0].leaves == (1, 2, 3, 4, 5)
+
+
 def check_unit_structure(g, unit: Unit, h1, h2, h3):
     assert len(unit.stars) == h1
     assert len(unit.branches) == h1

@@ -48,7 +48,7 @@ GOLDEN = [
     (dense, "paley101", 0.2, "118df59f1986a18b65d56a10a5ffb92a19b0be940613c6044cc0045f31aa7083"),
     (dense, "paley101", 0.4, "34f29464ca6aee2fd8a03edd78909f361d55a302f06273a5cae6b4ed94dc3995"),
     (dense, "paley101", 0.45, "6def4828bc334edba7b6193cd55ba5678ec2e376b47dcefb802f02e730611faa"),
-    (medium, "rr600x24", 0.2, "c3a7da1df98bdcd583b4f468894135a82b548fe71796c39eb2bcd09719ab83d8"),
+    (medium, "rr600x24", 0.2, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
     (medium, "rr600x24", 0.4, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
     (medium, "rr600x24", 0.45, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
     (medium, "rr1000x30", 0.2, "8fd743d904ff04a2607d216d4a249d8ace65ae0fc14762044328f0ce6bccef6c"),

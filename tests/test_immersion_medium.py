@@ -5,11 +5,7 @@ from imforge.errors import DomainError, PreconditionFailedError, UnitShortfallEr
 from imforge.expanders import collect_units
 from imforge.generators import paley, random_regular
 from imforge.graphs import build_graph, normalize_edge
-from imforge.immersion_medium import (
-    build_medium_immersion,
-    connect_units,
-    filter_bad_units,
-)
+from imforge.immersion_medium import build_medium_immersion, connect_units
 from imforge.spectral import SpectralReport, adjacency_spectrum
 
 from helpers import complete
@@ -49,26 +45,6 @@ def test_connect_units_disconnected_components():
     assert ledger.missing_pairs == [(0, 1)]
 
 
-def test_filter_bad_units_empty_ledger():
-    g = complete(30)
-    units = collect_units(g, count=2, h1=2, h2=2, h3=1, seed=0)
-    from imforge.immersion_medium import ConnectionLedger
-
-    assert filter_bad_units(units, ConnectionLedger(), threshold=1) == [0, 1]
-
-
-def test_filter_bad_units_threshold_boundary():
-    g = complete(30)
-    units = collect_units(g, count=1, h1=2, h2=2, h3=1, seed=0)
-    from imforge.immersion_medium import ConnectionLedger
-
-    ledger = ConnectionLedger()
-    pendants = sorted(units[0].pendant_edges())
-    ledger.full_paths = {(0, k): list(e) for k, e in enumerate(pendants[:2], 1)}
-    assert filter_bad_units(units, ledger, threshold=2) == [0]  # exactly at threshold
-    assert filter_bad_units(units, ledger, threshold=1) == []
-
-
 def test_medium_pipeline_k50():
     g = complete(50)
     r = adjacency_spectrum(g)
@@ -93,8 +69,8 @@ def test_medium_pipeline_without_units_stands_in_vertex_0():
     r = adjacency_spectrum(g)
     cert, diag = build_medium_immersion(g, r, eta=0.05)
     assert (cert.branch, cert.pairs, cert.ell) == ([0], {}, None)
-    assert (diag.units_built, diag.units_good, diag.pairs_connected, diag.pairs_missing,
-            diag.achieved_order) == (0, 0, 0, 0, 1)
+    assert (diag.units_built, diag.pairs_connected, diag.pairs_missing,
+            diag.achieved_order) == (0, 0, 0, 1)
     with pytest.raises(UnitShortfallError):
         build_medium_immersion(g, r, eta=0.05, mode="strict")
     cert, _ = build_medium_immersion(g, r, eta=0.05, mode="strict", target_order=1)
@@ -111,33 +87,45 @@ def test_medium_pipeline_with_one_unit_keeps_its_center():
     units = collect_units(g, count=3, h1=4, h2=1, h3=14, seed=0)
     assert [u.center for u in units] == [1]
     assert (cert.branch, cert.pairs, cert.ell) == ([1], {}, None)
-    assert (diag.units_built, diag.units_good, diag.pairs_connected, diag.pairs_missing,
-            diag.achieved_order) == (1, 1, 0, 0, 1)
+    assert (diag.units_built, diag.pairs_connected, diag.pairs_missing,
+            diag.achieved_order) == (1, 0, 0, 1)
     with pytest.raises(UnitShortfallError):
         build_medium_immersion(g, r, eta=0.1, mode="strict")
     cert, _ = build_medium_immersion(g, r, eta=0.1, mode="strict", target_order=1)
     assert (cert.branch, cert.pairs) == ([1], {})
 
 
-def test_medium_pipeline_with_every_unit_dropped_keeps_the_first_center():
-    # at eta 0.01 a unit that spends two pendant edges is dropped
+def test_medium_pipeline_keeps_every_linked_unit():
+    # at eta 0.01 every unit spends pendant edges on its links and stays
     g = complete(40)
     r = adjacency_spectrum(g)
     kwargs = dict(eta=0.01, h_params=(2, 2, 1), target_order=3, max_len=8)
     cert, diag = build_medium_immersion(g, r, **kwargs)
     units = collect_units(g, count=3, h1=2, h2=2, h3=1, seed=0)
-    assert (diag.units_built, diag.units_good, diag.pairs_connected) == (3, 0, 3)
-    assert (cert.branch, cert.pairs) == ([units[0].center], {})
-    with pytest.raises(UnitShortfallError):
-        build_medium_immersion(g, r, mode="strict", **kwargs)
+    assert cert.branch == [u.center for u in units] == [0, 4, 10]
+    assert (diag.units_built, diag.pairs_connected, diag.achieved_order) == (3, 3, 3)
+    assert verify(g, cert).valid
+    strict, _ = build_medium_immersion(g, r, mode="strict", **kwargs)
+    assert strict.to_json() == cert.to_json()
+
+
+def test_medium_pipeline_default_rr600x24_links_every_unit():
+    # default parameters (h2 = 6): every star center keeps an edge for its
+    # branch path, and every linked unit stays
+    g = random_regular(600, 24, seed=3)
+    cert, diag = build_medium_immersion(g, adjacency_spectrum(g), eta=0.1, seed=3)
+    assert diag.achieved_order == len(cert.branch) >= 12
+    assert verify(g, cert).valid
 
 
 def test_medium_pipeline_rejects_an_empty_host():
-    # the path-length scale m has no value at n = 0
+    # the path-length scale m has no value at n = 0, even when every
+    # parameter it would default is given
     report = SpectralReport(n=0, d=4, lam=0.0, lambda2=0.0, lambdan=0.0,
                             is_regular=False, tol=0.0)
     with pytest.raises(DomainError):
-        build_medium_immersion(build_graph(0, []), report, eta=0.1, max_len=3)
+        build_medium_immersion(build_graph(0, []), report, eta=0.1,
+                               h_params=(1, 1, 1), target_order=1, max_len=3)
 
 
 @pytest.mark.parametrize("kwargs", [
