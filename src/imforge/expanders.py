@@ -3,8 +3,19 @@ scale, short path routing around forbidden sets, star packing, and units.
 
 ``bfs_tree`` is the one breadth-first search of the constructions: unit
 branches, the medium linker (both through ``short_avoiding_path``), the
-subdivision router and ``gadgets.grow_expansion`` all break ties by its scan
-order, ascending ids level by level.
+subdivision router and ``gadgets.grow_expansion`` all use it.  It yields
+level sets, level k being the vertices at distance k from the sources, and
+stores no parents.  The tree is fixed by one rule instead: a vertex's parent
+is its least neighbour in the level before (its greatest with ``reverse``).
+That is the tree of a search that scans each level in ascending id order,
+because the first vertex of a level to reach w is w's least neighbour
+there; ``bfs_parent`` and ``path_to`` read it off the levels.
+
+``short_avoiding_path`` grows levels from both endpoint sets, the smaller
+frontier first, until they meet (Pohl's bidirectional search).  The levels
+then give the layers of the vertices on shortest X1-X2 paths, and the walk
+back by the rule gives the path a search from X1 alone would have met
+first: it ends at the X2 vertex with the least (parent, vertex).
 
 ``pack_stars`` is the one greedy star packer: units pack their stars with
 it in (degree, id) center order, and the balanced subdivision packs its
@@ -24,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, NoPathError, UnitFailedError
 from .graphs import Edge, Graph, GraphView, normalize_edge
@@ -48,62 +59,93 @@ def mix_length_m(n: int, d: int) -> float:
     return (2 / EPS1) * math.log(ratio) ** 3
 
 
-def bfs_tree(view: Graph | GraphView, sources: Iterable[int], depth: int,
-             reverse: bool = False) -> Iterator[tuple[int, Optional[int], int]]:
-    """Breadth-first discovery from the sources, up to ``depth`` levels.
+def bfs_tree(view: Graph | GraphView, sources: Iterable[int],
+             depth: int) -> Iterator[set[int]]:
+    """The levels of the breadth-first tree from the sources, up to
+    ``depth``.
 
-    Yields ``(level, parent, vertex)`` in discovery order: the sources
-    first, at level 0 with parent None, then each further level.  Every
-    level, and every neighbour list within it, is scanned in ascending id
-    order, or descending when ``reverse`` is set; a vertex's parent is the
-    first vertex of the previous level to reach it.  The caller stops the
-    search by no longer iterating.
+    Yields level 0, the source set, then level k for k = 1, 2, ...: the
+    vertices at distance exactly k from the sources.  It stops at the first
+    empty level; the caller stops the search by no longer iterating.  The
+    neighbours of a level lie in it or in the levels next to it, so only the
+    last two levels are kept.
     """
-    frontier = sorted(set(sources), reverse=reverse)
-    seen = set(frontier)
-    for v in frontier:
-        yield 0, None, v
-    for level in range(1, depth + 1):
-        nxt = []
-        for u in frontier:
-            nbrs = view.neighbors(u)
-            for w in (reversed(nbrs) if reverse else nbrs):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    yield level, u, w
+    level, prev = set(sources), set()
+    yield level
+    for _ in range(depth):
+        nxt: set[int] = set()
+        for u in level:
+            nxt.update(view.neighbors(u))
+        nxt -= level
+        nxt -= prev
         if not nxt:
             return
-        frontier = sorted(nxt, reverse=reverse)
+        yield nxt
+        prev, level = level, nxt
 
 
-def path_to(parent: dict[int, Optional[int]], v: int) -> list[int]:
-    """The tree path from its source to v, given every discovered vertex's
-    parent as ``bfs_tree`` yields it."""
+def bfs_parent(view: Graph | GraphView, v: int, level: set[int],
+               reverse: bool = False) -> int:
+    """v's parent in the breadth-first tree, given the level before v's:
+    its least neighbour there, or its greatest with ``reverse``."""
+    return (max if reverse else min)(u for u in view.neighbors(v) if u in level)
+
+
+def path_to(view: Graph | GraphView, levels: Sequence[set[int]], v: int,
+            reverse: bool = False) -> list[int]:
+    """The tree path from a source to v, a vertex of the last of the
+    levels, each step back going to the parent ``bfs_parent`` names."""
     path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
+    for level in reversed(levels[:-1]):
+        path.append(bfs_parent(view, path[-1], level, reverse))
     return path[::-1]
 
 
 def short_avoiding_path(view: GraphView, x1: Iterable[int], x2: Iterable[int],
                         max_len: int) -> list[int]:
-    """BFS-shortest path from X1 to X2 in the view, touching X1 and X2 only
-    at its endpoints, of length at most max_len.
+    """Shortest path from X1 to X2 in the view, touching X1 and X2 only at
+    its endpoints, of length at most max_len.
 
-    The search stops at the first X2 vertex ``bfs_tree`` reaches, so ties
-    break toward ascending vertex ids and the result is deterministic.  A
-    common active vertex of X1 and X2 yields the zero-length path.
+    Of the shortest paths it returns the tree path of ``bfs_tree`` from X1
+    to the X2 vertex w with the least (``bfs_parent`` of w, w): the path a
+    search from X1 scanning in ascending id order reaches first, so the
+    result is deterministic.  A common active vertex of X1 and X2 yields
+    the zero-length path to the least of them.
+
+    Levels grow from X1 and from X2, always on the side with the smaller
+    frontier, until a new level meets the other side's frontier, a side
+    runs dry, or the two depths add up to max_len.  On meeting at depth a
+    from X1 and L - a from X2, the walk back reads its parents from layers
+    of vertices at distance k from X1 on shortest paths.  Past the meet
+    set, layer k is the part of X2's level L - k that neighbours layer
+    k - 1.  Up to it X1's own levels serve: every neighbour of such a
+    vertex in the level before is on a shortest path too.
     """
     x1_set = {v for v in x1 if view.contains_vertex(v)}
     x2_set = {v for v in x2 if view.contains_vertex(v)}
     if not x1_set or not x2_set:
         raise NoPathError(max_len, "empty endpoint set in the view")
-    parent: dict[int, Optional[int]] = {}
-    for _, p, v in bfs_tree(view, x1_set, max_len):
-        parent[v] = p
-        if v in x2_set:
-            return path_to(parent, v)
+    common = x1_set & x2_set
+    if common:
+        return [min(common)]
+    fwd_levels, bwd_levels = bfs_tree(view, x1_set, max_len), bfs_tree(view, x2_set, max_len)
+    fwd, bwd = [next(fwd_levels)], [next(bwd_levels)]
+    while len(fwd) + len(bwd) - 2 < max_len:
+        if len(fwd[-1]) <= len(bwd[-1]):
+            grown, other, level = fwd, bwd, next(fwd_levels, None)
+        else:
+            grown, other, level = bwd, fwd, next(bwd_levels, None)
+        if level is None:
+            break
+        grown.append(level)
+        if not level.isdisjoint(other[-1]):
+            a, b = len(fwd) - 1, len(bwd) - 1
+            layers = fwd[:a] + [fwd[a] & bwd[b]] + bwd[:b][::-1]
+            for k in range(a + 1, len(layers)):
+                layers[k] = {u for v in layers[k - 1] for u in view.neighbors(v)
+                             if u in layers[k]}
+            end = min(layers[-1], key=lambda w: (bfs_parent(view, w, layers[-2]), w))
+            return path_to(view, layers, end)
     raise NoPathError(max_len)
 
 

@@ -17,7 +17,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ from .errors import (
     PreconditionFailedError,
     StuckError,
 )
-from .expanders import bfs_tree, short_avoiding_path
+from .expanders import bfs_parent, bfs_tree, short_avoiding_path
 from .graphs import Graph, normalize_edge, vertex_ids, view_minus
 from .util import BEST_EFFORT, STRICT, np_rng, peel_to_complete
 
@@ -136,18 +135,26 @@ class Expansion:
 
 def grow_expansion(view, root: int, size: int, radius: int,
                    forbidden: Iterable[int] = ()) -> Expansion:
-    """The root and the first vertices ``bfs_tree`` discovers from it in the
-    view minus the forbidden set, up to the requested size, all within the
-    radius; a size below 1 raises BadSizeError."""
+    """The root and the first vertices of its ``bfs_tree`` in the view minus
+    the forbidden set, in (level, ``bfs_parent``, vertex) order, up to the
+    requested size, all within the radius; a size below 1 raises
+    BadSizeError."""
     if size < 1:
         raise BadSizeError(f"size {size} below 1")
     banned = set(forbidden)
     if not view.contains_vertex(root) or root in banned:
         raise ExpansionFailedError(f"root {root} unavailable")
-    order = [v for _, _, v in islice(bfs_tree(view.minus(banned), [root], radius), size)]
+    inside = view.minus(banned)
+    order: list[int] = []
+    prev: set[int] = set()
+    for level in bfs_tree(inside, [root], radius):
+        order += sorted(level, key=lambda w: (bfs_parent(inside, w, prev), w)) if prev else [root]
+        if len(order) >= size:
+            break
+        prev = level
     if len(order) < size:
         raise ExpansionFailedError(f"only {len(order)} of {size} vertices within radius {radius}")
-    return Expansion(root, tuple(order))
+    return Expansion(root, tuple(order[:size]))
 
 
 def trim_expansion(expansion: Expansion, new_size: int) -> Expansion:

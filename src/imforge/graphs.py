@@ -176,7 +176,8 @@ class Graph:
 
 def vertex_ids(n: int, vertices: Iterable[int]) -> np.ndarray:
     """Vertex ids as an intp array; OutOfRangeError for any outside 0..n-1."""
-    ids = np.fromiter(vertices, dtype=np.intp)
+    ids = (vertices.astype(np.intp, copy=False) if isinstance(vertices, np.ndarray)
+           else np.fromiter(vertices, dtype=np.intp))
     if ids.size and not (ids.min() >= 0 and ids.max() < n):
         raise OutOfRangeError(f"vertex id outside 0..{n - 1}")
     return ids

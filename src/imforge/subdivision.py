@@ -9,9 +9,10 @@ pipeline, which raises on it in strict mode and carries on with what it
 got in best-effort mode.  The S' load bound beta = 2*alpha - 1 is derived
 from the variant's alpha.  ``_route_all`` is the fixed-length routing
 engine: it grows its level trees with the shared breadth-first kernel
-``expanders.bfs_tree`` in a ``GraphView`` of the host minus what is taken,
-reports the pairs it could not route, and the pipeline raises on the first
-of them in strict mode after routing.
+``expanders.bfs_tree``, and walks them back with ``expanders.path_to``, in
+a ``GraphView`` of the host minus what is taken; it reports the pairs it
+could not route, and the pipeline raises on the first of them in strict
+mode after routing.
 
 Every connecting path is star edge + fixed-length path + star edge, so the
 certificate is balanced: all paths share one total length.
@@ -33,7 +34,7 @@ from .errors import (
     SampleFailedError,
 )
 from .expanders import Star, bfs_tree, pack_stars, path_to
-from .graphs import Graph, GraphView
+from .graphs import Graph, GraphView, vertex_ids
 from .spectral import SpectralReport
 from .util import (BEST_EFFORT, STRICT, check_eta, check_regular, derive_seed, np_rng,
                    peel_to_complete)
@@ -54,27 +55,30 @@ def pack_disjoint_stars(g: Graph, report: SpectralReport, eta: float,
     return pack_stars(g, range(g.n), t, size, size)
 
 
-def draw_reservoir(g: Graph, centers: Iterable[int], eta: float, seed: int) -> set[int]:
-    """One Bernoulli(1 - eta/4) draw over the non-center vertices."""
-    u_set = set(centers)
-    pool = [v for v in range(g.n) if v not in u_set]
+def draw_reservoir(g: Graph, centers: Iterable[int], eta: float, seed: int) -> np.ndarray:
+    """One Bernoulli(1 - eta/4) draw over the non-center vertices, in
+    ascending id order, as a vertex mask."""
+    blocked = np.zeros(g.n, dtype=bool)
+    blocked[vertex_ids(g.n, centers)] = True
+    pool = np.flatnonzero(~blocked)
     rng = np_rng(seed, "reservoir")
-    mask = rng.random(len(pool)) < (1 - eta / 4)
-    return {v for v, hit in zip(pool, mask) if hit}
+    sample = np.zeros(g.n, dtype=bool)
+    sample[pool[rng.random(len(pool)) < (1 - eta / 4)]] = True
+    return sample
 
 
 def reservoir_conditions(g: Graph, stars: Sequence[Star], eta: float,
-                         sample: set[int]) -> tuple[bool, bool, dict]:
-    """Re-verify the two acceptance events from scratch: enough sampled
-    leaves per star, and enough neighbors outside centers and sample for
-    every vertex."""
+                         sample: np.ndarray) -> tuple[bool, bool, dict]:
+    """Re-verify the two acceptance events in full for a sample mask:
+    enough sampled leaves per star, and enough neighbors outside centers
+    and sample for every vertex."""
     d = max(len(g.neighbors(stars[0].center)), 1) if stars else 1
-    u_set = {s.center for s in stars}
     need_leaves = (1 - eta) * d
-    leaf_ok = all(sum(1 for leaf in s.leaves if leaf in sample) >= need_leaves
-                  for s in stars)
+    leaf_ok = all(np.count_nonzero(sample[list(s.leaves)]) >= need_leaves for s in stars)
     need_outside = eta * eta * d / 8
-    outside = np.diff(g.csr()[0]) - g.neighbor_counts(u_set | sample)
+    blocked = sample.copy()
+    blocked[[s.center for s in stars]] = True
+    outside = np.diff(g.csr()[0]) - g.neighbor_counts(np.flatnonzero(blocked))
     worst_outside = int(outside.min()) if g.n else math.inf
     outside_ok = bool((outside >= need_outside).all())
     return leaf_ok, outside_ok, {
@@ -89,25 +93,26 @@ def sample_reservoir(g: Graph, stars: Sequence[Star], eta: float,
     """Retry Bernoulli draws, up to RESERVOIR_RETRIES, until both acceptance
     events hold.
 
-    Returns (sample, draws, accepted).  When no draw is accepted the sample
-    is the draw that met the leaf event with the most sampled leaves, or,
-    when none met it, one extra fallback draw.
+    Returns (sample, draws, accepted), the sample as a vertex set.  When no
+    draw is accepted the sample is the draw that met the leaf event with
+    the most sampled leaves, or, when none met it, one extra fallback draw.
     """
     centers = [s.center for s in stars]
+    leaves = [leaf for s in stars for leaf in s.leaves]
     best_sample, best_count = None, -1
     for attempt in range(RESERVOIR_RETRIES):
         sample = draw_reservoir(g, centers, eta,
                                 derive_seed(seed, f"reservoir-try:{attempt}"))
         leaf_ok, outside_ok, _ = reservoir_conditions(g, stars, eta, sample)
         if leaf_ok and outside_ok:
-            return sample, attempt + 1, True
-        count = sum(1 for s in stars for leaf in s.leaves if leaf in sample)
+            return set(np.flatnonzero(sample).tolist()), attempt + 1, True
+        count = np.count_nonzero(sample[leaves])
         if leaf_ok and count > best_count:
             best_sample, best_count = sample, count
     if best_sample is None:
         best_sample = draw_reservoir(g, centers, eta,
                                      derive_seed(seed, "reservoir-fallback"))
-    return best_sample, RESERVOIR_RETRIES, False
+    return set(np.flatnonzero(best_sample).tolist()), RESERVOIR_RETRIES, False
 
 
 @dataclass(frozen=True)
@@ -160,11 +165,13 @@ def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
     """Vertex-disjoint paths of one exact length between the given pairs.
 
     Interior vertices avoid S' and all previously used vertices.  Both
-    endpoints grow a ``bfs_tree`` level tree in the host minus S' and the
-    used vertices (the pair excepted), a's also minus b and b's minus a's
-    tree, and the top levels are joined by the lexicographically first edge;
-    one rollback (unroute the previous pair, route this one, re-route the
-    other with reversed scan order) is attempted before giving up on a pair.
+    endpoints grow ``bfs_tree`` levels to the fixed depth in the host minus
+    S' and the used vertices (the pair excepted), a's also minus b and b's
+    minus a's tree, and the top levels are joined by the lexicographically
+    first edge; each end walks back to its root by the least-parent rule of
+    ``expanders.path_to``, the greatest-parent rule with ``reverse``.  One
+    rollback (unroute the previous pair, route this one, re-route the
+    other with ``reverse``) is attempted before giving up on a pair.
     ``length`` must be odd and at least 3.  Each path starts at the first
     vertex of its pair.  The pairs that still fail are returned, in the
     order they failed.
@@ -174,24 +181,22 @@ def _route_all(g: Graph, pairs: Sequence[tuple[int, int]], s_prime: set[int],
     routed: list[tuple[tuple[int, int], list[int]]] = []
     failed: list[tuple[int, int]] = []
 
-    def tree(view: GraphView, root: int, reverse: bool) -> tuple[dict, set[int]]:
-        """Parents of the root's level tree, and its top level."""
-        parent, top = {}, set()
-        for level, p, v in bfs_tree(view, [root], half_depth, reverse):
-            parent[v] = p
-            if level == half_depth:
-                top.add(v)
-        return parent, top
-
     def route(pair: tuple[int, int], reverse: bool) -> Optional[list[int]]:
         a, b = pair
         free = GraphView(g).minus((s_prime | used) - {a, b})
-        parent_a, top_a = tree(free.minus([b]), a, reverse)
-        parent_b, top_b = tree(free.minus(parent_a), b, reverse)
-        for x in sorted(top_a):
-            y = next((y for y in g.neighbors(x) if y in top_b), None)
+        view_a = free.minus([b])
+        levels_a = list(bfs_tree(view_a, [a], half_depth))
+        if len(levels_a) <= half_depth:
+            return None
+        view_b = free.minus(set().union(*levels_a))
+        levels_b = list(bfs_tree(view_b, [b], half_depth))
+        if len(levels_b) <= half_depth:
+            return None
+        for x in sorted(levels_a[-1]):
+            y = next((y for y in g.neighbors(x) if y in levels_b[-1]), None)
             if y is not None:
-                return path_to(parent_a, x) + path_to(parent_b, y)[::-1]
+                return path_to(view_a, levels_a, x, reverse) + \
+                    path_to(view_b, levels_b, y, reverse)[::-1]
         return None
 
     def settle(pair: tuple[int, int], path: Optional[list[int]]) -> None:

@@ -128,6 +128,12 @@ def reference_conditions(g, stars, eta, sample):
                                  "worst_outside": worst_outside}
 
 
+def vertex_mask(g, vertices):
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(vertices)] = True
+    return mask
+
+
 @st.composite
 def reservoir_cases(draw):
     g = draw(small_graphs())
@@ -143,7 +149,7 @@ def reservoir_cases(draw):
 @given(reservoir_cases())
 def test_reservoir_conditions_match_reference_loop(case):
     g, stars, eta, sample = case
-    got = reservoir_conditions(g, stars, eta, sample)
+    got = reservoir_conditions(g, stars, eta, vertex_mask(g, sample))
     assert got == reference_conditions(g, stars, eta, sample)
     assert type(got[2]["worst_outside"]) is int
 
@@ -152,7 +158,7 @@ def test_reservoir_conditions_empty_centers_and_sample():
     for g in (complete(5), cycle(7), petersen(), build_graph(3, [])):
         for stars in ([], [Star(0, tuple(g.neighbors(0)))]):
             for sample in (set(), set(range(1, g.n))):
-                assert reservoir_conditions(g, stars, 0.5, sample) == \
+                assert reservoir_conditions(g, stars, 0.5, vertex_mask(g, sample)) == \
                     reference_conditions(g, stars, 0.5, sample)
 
 

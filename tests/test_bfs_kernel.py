@@ -1,7 +1,9 @@
-"""The breadth-first kernel ``expanders.bfs_tree`` against the searches it
-replaced: the former ``short_avoiding_path`` loop, the fixed-length router
-with its own leveled trees and blocked/taken sets, and the expansion
-grower.  The references below are those loops as they were."""
+"""The level-set kernel ``expanders.bfs_tree`` with its parent rule, and the
+bidirectional ``short_avoiding_path``, against the searches they replaced:
+the per-vertex breadth-first generator, the forward ``short_avoiding_path``
+loop, the fixed-length router with its own leveled trees and blocked/taken
+sets, and the expansion grower.  The references below are those loops as
+they were."""
 
 import random
 from itertools import islice
@@ -10,13 +12,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imforge.errors import ExpansionFailedError, NoPathError
-from imforge.expanders import bfs_tree, path_to, short_avoiding_path
+from imforge.expanders import bfs_parent, bfs_tree, path_to, short_avoiding_path
 from imforge.generators import random_regular
 from imforge.gadgets import Expansion, grow_expansion
-from imforge.graphs import view_minus
+from imforge.graphs import GraphView, view_minus
 from imforge.subdivision import _route_all
 
 from helpers import cycle, path, views
+
+
+def reference_bfs_tree(view, sources, depth, reverse=False):
+    """The per-vertex generator: ``(level, parent, vertex)`` in discovery
+    order, each level and each neighbour list scanned in ascending id order
+    (descending with ``reverse``)."""
+    frontier = sorted(set(sources), reverse=reverse)
+    seen = set(frontier)
+    for v in frontier:
+        yield 0, None, v
+    for level in range(1, depth + 1):
+        nxt = []
+        for u in frontier:
+            nbrs = view.neighbors(u)
+            for w in (reversed(nbrs) if reverse else nbrs):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    yield level, u, w
+        if not nxt:
+            return
+        frontier = sorted(nxt, reverse=reverse)
 
 
 def reference_short_avoiding_path(view, x1, x2, max_len):
@@ -161,13 +185,13 @@ def outcome(fn, *args, **kwargs):
 
 def test_bfs_tree_levels_parents_and_scan_order():
     g = cycle(6)
-    assert list(bfs_tree(g, [0], 3)) == [
-        (0, None, 0), (1, 0, 1), (1, 0, 5), (2, 1, 2), (2, 5, 4), (3, 2, 3)]
-    assert list(bfs_tree(g, [0], 3, reverse=True)) == [
-        (0, None, 0), (1, 0, 5), (1, 0, 1), (2, 5, 4), (2, 1, 2), (3, 4, 3)]
-    assert list(bfs_tree(g, [3, 0, 3], 1)) == [
-        (0, None, 0), (0, None, 3), (1, 0, 1), (1, 0, 5), (1, 3, 2), (1, 3, 4)]
-    assert list(bfs_tree(g, [0], 0)) == [(0, None, 0)]
+    levels = list(bfs_tree(g, [0], 3))
+    assert levels == [{0}, {1, 5}, {2, 4}, {3}]
+    assert path_to(g, levels, 3) == [0, 1, 2, 3]
+    assert path_to(g, levels, 3, reverse=True) == [0, 5, 4, 3]
+    assert list(bfs_tree(g, [3, 0, 3], 1)) == [{0, 3}, {1, 2, 4, 5}]
+    assert list(bfs_tree(g, [0], 0)) == [{0}]
+    assert list(bfs_tree(path(3), [0], 5)) == [{0}, {1}, {2}]
 
 
 class ScanLog:
@@ -183,15 +207,40 @@ class ScanLog:
 
 def test_bfs_tree_stops_when_the_caller_does():
     log = ScanLog(view_minus(path(50)))
-    assert [v for _, _, v in islice(bfs_tree(log, [0], 49), 3)] == [0, 1, 2]
+    assert list(islice(bfs_tree(log, [0], 49), 3)) == [{0}, {1}, {2}]
     assert log.scanned == [0, 1]
 
 
 def test_path_to_walks_back_to_the_source():
-    parent = {v: p for _, p, v in bfs_tree(cycle(8), [0, 4], 2)}
-    assert path_to(parent, 0) == [0]
-    assert path_to(parent, 6) == [4, 5, 6]
-    assert path_to(parent, 2) == [0, 1, 2]
+    g = cycle(8)
+    levels = list(bfs_tree(g, [0, 4], 2))
+    assert levels == [{0, 4}, {1, 3, 5, 7}, {2, 6}]
+    assert path_to(g, levels[:1], 0) == [0]
+    assert path_to(g, levels, 6) == [4, 5, 6]
+    assert path_to(g, levels, 2) == [0, 1, 2]
+    assert path_to(g, levels, 6, reverse=True) == [0, 7, 6]
+    assert path_to(g, levels, 2, reverse=True) == [4, 3, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(views(), st.data())
+def test_every_parent_is_the_least_neighbour_in_the_level_before(case, data):
+    """The rule the kernel rests on: in the per-vertex search, a vertex's
+    parent is its least neighbour in the previous level, its greatest with
+    ``reverse``, and the levels are the kernel's."""
+    view, _, _ = case
+    ids = st.integers(min_value=0, max_value=view.n - 1)
+    sources = data.draw(st.sets(ids, min_size=1, max_size=3))
+    depth = data.draw(st.integers(min_value=0, max_value=view.n))
+    reverse = data.draw(st.booleans())
+    levels = list(bfs_tree(view, sources, depth))
+    found = list(reference_bfs_tree(view, sources, depth, reverse))
+    assert [{v for lvl, _, v in found if lvl == k} for k in range(len(levels))] == levels
+    assert max(lvl for lvl, _, _ in found) == len(levels) - 1
+    for lvl, parent, v in found:
+        if lvl:
+            assert parent == bfs_parent(view, v, levels[lvl - 1], reverse)
+            assert path_to(view, levels[:lvl + 1], v, reverse)[-2:] == [parent, v]
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,6 +252,44 @@ def test_short_avoiding_path_matches_the_former_search(case, data):
     max_len = data.draw(st.integers(min_value=0, max_value=view.n + 1))
     assert outcome(short_avoiding_path, view, x1, x2, max_len) == \
         outcome(reference_short_avoiding_path, view, x1, x2, max_len)
+
+
+@st.composite
+def regular_host_cases(draw):
+    """A random regular host on 50 to 400 vertices minus some vertices and
+    edges, maybe with the ball of radius 1 around X1 cut off from the rest,
+    and endpoint sets of up to six vertices that may overlap."""
+    n = draw(st.integers(min_value=50, max_value=400))
+    d = draw(st.sampled_from([d for d in (3, 4, 5, 6, 8) if n * d % 2 == 0]))
+    g = random_regular(n, d, seed=draw(st.integers(min_value=0, max_value=10**6)))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    edges = g.edges()
+    gone_edges = [edges[i] for i in draw(st.sets(
+        st.integers(min_value=0, max_value=len(edges) - 1), max_size=len(edges) // 5))]
+    x1 = draw(st.sets(ids, min_size=1, max_size=6))
+    x2 = draw(st.sets(ids, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        ball = {v for u in x1 for v in (u, *g.neighbors(u))}
+        gone_edges += [(u, w) for u in ball for w in g.neighbors(u) if w not in ball]
+    if draw(st.booleans()):
+        x2.add(draw(st.sampled_from(sorted(x1))))
+    view = GraphView(g).minus(draw(st.sets(ids, max_size=n // 5)), gone_edges)
+    return view, x1, x2
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_host_cases(), st.integers(min_value=0, max_value=3))
+def test_short_avoiding_path_matches_the_former_search_on_regular_hosts(case, slack):
+    """At the true distance and one below it (the NoPathError boundary), and
+    with slack above it; disconnected views fail for every max_len."""
+    view, x1, x2 = case
+    try:
+        dist = len(reference_short_avoiding_path(view, x1, x2, view.n)) - 1
+    except NoPathError:
+        dist = slack
+    for max_len in (dist - 1, dist, dist + slack):
+        assert outcome(short_avoiding_path, view, x1, x2, max_len) == \
+            outcome(reference_short_avoiding_path, view, x1, x2, max_len)
 
 
 @st.composite
@@ -272,7 +359,7 @@ def test_grow_expansion_past_two_levels_keeps_each_level(case, data):
     got = outcome(grow_expansion, view, root, size, radius)
     assert got == outcome(reference_grow_expansion, view, root, size, radius)
     if view.contains_vertex(root):
-        level = {v: lvl for lvl, _, v in bfs_tree(view, [root], radius)}
+        level = {v: lvl for lvl, vs in enumerate(bfs_tree(view, [root], radius)) for v in vs}
         full = reference_grow_expansion(view, root, len(level), radius)
         kernel = grow_expansion(view, root, len(level), radius)
         assert [level[v] for v in kernel.vertices] == sorted(level.values())
@@ -280,3 +367,21 @@ def test_grow_expansion_past_two_levels_keeps_each_level(case, data):
         assert set(kernel.vertices) == set(full.vertices)
         within_two = sum(1 for lvl in level.values() if lvl <= 2)
         assert kernel.vertices[:within_two] == full.vertices[:within_two]
+
+
+@settings(max_examples=200, deadline=None)
+@given(views(), st.data())
+def test_grow_expansion_takes_the_former_generators_discovery_order(case, data):
+    """(level, parent, vertex) order is the order in which the per-vertex
+    generator discovered the vertices, at every radius."""
+    view, _, _ = case
+    ids = st.integers(min_value=0, max_value=view.n - 1)
+    root, forbidden = data.draw(ids), data.draw(st.sets(ids, max_size=3))
+    radius = data.draw(st.integers(min_value=0, max_value=6))
+    size = data.draw(st.integers(min_value=1, max_value=view.n + 1))
+    if view.contains_vertex(root) and root not in forbidden:
+        found = reference_bfs_tree(view.minus(forbidden), [root], radius)
+        order = tuple(v for _, _, v in islice(found, size))
+        assert outcome(grow_expansion, view, root, size, radius, forbidden) == \
+            (Expansion(root, order) if len(order) == size else outcome(
+                reference_grow_expansion, view, root, size, radius, forbidden))

@@ -1,9 +1,14 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import imforge
 import imforge.cli as cli
 from imforge.cli import main
 from imforge.errors import NotRegularError
@@ -363,3 +368,13 @@ def test_sweep_without_metrics_writes_csv_to_stdout(tmp_path, capsys):
     assert lines[0] == ",".join(cli.CSV_COLUMNS)
     strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
     assert strip(csv.DictReader(lines)) == strip(csv.DictReader(single.open()))
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(imforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "imforge", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "immerse-medium" in done.stdout

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from imforge.certify import verify
@@ -102,7 +103,9 @@ def test_reservoir_accepts_on_rich_graph():
     stars = pack_disjoint_stars(g, r, eta=0.5, t=2)
     sample, draws, accepted = sample_reservoir(g, stars, eta=0.5, seed=3)
     assert accepted and 1 <= draws <= RESERVOIR_RETRIES
-    leaf_ok, outside_ok, info = reservoir_conditions(g, stars, eta=0.5, sample=sample)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(sample)] = True
+    leaf_ok, outside_ok, info = reservoir_conditions(g, stars, eta=0.5, sample=mask)
     assert leaf_ok and outside_ok
     assert info["worst_outside"] >= info["need_outside"]
 
@@ -123,7 +126,18 @@ def test_reservoir_draw_deterministic():
     g = complete(50)
     a = draw_reservoir(g, [0, 1], eta=0.3, seed=7)
     b = draw_reservoir(g, [0, 1], eta=0.3, seed=7)
-    assert a == b
+    assert np.array_equal(a, b) and a.dtype == bool and not a[[0, 1]].any()
+
+
+def test_reservoir_draw_matches_the_former_set_draw():
+    # the draw that built a pool list and a set: one rng.random over the
+    # non-center vertices in ascending order
+    g = random_regular(300, 6, seed=4)
+    for centers, eta, seed in (([], 0.5, 1), ([7, 3, 299], 0.1, 2), (range(0, 300, 2), 0.9, 3)):
+        pool = [v for v in range(g.n) if v not in set(centers)]
+        hits = subdivision.np_rng(seed, "reservoir").random(len(pool)) < (1 - eta / 4)
+        former = {v for v, hit in zip(pool, hits) if hit}
+        assert set(np.flatnonzero(draw_reservoir(g, centers, eta, seed)).tolist()) == former
 
 
 def test_p_alpha_pass_case():
@@ -235,9 +249,14 @@ def test_pipeline_drops_the_star_whose_pool_runs_short(monkeypatch):
     centers = [s.center for s in stars]
     cert, _ = build_balanced_subdivision(g, r, eta=0.5, seed=2)
     assert cert.branch == centers
-    lost = set(stars[2].leaves)
-    monkeypatch.setattr(subdivision, "draw_reservoir",
-                        lambda *args, draw=draw_reservoir: draw(*args) - lost)
+    lost = list(stars[2].leaves)
+
+    def draw_without_lost(*args):
+        sample = draw_reservoir(*args)
+        sample[lost] = False
+        return sample
+
+    monkeypatch.setattr(subdivision, "draw_reservoir", draw_without_lost)
     cert, diag = build_balanced_subdivision(g, r, eta=0.5, seed=2)
     assert cert.branch == centers[:2] + centers[3:]
     assert diag.failed_pairs == 0
