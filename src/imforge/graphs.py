@@ -8,7 +8,10 @@ CSR pair ``(indptr, indices)`` for whole-graph queries (``neighbor_counts``,
 the spectral solver's sparse operator).  No object is kept per edge: the
 tuples share one int per vertex, ``has_edge`` bisects a tuple, and
 ``edge_set()`` is an ``EdgeSet`` view over the tuples, so a resident host
-costs a garbage collection O(n), not O(m).
+costs a garbage collection O(n), not O(m).  While it builds, ``build_graph``
+holds one int64 key per half-edge and one bool mask beyond what it returns:
+the keys are made, sorted and reduced to the CSR ``indices`` in place, and
+the tuples are made a bounded run of rows at a time.
 
 A ``GraphView`` answers the same queries as the graph obtained by deleting
 a vertex set and an edge set, without copying the graph.  It keeps the
@@ -39,6 +42,7 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+_TUPLE_RUN = 1 << 16  # half-edges per run of rows made into tuples at once
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -91,7 +95,7 @@ class EdgeSet:
 class Graph:
     """Simple undirected graph with fixed vertex set 0..n-1."""
 
-    __slots__ = ("_n", "_adj", "_edges", "_matrix", "_csr")
+    __slots__ = ("_n", "_adj", "_edges", "_csr")
 
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...], edges: EdgeSet,
                  csr: tuple[np.ndarray, np.ndarray] | None = None):
@@ -99,7 +103,6 @@ class Graph:
         self._n = n
         self._adj = adjacency
         self._edges = edges
-        self._matrix: np.ndarray | None = None
         self._csr = csr
 
     @property
@@ -151,13 +154,11 @@ class Graph:
         return hits[indptr[1:]] - hits[indptr[:-1]]
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (cached; int8)."""
-        if self._matrix is None:
-            indptr, indices = self.csr()
-            mat = np.zeros((self._n, self._n), dtype=np.int8)
-            mat[np.repeat(np.arange(self._n), np.diff(indptr)), indices] = 1
-            self._matrix = mat
-        return self._matrix
+        """Dense 0/1 adjacency matrix (int8, made on each call)."""
+        indptr, indices = self.csr()
+        mat = np.zeros((self._n, self._n), dtype=np.int8)
+        mat[np.repeat(np.arange(self._n), np.diff(indptr)), indices] = 1
+        return mat
 
     def complement(self) -> "Graph":
         return build_graph(self._n, np.argwhere(np.triu(self.adjacency_matrix() == 0, 1)))
@@ -187,25 +188,31 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     """Build a Graph from an edge list (pairs, or an (m, 2) integer array),
     deduplicating repeated pairs.
 
-    Raises OutOfRangeError for an endpoint >= n (or < 0) and SelfLoopError
-    for a loop, naming the first offending pair in input order; parallel
-    edges are silently collapsed.
+    Raises DomainError for an endpoint that is not an integer (a float or
+    bool array, a float in a list), OutOfRangeError for an endpoint >= n
+    (or < 0) and SelfLoopError for a loop, naming the first offending pair
+    in input order; parallel edges are silently collapsed.
     """
     if n < 0:
         raise OutOfRangeError(f"negative vertex count {n}")
     if isinstance(edge_list, np.ndarray):
-        pairs = edge_list.astype(np.int64, copy=False)
-        if pairs.shape[1:] != (2,):
+        if edge_list.dtype.kind not in "iu":
+            raise DomainError(f"edge endpoints must be integers, not {edge_list.dtype}")
+        if edge_list.shape[1:] != (2,):
             raise DomainError("every edge must be a pair")
+        pairs = edge_list.astype(np.int64, copy=False)
     else:
         edge_list = list(edge_list)
         if set(map(len, edge_list)) - {2}:
             raise DomainError("every edge must be a pair")
         try:
-            pairs = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64,
+            pairs = np.fromiter(map(index, chain.from_iterable(edge_list)), dtype=np.int64,
                                 count=2 * len(edge_list)).reshape(-1, 2)
+        except TypeError:
+            raise DomainError("edge endpoints must be integers") from None
         except OverflowError:
             raise OutOfRangeError(f"edge endpoint outside 0..{n - 1}") from None
+    m = len(pairs)
     u, v = pairs[:, 0], pairs[:, 1]
     outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     bad = np.flatnonzero(outside | (u == v))
@@ -214,20 +221,42 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
         if outside[bad[0]]:
             raise OutOfRangeError(f"edge ({a}, {b}) outside 0..{n - 1}")
         raise SelfLoopError(f"loop at vertex {a}")
-    # one int64 key per half-edge, source-major: sorting puts every
-    # neighbour list in place, and equal neighbours are adjacent
-    keys = np.concatenate([u * n + v, v * n + u])
+    # one int64 key per half-edge, source-major, built in place: sorting
+    # puts every neighbour list in place, and equal neighbours are adjacent
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n, out=keys[m:])
+    keys[m:] += u
+    del pairs, u, v, outside, bad
     keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    src, dst = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    indices = dst.astype(np.intp)
-    # one shared int object per vertex instead of one per half-edge
-    flat = np.arange(n).astype(object)[indices].tolist()
-    bounds = indptr.tolist()
-    adjacency = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    fresh = np.empty(2 * m, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    if not fresh.all():
+        keys = keys[fresh]
+    del fresh
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    indices = np.remainder(keys, n, out=keys).astype(np.intp, copy=False)
+    adjacency = _neighbour_tuples(n, indptr, indices)
     return Graph(n, adjacency, EdgeSet(adjacency), (indptr, indices))
+
+
+def _neighbour_tuples(n: int, indptr: np.ndarray,
+                      indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The CSR rows as tuples sharing one int object per vertex, made a run
+    of rows at a time: each run spans about _TUPLE_RUN half-edges, so no
+    object array or list of every half-edge is made."""
+    ints = np.arange(n).astype(object)
+    cuts = np.searchsorted(indptr, np.arange(_TUPLE_RUN, len(indices), _TUPLE_RUN))
+    cuts = [0, *np.unique(cuts).tolist(), n]
+    rows: list[tuple[int, ...]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        start = indptr[lo]
+        flat = ints[indices[start:indptr[hi]]].tolist()
+        bounds = (indptr[lo:hi + 1] - start).tolist()
+        rows.extend(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return tuple(rows)
 
 
 class GraphView:

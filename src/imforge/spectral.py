@@ -3,10 +3,12 @@
 ``adjacency_spectrum`` returns a ``SpectralReport``: degree, regularity,
 the full descending spectrum (dense solver) or only its certifying ends
 (one iterative Lanczos run), and the second-eigenvalue parameter
-``lambda = max(|lambda_2|, |lambda_n|)``.  The pipelines read ``d`` and
-``lambda`` for their strict-mode hypotheses and their parameters, and
-refuse an irregular host in strict mode; the ``spectral`` command prints
-the report.
+``lambda = max(|lambda_2|, |lambda_n|)``.  The dense solve holds one
+float64 n x n matrix (8n^2 bytes), filled from ``Graph.csr()`` and
+overwritten by LAPACK; it makes no int8 matrix and no copy.  The
+pipelines read ``d`` and ``lambda`` for their strict-mode hypotheses and
+their parameters, and refuse an irregular host in strict mode; the
+``spectral`` command prints the report.
 """
 
 from __future__ import annotations
@@ -78,7 +80,13 @@ def adjacency_spectrum(g: Graph) -> SpectralReport:
     dense = n <= DENSE_CUTOFF
     tol = DENSE_TOL if dense else ITERATIVE_TOL
     if dense:
-        spectrum = scipy.linalg.eigvalsh(g.adjacency_matrix().astype(np.float64))[::-1].copy()
+        # one n x n float64 buffer, filled from the CSR pair; its transpose
+        # is the same symmetric matrix in Fortran order, so LAPACK works in
+        # it in place, and 0/1 entries need no finiteness scan
+        indptr, indices = g.csr()
+        a = np.zeros((n, n))
+        a[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
+        spectrum = scipy.linalg.eigvalsh(a.T, overwrite_a=True, check_finite=False)[::-1].copy()
         # a single vertex has lambda_2 = lambda_1 = 0
         lambda2, lambdan = float(spectrum[min(1, n - 1)]), float(spectrum[-1])
     else:
