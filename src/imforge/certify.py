@@ -73,19 +73,22 @@ class EmbeddingCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "EmbeddingCertificate":
-        """Parse a certificate; malformed text, or a second entry for one
-        pair, raises ``ParseError``."""
+        """Parse a certificate; malformed text, JSON not of the documented
+        shape (four keys; lists for ``branch``, ``pairs`` and each path), or
+        a second entry for one pair, raises ``ParseError``."""
         try:
             obj = json.loads(text)
-            pairs = {(e["i"], e["j"]): list(e["path"]) for e in obj["pairs"]}
+            lists = [obj["branch"], obj["pairs"], *(e["path"] for e in obj["pairs"])]
+            if not all(isinstance(x, list) for x in lists):
+                raise ParseError(1, "branch, pairs and every path must be JSON lists")
+            pairs = {(e["i"], e["j"]): e["path"] for e in obj["pairs"]}
             if len(pairs) < len(obj["pairs"]):
                 twice = Counter((e["i"], e["j"]) for e in obj["pairs"]).most_common(1)[0][0]
                 raise ParseError(1, f"duplicate entry for pair {twice}")
-            return cls(kind=obj["kind"], branch=list(obj["branch"]),
-                       pairs=pairs, ell=obj.get("ell"))
+            return cls(kind=obj["kind"], branch=obj["branch"], pairs=pairs, ell=obj["ell"])
         except json.JSONDecodeError as err:
             raise ParseError(err.lineno, f"malformed certificate JSON: {err.msg}") from None
-        except (KeyError, TypeError, AttributeError) as err:
+        except (KeyError, TypeError) as err:
             raise ParseError(1, f"malformed certificate: {err!r}") from None
 
 

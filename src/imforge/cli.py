@@ -266,6 +266,8 @@ def cmd_sweep(args) -> int:
     then exits 2."""
     command = args.command_name
     etas = numbers("--eta-grid", args.eta_grid, float)
+    if not etas:
+        raise ImforgeError(f"--eta-grid holds no eta, got {args.eta_grid!r}")
     host, host_error = None, None
     try:
         host = certified_host(args)
@@ -365,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = subs.add_parser("sweep", help="run a pipeline over an eta grid")
     _add_common(swp, "--mode", "--metrics")
-    swp.add_argument("--command-name", choices=["immerse-dense", "subdivide"],
-                     required=True)
+    swp.add_argument("--command-name", choices=list(PIPELINES), required=True)
     swp.add_argument("--eta-grid", required=True, help="comma-separated etas")
     swp.set_defaults(func=cmd_sweep)
     return parser

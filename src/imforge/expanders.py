@@ -237,11 +237,12 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
     names where the construction ran out of room.
     """
     pool_view = view.minus(vertices=[center])
-    # stars first, centers in ascending (degree, id) order; each grabs up to
-    # twice its required size so the prune step has slack; a star center
-    # needs an edge of the view besides its h2 leaves, for its branch path
+    # stars first, centers in ascending (degree without the center, id)
+    # order, each up to twice its required size so the prune step has slack;
+    # a star center needs an edge besides its h2 leaves, for its branch path
+    near = set(view.neighbors(center))
     order = sorted((v for v in pool_view.active_vertices() if view.degree(v) > h2),
-                   key=lambda v: (pool_view.degree(v), v))
+                   key=lambda v: (view.degree(v) - (v in near), v))
     stars = pack_stars(pool_view, order, n_stars, h2, 2 * h2)
     if len(stars) < h1:
         return None, "stars"

@@ -333,10 +333,11 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     A hub b is chosen by exact scoring over a seeded candidate set
     (neighborhood size squared against the bad-pair count); branch vertices
     come from hub neighbors without too many low-codegree partners, and each
-    pair is joined through a lightly-loaded middle vertex by a path
-    u - b_i - a - b_j - v with globally edge-disjoint steps.  All codegrees
-    come from one A-side product ``mat @ mat.T`` (exact in float32, since
-    every count is below 2**24).
+    pair is joined through a lightly-loaded middle vertex a by a path
+    u - b_i - a - b_j - v of globally edge-disjoint steps, b_i and b_j in B.
+    The A x B incidence matrix ``mat`` is the one record of the host: all
+    codegrees come from one product ``mat @ mat.T`` (exact in float32, since
+    every count is below 2**24), and linking spends its edges.
 
     Strict mode raises when p breaks the density bound, when the hub leaves
     fewer than p usable candidates, and on a pair it cannot link.
@@ -405,56 +406,45 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     q = p if mode == STRICT or len(keep) > p else max(len(keep) - 1, 1)
     branch_rows, pool_rows = keep[:q], keep[q:]
     branch = [a_list[i] for i in branch_rows.tolist()]
-    pool = [a_list[i] for i in pool_rows.tolist()]
-    # strong[i][k]: branch i and pool vertex k have codegree at least 3p
+    # strong[i, k]: branch i and pool vertex k have codegree at least 3p
     strong = codeg[np.ix_(branch_rows, pool_rows)] >= 3 * p
     if mode != STRICT and not np.triu(strong.astype(np.int64) @ strong.T, 1).any():
         # no pair shares a strong pool vertex, so none would link: any
         # common pool neighbour will do
         strong[:] = True
-    strong = strong.tolist()
 
-    used_edges: set[tuple[int, int]] = set()
-    used_b: set[int] = set()
-    occupancy = {a: 0 for a in pool}
-    pool_nbrs: dict[int, set[int]] = {}
+    # free: mat less each path's four edges; load[k]: the used B vertices
+    # next to pool vertex k, grown by mat's column when one is first used
+    free = mat > 0
+    used_col = np.zeros(n2, dtype=bool)
+    load = np.zeros(len(pool_rows), dtype=np.float32)
     linked: dict[tuple[int, int], list[int]] = {}
     for i in range(len(branch)):
         for j in range(i + 1, len(branch)):
             u, v = branch[i], branch[j]
-            path = None
-            for a, ok_u, ok_v in zip(pool, strong[i], strong[j]):
-                if not (ok_u and ok_v) or occupancy[a] > p:
+            ru, rv = branch_rows[i], branch_rows[j]
+            for k in np.flatnonzero(strong[i] & strong[j] & (load <= p)):
+                ra = pool_rows[k]
+                # b_i, b_j: the first B columns free in rows (u, a), (v, a)
+                shared = free[ru] & free[ra]
+                ci = shared.argmax()
+                if not shared[ci]:
                     continue
-                na = pool_nbrs.get(a)
-                if na is None:
-                    na = pool_nbrs[a] = set(g.neighbors(a))
-                bi = next((w for w in g.neighbors(u)
-                           if w in na and normalize_edge(u, w) not in used_edges
-                           and normalize_edge(a, w) not in used_edges), None)
-                if bi is None:
-                    continue
-                bj = next((w for w in g.neighbors(v)
-                           if w in na and w != bi
-                           and normalize_edge(v, w) not in used_edges
-                           and normalize_edge(a, w) not in used_edges), None)
-                if bj is None:
-                    continue
-                path = [u, bi, a, bj, v]
-                break
-            if path is None:
+                shared = free[rv] & free[ra]
+                shared[ci] = False
+                cj = shared.argmax()
+                if shared[cj]:
+                    break
+            else:
                 if mode == STRICT:
                     raise StuckError((u, v))
                 continue
-            for x, y in zip(path, path[1:]):
-                used_edges.add(normalize_edge(x, y))
-            for w in (path[1], path[3]):
-                if w not in used_b:
-                    used_b.add(w)
-                    for a in pool:
-                        if g.has_edge(a, w):
-                            occupancy[a] += 1
-            linked[(u, v)] = path
+            free[[ru, ra, ra, rv], [ci, ci, cj, cj]] = False
+            for c in (ci, cj):
+                if not used_col[c]:
+                    used_col[c] = True
+                    load += mat[pool_rows, c]
+            linked[(u, v)] = [u, b_list[ci], a_list[ra], b_list[cj], v]
     if len(linked) < len(branch) * (len(branch) - 1) // 2:
         branch = peel_to_complete(branch, set(linked))
     return EmbeddingCertificate.from_paths(IMMERSION, branch, lambda a, b: linked[(a, b)],

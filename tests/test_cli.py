@@ -188,13 +188,14 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert strip(rows1) == strip(rows2)
 
 
-def test_sweep_row_matches_single_command_row(tmp_path):
+@pytest.mark.parametrize("command,eta", [("immerse-dense", "0.45"), ("immerse-medium", "0.1")])
+def test_sweep_row_matches_single_command_row(tmp_path, command, eta):
     single = tmp_path / "single.csv"
     swept = tmp_path / "sweep.csv"
-    assert main(["immerse-dense", "--q", "101", "--eta", "0.45", "--seed", "7",
+    assert main([command, "--q", "101", "--eta", eta, "--seed", "7",
                  "--metrics", str(single)]) == 0
-    assert main(["sweep", "--command-name", "immerse-dense", "--q", "101",
-                 "--eta-grid", "0.45", "--seed", "7", "--metrics", str(swept)]) == 0
+    assert main(["sweep", "--command-name", command, "--q", "101",
+                 "--eta-grid", eta, "--seed", "7", "--metrics", str(swept)]) == 0
     (row1,) = csv.DictReader(single.open())
     (row2,) = csv.DictReader(swept.open())
     del row1["seconds"], row2["seconds"]
@@ -228,6 +229,8 @@ def test_immerse_dense_eta_zero_is_a_usage_error(capsys):
      "must be given together"),
     *((["k3-bipartite", "--n1", "3", "--n2", "3", f"--density={density}"], "0 <= density <= 1")
       for density in ("nan", "inf", "-inf", "-0.5", "1.5")),
+    *((["sweep", "--command-name", "immerse-dense", "--q", "13", f"--eta-grid={grid}"],
+       "--eta-grid holds no eta") for grid in (",", "", " , ")),
 ])
 def test_malformed_flags_exit_2(capsys, argv, says):
     assert main(argv) == 2

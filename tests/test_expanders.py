@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from imforge import expanders
 from imforge.errors import DomainError, NoPathError, UnitFailedError
 from imforge.expanders import (
     Unit,
@@ -12,7 +13,7 @@ from imforge.expanders import (
     short_avoiding_path,
 )
 from imforge.generators import random_regular
-from imforge.graphs import build_graph, normalize_edge, view_minus
+from imforge.graphs import GraphView, build_graph, normalize_edge, view_minus
 from imforge.util import stream_rng
 
 from helpers import complete, cycle, path, star
@@ -212,6 +213,27 @@ def test_collect_units_matches_a_fresh_view_per_unit(host, h_params):
     want = reference_collect_units(g, 40, *h_params, seed=3)
     assert 2 <= len(got) < 40
     assert got == want
+
+
+def test_collect_units_builds_one_degree_list_per_unit(monkeypatch):
+    # build_unit ranks its view by degree, and every candidate center orders
+    # its star centers from that same list, never from a view of its own
+    calls = {"build_unit": 0, "degree_list": 0}
+    build_unit_, degree_list = expanders.build_unit, GraphView._degree_list
+
+    def counted_build_unit(*args, **kwargs):
+        calls["build_unit"] += 1
+        return build_unit_(*args, **kwargs)
+
+    def counted_degree_list(self):
+        calls["degree_list"] += 1
+        return degree_list(self)
+
+    monkeypatch.setattr(expanders, "build_unit", counted_build_unit)
+    monkeypatch.setattr(GraphView, "_degree_list", counted_degree_list)
+    units = collect_units(random_regular(300, 24, seed=4), 40, 6, 2, 4, seed=3)
+    assert len(units) >= 2
+    assert calls["degree_list"] == calls["build_unit"] == len(units) + 1
 
 
 def test_collect_units_zero():

@@ -39,6 +39,43 @@ check_certificate = load_checker()
 MUTATIONS = ["none", "drop_pair", "reuse_edge", "through_branch", "bogus_kind", "bad_type_id",
              "out_of_range", "negative_id", "shift_ell", "negative_ell", "pair_twice"]
 
+# per mutation of a pipeline certificate, the codes ``certify.verify`` may
+# report and those the checker may report; each reports one of its own, and
+# "ParseError" is a certificate the library refuses to parse.  An id out of
+# range breaks a branch vertex, a path vertex or a pair index, and a bool
+# pair index can equal an int one, so a pair is entered twice
+EXPECTED_CODES = {
+    "none": (set(), set()),
+    "drop_pair": ({"MISSING_PAIR"}, {"MISSING_PAIR"}),
+    "reuse_edge": ({"EDGE_REUSE"}, {"EDGE_REUSE"}),
+    "through_branch": ({"EDGE_REUSE"}, {"EDGE_REUSE"}),
+    "bogus_kind": ({"UNKNOWN_KIND"}, {"UNKNOWN_KIND"}),
+    "bad_type_id": ({"BAD_ID", "ParseError"}, {"BAD_ID"}),
+    "out_of_range": ({"BRANCH_OUT_OF_RANGE", "MISSING_EDGE", "UNKNOWN_PAIR"},
+                     {"OUT_OF_RANGE", "BAD_PAIR"}),
+    "negative_id": ({"BRANCH_OUT_OF_RANGE", "MISSING_EDGE", "UNKNOWN_PAIR"},
+                    {"OUT_OF_RANGE", "BAD_PAIR"}),
+    "shift_ell": ({"LENGTH_MISMATCH"}, {"LENGTH_MISMATCH"}),
+    "negative_ell": ({"BAD_ELL"}, {"BAD_ELL"}),
+    "pair_twice": ({"ParseError"}, {"BAD_PAIR"}),
+}
+
+# JSON that does not parse, and JSON that is not a certificate object of
+# the documented shape
+MALFORMED = ["", "{", "[1,", "nope", '{"kind": }',
+             '{"kind": "immersion", "branch": [0, 1], "pairs": [], "ell": null']
+GOOD = {"kind": "immersion", "branch": [0, 1], "pairs": [{"i": 0, "j": 1, "path": [0, 1]}],
+        "ell": None}
+WRONG_SHAPES = [
+    None, 5, "x", [], {}, {"kind": "immersion"},
+    *({key: v for key, v in GOOD.items() if key != missing} for missing in GOOD),
+    *({**GOOD, "branch": branch} for branch in (3, None, "01", {"0": 1})),
+    *({**GOOD, "pairs": pairs} for pairs in ({}, 3, None, "ab", [3], [[0, 1]])),
+    {**GOOD, "pairs": [{"i": 0, "j": 1}]},
+    {**GOOD, "pairs": [{"i": 0, "path": [0, 1]}]},
+    *({**GOOD, "pairs": [{"i": 0, "j": 1, "path": path}]} for path in (5, "01", None, {"0": 1})),
+]
+
 
 def verdicts(n, edges, obj):
     """(library valid, checker valid) on the certificate's JSON text; a
@@ -141,6 +178,17 @@ def test_verifiers_agree_on_random_certificates(case, name, salt):
     assert library == checker, (name, obj)
 
 
+def codes(n, edges, obj):
+    """(library codes, checker codes) on the certificate's JSON text."""
+    text = json.dumps(obj)
+    g = build_graph(n, edges)
+    try:
+        library = {code for code, _ in verify(g, EmbeddingCertificate.from_json(text)).violations}
+    except ParseError:
+        library = {"ParseError"}
+    return library, set(check_certificate(n, frozenset(g.edges()), json.loads(text)))
+
+
 @pytest.fixture(scope="module")
 def dense_certificates():
     """Best-effort dense certificates on small hosts: direct edges, 2-paths
@@ -155,11 +203,28 @@ def dense_certificates():
 
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_verifiers_agree_on_mutated_pipeline_certificates(dense_certificates, name):
+    want_library, want_checker = EXPECTED_CODES[name]
     for n, edges, obj in dense_certificates:
-        assert verdicts(n, edges, obj) == (True, True)
         for salt in range(10):
-            mutated = mutate(n, edges, obj, name, random.Random(salt))
-            library, checker = verdicts(n, *mutated)
-            assert library == checker, (name, salt)
-            if name not in ("none", "through_branch"):  # immersions may pass through
-                assert not library, (name, salt)
+            library, checker = codes(n, *mutate(n, edges, obj, name, random.Random(salt)))
+            if name == "through_branch" and not library and not checker:
+                continue  # an immersion may pass a branch vertex on unused edges
+            if not want_library:
+                assert library == checker == set(), (name, salt)
+            else:
+                assert library & want_library, (name, salt, library)
+                assert checker & want_checker, (name, salt, checker)
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_json_is_a_parse_error_and_bad_format(text):
+    with pytest.raises(ParseError):
+        EmbeddingCertificate.from_json(text)
+    assert check_certificate(2, frozenset({(0, 1)}), text) == ["BAD_FORMAT"]
+
+
+@pytest.mark.parametrize("obj", WRONG_SHAPES)
+def test_wrong_shape_is_a_parse_error_and_bad_format(obj):
+    with pytest.raises(ParseError):
+        EmbeddingCertificate.from_json(json.dumps(obj))
+    assert check_certificate(2, frozenset({(0, 1)}), obj) == ["BAD_FORMAT"]
