@@ -11,6 +11,14 @@ index, path vertex or ``ell`` is a ``BAD_ID`` violation, and so is a
 branch or path that is not a list or tuple, or pairs that are not a dict;
 the other checks are then skipped.  A negative ``ell`` is a ``BAD_ELL``
 violation, whether or not any pair is there to miss its length.
+
+``verify`` walks the certificate as flat arrays, not pair by pair: the
+pairs sorted once, every path in one int64 vertex array with path offsets,
+and every path edge looked up at once with ``Graph.has_edges``.  Each
+check is one sort or one vector compare over all paths, and messages are
+worded only for the positions a check flags, in the order a walk over
+the sorted pairs would meet them.  Ids that do not fit in int64 get codes
+that keep their order and equality, so they give the same violations.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -75,7 +84,9 @@ class EmbeddingCertificate:
     def from_json(cls, text: str) -> "EmbeddingCertificate":
         """Parse a certificate; malformed text, JSON not of the documented
         shape (four keys; lists for ``branch``, ``pairs`` and each path), or
-        a second entry for one pair, raises ``ParseError``."""
+        a second entry for one pair, raises ``ParseError``.  Entries that
+        collide only because a non-integer index equals an integer one
+        (``true`` and ``1``, ``1.0`` and ``1``) name that index instead."""
         try:
             obj = json.loads(text)
             lists = [obj["branch"], obj["pairs"], *(e["path"] for e in obj["pairs"])]
@@ -83,6 +94,9 @@ class EmbeddingCertificate:
                 raise ParseError(1, "branch, pairs and every path must be JSON lists")
             pairs = {(e["i"], e["j"]): e["path"] for e in obj["pairs"]}
             if len(pairs) < len(obj["pairs"]):
+                odd = [x for e in obj["pairs"] for x in (e["i"], e["j"]) if not _is_id(x)]
+                if odd:
+                    raise ParseError(1, f"pair index {json.dumps(odd[0])} is not an integer")
                 twice = Counter((e["i"], e["j"]) for e in obj["pairs"]).most_common(1)[0][0]
                 raise ParseError(1, f"duplicate entry for pair {twice}")
             return cls(kind=obj["kind"], branch=obj["branch"], pairs=pairs, ell=obj["ell"])
@@ -119,9 +133,13 @@ def _walk_edges(path: list[int]) -> list[Edge]:
     return [normalize_edge(a, b) for a, b in zip(path, path[1:])]
 
 
-def _is_id(x: Any) -> bool:
+def _is_id_type(kind: type) -> bool:
     """Python and numpy integers are ids; bools, floats and strings are not."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _is_id(x: Any) -> bool:
+    return _is_id_type(type(x))
 
 
 def _bad_list(where: str, ids: Any) -> list[str]:
@@ -133,7 +151,7 @@ def _bad_list(where: str, ids: Any) -> list[str]:
 
 def _bad_ids(cert: EmbeddingCertificate) -> list[str]:
     """Where the certificate holds a branch list, pairs dict, pair index,
-    path, path vertex or ``ell`` of the wrong type."""
+    path, path vertex or ``ell`` of the wrong type, walked id by id."""
     out = _bad_list("branch", cert.branch)
     if cert.ell is not None and not _is_id(cert.ell):
         out.append(f"ell = {cert.ell!r}")
@@ -146,14 +164,52 @@ def _bad_ids(cert: EmbeddingCertificate) -> list[str]:
     return out
 
 
+def _all_ids(cert: EmbeddingCertificate) -> Optional[list]:
+    """The branch ids, then both indices of each pair, then each path's
+    vertices, pairs in dict order; None when ``_bad_ids`` finds anything.
+    The id types are read as one set."""
+    branch, pairs = cert.branch, cert.pairs
+    if not (isinstance(branch, (list, tuple)) and isinstance(pairs, dict)
+            and (cert.ell is None or _is_id(cert.ell))
+            and all(issubclass(kind, tuple) for kind in set(map(type, pairs)))
+            and set(map(len, pairs)) <= {2}
+            and all(issubclass(kind, (list, tuple)) for kind in set(map(type, pairs.values())))):
+        return None
+    ids = [*branch, *chain.from_iterable(pairs), *chain.from_iterable(pairs.values())]
+    return ids if all(map(_is_id_type, set(map(type, ids)))) else None
+
+
+def _id_codes(ids: list, n: int) -> np.ndarray:
+    """The ids as int64 codes: ids in 0..n-1 keep their value, and the
+    others map to codes outside 0..n-1 that keep their order and equality,
+    so ids that do not fit in int64 compare as they are."""
+    try:
+        return np.fromiter(ids, dtype=np.int64, count=len(ids))
+    except OverflowError:
+        outside = sorted({int(x) for x in ids if not 0 <= x < n})
+        below = sum(x < 0 for x in outside)
+        code = {x: k - below + (n if k >= below else 0) for k, x in enumerate(outside)}
+        return np.fromiter((code.get(int(x), x) for x in ids), dtype=np.int64, count=len(ids))
+
+
+def _group_heads(sorted_keys: list[np.ndarray]) -> np.ndarray:
+    """Positions where a run of equal rows starts, across parallel sorted
+    key arrays, with their common length appended."""
+    length = len(sorted_keys[0])
+    new = np.ones(length + 1, dtype=bool)
+    if length:
+        new[1:-1] = np.logical_or.reduce([a[1:] != a[:-1] for a in sorted_keys])
+    return np.flatnonzero(new)
+
+
 def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
     """Check a certificate from scratch against the graph."""
     violations: list[tuple[str, str]] = []
     if cert.kind not in (IMMERSION, SUBDIVISION):
         violations.append(("UNKNOWN_KIND", f"kind {cert.kind!r}"))
-    bad_ids = _bad_ids(cert)
-    if bad_ids:
-        violations.extend(("BAD_ID", where) for where in bad_ids)
+    ids = _all_ids(cert)
+    if ids is None:
+        violations.extend(("BAD_ID", where) for where in _bad_ids(cert))
         sized = (list, tuple, dict)
         return VerifyReport(valid=False, kind=cert.kind,
                             t=len(cert.branch) if isinstance(cert.branch, sized) else 0,
@@ -161,67 +217,101 @@ def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
                             length_histogram={}, violations=violations)
     if cert.ell is not None and cert.ell < 0:
         violations.append(("BAD_ELL", f"ell = {cert.ell}"))
-    branch = cert.branch
-    t = len(branch)
-    if len(set(branch)) != t:
+    branch, keys, paths = cert.branch, list(cert.pairs), list(cert.pairs.values())
+    t, n = len(branch), g.n
+    codes = _id_codes(ids, max(n, t))
+    branch_ids, (i, j) = codes[:t], codes[t:t + 2 * len(keys)].reshape(-1, 2).T
+    if len(np.unique(branch_ids)) != t:
         violations.append(("BRANCH_NOT_INJECTIVE", f"branch list {branch}"))
-    for v in branch:
-        if not (0 <= v < g.n):
-            violations.append(("BRANCH_OUT_OF_RANGE", f"vertex {v}"))
+    violations += [("BRANCH_OUT_OF_RANGE", f"vertex {branch[k]}")
+                   for k in np.flatnonzero((branch_ids < 0) | (branch_ids >= n)).tolist()]
 
-    wanted = {(i, j) for i in range(t) for j in range(i + 1, t)}
-    got = set(cert.pairs)
-    for pair in sorted(wanted - got):
-        violations.append(("MISSING_PAIR", f"pair {pair}"))
-    for pair in sorted(got - wanted):
-        violations.append(("UNKNOWN_PAIR", f"pair {pair}"))
-    for (i, j) in sorted(got):
-        if not (0 <= i < j < t):
-            continue
-        path = cert.pairs[(i, j)]
-        if not path or path[0] != branch[i] or path[-1] != branch[j]:
-            violations.append(("BAD_ENDPOINT", f"pair {(i, j)} path {path[:3]}..."))
+    # pairs in sorted order: pair p is keys[rank[p]], its path a run of flat
+    rank = np.lexsort((j, i))
+    i, j = i[rank], j[rank]
+    sizes = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    begins = (np.cumsum(sizes) - sizes)[rank]  # where each path starts in the dict-order ids
+    sizes = sizes[rank]
+    starts = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    owner = np.repeat(np.arange(len(keys)), sizes)
+    pos = np.arange(starts[-1]) - starts[owner]
+    flat = codes[t + 2 * len(keys):][begins[owner] + pos]
 
-    lengths = Counter()
-    edge_multiset: Counter = Counter()
-    internal_owner: dict[int, tuple[int, int]] = {}
-    branch_set = set(branch)
-    strong = True
-    for (i, j), path in sorted(cert.pairs.items()):
-        lengths[len(path) - 1] += 1
-        if len(set(path)) != len(path):
-            violations.append(("NOT_SIMPLE", f"pair {(i, j)}"))
-        for e in _walk_edges(path):
-            if not g.has_edge(*e):
-                violations.append(("MISSING_EDGE", f"pair {(i, j)} edge {e}"))
-            edge_multiset[e] += 1
-        interior = path[1:-1]
-        for v in interior:
-            if v in branch_set:
-                strong = False
-                if cert.kind == SUBDIVISION:
-                    violations.append(("BRANCH_INTERNAL", f"pair {(i, j)} vertex {v}"))
-            if cert.kind == SUBDIVISION:
-                if v in internal_owner:
-                    violations.append(
-                        ("INTERNAL_REUSE", f"vertex {v} in {internal_owner[v]} and {(i, j)}"))
-                else:
-                    internal_owner[v] = (i, j)
-        if cert.ell is not None and len(path) - 1 != cert.ell + 1:
-            violations.append(
-                ("LENGTH_MISMATCH", f"pair {(i, j)} length {len(path) - 1} != {cert.ell + 1}"))
+    def pair(p: int) -> tuple:
+        a, b = keys[rank[p]]
+        return (a, b)
+
+    def vertex(k: int):
+        return paths[rank[owner[k]]][pos[k]]
+
+    def edge(k: int) -> Edge:
+        return normalize_edge(vertex(k), vertex(k + 1))
+
+    indexed = (0 <= i) & (i < j) & (j < t)
+    wanted_i, wanted_j = np.triu_indices(t, 1)
+    missing = ~np.isin(wanted_i * t + wanted_j, i[indexed] * t + j[indexed])
+    violations += [("MISSING_PAIR", f"pair {(a, b)}")
+                   for a, b in zip(wanted_i[missing].tolist(), wanted_j[missing].tolist())]
+    violations += [("UNKNOWN_PAIR", f"pair {keys[rank[p]]}")
+                   for p in np.flatnonzero(~indexed).tolist()]
+    padded, ends = np.append(flat, 0), np.append(branch_ids, 0)  # an empty path reads the pad
+    bad_end = indexed & ((sizes == 0)
+                         | (padded[starts[:-1]] != ends[np.where(indexed, i, t)])
+                         | (padded[starts[1:] - 1] != ends[np.where(indexed, j, t)]))
+    violations += [("BAD_ENDPOINT", f"pair {pair(p)} path {paths[rank[p]][:3]}...")
+                   for p in np.flatnonzero(bad_end).tolist()]
+
+    # per-pair findings as (pair, check, position, sub-check, code, message)
+    found: list[tuple] = []
+    by_vertex = np.lexsort((flat, owner))
+    heads = _group_heads([owner[by_vertex], flat[by_vertex]])
+    twice = by_vertex[heads[:-1][np.diff(heads) > 1]]  # a vertex met twice on one path
+    found += [(p, 0, 0, 0, "NOT_SIMPLE", f"pair {pair(p)}")
+              for p in np.unique(owner[twice]).tolist()]
+    # the edge at each flat position followed by one of the same path
+    tail = np.flatnonzero(owner[1:] == owner[:-1])
+    lo = np.minimum(flat[tail], flat[tail + 1])
+    hi = np.maximum(flat[tail], flat[tail + 1])
+    found += [(owner[k], 1, pos[k], 0, "MISSING_EDGE", f"pair {pair(owner[k])} edge {edge(k)}")
+              for k in tail[~g.has_edges(lo, hi)].tolist()]
+    inner = np.flatnonzero((pos > 0) & (pos < sizes[owner] - 1))
+    through_branch = np.isin(flat[inner], branch_ids)
+    if cert.kind == SUBDIVISION:
+        found += [(owner[k], 2, pos[k], 0, "BRANCH_INTERNAL",
+                   f"pair {pair(owner[k])} vertex {vertex(k)}")
+                  for k in inner[through_branch].tolist()]
+        # a stable sort puts the first owner of each interior vertex first
+        by_id = inner[np.argsort(flat[inner], kind="stable")]
+        heads = _group_heads([flat[by_id]])
+        first = by_id[np.repeat(heads[:-1], np.diff(heads))]
+        again = first != by_id
+        found += [(owner[k], 2, pos[k], 1, "INTERNAL_REUSE",
+                   f"vertex {vertex(k)} in {pair(owner[f])} and {pair(owner[k])}")
+                  for k, f in zip(by_id[again].tolist(), first[again].tolist())]
+    if cert.ell is not None:
+        want = cert.ell + 1
+        found += [(p, 3, 0, 0, "LENGTH_MISMATCH", f"pair {pair(p)} length {sizes[p] - 1} != {want}")
+                  for p in np.flatnonzero(sizes - 1 != want).tolist()]
+    violations += [(code, message) for *_, code, message in sorted(found)]
+
     if cert.kind == IMMERSION:
-        for e, count in sorted(edge_multiset.items()):
-            if count > 1:
-                violations.append(("EDGE_REUSE", f"edge {e} used {count} times"))
+        by_edge = np.lexsort((hi, lo))
+        heads = _group_heads([lo[by_edge], hi[by_edge]])
+        counts = np.diff(heads)
+        violations += [("EDGE_REUSE", f"edge {edge(tail[by_edge[head]])} used {count} times")
+                       for head, count in zip(heads[:-1][counts > 1].tolist(),
+                                              counts[counts > 1].tolist())]
+    lengths, first_at, counts = np.unique(sizes - 1, return_index=True, return_counts=True)
+    order = np.argsort(first_at)
     return VerifyReport(
         valid=not violations,
         kind=cert.kind,
         t=t,
-        path_count=len(cert.pairs),
-        length_histogram=dict(lengths),
+        path_count=len(keys),
+        length_histogram=dict(zip(lengths[order].tolist(), counts[order].tolist())),
         violations=violations,
-        strong_immersion=strong and not violations,
+        strong_immersion=not through_branch.any() and not violations,
     )
 
 

@@ -3,10 +3,11 @@
 A ``Graph`` is a simple undirected graph on vertices ``0..n-1``; it never
 changes after construction, so it is safe to share between pipelines and
 threads.  ``build_graph`` makes every graph in one numpy pass: ascending
-neighbour tuples for the Python loops (BFS, packers, the verifier), and the
+neighbour tuples for the Python loops (BFS, packers), and the
 CSR pair ``(indptr, indices)`` for whole-graph queries (``neighbor_counts``,
 the spectral solver's sparse operator).  No object is kept per edge: the
-tuples share one int per vertex, ``has_edge`` bisects a tuple, and
+tuples share one int per vertex, ``has_edge`` bisects a tuple,
+``has_edges`` answers a batch from the tuples of the rows it asks about, and
 ``edge_set()`` is an ``EdgeSet`` view over the tuples, so a resident host
 costs a garbage collection O(n), not O(m).  While it builds, ``build_graph``
 holds one int64 key per half-edge and one bool mask beyond what it returns:
@@ -121,6 +122,27 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return _adjacent(self._adj, u, v)
+
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Per k, whether (us[k], vs[k]) is an edge; ids outside 0..n-1,
+        negative ones included, are not.  Reads only the neighbour tuples
+        of the distinct us, keyed as row rank * n + neighbour in one sorted
+        array, and never builds the CSR."""
+        n = self._n
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        out = np.zeros(us.shape, dtype=bool)
+        asked = np.flatnonzero((us >= 0) & (us < n) & (vs >= 0) & (vs < n))
+        rows, rank = np.unique(us[asked], return_inverse=True)
+        adj = [self._adj[u] for u in rows.tolist()]
+        sizes = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
+        keys = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(sizes.sum()))
+        keys += np.repeat(np.arange(len(adj), dtype=np.int64) * n, sizes)
+        want = rank * n + vs[asked]
+        at = np.searchsorted(keys, want)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == want[found]
+        out[asked] = found
+        return out
 
     def edge_set(self) -> EdgeSet:
         return self._edges

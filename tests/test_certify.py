@@ -1,14 +1,31 @@
 import dataclasses
+import json
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imforge.certify import EmbeddingCertificate, verify, verify_adjuster, verify_unit
+from imforge.certify import (
+    IMMERSION,
+    SUBDIVISION,
+    EmbeddingCertificate,
+    VerifyReport,
+    verify,
+    verify_adjuster,
+    verify_unit,
+)
+from imforge.errors import ParseError
 from imforge.expanders import Star, Unit, build_unit
-from imforge.gadgets import Adjuster, Expansion
-from imforge.graphs import build_graph, view_minus
+from imforge.gadgets import Adjuster, Expansion, bipartite_k3_immersion
+from imforge.generators import paley, random_regular
+from imforge.graphs import Graph, build_graph, normalize_edge, view_minus
+from imforge.immersion_dense import build_dense_immersion
+from imforge.immersion_medium import build_medium_immersion
+from imforge.spectral import adjacency_spectrum
+from imforge.subdivision import build_balanced_subdivision
 
 from helpers import complete, cycle, petersen
 
@@ -294,3 +311,275 @@ def test_verify_adjuster_needs_a_budget_of_at_least_one():
     host = build_graph(2, [(0, 1)])
     assert verify_adjuster(host, dataclasses.replace(adj, m=1)).valid
     assert codes(verify_adjuster(host, adj)) == {"BAD_BUDGET"}
+
+
+def json_k3_with(entry):
+    """The K3 certificate's JSON with one more pair entry."""
+    obj = json.loads(k3_identity_cert().to_json())
+    obj["pairs"].append(entry)
+    return json.dumps(obj)
+
+
+def test_from_json_names_a_bool_index_that_collides_with_an_int_one():
+    # JSON true equals and hashes as 1, so {"i": true, "j": 2} lands on (1, 2)
+    text = json_k3_with({"i": True, "j": 2, "path": [1, 2]})
+    with pytest.raises(ParseError, match="pair index true is not an integer"):
+        EmbeddingCertificate.from_json(text)
+    # a float index that collides is named too; a true duplicate still is one
+    with pytest.raises(ParseError, match="pair index 1.0 is not an integer"):
+        EmbeddingCertificate.from_json(json_k3_with({"i": 1.0, "j": 2, "path": [1, 2]}))
+    with pytest.raises(ParseError, match=r"duplicate entry for pair \(1, 2\)"):
+        EmbeddingCertificate.from_json(json_k3_with({"i": 1, "j": 2, "path": [1, 0, 2]}))
+    # without a collision the bool index reaches the verifier
+    cert = EmbeddingCertificate.from_json(json_k3_with({"i": True, "j": 3, "path": [1, 2]}))
+    assert codes(verify(complete(3), cert)) == {"BAD_ID"}
+
+
+# the verifier against the per-pair loop it replaced, kept here as an oracle
+
+def reference_bad_ids(cert):
+    def is_id(x):
+        return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+    def bad_list(where, ids):
+        if not isinstance(ids, (list, tuple)):
+            return [f"{where} is a {type(ids).__name__}"]
+        return [f"{where}[{k}] = {v!r}" for k, v in enumerate(ids) if not is_id(v)]
+
+    out = bad_list("branch", cert.branch)
+    if cert.ell is not None and not is_id(cert.ell):
+        out.append(f"ell = {cert.ell!r}")
+    if not isinstance(cert.pairs, dict):
+        return out + [f"pairs is a {type(cert.pairs).__name__}"]
+    for key, path in cert.pairs.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_id, key))):
+            out.append(f"pair key {key!r}")
+        out += bad_list(f"pair {key!r} path", path)
+    return out
+
+
+def reference_verify(g, cert):
+    """One pass per pair and per edge, with ``Graph.has_edge`` lookups."""
+    violations = []
+    if cert.kind not in (IMMERSION, SUBDIVISION):
+        violations.append(("UNKNOWN_KIND", f"kind {cert.kind!r}"))
+    bad_ids = reference_bad_ids(cert)
+    if bad_ids:
+        violations.extend(("BAD_ID", where) for where in bad_ids)
+        sized = (list, tuple, dict)
+        return VerifyReport(valid=False, kind=cert.kind,
+                            t=len(cert.branch) if isinstance(cert.branch, sized) else 0,
+                            path_count=len(cert.pairs) if isinstance(cert.pairs, sized) else 0,
+                            length_histogram={}, violations=violations)
+    if cert.ell is not None and cert.ell < 0:
+        violations.append(("BAD_ELL", f"ell = {cert.ell}"))
+    branch = cert.branch
+    t = len(branch)
+    if len(set(branch)) != t:
+        violations.append(("BRANCH_NOT_INJECTIVE", f"branch list {branch}"))
+    for v in branch:
+        if not (0 <= v < g.n):
+            violations.append(("BRANCH_OUT_OF_RANGE", f"vertex {v}"))
+    wanted = {(i, j) for i in range(t) for j in range(i + 1, t)}
+    got = set(cert.pairs)
+    for pair in sorted(wanted - got):
+        violations.append(("MISSING_PAIR", f"pair {pair}"))
+    for pair in sorted(got - wanted):
+        violations.append(("UNKNOWN_PAIR", f"pair {pair}"))
+    for (i, j) in sorted(got):
+        if not (0 <= i < j < t):
+            continue
+        path = cert.pairs[(i, j)]
+        if not path or path[0] != branch[i] or path[-1] != branch[j]:
+            violations.append(("BAD_ENDPOINT", f"pair {(i, j)} path {path[:3]}..."))
+    lengths = Counter()
+    edge_multiset = Counter()
+    internal_owner = {}
+    branch_set = set(branch)
+    strong = True
+    for (i, j), path in sorted(cert.pairs.items()):
+        lengths[len(path) - 1] += 1
+        if len(set(path)) != len(path):
+            violations.append(("NOT_SIMPLE", f"pair {(i, j)}"))
+        for e in (normalize_edge(a, b) for a, b in zip(path, path[1:])):
+            if not g.has_edge(*e):
+                violations.append(("MISSING_EDGE", f"pair {(i, j)} edge {e}"))
+            edge_multiset[e] += 1
+        for v in path[1:-1]:
+            if v in branch_set:
+                strong = False
+                if cert.kind == SUBDIVISION:
+                    violations.append(("BRANCH_INTERNAL", f"pair {(i, j)} vertex {v}"))
+            if cert.kind == SUBDIVISION:
+                if v in internal_owner:
+                    violations.append(
+                        ("INTERNAL_REUSE", f"vertex {v} in {internal_owner[v]} and {(i, j)}"))
+                else:
+                    internal_owner[v] = (i, j)
+        if cert.ell is not None and len(path) - 1 != cert.ell + 1:
+            violations.append(
+                ("LENGTH_MISMATCH", f"pair {(i, j)} length {len(path) - 1} != {cert.ell + 1}"))
+    if cert.kind == IMMERSION:
+        for e, count in sorted(edge_multiset.items()):
+            if count > 1:
+                violations.append(("EDGE_REUSE", f"edge {e} used {count} times"))
+    return VerifyReport(valid=not violations, kind=cert.kind, t=t,
+                        path_count=len(cert.pairs), length_histogram=dict(lengths),
+                        violations=violations, strong_immersion=strong and not violations)
+
+
+def assert_matches_reference(g, cert):
+    got, want = verify(g, cert), reference_verify(g, cert)
+    assert got == want
+    assert list(got.length_histogram) == list(want.length_histogram)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+@lru_cache(maxsize=None)
+def pipeline_certificates():
+    """(host, certificate) from each construction: dense, medium, the
+    balanced subdivision and the length-4 bipartite gadget."""
+    pal = paley(101)
+    rr = random_regular(600, 24, seed=1)
+    mask = np.random.default_rng(5).random((128, 1024)) < 0.55
+    bip = build_graph(1152, np.argwhere(mask) + (0, 128))
+    return (
+        (pal, build_dense_immersion(pal, adjacency_spectrum(pal), eta=0.4, seed=7)[0]),
+        (rr, build_medium_immersion(rr, adjacency_spectrum(rr), eta=0.2, seed=3,
+                                    h_params=(6, 2, 5), target_order=8, max_len=8)[0]),
+        (rr, build_balanced_subdivision(rr, adjacency_spectrum(rr), eta=0.4, seed=3)[0]),
+        (bip, bipartite_k3_immersion(bip, range(128), range(128, 1152), p=6, seed=1)),
+    )
+
+
+def copy_cert(cert, kind=None):
+    return EmbeddingCertificate(kind or cert.kind, list(cert.branch),
+                                {key: list(path) for key, path in cert.pairs.items()}, cert.ell)
+
+
+@pytest.mark.parametrize("which", range(4), ids=["dense", "medium", "subdivide", "k3"])
+@pytest.mark.parametrize("kind", [None, IMMERSION, SUBDIVISION, "bogus"])
+def test_verify_matches_reference_on_pipeline_certificates(which, kind):
+    g, cert = pipeline_certificates()[which]
+    report = assert_matches_reference(g, copy_cert(cert, kind))
+    assert report.valid or kind is not None
+
+
+MUTATIONS = ["reuse_edge", "repeat_vertex", "branch_interior", "share_interior", "shift_ell",
+             "negative_ell", "drop_pair", "unknown_pair", "empty_path", "one_vertex_path"]
+
+
+def mutate_cert(cert, name, draw):
+    """Break one rule of the certificate in place."""
+    pairs, branch = cert.pairs, cert.branch
+    keys = sorted(pairs)
+    if not keys:
+        return
+    key = draw(st.sampled_from(keys))
+    path = pairs[key]
+    if name == "reuse_edge":
+        other = pairs[draw(st.sampled_from(keys))]
+        if len(other) >= 2:
+            k = draw(st.integers(0, len(other) - 2))
+            pairs[key] = [*path[:1], *other[k:k + 2], *path[-1:]]
+    elif name == "repeat_vertex" and path:
+        pairs[key].insert(draw(st.integers(0, len(path))), draw(st.sampled_from(path)))
+    elif name == "branch_interior":
+        pairs[key].insert(draw(st.integers(1, max(len(path) - 1, 1))),
+                          draw(st.sampled_from(branch)))
+    elif name == "share_interior":
+        donor = [v for p in pairs.values() for v in p[1:-1]] or list(branch)
+        pairs[key].insert(draw(st.integers(1, max(len(path) - 1, 1))), draw(st.sampled_from(donor)))
+    elif name == "shift_ell":
+        base = cert.ell if cert.ell is not None else len(path) - 2
+        cert.ell = base + draw(st.sampled_from([-1, 1]))
+    elif name == "negative_ell":
+        cert.ell = draw(st.sampled_from([-1, -2, -3]))
+    elif name == "drop_pair":
+        del pairs[key]
+    elif name == "unknown_pair":
+        i, j = key
+        pairs[draw(st.sampled_from([(j, i), (i, i), (i, len(branch)), (-1, j)]))] = list(path)
+    elif name == "empty_path":
+        pairs[key] = []
+    elif name == "one_vertex_path":
+        pairs[key] = path[:1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_matches_reference_on_mutations(data):
+    g, cert = data.draw(st.sampled_from(pipeline_certificates()))
+    cert = copy_cert(cert, data.draw(st.sampled_from([IMMERSION, SUBDIVISION])))
+    for name in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        mutate_cert(cert, name, data.draw)
+    assert_matches_reference(g, cert)
+
+
+ODD_IDS = [-1, -6, 6, 7, 2 ** 40, 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 3, 2 ** 80, -2 ** 63,
+           -2 ** 63 - 1, -2 ** 90, np.int32(2), np.int32(-3), np.int64(4), np.uint64(3),
+           np.uint64(2 ** 63), np.uint64(2 ** 64 - 1), np.int16(9)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_matches_reference_on_odd_ids(data):
+    # K4 on K6 with two 2-paths through 4 and 5; some ids swapped for
+    # negative ones, ones >= n, ones beyond int64 and numpy scalars
+    pairs = {(0, 1): [0, 1], (0, 2): [0, 4, 2], (0, 3): [0, 3], (1, 2): [1, 2],
+             (1, 3): [1, 5, 3], (2, 3): [2, 3]}
+    cert = EmbeddingCertificate(data.draw(st.sampled_from([IMMERSION, SUBDIVISION])),
+                                [0, 1, 2, 3], pairs, data.draw(st.sampled_from([None, 0, 1])))
+    slots = [(cert.branch, k) for k in range(4)]
+    slots += [(path, k) for path in pairs.values() for k in range(len(path))]
+    for _ in range(data.draw(st.integers(1, 4))):
+        value = data.draw(st.sampled_from(ODD_IDS))
+        where = data.draw(st.sampled_from(["slot", "pair", "ell"]))
+        if where == "slot":
+            owner, k = data.draw(st.sampled_from(slots))
+            owner[k] = value
+        elif where == "pair":
+            i, j = key = data.draw(st.sampled_from(sorted(pairs, key=str)))
+            new = (value, j) if data.draw(st.booleans()) else (i, value)
+            pairs[new] = pairs.pop(key)
+        elif not isinstance(value, np.integer):
+            cert.ell = value
+    if data.draw(st.booleans()):
+        cert.pairs = {key: tuple(path) for key, path in pairs.items()}
+    assert_matches_reference(complete(6), cert)
+
+
+def test_verify_orders_ids_beyond_int64_as_integers():
+    # two paths share an edge between ids past 2**63, and a third an edge
+    # between negative ids past -2**63: both reused, reported in edge order
+    big, neg = 2 ** 64, -2 ** 64
+    pairs = {(0, 1): [0, big, big + 1, 1], (0, 2): [0, big + 1, big, 2],
+             (1, 2): [1, neg, neg - 1, 2], (0, 3): [0, neg - 1, neg, 3],
+             (1, 3): [1, 3], (2, 3): [2, 3]}
+    report = assert_matches_reference(complete(4), EmbeddingCertificate(IMMERSION, [0, 1, 2, 3],
+                                                                        pairs))
+    assert [v for v in report.violations if v[0] == "EDGE_REUSE"] == [
+        ("EDGE_REUSE", f"edge ({neg - 1}, {neg}) used 2 times"),
+        ("EDGE_REUSE", f"edge ({big}, {big + 1}) used 2 times")]
+
+
+def test_verify_never_builds_the_csr(monkeypatch):
+    g, cert = pipeline_certificates()[3]
+    shell = Graph(g.n, tuple(map(g.neighbors, range(g.n))), g.edge_set())
+
+    def no_csr(self):
+        raise AssertionError("verify built the CSR")
+
+    monkeypatch.setattr(Graph, "csr", no_csr)
+    assert verify(shell, cert).valid
+
+
+def test_verify_reports_an_empty_path_between_paths_whose_ends_fit():
+    # flattened, the empty path of (0, 2) sits between a path ending at
+    # branch[2] and one starting at branch[0]
+    pairs = {(0, 1): [0, 2], (0, 2): [], (0, 3): [0, 3], (1, 2): [1, 2], (1, 3): [1, 3],
+             (2, 3): [2, 3]}
+    report = assert_matches_reference(complete(4), EmbeddingCertificate(IMMERSION, [0, 1, 2, 3],
+                                                                        pairs))
+    assert ("BAD_ENDPOINT", "pair (0, 2) path []...") in report.violations

@@ -17,6 +17,7 @@ from imforge.errors import (
 )
 from imforge.generators import random_regular
 from imforge.graphs import (
+    Graph,
     build_graph,
     format_edge_list,
     normalize_edge,
@@ -244,6 +245,41 @@ def test_edge_set_agrees_with_frozenset_of_edges(case):
     rebuilt = build_graph(n, reversed(pairs))
     assert hash(rebuilt.edge_set()) == hash(es)
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_probes(), st.data())
+def test_has_edges_agrees_with_has_edge(case, data):
+    n, pairs, _ = case
+    g = build_graph(n, pairs)
+    near = st.integers(min_value=-n - 3, max_value=2 * n + 3)
+    probes = data.draw(st.lists(st.tuples(near, near), max_size=40))
+    probes += [(v, u) for u, v in pairs]
+    us = np.array([u for u, _ in probes], dtype=np.int64)
+    vs = np.array([v for _, v in probes], dtype=np.int64)
+    got = g.has_edges(us, vs)
+    assert got.dtype == bool and got.shape == (len(probes),)
+    assert got.tolist() == [g.has_edge(u, v) for u, v in probes]
+
+
+def test_has_edges_on_empty_input_and_an_empty_graph():
+    assert complete(4).has_edges([], []).tolist() == []
+    assert build_graph(0, []).has_edges([0, -1], [1, 0]).tolist() == [False, False]
+    assert build_graph(3, []).has_edges([0, 1, 2], [1, 2, 0]).tolist() == [False] * 3
+
+
+def test_has_edges_never_builds_the_csr(monkeypatch):
+    # a bare Graph with no CSR, as the benchmark hands its hosts out
+    g = petersen()
+    shell = Graph(g.n, tuple(map(g.neighbors, range(g.n))), g.edge_set())
+
+    def no_csr(self):
+        raise AssertionError("has_edges built the CSR")
+
+    monkeypatch.setattr(Graph, "csr", no_csr)
+    us, vs = np.array([0, 0, 5, 9, -1, 10, 3]), np.array([1, 2, 7, 4, 0, 0, 3])
+    assert shell.has_edges(us, vs).tolist() == [True, False, True, True, False, False, False]
+    assert shell._csr is None
 
 def collector_visits(root) -> int:
     """Referents the collector visits in the tracked containers reachable
