@@ -7,12 +7,13 @@ neighbour tuples for the Python loops (BFS, packers), and the
 CSR pair ``(indptr, indices)`` for whole-graph queries (``neighbor_counts``,
 the spectral solver's sparse operator).  No object is kept per edge: the
 tuples share one int per vertex, ``has_edge`` bisects a tuple,
-``has_edges`` answers a batch from the tuples of the rows it asks about, and
-``edge_set()`` is an ``EdgeSet`` view over the tuples, so a resident host
-costs a garbage collection O(n), not O(m).  While it builds, ``build_graph``
-holds one int64 key per half-edge and one bool mask beyond what it returns:
-the keys are made, sorted and reduced to the CSR ``indices`` in place, and
-the tuples are made a bounded run of rows at a time.
+``has_edges`` answers a batch from the tuple of each pair's lower-degree
+end, and ``edge_set()`` is an ``EdgeSet`` view over the tuples, so a
+resident host costs a garbage collection O(n), not O(m).  While it builds,
+``build_graph`` holds one int64 key per half-edge and one bool mask beyond
+what it returns: the keys are made, sorted and reduced to the CSR
+``indices`` in place, and the tuples are made a bounded run of rows at a
+time.
 
 A ``GraphView`` answers the same queries as the graph obtained by deleting
 a vertex set and an edge set, without copying the graph.  It keeps the
@@ -125,19 +126,28 @@ class Graph:
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Per k, whether (us[k], vs[k]) is an edge; ids outside 0..n-1,
-        negative ones included, are not.  Reads only the neighbour tuples
-        of the distinct us, keyed as row rank * n + neighbour in one sorted
-        array, and never builds the CSR."""
+        negative ones included, are not.  Each pair is looked up in the
+        neighbour tuple of its end with the smaller degree (``us[k]`` on a
+        tie), and only those tuples are read, keyed as end rank * n +
+        neighbour in one sorted array; the CSR is never built."""
         n = self._n
         us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
         out = np.zeros(us.shape, dtype=bool)
         asked = np.flatnonzero((us >= 0) & (us < n) & (vs >= 0) & (vs < n))
-        rows, rank = np.unique(us[asked], return_inverse=True)
-        adj = [self._adj[u] for u in rows.tolist()]
-        sizes = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
-        keys = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(sizes.sum()))
-        keys += np.repeat(np.arange(len(adj), dtype=np.int64) * n, sizes)
-        want = rank * n + vs[asked]
+        k = len(asked)
+        ends, rank = np.unique(np.concatenate([us[asked], vs[asked]]), return_inverse=True)
+        deg = np.fromiter((len(self._adj[e]) for e in ends.tolist()), dtype=np.int64,
+                          count=len(ends))
+        flip = deg[rank[k:]] < deg[rank[:k]]
+        row = np.where(flip, rank[k:], rank[:k])
+        other = np.where(flip, us[asked], vs[asked])
+        read = np.zeros(len(ends), dtype=bool)
+        read[row] = True
+        ranks = np.flatnonzero(read)
+        adj = [self._adj[e] for e in ends[ranks].tolist()]
+        keys = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg[ranks].sum()))
+        keys += np.repeat(ranks.astype(np.int64) * n, deg[ranks])
+        want = row * n + other
         at = np.searchsorted(keys, want)
         found = at < len(keys)
         found[found] = keys[at[found]] == want[found]

@@ -3,19 +3,23 @@ pairs inside the branch set by length-2 paths through dedicated middle
 parts (triangle matching per color class of a round-robin factorization),
 then link the leftovers greedily by paths of length three.
 
-All path families (lengths 1, 2, 3) stay globally edge-disjoint through a
-single shared ledger of used edges.  The pairs inside F (the block of ids
-0..f-1) come from one f×f adjacency block cut from the CSR once per run:
-its edges are the length-1 paths, and its non-adjacent pairs split into the
-red pairs of each part pair and the leftover bucket.  The black edges are
-never stored: for a in F and u outside it, ``g.has_edge(a, u)`` is the test.
+All path families (lengths 1, 2, 3) stay globally edge-disjoint.  The pairs
+inside F (the block of ids 0..f-1) come from one f×f boolean block cut from
+the CSR once per run: its edges are the length-1 paths, and its non-adjacent
+pairs split into the red pairs of each part pair and the leftover bucket.
+Every longer path leaves F, so its edges join F to W (the vertices outside F
+with a neighbour in F) or W to W.  Those edges are kept in one boolean
+matrix, ``FreeEdges``, with a row per vertex of F ∪ W and a column per vertex
+of W: a cell is True while its host edge is on no path.  The red-edge
+replacement reads a whole batch's black edges from it in one gather, and the
+linker reads its rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +30,9 @@ from .errors import (
     IncompleteEmbeddingError,
     PreconditionFailedError,
 )
-from .graphs import Edge, Graph, build_graph, normalize_edge
+from .graphs import Edge, Graph, build_graph
 from .nibble import edge_disjoint_triangles
-from .spectral import SpectralReport, adjacency_operator
+from .spectral import SpectralReport
 from .util import BEST_EFFORT, STRICT, check_eta, check_regular, derive_seed, peel_to_complete
 
 
@@ -85,12 +89,64 @@ class RedBlackGraph:
         return sum(len(v) for v in self.red.values())
 
 
+def _csr_rows(g: Graph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbours of the listed vertices, flat, as (position k in
+    ``verts``, neighbour) arrays, row by row in ascending neighbour order."""
+    indptr, indices = g.csr()
+    starts = indptr[verts]
+    sizes = indptr[verts + 1] - starts
+    at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(int(sizes.sum()))
+    return np.repeat(np.arange(len(verts)), sizes), indices[at]
+
+
 def f_pairs(g: Graph, f_verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjacent and the non-adjacent pairs inside F, as (k, 2) arrays of
-    positions i < j in ``f_verts``, row-major, from one |F|×|F| adjacency
-    block cut from the graph's CSR operator."""
-    block = adjacency_operator(g)[f_verts][:, f_verts].toarray() > 0
+    positions i < j in ``f_verts``, row-major, from one |F|×|F| boolean
+    adjacency block cut from the graph's CSR."""
+    pos = np.full(g.n, -1, dtype=np.intp)
+    pos[f_verts] = np.arange(len(f_verts))
+    k, nbr = _csr_rows(g, f_verts)
+    hit = pos[nbr] >= 0
+    block = np.zeros((len(f_verts), len(f_verts)), dtype=bool)
+    block[k[hit], pos[nbr[hit]]] = True
     return np.argwhere(np.triu(block, 1)), np.argwhere(np.triu(~block, 1))
+
+
+@dataclass
+class FreeEdges:
+    """The host edges that leave F and are on no path yet, as one boolean
+    matrix with a row per vertex of F ∪ W and a column per vertex of W,
+    where W holds the vertices outside F with a neighbour in F, ascending,
+    so the first True column of a row is its least free neighbour.  Edge
+    (a, b) is free while ``matrix[row[a], col[b]]`` is True; an edge inside
+    W has two cells, kept equal.  One last row and column stay False: they
+    are where ``row`` and ``col`` send the vertices that have none (-1), so
+    any pair of vertex ids reads a cell."""
+
+    matrix: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, g: Graph, f_verts: np.ndarray) -> "FreeEdges":
+        """Every host edge from F to W and inside W, free, from one pass
+        over the CSR rows of F ∪ W."""
+        outside = np.ones(g.n, dtype=bool)
+        outside[f_verts] = False
+        near = np.zeros(g.n, dtype=bool)
+        near[_csr_rows(g, f_verts)[1]] = True
+        w = np.flatnonzero(near & outside)
+        rows = np.concatenate([f_verts, w]).astype(np.intp)
+        row = np.full(g.n, -1, dtype=np.intp)
+        row[rows] = np.arange(len(rows))
+        col = np.full(g.n, -1, dtype=np.intp)
+        col[w] = np.arange(len(w))
+        k, nbr = _csr_rows(g, rows)
+        hit = col[nbr] >= 0
+        matrix = np.zeros((len(rows) + 1, len(w) + 1), dtype=bool)
+        matrix[k[hit], col[nbr[hit]]] = True
+        return cls(matrix=matrix, row=row, col=col, w=w)
 
 
 def build_red_black(scheme: PartitionScheme, holes: np.ndarray) -> RedBlackGraph:
@@ -133,121 +189,106 @@ def one_factorization(m1: int) -> list[list[tuple[int, int]]]:
     return classes
 
 
-def replace_red_edges(g: Graph, rb: RedBlackGraph, classes: list[list[tuple[int, int]]],
-                      used: set[Edge], seed: int = 0,
+def replace_red_edges(rb: RedBlackGraph, classes: list[list[tuple[int, int]]],
+                      free: FreeEdges, seed: int = 0,
                       ) -> tuple[dict[Edge, list[int]], list[Edge]]:
     """Replace red pairs by length-2 paths with both steps leaving F.
 
     Color class i works inside the middle cell U_((i-1) mod m2 + 1): cells
     are reused round-robin when there are fewer cells than classes, with the
-    shared ledger ``used`` keeping everything edge-disjoint.  Each pair
-    (j, k) of a class gets a mini graph on V_j, V_k and the cell, holding
-    its red pairs and its black edges not yet used, and its own matcher
-    seed.  Classes whose cells are distinct form one batch: their pairs
-    share no black edge, so the batch's mini graphs are laid side by side in
-    one graph and matched in one call, each exactly as it would be alone.
+    ledger ``free`` keeping everything edge-disjoint.  Each pair (j, k) of a
+    class gets a mini graph on V_j, V_k and the cell, holding its red pairs
+    and its black edges still free, and its own matcher seed.  Classes whose
+    cells are distinct form one batch: their pairs share no black edge, so
+    the batch's mini graphs are laid side by side in one graph and matched
+    in one call, each exactly as it would be alone.  Every V_j (j >= 1) has
+    t vertices and every cell s, so a batch's black edges are one gather
+    from ``free``, and its matched triangles clear their two edges there.
     Batches run in class order, each seeing the ledger the earlier ones
     left.  Returns the replacements keyed by red pair, and the un-replaced
     red pairs, sorted.
     """
     sch = rb.scheme
+    t, s = sch.t, sch.s
+    width = 2 * t + s  # a pair's mini graph: V_j, then V_k, then the cell
     two_paths: dict[Edge, list[int]] = {}
     leftovers: list[Edge] = []
     numbered = list(enumerate(classes, start=1))
     if sch.m2 < 1:  # no middle cell: every red pair is left over
         leftovers = [p for reds in rb.red.values() for p in reds]
         numbered = []
+    # part and position in its part of every vertex of F
+    f_verts = np.array(sch.f_set, dtype=np.intp)
+    sizes = [len(p) for p in sch.v_parts]
+    part = np.zeros(len(free.row), dtype=np.intp)
+    part[f_verts] = np.repeat(np.arange(sch.m1 + 1), sizes)
+    slot = np.zeros(len(free.row), dtype=np.intp)
+    slot[f_verts] = np.arange(len(f_verts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    sides = np.repeat([0, 1, 2], [t, t, s])
     for first in range(0, len(numbered), max(sch.m2, 1)):
-        host_of: list[int] = []  # batch vertex -> host vertex
-        side: list[int] = []  # batch vertex -> 0 (V_j), 1 (V_k) or 2 (cell)
-        edges: list[Edge] = []
-        starts: list[int] = []
-        seeds: list[int] = []
-        reds_in_batch: list[Edge] = []
-        for ci, cls in numbered[first:first + sch.m2]:
-            u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
-            for (j, k) in cls:
-                reds = rb.red.get((j, k), [])
-                if not reds:
-                    continue
-                vj, vk = sch.v_parts[j], sch.v_parts[k]
-                base = len(host_of)
-                local = list(vj) + list(vk) + list(u_cell)
-                pos = {v: base + i for i, v in enumerate(local)}
-                edges.extend((pos[a], pos[b]) for a, b in reds)
-                for a in local[:len(vj) + len(vk)]:
-                    for u in u_cell:
-                        if g.has_edge(a, u) and normalize_edge(a, u) not in used:
-                            edges.append((pos[a], pos[u]))
-                starts.append(base)
-                seeds.append(derive_seed(seed, f"red-replace:{ci}:{j}:{k}"))
-                host_of.extend(local)
-                side.extend([0] * len(vj) + [1] * len(vk) + [2] * len(u_cell))
-                reds_in_batch.extend(reds)
-        if not starts:
+        jobs = [(ci, j, k) for ci, cls in numbered[first:first + sch.m2]
+                for (j, k) in cls if rb.red.get((j, k))]
+        if not jobs:
             continue
-        mini = build_graph(len(host_of), edges)
-        sides = np.array(side)
-        parts = tuple(np.flatnonzero(sides == x) for x in range(3))
-        triangles, _, _ = edge_disjoint_triangles(mini, parts, seed=seeds, groups=starts)
-        replaced: set[Edge] = set()
+        host_of = np.array([sch.v_parts[j] + sch.v_parts[k] + sch.u_parts[(ci - 1) % sch.m2 + 1]
+                            for ci, j, k in jobs], dtype=np.intp)
+        base = np.arange(len(jobs)) * width
+        black = free.matrix[free.row[host_of[:, :2 * t, None]],
+                            free.col[host_of[:, None, 2 * t:]]]
+        p, i, c = np.nonzero(black)
+        reds = [rb.red[(j, k)] for _, j, k in jobs]
+        counts = [len(r) for r in reds]
+        ends = np.array([pair for r in reds for pair in r], dtype=np.intp)
+        at_k = np.repeat([k for _, _, k in jobs], counts)
+        red_pos = (np.repeat(base, counts)[:, None]
+                   + (part[ends] == at_k[:, None]) * t + slot[ends])
+        mini = build_graph(len(jobs) * width, np.concatenate(
+            [red_pos, np.stack([base[p] + i, base[p] + 2 * t + c], axis=1)]))
+        batch_sides = np.tile(sides, len(jobs))
+        parts = tuple(np.flatnonzero(batch_sides == x) for x in range(3))
+        seeds = [derive_seed(seed, f"red-replace:{ci}:{j}:{k}") for ci, j, k in jobs]
+        triangles, _, _ = edge_disjoint_triangles(mini, parts, seed=seeds,
+                                                  groups=base.tolist())
         # a triangle is (V_j, V_k, cell) vertices of one pair, ascending
-        for x, y, z in triangles:
-            a, b, u = host_of[x], host_of[y], host_of[z]
-            pair = normalize_edge(a, b)
+        abu = host_of.ravel()[np.array(triangles, dtype=np.intp).reshape(-1, 3)]
+        free.matrix[free.row[abu[:, :2]], free.col[abu[:, 2:]]] = False
+        for a, b, u in abu.tolist():
+            pair = (a, b) if a < b else (b, a)
             two_paths[pair] = [pair[0], u, pair[1]]
-            used.add(normalize_edge(a, u))
-            used.add(normalize_edge(b, u))
-            replaced.add(pair)
-        leftovers.extend(p for p in reds_in_batch if p not in replaced)
+        leftovers.extend(pair for r in reds for pair in r if pair not in two_paths)
     return two_paths, sorted(leftovers)
 
 
-def greedy_three_paths(g: Graph, pairs: Sequence[Edge], used: set[Edge],
-                       f_set: Iterable[int],
+def greedy_three_paths(pairs: Sequence[Edge], free: FreeEdges,
                        ) -> tuple[dict[Edge, list[int]], list[Edge]]:
-    """Link pairs inside F by paths of length three through outside
-    vertices, falling back to a length-2 path when the free neighborhoods
-    intersect; every edge is taken from and recorded in ``used``.  The free
-    neighbors of a vertex (outside F, by edges not in ``used``) are cached
-    and kept current, and they also give the middle edge of a 3-path."""
-    f_members = set(f_set)
-    free_nbrs: dict[int, set[int]] = {}
-
-    def free_of(v: int) -> set[int]:
-        if v not in free_nbrs:
-            free_nbrs[v] = {w for w in g.neighbors(v)
-                            if w not in f_members
-                            and normalize_edge(v, w) not in used}
-        return free_nbrs[v]
-
-    def consume(a: int, b: int) -> None:
-        used.add(normalize_edge(a, b))
-        for x, y in ((a, b), (b, a)):
-            if x in free_nbrs:
-                free_nbrs[x].discard(y)
-
+    """Link pairs inside F by paths through W, each edge taken from and
+    cleared in ``free``: u–x–v through the first column free in both rows u
+    and v, else u–a–b–v with a the first free column of row u whose row
+    meets row v, and b the first column of that meet.  Pairs with neither
+    are returned as stuck."""
+    matrix, row, w = free.matrix, free.row.tolist(), free.w.tolist()
+    w_rows = free.row[free.w]  # column -> the row of the same vertex
     out: dict[Edge, list[int]] = {}
     stuck: list[Edge] = []
     for pair in pairs:
         u, v = pair
-        nu, nv = free_of(u), free_of(v)
-        common = nu & nv
-        path = None
-        if common:
-            path = [u, min(common), v]
-        else:
-            for a in sorted(nu):
-                hits = nv & free_of(a)
-                if hits:
-                    path = [u, a, min(hits), v]
-                    break
-        if path is None:
+        ru, rv = matrix[row[u]], matrix[row[v]]
+        both = ru & rv
+        x = int(both.argmax())
+        if both[x]:
+            ru[x] = rv[x] = False
+            out[pair] = [u, w[x], v]
+            continue
+        a_cols = np.flatnonzero(ru)
+        meets = matrix[w_rows[a_cols]] & rv
+        hit = np.flatnonzero(meets.any(axis=1))
+        if not hit.size:
             stuck.append(pair)
             continue
-        for x, y in zip(path, path[1:]):
-            consume(x, y)
-        out[pair] = path
+        a, b = int(a_cols[hit[0]]), int(meets[hit[0]].argmax())
+        ru[a] = rv[b] = False
+        matrix[w_rows[a], b] = matrix[w_rows[b], a] = False
+        out[pair] = [u, w[a], w[b], v]
     return out, stuck
 
 
@@ -312,7 +353,7 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
     # F is the block 0..f-1, so its positions are its vertex ids
     inside, holes = f_pairs(g, np.arange(f))
     paths: dict[Edge, list[int]] = {e: list(e) for e in map(tuple, inside.tolist())}
-    used: set[Edge] = set(paths)
+    free = FreeEdges.of(g, np.arange(f))
 
     reds_total = 0
     two_paths: dict[Edge, list[int]] = {}
@@ -322,7 +363,7 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
         if mode == STRICT and scheme.m2 < len(classes):
             raise PreconditionFailedError(
                 f"need m2 >= chi, got m2={scheme.m2}, chi={len(classes)}")
-        two_paths, red_left = replace_red_edges(g, rb, classes, used, seed)
+        two_paths, red_left = replace_red_edges(rb, classes, free, seed)
         leftovers = sorted(red_left + rb.e0)
         reds_total = rb.red_total
     else:
@@ -331,7 +372,7 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
             reds_total = len(leftovers)
     paths.update(two_paths)
 
-    three_paths, stuck = greedy_three_paths(g, leftovers, used, f_list)
+    three_paths, stuck = greedy_three_paths(leftovers, free)
     paths.update(three_paths)
 
     if mode == STRICT and stuck:

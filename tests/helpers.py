@@ -1,11 +1,14 @@
-"""Small named graphs used as oracles across the test suite, and the
-hypothesis strategies for random small graphs and views."""
+"""Small named graphs used as oracles across the test suite, the
+hypothesis strategies for random small graphs and views, and the dense
+pipeline's free-edge ledger built from a set of spent edges."""
 
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from imforge.graphs import Graph, build_graph, view_minus
+from imforge.immersion_dense import FreeEdges
 
 
 def complete(n: int) -> Graph:
@@ -86,3 +89,13 @@ def views(draw):
         verts |= more_verts
         pairs += more_pairs
     return view, verts, pairs
+
+
+def ledger(g: Graph, f_set, spent=()) -> FreeEdges:
+    """The free-edge ledger of g over F = ``f_set``, less the edges in
+    ``spent`` (pairs in either orientation; pairs without a cell, such as
+    the edges inside F, change nothing)."""
+    free = FreeEdges.of(g, np.array(list(f_set), dtype=np.intp))
+    for a, b in spent:
+        free.matrix[free.row[a], free.col[b]] = free.matrix[free.row[b], free.col[a]] = False
+    return free

@@ -33,6 +33,8 @@ from imforge.nibble import (
 from imforge.spectral import adjacency_spectrum
 from imforge.util import derive_seed, np_rng
 
+from helpers import ledger
+
 
 def reference_matching(h, seed=0):
     """The one-problem matcher: one seeded stream drawn round by round."""
@@ -339,12 +341,12 @@ def assert_same_replacement(g, scheme, seed):
     classes = one_factorization(scheme.m1)
     f_set = set(scheme.f_set)
     inside = {normalize_edge(u, v) for u in f_set for v in g.neighbors(u) if v in f_set}
-    used, ref_used = set(inside), set(inside)
-    two_paths, leftovers = replace_red_edges(g, rb, classes, used, seed=seed)
+    free, ref_used = ledger(g, scheme.f_set), set(inside)
+    two_paths, leftovers = replace_red_edges(rb, classes, free, seed=seed)
     ref_paths, ref_leftovers = reference_replace(g, rb, classes, seed, ref_used)
     assert list(two_paths.items()) == list(ref_paths.items())
     assert leftovers == ref_leftovers
-    assert used == ref_used
+    assert np.array_equal(free.matrix, ledger(g, scheme.f_set, ref_used).matrix)
     return two_paths
 
 
@@ -379,5 +381,5 @@ def test_replace_red_edges_without_middle_cells_leaves_every_red_pair():
     g = random_regular(40, 20, seed=1)
     scheme = hand_scheme(g, t=2, m1=4, s=3, m2=0, shuffle_seed=2)
     rb = red_black(g, scheme)
-    two_paths, leftovers = replace_red_edges(g, rb, one_factorization(4), set())
+    two_paths, leftovers = replace_red_edges(rb, one_factorization(4), ledger(g, scheme.f_set))
     assert two_paths == {} and leftovers == sorted(p for v in rb.red.values() for p in v)

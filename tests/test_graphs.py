@@ -281,6 +281,54 @@ def test_has_edges_never_builds_the_csr(monkeypatch):
     assert shell.has_edges(us, vs).tolist() == [True, False, True, True, False, False, False]
     assert shell._csr is None
 
+
+def spied(g):
+    """A shell of g whose neighbour tuples record, in a list, each vertex
+    whose tuple is iterated; lengths are read without a record."""
+    read = []
+
+    class Row(tuple):
+        def __iter__(self):
+            read.append(self.vertex)
+            return super().__iter__()
+
+    rows = []
+    for v in range(g.n):
+        rows.append(Row(g.neighbors(v)))
+        rows[-1].vertex = v
+    rows = tuple(rows)
+    return Graph(g.n, rows, g.edge_set()), read
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_probes(), st.data())
+def test_has_edges_reads_only_the_lower_degree_rows(case, data):
+    n, pairs, _ = case
+    g = build_graph(n, pairs)
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    probes = data.draw(st.lists(st.tuples(vertex, vertex), max_size=30)) if n else []
+    probes += pairs + [(v, u) for u, v in pairs]
+    us = np.array([u for u, _ in probes], dtype=np.int64)
+    vs = np.array([v for _, v in probes], dtype=np.int64)
+    for a, b in ((us, vs), (vs, us)):
+        shell, read = spied(g)
+        assert shell.has_edges(a, b).tolist() == [g.has_edge(u, v) for u, v in zip(a, b)]
+        # an empty tuple may go unread, as there is nothing in it
+        lower = {u if g.degree(u) <= g.degree(v) else v for u, v in zip(a.tolist(), b.tolist())}
+        assert read == sorted(set(read)) and set(read) <= lower
+        assert {u for u in lower if g.degree(u)} <= set(read)
+
+
+def test_has_edges_reads_the_small_side_of_a_lopsided_bipartite_host():
+    # A = 0..2 with degree 40, B = 3..42 with degree 3; the verifier asks
+    # with the smaller id first, which is always the A end
+    g = complete_bipartite(3, 40)
+    shell, read = spied(g)
+    us, vs = np.repeat([0, 1, 2], 40), np.tile(np.arange(3, 43), 3)
+    assert shell.has_edges(us, vs).all()
+    assert read == list(range(3, 43))
+
+
 def collector_visits(root) -> int:
     """Referents the collector visits in the tracked containers reachable
     from root, classes excluded."""

@@ -18,7 +18,7 @@ from imforge.immersion_dense import (
 )
 from imforge.spectral import adjacency_spectrum
 
-from helpers import complete, path
+from helpers import complete, ledger, path
 
 
 class FakeReport:
@@ -108,11 +108,12 @@ def test_replace_red_edges_single_pair():
     g = build_graph(3, [(0, 2), (1, 2)])
     scheme = dense_partition_like(g, f=2, t=1, s=1)
     rb = build_red_black(scheme, f_pairs(g, np.arange(2))[1])
-    used = set()
-    two, leftover = replace_red_edges(g, rb, one_factorization(2), used, seed=0)
+    free = ledger(g, [0, 1])
+    assert free.matrix.sum() == 2
+    two, leftover = replace_red_edges(rb, one_factorization(2), free, seed=0)
     assert two == {(0, 1): [0, 2, 1]}
     assert leftover == []
-    assert used == {(0, 2), (1, 2)}
+    assert np.array_equal(free.matrix, ledger(g, [0, 1], spent=[(0, 2), (1, 2)]).matrix)
 
 
 def dense_partition_like(g, f, t, s):
@@ -135,8 +136,7 @@ def dense_partition_like(g, f, t, s):
 
 def test_greedy_three_paths_k4_minus_edge():
     g = build_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    used = set()
-    out, stuck = greedy_three_paths(g, [(0, 1)], used, f_set={0, 1})
+    out, stuck = greedy_three_paths([(0, 1)], ledger(g, [0, 1]))
     assert stuck == []
     p = out[(0, 1)]
     assert p[0] == 0 and p[-1] == 1 and len(p) in (3, 4)
@@ -144,7 +144,7 @@ def test_greedy_three_paths_k4_minus_edge():
 
 def test_greedy_three_paths_common_neighbor_gives_two_path():
     g = build_graph(3, [(0, 2), (1, 2)])
-    out, stuck = greedy_three_paths(g, [(0, 1)], set(), f_set={0, 1})
+    out, stuck = greedy_three_paths([(0, 1)], ledger(g, [0, 1]))
     assert out[(0, 1)] == [0, 2, 1]
 
 
@@ -152,8 +152,7 @@ def test_greedy_three_paths_stuck():
     # path 0-2-3-1 with middle edge already consumed: no length-3 link left
     g = path(4)
     g = build_graph(4, [(0, 2), (2, 3), (3, 1)])
-    used = {normalize_edge(2, 3)}
-    out, stuck = greedy_three_paths(g, [(0, 1)], used, f_set={0, 1})
+    out, stuck = greedy_three_paths([(0, 1)], ledger(g, [0, 1], spent=[(2, 3)]))
     assert stuck == [(0, 1)]
 
 
@@ -313,7 +312,7 @@ def linker_cases(draw):
 @given(linker_cases())
 def test_greedy_three_paths_matches_the_reference_linker(case):
     g, pairs, used, f_set = case
-    ref_used = set(used)
-    assert greedy_three_paths(g, pairs, used, f_set) == \
+    free, ref_used = ledger(g, f_set, used), set(used)
+    assert greedy_three_paths(pairs, free) == \
         reference_greedy_three_paths(g, pairs, ref_used, f_set)
-    assert used == ref_used
+    assert np.array_equal(free.matrix, ledger(g, f_set, ref_used).matrix)
