@@ -14,13 +14,14 @@ meant to be validated by the certifier.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import blas
 from .certify import EmbeddingCertificate, IMMERSION
 from .errors import (
     BadSizeError,
@@ -336,8 +337,11 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     pair is joined through a lightly-loaded middle vertex a by a path
     u - b_i - a - b_j - v of globally edge-disjoint steps, b_i and b_j in B.
     The A x B incidence matrix ``mat`` is the one record of the host: all
-    codegrees come from one product ``mat @ mat.T`` (exact in float32, since
-    every count is below 2**24), and linking spends its edges.
+    codegrees come from one product ``mat @ mat.T``, every candidate's
+    bad-pair counts from one product of the low-codegree indicator with
+    the candidates' columns (both exact in float32, since every count is
+    below 2**24), and linking spends its edges.  The OpenBLAS workers of
+    the two products are released after the second.
 
     Strict mode raises when p breaks the density bound, when the hub leaves
     fewer than p usable candidates, and on a pair it cannot link.
@@ -359,10 +363,13 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         raise PreconditionFailedError("need nonempty sides and p >= 0")
     b_col = np.full(g.n, -1, dtype=np.int64)
     b_col[b_ids] = np.arange(n2)
+    nbrs = [g.neighbors(u) for u in a_list]
+    sizes = np.fromiter(map(len, nbrs), dtype=np.int64, count=n1)
+    rows = np.repeat(np.arange(n1), sizes)
+    cols = b_col[np.fromiter(chain.from_iterable(nbrs), dtype=np.int64, count=int(sizes.sum()))]
+    in_b = cols >= 0
     mat = np.zeros((n1, n2), dtype=np.float32)
-    for i, u in enumerate(a_list):
-        cols = b_col[np.array(g.neighbors(u), dtype=np.int64)]
-        mat[i, cols[cols >= 0]] = 1.0
+    mat[rows[in_b], cols[in_b]] = 1.0
     alpha = float(mat.sum()) / (n1 * n2)
     if mode == STRICT:
         bound = k3_density_bound(alpha, n1, n2)
@@ -379,22 +386,23 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         candidates = sorted(rng.choice(n2, size=64, replace=False).tolist())
     codeg = mat @ mat.T
 
-    # score each candidate hub column j by its A-rows and, per row, the
-    # number of low-codegree partners among them; keep the winner's
+    # score each candidate hub column j by its A-rows x and the pairs y
+    # among them of low codegree: lm[i, c] counts the low-codegree partners
+    # of row i among candidate c's rows, so y is half the sum of lm over
+    # those rows; argmax keeps the first best candidate
+    low = (codeg < 3 * p).astype(np.float32)
+    np.fill_diagonal(low, 0.0)
+    cand = mat[:, candidates]
+    lm = low @ cand
+    blas.release()
+    x = cand.sum(axis=0).astype(np.float64)
+    y = (cand * lm).sum(axis=0).astype(np.float64) / 2
     ex = alpha * n1
     ey = max(3 * p * n1 * n1 / (2 * n2), 1e-12)
-    best_score = -math.inf
-    for j in candidates:
-        cand_rows = np.flatnonzero(mat[:, j])
-        bad = codeg[np.ix_(cand_rows, cand_rows)] < 3 * p
-        np.fill_diagonal(bad, False)
-        cand_bad = bad.sum(axis=1)
-        x = float(cand_rows.size)
-        y = float(cand_bad.sum()) / 2
-        score = x * x - (ex * ex / (2 * ey)) * y
-        if score > best_score:
-            best_score, hub, rows, bad_counts = score, b_list[j], cand_rows, cand_bad
-    keep = rows[bad_counts <= len(rows) / 16]
+    best = int(np.argmax(x * x - (ex * ex / (2 * ey)) * y))
+    hub = b_list[candidates[best]]
+    rows = np.flatnonzero(cand[:, best])
+    keep = rows[lm[rows, best] <= len(rows) / 16]
     if len(keep) < p and mode == STRICT:
         raise PreconditionFailedError(
             f"hub {hub} leaves only {len(keep)} usable branch candidates for p={p}")

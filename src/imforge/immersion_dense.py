@@ -161,9 +161,12 @@ def build_red_black(scheme: PartitionScheme, holes: np.ndarray) -> RedBlackGraph
     key = np.where((pj >= 1) & (pj < pk), pj * (scheme.m1 + 1) + pk, 0)
     ends = np.sort(f_verts[holes], axis=1)
     order = np.lexsort((ends[:, 1], ends[:, 0], key))
-    groups: dict[int, list[Edge]] = {}
-    for k, pair in zip(key[order].tolist(), ends[order].tolist()):
-        groups.setdefault(k, []).append(tuple(pair))
+    key, pairs = key[order], list(map(tuple, ends[order].tolist()))
+    # each group is the run of pairs between two change points of the key
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    bounds = np.append(starts, len(key)).tolist()
+    groups: dict[int, list[Edge]] = {
+        k: pairs[lo:hi] for k, lo, hi in zip(key[starts].tolist(), bounds, bounds[1:])}
     e0 = groups.pop(0, [])
     return RedBlackGraph(scheme=scheme, e0=e0,
                          red={divmod(k, scheme.m1 + 1): v for k, v in groups.items()})

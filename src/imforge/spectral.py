@@ -5,7 +5,10 @@ the full descending spectrum (dense solver) or only its certifying ends
 (one iterative Lanczos run), and the second-eigenvalue parameter
 ``lambda = max(|lambda_2|, |lambda_n|)``.  The dense solve holds one
 float64 n x n matrix (8n^2 bytes), filled from ``Graph.csr()`` and
-overwritten by LAPACK; it makes no int8 matrix and no copy.  The
+overwritten by LAPACK; it makes no int8 matrix and no copy.  Both
+solvers run multi-threaded OpenBLAS (LAPACK's tridiagonal reduction, and
+ARPACK's ``dgemv``); its idle workers are released (``blas.release``)
+right after the solve, so none spins on after it returns.  The
 pipelines read ``d`` and ``lambda`` for their strict-mode hypotheses and
 their parameters, and refuse an irregular host in strict mode; the
 ``spectral`` command prints the report.
@@ -22,6 +25,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import blas
 from .errors import NotConvergedError, NotRegularError
 from .graphs import Graph
 
@@ -101,6 +105,9 @@ def adjacency_spectrum(g: Graph) -> SpectralReport:
         except scipy.sparse.linalg.ArpackNoConvergence as err:
             raise NotConvergedError(str(err)) from err
         spectrum, lambda2, lambdan = None, float(second), float(low)
+    # both solvers run threaded OpenBLAS: join its workers rather than
+    # leave them spinning
+    blas.release()
     lam = max(abs(lambda2), abs(lambdan))
     return SpectralReport(n, d, lam, lambda2, lambdan, is_regular, tol,
                           spectrum=spectrum)

@@ -5,7 +5,8 @@ boolean copy loses each path's four edges, a column mask marks the used
 middle vertices and a per-pool load grows from the matrix column.  The
 reference below is the former linker as it was, on adjacency tuples with a
 used-edge set, a used-B set, an occupancy dict and a per-pool ``has_edge``
-loop.  On a host whose A vertices have all their neighbours in B the two
+loop; it also keeps the row-by-row matrix build and the per-candidate hub
+scoring loop that one scatter and one scoring product replaced.  On a host whose A vertices have all their neighbours in B the two
 must give the same certificate, or raise the same error.
 """
 
