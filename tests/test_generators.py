@@ -1,6 +1,9 @@
 import hashlib
 import math
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from imforge import generators
@@ -37,9 +40,11 @@ def test_random_regular_deterministic():
     assert a != c
 
 
-# Edge-list digests of hosts drawn by the pure-Python pairing loop; the
-# array rounds must reproduce every host exactly.  (8, 3, 0) gets stuck
-# twice before an attempt succeeds; d > n/2 takes the complement path.
+# Edge-list digests of hosts drawn when each round shuffled its stubs with
+# random.Random.shuffle; the numpy shuffle must reproduce every host
+# exactly.  (8, 3, 0) gets stuck twice before an attempt succeeds; d > n/2
+# takes the complement path; (2000, 600, 7) shuffles 1.2M stubs, and the
+# last four are the benchmark's hosts.
 @pytest.mark.parametrize("n, d, seed, digest", [
     (50, 4, 0, "7ee898df0df7a9c9"),
     (200, 7, 3, "a336f8b72e2c9d24"),
@@ -48,10 +53,81 @@ def test_random_regular_deterministic():
     (14, 6, 0, "35163d3efa373627"),
     (100, 60, 5, "4dd0b8ee82a0f5cc"),
     (30, 27, 4, "cbedb7b356c41f5c"),
+    (2000, 600, 7, "174ea45c366d5ccc"),
+    (5000, 60, 11, "c46347c5e9153cd0"),
+    (4096, 16, 8, "4b72094b048531f0"),
+    (20000, 16, 8, "1cb38127ed39d4d4"),
+    (2048, 16, 8, "feeb9813b26695a8"),
 ])
 def test_random_regular_hosts_pinned(n, d, seed, digest):
     g = random_regular(n, d, seed=seed)
     assert hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:16] == digest
+
+
+# every bound of one bit length, both sides of each power of two
+SHUFFLE_SIZES = [*range(71), *(2**k + e for k in range(1, 19) for e in (-1, 0, 1))]
+
+
+def numpy_shuffle(words, size, dtype=np.int32):
+    return generators._shuffle_order(size, words, dtype).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_shuffle_matches_random_shuffle(seed):
+    for size in SHUFFLE_SIZES:
+        expected = list(range(size))
+        random.Random(seed).shuffle(expected)
+        assert numpy_shuffle(generators._Words(random.Random(seed)), size) == expected, size
+
+
+@pytest.mark.parametrize("size, seed", [(300_000, 5), (1_200_000, 6), (1_200_000, 7)])
+def test_shuffle_matches_random_shuffle_large(size, seed):
+    expected = list(range(size))
+    random.Random(seed).shuffle(expected)
+    assert numpy_shuffle(generators._Words(random.Random(seed)), size) == expected
+
+
+def test_shuffle_int64_orders():
+    expected = list(range(5000))
+    random.Random(3).shuffle(expected)
+    assert numpy_shuffle(generators._Words(random.Random(3)), 5000, np.int64) == expected
+
+
+@pytest.mark.parametrize("first, second", [(70, 3), (1000, 64), (2**16 + 1, 2**12), (0, 1)])
+def test_shuffles_share_one_word_stream(first, second):
+    """Back-to-back shuffles on one stream use exactly the words that two
+    ``random.Random.shuffle`` calls use: read-ahead words are neither
+    dropped nor used twice."""
+    rng = random.Random(11)
+    words = generators._Words(random.Random(11))
+    for size in (first, second):
+        expected = list(range(size))
+        rng.shuffle(expected)
+        assert numpy_shuffle(words, size) == expected
+    assert words.peek(3).tolist() == [rng.getrandbits(32) for _ in range(3)]
+
+
+def test_words_follow_getrandbits():
+    rng = random.Random(2024)
+    rng.random()  # start mid-block
+    words = generators._Words(rng)
+    got = np.concatenate([words.peek(700), words.peek(2000)[700:]]).tolist()
+    assert got == [rng.getrandbits(32) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("n, d, seed, limit_mib", [(20000, 16, 8, 15.6), (5000, 60, 11, 14.1)])
+def test_random_regular_peak_memory(n, d, seed, limit_mib):
+    """The shuffle keeps its arrays int32 and draws words in chunks; the
+    limits are the peaks of the pure-Python shuffle (15.55 and 14.13 MiB),
+    rounded to 0.1 MiB."""
+    random_regular(n, d, seed=seed)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        random_regular(n, d, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= limit_mib
 
 
 def test_random_regular_retries_stuck_attempts(monkeypatch):
@@ -83,6 +159,15 @@ def test_random_regular_spectral_gap():
 
 def test_paley_5_is_c5():
     assert paley(5) == cycle(5)
+
+
+@pytest.mark.parametrize("q, digest", [
+    (13, "b43e5bafcd1671e9"),
+    (401, "44cbc459178be867"),
+    (1009, "709110df9dad8ad6"),
+])
+def test_paley_pinned(q, digest):
+    assert hashlib.sha256(format_edge_list(paley(q)).encode()).hexdigest()[:16] == digest
 
 
 def test_paley_13_spectrum():
@@ -122,8 +207,6 @@ def test_load_parse_error(tmp_path):
 
 def test_paley_cospectral_with_complement():
     # self-complementarity up to isomorphism implies equal spectra
-    import numpy as np
-
     g = paley(13)
     r = adjacency_spectrum(g)
     rc = adjacency_spectrum(g.complement())
