@@ -453,7 +453,8 @@ def parse_edge_list(text: str) -> Graph:
     for lineno in range(m + 2, len(lines) + 1):
         if lines[lineno - 1].strip():
             raise ParseError(lineno, f"line after the {m} edge lines: {lines[lineno - 1]!r}")
-    return build_graph(n, list(first_seen))
+    pairs = np.fromiter(chain.from_iterable(first_seen), dtype=np.int64, count=2 * len(first_seen))
+    return build_graph(n, pairs.reshape(-1, 2))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -17,12 +17,23 @@ import numpy as np
 
 from .errors import BadPartitionError, DomainError
 from .graphs import Edge, Graph
-from .util import np_rng
+from .util import derive_seed
 
 MAX_ROUNDS = 50
 BITE_FRACTION = 0.1
-# draws a sub-problem may take ahead in one block (see near_perfect_matching)
-BLOCK_DRAWS = 1 << 16
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(key: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Output ``index`` (counted from 0) of SplitMix64 seeded with ``key``,
+    scaled to [0, 1) as (z >> 11) * 2**-53; elementwise over uint64 arrays.
+    Output k is a pure function of the state key + (k + 1) * gamma, so any
+    mix of streams and positions is one vector op."""
+    z = key + (index + np.uint64(1)) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0 ** -53
 
 
 def _unique_rows(arr: np.ndarray) -> np.ndarray:
@@ -199,12 +210,14 @@ def near_perfect_matching(h: Hypergraph3, seed: Union[int, Sequence[int]] = 0) -
     in lock-step, one vectorised bite round for all of them at a time, and
     each keeps its own round cap, greedy sweep and dominance guard, so each
     gets exactly the triples, rounds and greedy size it would get alone.
-    Its random stream is drawn ahead in one block when MAX_ROUNDS draws per
-    triple fit in BLOCK_DRAWS, else one round at a time; this does not change
-    the draws, because ``Generator.random(a)`` then ``random(b)`` gives the
-    same numbers as ``random(a + b)``.  ``rounds`` and ``greedy_size`` are
-    the largest round count and the total greedy size; the per-group values
-    are in ``group_rounds`` and ``group_greedy_size``.
+    Group g's k-th draw is output k of SplitMix64 seeded with
+    ``derive_seed(seed_g, "nibble")`` (see ``_splitmix64``); in each round
+    the group's surviving triples take its next unread draws in row order,
+    so its draws do not depend on the other groups.  The matcher does not
+    use ``np_rng`` Generators because thousands of streams have to be read
+    as one vector per round.  ``rounds`` and ``greedy_size`` are the largest
+    round count and the total greedy size; the per-group values are in
+    ``group_rounds`` and ``group_greedy_size``.
     """
     t = h.triples
     n_v = h.n_vertices
@@ -214,17 +227,7 @@ def near_perfect_matching(h: Hypergraph3, seed: Union[int, Sequence[int]] = 0) -
         raise DomainError(f"need one seed per group: {len(seeds)} seeds, {n_groups} groups")
     row_group = np.searchsorted(h.group_starts, t[:, 0], side="right") - 1
     vertex_group = np.searchsorted(h.group_starts, np.arange(n_v), side="right") - 1
-    size = np.bincount(row_group, minlength=n_groups)
-
-    rngs, blocks = {}, []
-    block_len = np.zeros(n_groups, dtype=np.int64)
-    for gi in np.flatnonzero(size).tolist():
-        rngs[gi] = np_rng(seeds[gi], "nibble")
-        m = int(size[gi])
-        block_len[gi] = m * MAX_ROUNDS if m * MAX_ROUNDS <= BLOCK_DRAWS else m
-        blocks.append(rngs[gi].random(int(block_len[gi])))
-    stream = np.concatenate(blocks) if blocks else np.zeros(1)
-    block_start = np.cumsum(block_len) - block_len
+    keys = np.array([derive_seed(s, "nibble") for s in seeds], dtype=np.uint64)
     drawn = np.zeros(n_groups, dtype=np.int64)
 
     free = np.ones(n_v, dtype=bool)
@@ -248,11 +251,7 @@ def near_perfect_matching(h: Hypergraph3, seed: Union[int, Sequence[int]] = 0) -
         # the k-th surviving triple of a group takes that group's next draw
         first = np.cumsum(count) - count
         at = drawn[group] + np.arange(surviving.size) - first[group]
-        draws = stream[np.minimum(block_start[group] + at, len(stream) - 1)]
-        # a block too short for MAX_ROUNDS held round 1 (where every triple
-        # survives) and no more: later rounds of that group draw as they go
-        for gi in np.flatnonzero((count > 0) & (drawn >= block_len)).tolist():
-            draws[first[gi]:first[gi] + count[gi]] = rngs[gi].random(int(count[gi]))
+        draws = _splitmix64(keys[group], at.astype(np.uint64))
         drawn += count
         bite = surviving[draws < p[group]]
         if bite.size == 0:

@@ -1,13 +1,14 @@
 """Small named graphs used as oracles across the test suite, the
-hypothesis strategies for random small graphs and views, and the dense
-pipeline's free-edge ledger built from a set of spent edges."""
+hypothesis strategies for random small graphs and views, the dense
+pipeline's free-edge ledger built from a set of spent edges, and the
+greedy 3-path linker on a set ledger."""
 
 from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from imforge.graphs import Graph, build_graph, view_minus
+from imforge.graphs import Graph, build_graph, normalize_edge, view_minus
 from imforge.immersion_dense import FreeEdges
 
 
@@ -99,3 +100,46 @@ def ledger(g: Graph, f_set, spent=()) -> FreeEdges:
     for a, b in spent:
         free.matrix[free.row[a], free.col[b]] = free.matrix[free.row[b], free.col[a]] = False
     return free
+
+
+def reference_greedy_three_paths(g, pairs, used, f_set):
+    """The linker on a set ledger ``used`` with a per-vertex free-neighbour
+    cache: each pair takes its least common free neighbour, else u-a-b-v
+    with a the first free neighbour of u in sorted order that has a free
+    middle edge to a free neighbour b of v (the least such b)."""
+    f_members = set(f_set)
+    free_nbrs = {}
+
+    def free_of(v):
+        if v not in free_nbrs:
+            free_nbrs[v] = {w for w in g.neighbors(v)
+                            if w not in f_members and normalize_edge(v, w) not in used}
+        return free_nbrs[v]
+
+    def consume(a, b):
+        used.add(normalize_edge(a, b))
+        for x, y in ((a, b), (b, a)):
+            if x in free_nbrs:
+                free_nbrs[x].discard(y)
+
+    out, stuck = {}, []
+    for pair in pairs:
+        u, v = pair
+        nu, nv = free_of(u), free_of(v)
+        common = nu & nv
+        path = None
+        if common:
+            path = [u, min(common), v]
+        else:
+            for a in sorted(nu):
+                hits = nv & free_of(a)
+                if hits:
+                    path = [u, a, min(hits), v]
+                    break
+        if path is None:
+            stuck.append(pair)
+            continue
+        for x, y in zip(path, path[1:]):
+            consume(x, y)
+        out[pair] = path
+    return out, stuck

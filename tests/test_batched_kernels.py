@@ -1,11 +1,12 @@
 """The batched dense red-edge replacement against the per-call code it
-replaced: the lock-step matcher against each sub-problem run alone (and
-against the one-problem matcher it grew from), the join-based triangle
-hypergraph against the dense-matrix builder, and ``replace_red_edges``
-against one matcher call per (class, pair), including cell reuse."""
+replaced: the lock-step matcher against each sub-problem run alone and
+against a one-problem matcher on a pure-Python SplitMix64, the join-based
+triangle hypergraph against the dense-matrix builder, and
+``replace_red_edges`` against one matcher call per (class, pair),
+including cell reuse."""
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -36,13 +37,27 @@ from imforge.util import derive_seed, np_rng
 from helpers import ledger
 
 
+SPLITMIX64_KEY0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def splitmix64_words(key):
+    """SplitMix64's 64-bit outputs from seed ``key``, on Python ints."""
+    mask = (1 << 64) - 1
+    state = key
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 def reference_matching(h, seed=0):
-    """The one-problem matcher: one seeded stream drawn round by round."""
+    """The one-problem matcher: one seeded stream read round by round."""
     t = h.triples
     n_v = h.n_vertices
     if len(t) == 0:
         return t.copy(), 0, 0
-    rng = np_rng(seed, "nibble")
+    words = splitmix64_words(derive_seed(seed, "nibble"))
     free = np.ones(n_v, dtype=bool)
     selected = []
     surviving = np.arange(len(t))
@@ -57,7 +72,8 @@ def reference_matching(h, seed=0):
         live[t[surviving].ravel()] = True
         want = nibble.BITE_FRACTION * int(np.count_nonzero(live)) / 3
         p = min(1.0, want / surviving.size)
-        bite = surviving[rng.random(surviving.size) < p]
+        draws = np.array([(next(words) >> 11) * 2.0 ** -53 for _ in range(surviving.size)])
+        bite = surviving[draws < p]
         if bite.size == 0:
             continue
         uniq, counts = np.unique(t[bite].ravel(), return_counts=True)
@@ -152,18 +168,19 @@ def union_of(systems):
     return Hypergraph3.from_array(offset, arr, group_starts=starts), starts
 
 
+def test_splitmix64_known_answers():
+    assert list(islice(splitmix64_words(0), 3)) == SPLITMIX64_KEY0
+    draws = nibble._splitmix64(np.zeros(3, dtype=np.uint64), np.arange(3, dtype=np.uint64))
+    assert draws.tolist() == [(w >> 11) * 2.0 ** -53 for w in SPLITMIX64_KEY0]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.lists(triple_systems(), min_size=1, max_size=6),
-       st.lists(st.integers(0, 2 ** 64 - 1), min_size=6, max_size=6),
-       st.sampled_from([nibble.BLOCK_DRAWS, 7]))
-def test_lock_step_matcher_equals_each_group_alone(systems, seeds, block_draws):
-    # a small BLOCK_DRAWS sends every sub-problem with more than a few
-    # triples through the round-by-round draws after its first block
+       st.lists(st.integers(0, 2 ** 64 - 1), min_size=6, max_size=6))
+def test_lock_step_matcher_equals_each_group_alone(systems, seeds):
     h, starts = union_of(systems)
     seeds = seeds[:len(systems)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nibble, "BLOCK_DRAWS", block_draws)
-        batched = near_perfect_matching(h, seed=seeds)
+    batched = near_perfect_matching(h, seed=seeds)
     rounds, greedy = [], []
     for (n, triples), start, seed in zip(systems, starts, seeds):
         alone_h = Hypergraph3.from_array(n, triples)
@@ -189,11 +206,6 @@ def test_capped_group_reaches_max_rounds():
     m = near_perfect_matching(h, seed=[1, 2, 3])
     assert m.diagnostics["group_rounds"][0] == MAX_ROUNDS
     assert m.diagnostics["group_rounds"][2] == 0
-
-
-def test_block_draws_continue_one_stream():
-    a, b = np_rng(5, "nibble"), np_rng(5, "nibble")
-    assert np.array_equal(np.concatenate([a.random(7), a.random(4)]), b.random(11))
 
 
 def test_matcher_needs_one_seed_per_group():

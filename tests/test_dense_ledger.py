@@ -32,7 +32,7 @@ from imforge.nibble import edge_disjoint_triangles
 from imforge.spectral import adjacency_spectrum
 from imforge.util import derive_seed, np_rng, peel_to_complete
 
-from helpers import ledger
+from helpers import ledger, reference_greedy_three_paths
 
 
 def reference_replace_red_edges(g, rb, classes, used, seed=0):
@@ -82,46 +82,6 @@ def reference_replace_red_edges(g, rb, classes, used, seed=0):
             replaced.add(pair)
         leftovers.extend(p for p in reds_in_batch if p not in replaced)
     return two_paths, sorted(leftovers)
-
-
-def reference_greedy_three_paths(g, pairs, used, f_set):
-    """The linker on a set ledger with a per-vertex free-neighbour cache."""
-    f_members = set(f_set)
-    free_nbrs = {}
-
-    def free_of(v):
-        if v not in free_nbrs:
-            free_nbrs[v] = {w for w in g.neighbors(v)
-                            if w not in f_members and normalize_edge(v, w) not in used}
-        return free_nbrs[v]
-
-    def consume(a, b):
-        used.add(normalize_edge(a, b))
-        for x, y in ((a, b), (b, a)):
-            if x in free_nbrs:
-                free_nbrs[x].discard(y)
-
-    out, stuck = {}, []
-    for pair in pairs:
-        u, v = pair
-        nu, nv = free_of(u), free_of(v)
-        common = nu & nv
-        path = None
-        if common:
-            path = [u, min(common), v]
-        else:
-            for a in sorted(nu):
-                hits = nv & free_of(a)
-                if hits:
-                    path = [u, a, min(hits), v]
-                    break
-        if path is None:
-            stuck.append(pair)
-            continue
-        for x, y in zip(path, path[1:]):
-            consume(x, y)
-        out[pair] = path
-    return out, stuck
 
 
 def run_stages(g, report, eta, seed, replace, link, book):

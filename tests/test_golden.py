@@ -6,7 +6,9 @@ A refactor that changes the emitted bytes, even the same way on every run,
 fails here; the determinism criterion only compares two runs of the same
 code.  Strict mode raises on every one of these desk-scale hosts (the
 paper's hypotheses fail there), so only best-effort certificates are
-pinned.
+pinned.  Paley(101) has t = 0 and never reaches the nibble matcher; the
+Paley(401) dense digests, recorded once the matcher read its bites from
+SplitMix64 streams, pin certificates whose red pairs it matched.
 """
 
 import hashlib
@@ -26,7 +28,8 @@ from imforge.subdivision import build_balanced_subdivision
 
 @lru_cache(maxsize=None)
 def host(name):
-    g = paley(101) if name == "paley101" else random_regular(
+    paleys = {"paley101": 101, "paley401": 401}
+    g = paley(paleys[name]) if name in paleys else random_regular(
         *{"rr600x24": (600, 24), "rr1000x30": (1000, 30)}[name], seed=1)
     return g, adjacency_spectrum(g)
 
@@ -48,6 +51,8 @@ GOLDEN = [
     (dense, "paley101", 0.2, "118df59f1986a18b65d56a10a5ffb92a19b0be940613c6044cc0045f31aa7083"),
     (dense, "paley101", 0.4, "34f29464ca6aee2fd8a03edd78909f361d55a302f06273a5cae6b4ed94dc3995"),
     (dense, "paley101", 0.45, "6def4828bc334edba7b6193cd55ba5678ec2e376b47dcefb802f02e730611faa"),
+    (dense, "paley401", 0.4, "ff70316d52bda82c56e53abc6fd4296a045ca2329e502a099b5b7ef0fcd852e3"),
+    (dense, "paley401", 0.45, "dcee2671000b8675b4973ab80ca19c6ab825b2f07561aee4a077c1a1cf99d355"),
     (medium, "rr600x24", 0.2, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
     (medium, "rr600x24", 0.4, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
     (medium, "rr600x24", 0.45, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
@@ -74,6 +79,12 @@ def test_golden_certificate(build, name, eta, digest):
     cert, _ = build(g, r, eta)
     assert verify(g, cert).valid
     assert sha256(cert.to_json()) == digest
+
+
+@pytest.mark.parametrize("eta", [0.4, 0.45])
+def test_golden_paley401_reaches_the_nibble(eta):
+    _, diag = dense(*host("paley401"), eta)
+    assert not diag.degenerate_fallback and diag.t >= 1 and diag.reds_replaced_2path > 0
 
 
 def test_golden_chained_adjuster():

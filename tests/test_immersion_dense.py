@@ -18,7 +18,7 @@ from imforge.immersion_dense import (
 )
 from imforge.spectral import adjacency_spectrum
 
-from helpers import complete, ledger, path
+from helpers import complete, ledger, path, reference_greedy_three_paths
 
 
 class FakeReport:
@@ -247,46 +247,6 @@ def reference_one_factorization(m1):
 def test_one_factorization_matches_the_two_branch_coloring():
     for m1 in range(2, 201):
         assert one_factorization(m1) == reference_one_factorization(m1), m1
-
-
-def reference_greedy_three_paths(g, pairs, used, f_set):
-    """The linker that tested each middle edge against the host and the
-    ledger instead of the free-neighbor cache."""
-    f_members = set(f_set)
-    free_nbrs = {}
-
-    def free_of(v):
-        if v not in free_nbrs:
-            free_nbrs[v] = {w for w in g.neighbors(v)
-                            if w not in f_members and normalize_edge(v, w) not in used}
-        return free_nbrs[v]
-
-    out, stuck = {}, []
-    for pair in pairs:
-        u, v = pair
-        nu, nv = free_of(u), free_of(v)
-        common = nu & nv
-        path = None
-        if common:
-            path = [u, min(common), v]
-        else:
-            for a in sorted(nu):
-                for b in sorted(nv.intersection(g.neighbors(a))):
-                    if normalize_edge(a, b) not in used:
-                        path = [u, a, b, v]
-                        break
-                if path:
-                    break
-        if path is None:
-            stuck.append(pair)
-            continue
-        for x, y in zip(path, path[1:]):
-            used.add(normalize_edge(x, y))
-            for p, q in ((x, y), (y, x)):
-                if p in free_nbrs:
-                    free_nbrs[p].discard(q)
-        out[pair] = path
-    return out, stuck
 
 
 @st.composite
