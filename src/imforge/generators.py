@@ -173,9 +173,12 @@ def _pairing_attempt(n: int, d: int, rng: _Words) -> np.ndarray | None:
         pairs = stubs[_shuffle_order(len(stubs), rng, dtype)].reshape(-1, 2)
         pairs.sort(axis=1)
         keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
-        order = np.argsort(keys, kind="stable")
-        first = np.ones(len(keys), dtype=bool)
-        first[order[1:]] = np.diff(keys[order]) != 0
+        # each key's first occurrence: the least index in its run of the sort
+        order = np.argsort(keys)
+        ordered = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        first = np.zeros(len(keys), dtype=bool)
+        first[np.minimum.reduceat(order, starts)] = True
         ok = first & (pairs[:, 0] != pairs[:, 1]) & (placed[np.searchsorted(placed, keys)] != keys)
         if not ok.any():
             # no progress is possible iff every pair of distinct leftovers collides

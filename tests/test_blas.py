@@ -3,9 +3,10 @@
 The dense eigensolve and the length-4 gadget's products run OpenBLAS on
 several threads, whose workers then spin for about 0.1 s.  After either
 call the process must burn no more CPU than its wall time while it runs
-pure Python.  The release must not change a result, and it must do
-nothing while another Python thread is alive or where no OpenBLAS is
-found.
+pure Python.  The iterative eigensolve of a regular host uses no threaded
+BLAS, so across it CPU time stays at wall time.  The release must not
+change a result, and it must do nothing while another Python thread is
+alive or where no OpenBLAS is found.
 """
 
 import threading
@@ -52,6 +53,16 @@ def results():
 def test_no_worker_spins_after_the_eigensolve():
     adjacency_spectrum(paley(401))
     assert busy_cpu_ratio() <= 1.15
+
+
+def test_the_iterative_eigensolve_runs_on_one_thread():
+    # the deflated Lanczos run makes no threaded BLAS call; ARPACK's
+    # threaded dgemv read 1.5-1.8x CPU over wall on a 2-core x86-64 VM
+    g = random_regular(20000, 16, 8)
+    blas.release()
+    t0, c0 = perf_counter(), process_time()
+    adjacency_spectrum(g)
+    assert process_time() - c0 <= 1.15 * (perf_counter() - t0)
 
 
 @needs_openblas

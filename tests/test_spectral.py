@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import imforge.spectral as spectral
+from imforge.errors import NotConvergedError
 from imforge.generators import paley, random_regular
 from imforge.graphs import build_graph
 from imforge.spectral import adjacency_spectrum
@@ -48,34 +49,73 @@ def test_iterative_path_used_above_cutoff():
     assert r.is_regular and r.d == 2
 
 
-@pytest.mark.parametrize("host", [
-    lambda: random_regular(600, 24, 1),
-    lambda: random_regular(1000, 3, 2),
-    lambda: paley(101),
-    lambda: cycle(101),
-    lambda: complete_bipartite(50, 50),
-], ids=["rr600x24", "rr1000x3", "paley101", "c101", "k50-50"])
-def test_one_lanczos_run_matches_the_dense_solver(monkeypatch, host):
-    # differential test of the iterative path against eigvalsh: one eigsh
-    # call per report, and the same ends
+def two_copies(g):
+    edges = np.array(g.edges())
+    return build_graph(2 * g.n, np.vstack([edges, edges + g.n]))
+
+
+def paley101_minus_an_edge():
+    g = paley(101)
+    return build_graph(g.n, g.edges()[1:])
+
+
+@pytest.mark.parametrize("host,solver", [
+    (lambda: random_regular(600, 24, 1), "_deflated_lanczos"),
+    (lambda: random_regular(1000, 3, 2), "_deflated_lanczos"),
+    (lambda: paley(101), "_deflated_lanczos"),
+    (lambda: cycle(101), "_deflated_lanczos"),
+    (lambda: complete_bipartite(50, 50), "_deflated_lanczos"),
+    (lambda: two_copies(random_regular(600, 24, 1)), "_deflated_lanczos"),
+    (paley101_minus_an_edge, "eigsh"),
+], ids=["rr600x24", "rr1000x3", "paley101", "c101", "k50-50", "two-rr600x24",
+        "paley101-minus-an-edge"])
+def test_one_lanczos_run_matches_the_dense_solver(monkeypatch, host, solver):
+    # differential test of the iterative path against eigvalsh: one deflated
+    # Lanczos run per regular report (two copies of rr600x24 have lambda_2 =
+    # d), one eigsh call per irregular one, and the same ends
     g = host()
     dense = adjacency_spectrum(g)
     calls = []
-    real_eigsh = scipy.sparse.linalg.eigsh
+    for module, name in ((spectral, "_deflated_lanczos"), (scipy.sparse.linalg, "eigsh")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    def counting_eigsh(*args, **kwargs):
-        calls.append(kwargs.get("which"))
-        return real_eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+        monkeypatch.setattr(module, name, counting)
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
     r = adjacency_spectrum(g)
-    assert len(calls) == 1
+    assert calls == [solver]
     assert r.spectrum is None and r.tol == spectral.ITERATIVE_TOL
-    assert (r.n, r.d, r.is_regular) == (dense.n, dense.d, True)
+    assert (r.n, r.d, r.is_regular) == (dense.n, dense.d, dense.is_regular)
     for got, want in ((r.lambda2, dense.lambda2), (r.lambdan, dense.lambdan),
                       (r.lam, dense.lam)):
         assert abs(got - want) < 1e-8
+
+
+@pytest.mark.parametrize("host,steps", [
+    (lambda: complete(10), 1),
+    (petersen, 2),
+    (lambda: paley(101), 2),
+    (lambda: complete_bipartite(50, 50), 2),
+], ids=["k10", "petersen", "paley101", "k50-50"])
+def test_lanczos_stops_at_breakdown(monkeypatch, host, steps):
+    # 1-perp holds one or two distinct eigenvalues, so the Krylov space is
+    # invariant after as many steps and the run ends there, not at a check
+    sizes = []
+    ritz_ends = spectral._ritz_ends
+    monkeypatch.setattr(spectral, "_ritz_ends",
+                        lambda alphas, betas: sizes.append(len(alphas)) or ritz_ends(alphas, betas))
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    adjacency_spectrum(host())
+    assert sizes == [steps]
+
+
+def test_lanczos_past_its_step_cap_is_not_converged(monkeypatch):
+    # rr600x24 needs 70 steps; 0.05 steps per vertex allows 30
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(spectral, "LANCZOS_STEPS_PER_VERTEX", 0.05)
+    with pytest.raises(NotConvergedError):
+        adjacency_spectrum(random_regular(600, 24, 1))
 
 
 def test_single_vertex_report():
