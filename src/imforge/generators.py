@@ -5,162 +5,40 @@ loop (collided stubs go back into the pot and are reshuffled); for degrees
 above n/2 the complement is generated instead.  Everything is a pure
 function of its arguments and the seed.
 
-Each round's stub shuffle is the Fisher-Yates shuffle on MT19937 32-bit
-words that ``random.Random.shuffle`` makes, computed in numpy: the words
-come from a copy of the state of ``random.Random(derive_seed(...))``, and
-the permutation is the one ``shuffle`` would make from them.  So the hosts
-depend on CPython's ``random.Random(int)`` seeding only, not on its
-``shuffle`` code.
+Each round orders its k stubs by k raw 64-bit words of one PCG64 stream,
+seeded by ``derive_seed(seed, "random-regular:n:d")``, with ties broken by
+position.  NumPy keeps the raw stream of a bit generator stable across
+releases (NEP 19), so the hosts depend on that stream and on nothing in
+``Generator`` or CPython's ``random``.
 """
 
 from __future__ import annotations
 
 import os
-import random
 
 import numpy as np
 
 from .errors import BadModulusError, GenerationFailedError, ParityError
 from .graphs import Graph, build_graph, format_edge_list, parse_edge_list
-from .util import read_ascii, stream_rng
+from .util import derive_seed, read_ascii
 
 
-class _Words:
-    """The 32-bit Mersenne Twister words a ``random.Random`` would draw next,
-    from a copy of its state, read ahead in blocks.
-
-    ``peek(count)`` shows the next ``count`` words without using them and
-    ``skip(count)`` uses them up, so words read ahead but not needed stay
-    for the next shuffle.
-    """
-
-    _BLOCK = 1 << 14
-
-    def __init__(self, rng: random.Random):
-        state = rng.getstate()[1]  # 624 key words, then the position in them
-        self._bits = np.random.MT19937(0)
-        self._bits.state = {"bit_generator": "MT19937",
-                            "state": {"key": np.array(state[:-1], dtype=np.uint32),
-                                      "pos": state[-1]}}
-        self._buf = np.empty(0, dtype=np.uint32)
-
-    def peek(self, count: int) -> np.ndarray:
-        short = count - len(self._buf)
-        if short > 0:
-            fresh = self._bits.random_raw(max(short, self._BLOCK)).astype(np.uint32)
-            self._buf = np.concatenate([self._buf, fresh])
-        return self._buf[:count]
-
-    def skip(self, count: int) -> None:
-        self._buf = self._buf[count:]
-
-
-def _swap_targets(size: int, words: _Words, dtype) -> np.ndarray:
-    """The j of each Fisher-Yates step i = size-1..1, as ``random.Random.shuffle``
-    draws them: j = w >> (32 - k), k = (i+1).bit_length(), from the first
-    word w with j <= i.  Entry 0 is unused.
-
-    Bounds of one bit length are drawn a chunk of words at a time.  A word
-    at offset t of a chunk whose first bound is b comes after at most t
-    accepted words, so j >= b rejects it and j < b - t accepts it whatever
-    came before; only the words in between are walked in order.  Bit
-    lengths below 7, and all of a shuffle of at most 65 items, take a plain
-    loop.
-    """
-    j = np.zeros(size, dtype=dtype)
-    i = size - 1
-    while i >= 64:
-        k = (i + 1).bit_length()
-        shift, last = 32 - k, (1 << (k - 1)) - 1
-        while i >= last:
-            left = i - last + 1  # steps with this bit length still to draw
-            count = min(max(64, 1 << (k - 5)), 2 * left + 16)
-            r = (words.peek(count) >> shift).astype(dtype)
-            bound = i + 1
-            ok = r < bound - np.arange(count, dtype=dtype)
-            unsure = np.flatnonzero((r < bound) & ~ok)
-            if unsure.size:
-                before = np.cumsum(ok) - ok  # sure acceptances before each word
-                extra = 0
-                for t, a, v in zip(unsure.tolist(), before[unsure].tolist(), r[unsure].tolist()):
-                    if v < bound - a - extra:
-                        ok[t] = True
-                        extra += 1
-            taken = np.flatnonzero(ok)[:left]
-            j[i:i - len(taken):-1] = r[taken]
-            i -= len(taken)
-            words.skip(int(taken[-1]) + 1 if len(taken) == left else count)
-    ws, at = [], 0
-    for i in range(i, 0, -1):
-        shift = 32 - (i + 1).bit_length()
-        while True:
-            if at == len(ws):
-                words.skip(at)
-                ws, at = words.peek(128).tolist(), 0
-            v = ws[at] >> shift
-            at += 1
-            if v <= i:
-                break
-        j[i] = v
-    words.skip(at)
-    return j
-
-
-def _shuffle_order(size: int, words: _Words, dtype) -> np.ndarray:
-    """The order x[order] that ``random.Random.shuffle`` leaves a sequence x
-    of this size in, from the same words.
-
-    Step i swaps positions i and j_i, and position i is final after it, so
-    it ends with what sat at j_i just before step i.  That is root(i') for
-    the first step i' > i with the same j, else the original x[j_i], where
-    root(p), what sits at p just before step p, is root of the first step
-    i'' > p with j = p, else x[p].  One sort groups the steps by j; pointer
-    jumping resolves every root.  The array of j values becomes the order.
-    """
-    if size < 2:
-        return np.arange(size, dtype=dtype)
-    j = _swap_targets(size, words, dtype)
-    # the steps sorted by j, then by i, packed as j << bits | i (size < 2**32,
-    # as one word per draw is)
-    bits = size.bit_length()
-    keys = j[1:].astype(np.uint64) << bits
-    keys |= np.arange(1, size, dtype=np.uint64)
+def _round_order(k: int, bits: np.random.PCG64) -> np.ndarray:
+    """Positions 0..k-1 sorted by the next k raw words of ``bits``, ties to
+    the lower position: each word's low k.bit_length() bits are replaced by
+    its position, so the keys are distinct and any sort gives one order."""
+    low = np.uint64((1 << k.bit_length()) - 1)
+    keys = bits.random_raw(k) & ~low
+    keys |= np.arange(k, dtype=np.uint64)
     keys.sort()
-    steps = (keys & ((1 << bits) - 1)).astype(dtype)
-    target = (keys >> bits).astype(dtype)
-    del keys
-    head = np.empty(size - 1, dtype=bool)  # where a run of equal j starts
-    head[0] = True
-    np.not_equal(target[1:], target[:-1], out=head[1:])
-    later = np.full(size, -1, dtype=dtype)  # the first step i' > i with j_i' = j_i
-    later[steps[:-1]] = steps[1:]
-    later[steps[:-1][head[1:]]] = -1
-    first, at = steps[head], target[head]
-    del steps, target, head
-    # step p itself may have j = p; the step that fills p before it is the next one
-    own = first == at
-    first[own] = later[first[own]]
-    root = np.arange(size, dtype=dtype)
-    filled = first >= 0
-    root[at[filled]] = first[filled]
-    del first, at, own, filled
-    live = np.flatnonzero(root != np.arange(size, dtype=dtype)).astype(dtype)
-    while live.size:
-        up = root[live]
-        jumped = root[up]
-        root[live] = jumped
-        live = live[jumped != up]
-    # j becomes the order: root(i') when a later step i' shares j_i, else j_i
-    np.copyto(j, root[later], where=later >= 0)
-    j[0] = root[0]
-    return j
+    return keys & low
 
 
-def _pairing_attempt(n: int, d: int, rng: _Words) -> np.ndarray | None:
+def _pairing_attempt(n: int, d: int, bits: np.random.PCG64) -> np.ndarray | None:
     """One pairing-model attempt: the edges as an (m, 2) array, or None
     when stuck.
 
-    Each round shuffles the stubs and pairs them off in order.  A pair,
+    Each round puts the stubs in ``_round_order`` and pairs them off.  A pair,
     ordered (min, max), is placed unless it is a loop, an edge already
     placed, or a repeat of an earlier pair of the round; the rejected pairs
     are the next round's stubs, in order.
@@ -170,7 +48,7 @@ def _pairing_attempt(n: int, d: int, rng: _Words) -> np.ndarray | None:
     dtype = np.int32 if n * d < 2**31 else np.int64
     stubs = np.tile(np.arange(n, dtype=dtype), d)
     while len(stubs):
-        pairs = stubs[_shuffle_order(len(stubs), rng, dtype)].reshape(-1, 2)
+        pairs = stubs[_round_order(len(stubs), bits)].reshape(-1, 2)
         pairs.sort(axis=1)
         keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
         # each key's first occurrence: the least index in its run of the sort
@@ -202,10 +80,10 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     if d > n // 2:
         comp = random_regular(n, n - 1 - d, seed) if n - 1 - d > 0 else build_graph(n, [])
         return comp.complement()
-    rng = _Words(stream_rng(seed, f"random-regular:{n}:{d}"))
+    bits = np.random.PCG64(derive_seed(seed, f"random-regular:{n}:{d}"))
     budget = max(100, 100 * n // max(1, d))
     for _ in range(budget):
-        edges = _pairing_attempt(n, d, rng)
+        edges = _pairing_attempt(n, d, bits)
         if edges is not None:
             return build_graph(n, edges)
     raise GenerationFailedError(f"no simple {d}-regular graph found in {budget} attempts")

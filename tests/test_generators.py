@@ -1,7 +1,7 @@
 import hashlib
 import math
-import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from imforge.errors import BadModulusError, ParityError, ParseError
 from imforge.generators import load_graph, paley, random_regular, save_graph
 from imforge.graphs import format_edge_list
 from imforge.spectral import adjacency_spectrum
+from imforge.util import derive_seed
 
 from helpers import complete, cycle
 
@@ -40,86 +41,108 @@ def test_random_regular_deterministic():
     assert a != c
 
 
-# Edge-list digests of hosts drawn when each round shuffled its stubs with
-# random.Random.shuffle; the numpy shuffle must reproduce every host
-# exactly.  (8, 3, 0) gets stuck twice before an attempt succeeds; d > n/2
-# takes the complement path; (2000, 600, 7) shuffles 1.2M stubs, and the
-# last four are the benchmark's hosts.
+# Edge-list digests of the hosts whose rounds take their stubs in the
+# order of raw PCG64 words; a change to the stream, the round order or the
+# repair rule shows here.  (8, 3, 0) gets stuck once before an attempt
+# succeeds; d > n/2 takes the complement path; (2000, 600, 7) orders 1.2M
+# stubs, and the last four are the benchmark's hosts.
 @pytest.mark.parametrize("n, d, seed, digest", [
-    (50, 4, 0, "7ee898df0df7a9c9"),
-    (200, 7, 3, "a336f8b72e2c9d24"),
-    (1000, 16, 2, "817323200e5a94bd"),
-    (8, 3, 0, "320ab60eb074b914"),
-    (14, 6, 0, "35163d3efa373627"),
-    (100, 60, 5, "4dd0b8ee82a0f5cc"),
-    (30, 27, 4, "cbedb7b356c41f5c"),
-    (2000, 600, 7, "174ea45c366d5ccc"),
-    (5000, 60, 11, "c46347c5e9153cd0"),
-    (4096, 16, 8, "4b72094b048531f0"),
-    (20000, 16, 8, "1cb38127ed39d4d4"),
-    (2048, 16, 8, "feeb9813b26695a8"),
+    (50, 4, 0, "1af53b46ae004606"),
+    (200, 7, 3, "dc536fdb01b9aa74"),
+    (1000, 16, 2, "8742881e53d7082e"),
+    (8, 3, 0, "bd93224cbe062086"),
+    (14, 6, 0, "9e85891d9d08c7fb"),
+    (100, 60, 5, "042df01cf6ed0be4"),
+    (30, 27, 4, "27a0706443ec3c7b"),
+    (2000, 600, 7, "afd9c89cfd0cea4d"),
+    (5000, 60, 11, "5a2ca4ea74321624"),
+    (4096, 16, 8, "183e35e49ddb76bf"),
+    (20000, 16, 8, "721f19d3ab7a3a31"),
+    (2048, 16, 8, "7ffed0fa2be6467c"),
 ])
 def test_random_regular_hosts_pinned(n, d, seed, digest):
     g = random_regular(n, d, seed=seed)
     assert hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:16] == digest
 
 
-# every bound of one bit length, both sides of each power of two
-SHUFFLE_SIZES = [*range(71), *(2**k + e for k in range(1, 19) for e in (-1, 0, 1))]
+def reference_attempt(n, d, bits):
+    """One pairing-model attempt in plain Python: the sorted edge list, or
+    None when stuck.  A round of k stubs reads the next k raw words and
+    takes the stubs in order of (word >> k.bit_length(), position)."""
+    placed = set()
+    stubs = [v for _ in range(d) for v in range(n)]
+    while stubs:
+        k = len(stubs)
+        words = bits.random_raw(k).tolist()
+        order = sorted(range(k), key=lambda i: (words[i] >> k.bit_length(), i))
+        seen, new, left = set(), set(), []
+        for i in range(0, k, 2):
+            pair = tuple(sorted((stubs[order[i]], stubs[order[i + 1]])))
+            if pair[0] != pair[1] and pair not in placed and pair not in seen:
+                new.add(pair)
+            else:
+                left += pair
+            seen.add(pair)
+        if not new and all(p in placed for p in combinations(sorted(set(left)), 2)):
+            return None
+        placed |= new
+        stubs = left
+    return sorted(placed)
 
 
-def numpy_shuffle(words, size, dtype=np.int32):
-    return generators._shuffle_order(size, words, dtype).tolist()
+def reference_random_regular(n, d, seed):
+    """The edges and the stuck flag of each attempt, or the complement of
+    the (n, n - 1 - d) host's edges for d > n/2."""
+    if d > n // 2:
+        edges, attempts = reference_random_regular(n, n - 1 - d, seed)
+        return sorted(set(combinations(range(n), 2)) - set(edges)), attempts
+    bits = np.random.PCG64(derive_seed(seed, f"random-regular:{n}:{d}"))
+    attempts = []
+    while True:
+        edges = reference_attempt(n, d, bits)
+        attempts.append(edges is None)
+        if edges is not None:
+            return edges, attempts
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-def test_shuffle_matches_random_shuffle(seed):
-    for size in SHUFFLE_SIZES:
-        expected = list(range(size))
-        random.Random(seed).shuffle(expected)
-        assert numpy_shuffle(generators._Words(random.Random(seed)), size) == expected, size
+# (8, 3, 0) and (2048, 16, 7) get stuck before they succeed; (14, 8, 0) and
+# (100, 60, 5) take the complement path; (2048, 16, 8) is a benchmark host
+@pytest.mark.parametrize("n, d, seed, stuck", [
+    (8, 3, 0, [True, False]),
+    (14, 8, 0, None),
+    (100, 60, 5, None),
+    (2048, 16, 8, [False]),
+    (2048, 16, 7, [True, True, True, False]),
+])
+def test_random_regular_follows_the_raw_word_order(n, d, seed, stuck):
+    edges, attempts = reference_random_regular(n, d, seed)
+    assert random_regular(n, d, seed=seed).edges() == edges
+    if stuck is not None:
+        assert attempts == stuck
 
 
-@pytest.mark.parametrize("size, seed", [(300_000, 5), (1_200_000, 6), (1_200_000, 7)])
-def test_shuffle_matches_random_shuffle_large(size, seed):
-    expected = list(range(size))
-    random.Random(seed).shuffle(expected)
-    assert numpy_shuffle(generators._Words(random.Random(seed)), size) == expected
+class FixedWords:
+    def __init__(self, words):
+        self.words = words
+
+    def random_raw(self, k):
+        assert k == len(self.words)
+        return np.array(self.words, dtype=np.uint64)
 
 
-def test_shuffle_int64_orders():
-    expected = list(range(5000))
-    random.Random(3).shuffle(expected)
-    assert numpy_shuffle(generators._Words(random.Random(3)), 5000, np.int64) == expected
-
-
-@pytest.mark.parametrize("first, second", [(70, 3), (1000, 64), (2**16 + 1, 2**12), (0, 1)])
-def test_shuffles_share_one_word_stream(first, second):
-    """Back-to-back shuffles on one stream use exactly the words that two
-    ``random.Random.shuffle`` calls use: read-ahead words are neither
-    dropped nor used twice."""
-    rng = random.Random(11)
-    words = generators._Words(random.Random(11))
-    for size in (first, second):
-        expected = list(range(size))
-        rng.shuffle(expected)
-        assert numpy_shuffle(words, size) == expected
-    assert words.peek(3).tolist() == [rng.getrandbits(32) for _ in range(3)]
-
-
-def test_words_follow_getrandbits():
-    rng = random.Random(2024)
-    rng.random()  # start mid-block
-    words = generators._Words(rng)
-    got = np.concatenate([words.peek(700), words.peek(2000)[700:]]).tolist()
-    assert got == [rng.getrandbits(32) for _ in range(2000)]
+def test_round_order_breaks_ties_by_position():
+    # k = 4 drops the low 3 bits: words 0, 1 and 3 tie, so they keep their order
+    top = 1 << 63
+    order = generators._round_order(4, FixedWords([top | 7, top | 1, 5, top]))
+    assert order.tolist() == [2, 0, 1, 3]
 
 
 @pytest.mark.parametrize("n, d, seed, limit_mib", [(20000, 16, 8, 15.6), (5000, 60, 11, 14.1)])
 def test_random_regular_peak_memory(n, d, seed, limit_mib):
-    """The shuffle keeps its arrays int32 and draws words in chunks; the
-    limits are the peaks of the pure-Python shuffle (15.55 and 14.13 MiB),
-    rounded to 0.1 MiB."""
+    """The stubs stay int32 and each round holds one uint64 key per stub.
+    The limits are ceilings: the peaks of the former pure-Python shuffle
+    (15.55 and 14.13 MiB), rounded to 0.1 MiB; the raw-word order peaks at
+    14.96 and 13.97 MiB."""
     random_regular(n, d, seed=seed)  # imports and caches outside the trace
     tracemalloc.start()
     try:
@@ -134,13 +157,13 @@ def test_random_regular_retries_stuck_attempts(monkeypatch):
     attempts = []
     pairing = generators._pairing_attempt
 
-    def recorded(n, d, rng):
-        attempts.append(pairing(n, d, rng))
+    def recorded(n, d, bits):
+        attempts.append(pairing(n, d, bits))
         return attempts[-1]
 
     monkeypatch.setattr(generators, "_pairing_attempt", recorded)
     g = random_regular(8, 3, seed=0)
-    assert [a is None for a in attempts] == [True, True, False]
+    assert [a is None for a in attempts] == [True, False]
     assert g.degrees() == [3] * 8
 
 

@@ -8,7 +8,10 @@ code.  Strict mode raises on every one of these desk-scale hosts (the
 paper's hypotheses fail there), so only best-effort certificates are
 pinned.  Paley(101) has t = 0 and never reaches the nibble matcher; the
 Paley(401) dense digests, recorded once the matcher read its bites from
-SplitMix64 streams, pin certificates whose red pairs it matched.
+SplitMix64 streams, pin certificates whose red pairs it matched.  The
+medium and subdivide digests were re-recorded when random regular hosts
+began to order their stubs by raw PCG64 words: their hosts changed, not
+the pipelines.
 """
 
 import hashlib
@@ -53,18 +56,18 @@ GOLDEN = [
     (dense, "paley101", 0.45, "6def4828bc334edba7b6193cd55ba5678ec2e376b47dcefb802f02e730611faa"),
     (dense, "paley401", 0.4, "ff70316d52bda82c56e53abc6fd4296a045ca2329e502a099b5b7ef0fcd852e3"),
     (dense, "paley401", 0.45, "dcee2671000b8675b4973ab80ca19c6ab825b2f07561aee4a077c1a1cf99d355"),
-    (medium, "rr600x24", 0.2, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
-    (medium, "rr600x24", 0.4, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
-    (medium, "rr600x24", 0.45, "6b405dfa18a99e01cfe41c175e56e062bc5bc2699b6b2063a5a7a77488a1f93d"),
-    (medium, "rr1000x30", 0.2, "8fd743d904ff04a2607d216d4a249d8ace65ae0fc14762044328f0ce6bccef6c"),
-    (medium, "rr1000x30", 0.4, "8fd743d904ff04a2607d216d4a249d8ace65ae0fc14762044328f0ce6bccef6c"),
-    (medium, "rr1000x30", 0.45, "8fd743d904ff04a2607d216d4a249d8ace65ae0fc14762044328f0ce6bccef6c"),
-    (subdivide, "rr600x24", 0.2, "95fdd4632617f31abca9ae5149534656dbfcdabe6ef526e301af34859375774f"),
-    (subdivide, "rr600x24", 0.4, "1a4ebb110eeca4fc1a730883a63c3700a83e80aadb93313c756104eced45488a"),
-    (subdivide, "rr600x24", 0.45, "a3bb98253c9584f884571f9a2e6eeb9fd9b40123e4c0c5379b72dbbd596f81e2"),
-    (subdivide, "rr1000x30", 0.2, "1481d9efb9fb2c588f4e2048c61daf9d1a07f75e6f7a75ceb7a1cf14a8dec027"),
-    (subdivide, "rr1000x30", 0.4, "5703f6338ced6015577a83b24c3d034b93b7b113efe1e9f0267fe6eaa653278d"),
-    (subdivide, "rr1000x30", 0.45, "acc4c46a9477cf98c3962b349843b4db2f37f572091a9419b614a148f90fd3b3"),
+    (medium, "rr600x24", 0.2, "b6bb42f650c8c1d4c0fc41949fcf0c55c2cf2809537cc91d7d5a2cbfd853262e"),
+    (medium, "rr600x24", 0.4, "b6bb42f650c8c1d4c0fc41949fcf0c55c2cf2809537cc91d7d5a2cbfd853262e"),
+    (medium, "rr600x24", 0.45, "b6bb42f650c8c1d4c0fc41949fcf0c55c2cf2809537cc91d7d5a2cbfd853262e"),
+    (medium, "rr1000x30", 0.2, "718f16ea687d7414ff58490f130cb6160c7251fdff3eaed81f04dd2736aee53a"),
+    (medium, "rr1000x30", 0.4, "718f16ea687d7414ff58490f130cb6160c7251fdff3eaed81f04dd2736aee53a"),
+    (medium, "rr1000x30", 0.45, "718f16ea687d7414ff58490f130cb6160c7251fdff3eaed81f04dd2736aee53a"),
+    (subdivide, "rr600x24", 0.2, "59b291aa60aeeeb822135eed008fb9e6cb80b1d475b669ac3a355eec1ab7571a"),
+    (subdivide, "rr600x24", 0.4, "fb57dd0d6f6a0147cbce64e759b32c07f4c2a430bfd5eab8fa30a5ac832d6df9"),
+    (subdivide, "rr600x24", 0.45, "6d55b4071cec5075acea59c36b918acf74204faf5c8c16ab66e605452585cc7b"),
+    (subdivide, "rr1000x30", 0.2, "9ee8647ee7b156c9fc8643af6d8a4125b285c594514716eddb033b479455ad0e"),
+    (subdivide, "rr1000x30", 0.4, "380d48b68fa549efb035438d29c2e2fdc9d5eda2c6d436deceaf8a50723eca69"),
+    (subdivide, "rr1000x30", 0.45, "8822c1214dcf2db8faefa4132cf7574b372eed170afa7fbdecca8c9f2660e5ca"),
 ]
 
 

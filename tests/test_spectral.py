@@ -111,7 +111,7 @@ def test_lanczos_stops_at_breakdown(monkeypatch, host, steps):
 
 
 def test_lanczos_past_its_step_cap_is_not_converged(monkeypatch):
-    # rr600x24 needs 70 steps; 0.05 steps per vertex allows 30
+    # rr600x24 needs 80 steps; 0.05 steps per vertex allows 30
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
     monkeypatch.setattr(spectral, "LANCZOS_STEPS_PER_VERTEX", 0.05)
     with pytest.raises(NotConvergedError):
