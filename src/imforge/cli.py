@@ -29,7 +29,7 @@ from .certify import EmbeddingCertificate, VerifyReport, verify
 from .errors import ImforgeError
 from .gadgets import bipartite_k3_immersion, k3_density_bound
 from .graphs import Graph, build_graph, pair_density
-from .immersion_dense import build_dense_immersion
+from .immersion_dense import GREEDY, PAPER, build_dense_immersion
 from .immersion_medium import build_medium_immersion
 from .nibble import edge_disjoint_triangles
 from .spectral import SpectralReport, adjacency_spectrum
@@ -48,7 +48,8 @@ def run_id_for(command: str, inputs: dict) -> str:
 
 
 def metrics_row(command: str, inputs: dict, columns: dict, started: float) -> dict:
-    """One metrics row; the columns a command does not produce stay empty."""
+    """One metrics row; the columns a command does not produce, and the
+    None ones, stay empty."""
     return {"command": command, "run_id": run_id_for(command, inputs), **columns,
             "seconds": f"{time.time() - started:.3f}"}
 
@@ -154,9 +155,10 @@ PIPELINES = {
         _build_medium,
         lambda diag: {"t": diag.h_params[0], "stuck": diag.pairs_missing}),
     "immerse-dense": Pipeline(
-        "partition-based clique immersion", (),
+        "partition-based clique immersion",
+        (("--method", {"choices": [GREEDY, PAPER], "default": GREEDY}),),
         lambda g, report, args: build_dense_immersion(
-            g, report, eta=args.eta, seed=args.seed, mode=args.mode),
+            g, report, eta=args.eta, seed=args.seed, mode=args.mode, method=args.method),
         lambda diag: {"t": diag.t, "M1": diag.m1, "M2": diag.m2,
                       "reds_total": diag.reds_total,
                       "reds_replaced_2path": diag.reds_replaced_2path,

@@ -234,7 +234,8 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
             raise DomainError("every edge must be a pair")
         pairs = edge_list.astype(np.int64, copy=False)
     else:
-        edge_list = list(edge_list)
+        if not isinstance(edge_list, (list, tuple)):
+            edge_list = list(edge_list)  # a one-shot iterable is read twice below
         if set(map(len, edge_list)) - {2}:
             raise DomainError("every edge must be a pair")
         try:

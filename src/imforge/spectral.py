@@ -39,7 +39,11 @@ ITERATIVE_TOL = 1e-6
 # Lanczos steps allowed per vertex: in exact arithmetic the recurrence in the
 # complement of the all-ones vector breaks down within n - 1 steps
 LANCZOS_STEPS_PER_VERTEX = 1
-LANCZOS_CHECK_EVERY = 10  # steps between convergence checks
+# steps between convergence checks: LANCZOS_CHECK_EVERY, or step //
+# LANCZOS_CHECK_SPREAD once that is larger (from step 550 on), so the O(k)
+# checks of a k-step run cost O(k log k) in all
+LANCZOS_CHECK_EVERY = 10
+LANCZOS_CHECK_SPREAD = 50
 
 
 @dataclass
@@ -108,7 +112,8 @@ def _deflated_lanczos(a: scipy.sparse.csr_matrix, d: int, tol: float) -> tuple[f
     taken off, so rounding cannot bring the d-eigenvector back.  Nothing is
     restarted or reorthogonalized: the extreme Ritz values converge despite
     the loss of orthogonality, which only leaves copies of them (Paige 1980).
-    Every ``LANCZOS_CHECK_EVERY`` steps both ends of T_k are tested with
+    Every ``LANCZOS_CHECK_EVERY`` steps, and from step 550 on every
+    ``step // LANCZOS_CHECK_SPREAD`` steps, both ends of T_k are tested with
     ARPACK's rule, residual beta_k |s_k| <= tol * max(eps^(2/3), |theta|).
     A breakdown (beta ~ 0: the Krylov space is invariant, as for strongly
     regular hosts after two steps) makes the Ritz values exact and ends the
@@ -122,6 +127,7 @@ def _deflated_lanczos(a: scipy.sparse.csr_matrix, d: int, tol: float) -> tuple[f
     prev = np.zeros(n)
     alphas, betas, beta = [], [], 0.0
     cap = max(1, int(LANCZOS_STEPS_PER_VERTEX * n))
+    check = LANCZOS_CHECK_EVERY  # the step of the next check
     for step in range(1, cap + 1):
         w = a @ v
         w -= w.mean()
@@ -132,7 +138,8 @@ def _deflated_lanczos(a: scipy.sparse.csr_matrix, d: int, tol: float) -> tuple[f
         alphas.append(alpha)
         betas.append(beta)
         breakdown = beta <= np.sqrt(eps) * d
-        if breakdown or step % LANCZOS_CHECK_EVERY == 0:
+        if breakdown or step == check:
+            check = step + max(LANCZOS_CHECK_EVERY, step // LANCZOS_CHECK_SPREAD)
             ends = _ritz_ends(alphas, betas)
             if breakdown or all(residual <= tol * max(eps ** (2 / 3), abs(theta))
                                 for theta, residual in ends):

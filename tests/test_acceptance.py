@@ -15,7 +15,7 @@ from imforge.certify import verify, verify_adjuster
 from imforge.gadgets import bipartite_k3_immersion, build_1_adjuster, chain_adjusters
 from imforge.generators import paley, random_regular
 from imforge.graphs import build_graph, normalize_edge, pair_density
-from imforge.immersion_dense import build_dense_immersion, one_factorization
+from imforge.immersion_dense import GREEDY, PAPER, build_dense_immersion, one_factorization
 from imforge.immersion_medium import build_medium_immersion, connect_units
 from imforge.nibble import Hypergraph3, edge_disjoint_triangles, near_perfect_matching, triangle_hypergraph
 from imforge.spectral import adjacency_spectrum
@@ -198,21 +198,22 @@ def test_criterion_05_one_factorization():
 
 def test_criterion_06_dense_pipeline(paley401, rr2000):
     results = []
-    for name, (g, r) in (("paley401", paley401), ("rr2000x600", rr2000)):
-        orders = []
-        for eta in (0.4, 0.45):
-            started = time.time()
-            cert, diag = build_dense_immersion(g, r, eta=eta, seed=7)
-            report = verify(g, cert)
-            elapsed = time.time() - started
-            assert elapsed < 120
-            assert report.valid and not report.violations
-            assert set(report.length_histogram) <= {1, 2, 3}
-            assert edge_sweep_clean(cert)
-            assert diag.achieved_order > 0
-            orders.append(diag.achieved_order)
-            results.append((name, eta, diag.achieved_order, f"{elapsed:.1f}s"))
-        assert orders[0] >= orders[1]  # nonincreasing in eta
+    for method in (GREEDY, PAPER):
+        for name, (g, r) in (("paley401", paley401), ("rr2000x600", rr2000)):
+            orders = []
+            for eta in (0.4, 0.45):
+                started = time.time()
+                cert, diag = build_dense_immersion(g, r, eta=eta, seed=7, method=method)
+                report = verify(g, cert)
+                elapsed = time.time() - started
+                assert elapsed < 120
+                assert report.valid and not report.violations
+                assert set(report.length_histogram) <= {1, 2, 3}
+                assert edge_sweep_clean(cert)
+                assert diag.achieved_order > 0
+                orders.append(diag.achieved_order)
+                results.append((method, name, eta, diag.achieved_order, f"{elapsed:.1f}s"))
+            assert orders[0] >= orders[1]  # nonincreasing in eta
     print(f"\n[criterion 6] PASS dense pipeline: {results}")
 
 
@@ -317,9 +318,10 @@ def test_criterion_10_adjuster_parity():
 def test_criterion_11_determinism(paley401, rr5000, rr4096, bip512):
     started = time.time()
     g, r = paley401
-    dense = [build_dense_immersion(g, r, eta=0.45, seed=7)[0].to_json()
-             for _ in range(2)]
-    assert dense[0] == dense[1]
+    for method in (GREEDY, PAPER):
+        dense = [build_dense_immersion(g, r, eta=0.45, seed=7, method=method)[0].to_json()
+                 for _ in range(2)]
+        assert dense[0] == dense[1]
 
     g, r = rr5000
     medium = [build_medium_immersion(g, r, eta=0.45, seed=11, h_params=(8, 3, 6),

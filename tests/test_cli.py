@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -40,6 +41,35 @@ def test_immerse_dense_end_to_end(tmp_path):
     assert len(rows) == 1
     assert rows[0]["command"] == "immerse-dense"
     assert int(rows[0]["achieved_order"]) > 0
+
+
+def test_immerse_dense_method_flag(tmp_path):
+    # Paley(401) at eta 0.45 has t = 2: under --method paper its red pairs go
+    # through the nibble matcher, under the default every hole is linked greedily
+    metrics = tmp_path / "m.csv"
+    digests = {}
+    for method in (None, "paper"):
+        cert = tmp_path / f"{method}.json"
+        flags = [] if method is None else ["--method", method]
+        assert main(["immerse-dense", "--q", "401", "--eta", "0.45", "--seed", "7",
+                     "--out", str(cert), "--metrics", str(metrics), *flags]) == 0
+        digests[method] = hashlib.sha256(cert.read_bytes()).hexdigest()
+    # the --method paper certificate is the one pinned before greedy became the default
+    assert digests["paper"] == "c7dbd75fb2e1e7c8936602615156ace202da7c82f6ba3b615ca300a52ebf5284"
+    assert digests[None] == "504ec669c1e22480289ecb234832eedc5f94f09726290e97c7e8276a079270ce"
+    greedy, paper = csv.DictReader(metrics.open())
+    assert greedy["run_id"] != paper["run_id"]
+    # greedy makes no red/black split, so its reds_* cells stay empty
+    assert greedy["reds_total"] == greedy["reds_replaced_2path"] == ""
+    assert int(paper["reds_total"]) > int(paper["reds_replaced_2path"]) > 0
+    for col in ("t", "M1", "M2", "pairs_3path", "stuck", "achieved_order"):
+        assert greedy[col] == paper[col] != ""
+
+
+def test_immerse_dense_rejects_an_unknown_method():
+    with pytest.raises(SystemExit) as exc:
+        main(["immerse-dense", "--q", "13", "--eta", "0.3", "--method", "nibble"])
+    assert exc.value.code == 2
 
 
 def test_verify_command_exit_codes(tmp_path, capsys):

@@ -4,7 +4,9 @@ are the set-ledger stages as they were: black edges tested one by one with
 ``g.has_edge`` and a ``used`` set, and a linker with a per-vertex cache of
 free neighbours.  Every stage output and the certificate must be the same
 on Paley and random regular hosts over a grid of eta, on hosts whose cells
-hold vertices with no neighbour in F, and with edges spent beforehand."""
+hold vertices with no neighbour in F, and with edges spent beforehand: for
+the ``paper`` method with both stages, and for the default ``greedy`` method
+with the linker alone on every non-adjacent pair of F."""
 
 import math
 
@@ -18,6 +20,8 @@ from imforge.errors import DegenerateTError
 from imforge.generators import paley, random_regular
 from imforge.graphs import build_graph, normalize_edge
 from imforge.immersion_dense import (
+    GREEDY,
+    PAPER,
     FreeEdges,
     PartitionScheme,
     build_dense_immersion,
@@ -86,7 +90,8 @@ def reference_replace_red_edges(g, rb, classes, used, seed=0):
 
 def run_stages(g, report, eta, seed, replace, link, book):
     """The best-effort dense pipeline on one ledger ``book``, given its
-    two stages; returns every stage output and the certificate JSON."""
+    two stages (``replace`` None for the greedy method, which links every
+    hole); returns every stage output and the certificate JSON."""
     try:
         scheme = dense_partition(g, report, eta)
     except DegenerateTError:
@@ -95,7 +100,7 @@ def run_stages(g, report, eta, seed, replace, link, book):
     inside, holes = f_pairs(g, np.arange(f))
     paths = {e: list(e) for e in map(tuple, inside.tolist())}
     two_paths, red_left = {}, []
-    if scheme is not None and scheme.m1 >= 2:
+    if replace is not None and scheme is not None and scheme.m1 >= 2:
         rb = build_red_black(scheme, holes)
         two_paths, red_left = replace(rb, one_factorization(scheme.m1), book, seed)
         leftovers = sorted(red_left + rb.e0)
@@ -111,16 +116,18 @@ def run_stages(g, report, eta, seed, replace, link, book):
             "cert": cert.to_json()}
 
 
-def both_pipelines(g, report, eta, seed):
+def both_pipelines(g, report, eta, seed, method=PAPER):
     f = math.floor((1 - eta) * report.d)
     used = {normalize_edge(a, b) for a in range(f) for b in g.neighbors(a) if b < f}
+    paper = method == PAPER
     ref = run_stages(
         g, report, eta, seed,
-        lambda rb, classes, book, s: reference_replace_red_edges(g, rb, classes, book, s),
+        (lambda rb, classes, book, s: reference_replace_red_edges(g, rb, classes, book, s))
+        if paper else None,
         lambda pairs, book: reference_greedy_three_paths(g, pairs, book, range(f)),
         used)
-    new = run_stages(g, report, eta, seed, replace_red_edges, greedy_three_paths,
-                     FreeEdges.of(g, np.arange(f)))
+    new = run_stages(g, report, eta, seed, replace_red_edges if paper else None,
+                     greedy_three_paths, FreeEdges.of(g, np.arange(f)))
     return ref, new
 
 
@@ -145,8 +152,35 @@ def test_matrix_ledger_matches_the_set_ledger(name, eta):
     g, report = host(name)
     ref, new = both_pipelines(g, report, eta, seed=7)
     assert new == ref
-    cert, _ = build_dense_immersion(g, report, eta, seed=7)
+    cert, _ = build_dense_immersion(g, report, eta, seed=7, method=PAPER)
     assert cert.to_json() == ref["cert"]
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize("name", list(HOSTS))
+def test_greedy_method_matches_the_set_ledger_linker_on_all_holes(name, eta):
+    g, report = host(name)
+    ref, new = both_pipelines(g, report, eta, seed=7, method=GREEDY)
+    assert new == ref and not ref["two_paths"]
+    f = math.floor((1 - eta) * report.d)
+    holes = list(map(tuple, f_pairs(g, np.arange(f))[1].tolist()))
+    assert sorted([pair for pair, _ in ref["three_paths"]] + ref["stuck"]) == holes
+    cert, diag = build_dense_immersion(g, report, eta, seed=7)
+    assert cert.to_json() == ref["cert"]
+    assert diag.reds_total is None and diag.reds_replaced_2path is None
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("name", ["paley101", "paley197", "paley401", "rr200x150", "rr600x300"])
+def test_greedy_order_is_at_least_the_paper_order(name, eta):
+    # differential test of the two methods: greedy is the default because it
+    # never built a smaller immersion than the nibble stage on the hosts measured
+    g, report = host(name)
+    greedy, g_diag = build_dense_immersion(g, report, eta, seed=7, method=GREEDY)
+    paper, p_diag = build_dense_immersion(g, report, eta, seed=7, method=PAPER)
+    assert verify(g, greedy).valid and verify(g, paper).valid
+    assert g_diag.achieved_order >= p_diag.achieved_order
+    assert (g_diag.t, g_diag.m1, g_diag.m2) == (p_diag.t, p_diag.m1, p_diag.m2)
 
 
 def test_the_grid_reaches_three_paths_stuck_pairs_and_shared_cells():

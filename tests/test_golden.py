@@ -6,9 +6,11 @@ A refactor that changes the emitted bytes, even the same way on every run,
 fails here; the determinism criterion only compares two runs of the same
 code.  Strict mode raises on every one of these desk-scale hosts (the
 paper's hypotheses fail there), so only best-effort certificates are
-pinned.  Paley(101) has t = 0 and never reaches the nibble matcher; the
-Paley(401) dense digests, recorded once the matcher read its bites from
-SplitMix64 streams, pin certificates whose red pairs it matched.  The
+pinned.  Paley(101) has t = 0 and never reaches the nibble matcher, so both
+dense methods give its three digests.  The Paley(401) ``dense`` digests,
+recorded once the matcher read its bites from SplitMix64 streams, pin the
+``paper`` method, whose red pairs it matched; ``dense_greedy`` pins the
+default method, which links every non-adjacent pair greedily.  The
 medium and subdivide digests were re-recorded when random regular hosts
 began to order their stubs by raw PCG64 words: their hosts changed, not
 the pipelines.
@@ -38,6 +40,11 @@ def host(name):
 
 
 def dense(g, r, eta):
+    """The ``paper`` method, under which the dense digests were recorded."""
+    return build_dense_immersion(g, r, eta=eta, seed=7, method="paper")
+
+
+def dense_greedy(g, r, eta):
     return build_dense_immersion(g, r, eta=eta, seed=7)
 
 
@@ -56,6 +63,11 @@ GOLDEN = [
     (dense, "paley101", 0.45, "6def4828bc334edba7b6193cd55ba5678ec2e376b47dcefb802f02e730611faa"),
     (dense, "paley401", 0.4, "ff70316d52bda82c56e53abc6fd4296a045ca2329e502a099b5b7ef0fcd852e3"),
     (dense, "paley401", 0.45, "dcee2671000b8675b4973ab80ca19c6ab825b2f07561aee4a077c1a1cf99d355"),
+    (dense_greedy, "paley101", 0.2, "118df59f1986a18b65d56a10a5ffb92a19b0be940613c6044cc0045f31aa7083"),
+    (dense_greedy, "paley101", 0.4, "34f29464ca6aee2fd8a03edd78909f361d55a302f06273a5cae6b4ed94dc3995"),
+    (dense_greedy, "paley101", 0.45, "6def4828bc334edba7b6193cd55ba5678ec2e376b47dcefb802f02e730611faa"),
+    (dense_greedy, "paley401", 0.4, "6ec05c13ad8307986df86e72b19666a4db552551f2cc3a923575ce535f8706e8"),
+    (dense_greedy, "paley401", 0.45, "dc1ecb957bc5ca765ef96d616b32f50f9115c45c4387f88b8afd8434b4d6f25d"),
     (medium, "rr600x24", 0.2, "b6bb42f650c8c1d4c0fc41949fcf0c55c2cf2809537cc91d7d5a2cbfd853262e"),
     (medium, "rr600x24", 0.4, "b6bb42f650c8c1d4c0fc41949fcf0c55c2cf2809537cc91d7d5a2cbfd853262e"),
     (medium, "rr600x24", 0.45, "b6bb42f650c8c1d4c0fc41949fcf0c55c2cf2809537cc91d7d5a2cbfd853262e"),
@@ -88,6 +100,13 @@ def test_golden_certificate(build, name, eta, digest):
 def test_golden_paley401_reaches_the_nibble(eta):
     _, diag = dense(*host("paley401"), eta)
     assert not diag.degenerate_fallback and diag.t >= 1 and diag.reds_replaced_2path > 0
+
+
+@pytest.mark.parametrize("eta", [0.4, 0.45])
+def test_golden_paley401_greedy_makes_no_red_black_split(eta):
+    _, diag = dense_greedy(*host("paley401"), eta)
+    assert diag.t >= 1 and diag.reds_total is None and diag.reds_replaced_2path is None
+    assert diag.stuck == 0
 
 
 def test_golden_chained_adjuster():

@@ -15,7 +15,7 @@ from imforge.errors import (
     ParseError,
     SelfLoopError,
 )
-from imforge.generators import random_regular
+from imforge.generators import paley, random_regular
 from imforge.graphs import (
     Graph,
     build_graph,
@@ -126,6 +126,20 @@ def test_build_graph_takes_integers_of_any_width():
                   [(True, 0), (1, 2)], np.array([[0, 1], [2, 1]], dtype=np.uint8),
                   np.array([[1, 0], [1, 2]], dtype=np.int16)):
         assert build_graph(3, edges).edges() == expect
+
+
+def test_build_graph_reads_a_one_shot_generator_once():
+    # lists and tuples are read as given; any other iterable is materialised
+    # first, since the pair-length check and the parse each walk the input
+    g = paley(37)
+    edges = g.edges() + [(v, u) for u, v in g.edges()[::5]]
+    built = [build_graph(37, edges), build_graph(37, tuple(edges)),
+             build_graph(37, (e for e in edges)), build_graph(37, iter(edges))]
+    for other in built:
+        assert tuple(map(other.neighbors, range(37))) == tuple(map(g.neighbors, range(37)))
+        assert all(np.array_equal(a, b) for a, b in zip(other.csr(), g.csr()))
+    with pytest.raises(DomainError, match="every edge must be a pair"):
+        build_graph(4, (e for e in [(0, 1), (1, 2, 3)]))
 
 
 def reference_csr_build(n, edge_list):

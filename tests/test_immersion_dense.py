@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imforge.immersion_dense
 from imforge.certify import verify
-from imforge.errors import DegenerateTError, PreconditionFailedError
+from imforge.errors import DegenerateTError, DomainError, ImforgeError, PreconditionFailedError
 from imforge.generators import paley, random_regular
 from imforge.graphs import build_graph, normalize_edge
 from imforge.immersion_dense import (
+    GREEDY,
+    PAPER,
     build_dense_immersion,
     build_red_black,
     dense_partition,
@@ -190,6 +193,50 @@ def test_dense_pipeline_strict_needs_gap():
     r = adjacency_spectrum(g)
     with pytest.raises(PreconditionFailedError):
         build_dense_immersion(g, r, eta=0.45, mode="strict")
+
+
+def strict_outcome(g, r, eta, method):
+    """The error a strict run raises, as "type: message", or "ok" and the
+    order it reached."""
+    try:
+        cert, diag = build_dense_immersion(g, r, eta=eta, seed=3, mode="strict", method=method)
+    except ImforgeError as err:
+        return f"{type(err).__name__}: {err}"
+    assert verify(g, cert).valid
+    return f"ok: {diag.achieved_order}"
+
+
+@pytest.mark.parametrize("host, eta, gap, expect", [
+    (lambda: build_graph(101, paley(101).edges()[1:]), 0.45, False, "NotRegularError"),
+    (lambda: random_regular(200, 20, seed=4), 0.3, True, "degenerate cell size"),
+    (lambda: paley(401), 0.45, False, "need d >= K*lambda"),
+    (lambda: random_regular(200, 150, seed=3), 0.3, True, "need m2 >= chi"),
+    (lambda: paley(401), 0.45, True, "ok: 110"),
+], ids=["irregular", "degenerate-t", "gap", "m2-below-chi", "all-hold"])
+def test_both_methods_run_the_same_strict_checks(monkeypatch, host, eta, gap, expect):
+    # regularity, degenerate t, d >= K*lambda, m2 >= chi, in that order; no
+    # desk-scale host meets d >= K*lambda, so ``gap`` forces K = 0
+    if gap:
+        prerequisites = imforge.immersion_dense.regularity_prerequisites
+        monkeypatch.setattr(imforge.immersion_dense, "regularity_prerequisites",
+                            lambda c, eta: (*prerequisites(c, eta)[:2], 0.0))
+    g = host()
+    r = adjacency_spectrum(g)
+    greedy, paper = (strict_outcome(g, r, eta, m) for m in (GREEDY, PAPER))
+    assert greedy == paper and expect in greedy
+
+
+def test_unknown_method_is_a_domain_error():
+    g = paley(13)
+    with pytest.raises(DomainError, match="unknown method"):
+        build_dense_immersion(g, adjacency_spectrum(g), eta=0.3, method="nibble")
+
+
+def test_greedy_certificate_does_not_depend_on_the_seed():
+    g = paley(401)
+    r = adjacency_spectrum(g)
+    certs = {build_dense_immersion(g, r, eta=0.45, seed=seed)[0].to_json() for seed in (0, 7, 99)}
+    assert len(certs) == 1
 
 
 def test_dense_pipeline_degenerate_fallback():

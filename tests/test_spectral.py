@@ -110,6 +110,21 @@ def test_lanczos_stops_at_breakdown(monkeypatch, host, steps):
     assert sizes == [steps]
 
 
+def test_lanczos_checks_every_ten_steps_then_on_a_growing_schedule(monkeypatch):
+    # C5000 breaks down after 2500 steps: checks come every 10 steps through
+    # step 550, then step // 50 apart, so the run makes 134 checks, not 250
+    sizes = []
+    ritz_ends = spectral._ritz_ends
+    monkeypatch.setattr(spectral, "_ritz_ends",
+                        lambda alphas, betas: sizes.append(len(alphas)) or ritz_ends(alphas, betas))
+    r = adjacency_spectrum(cycle(5000))
+    assert sizes[:55] == list(range(10, 551, 10))
+    gaps = [b - a for a, b in zip(sizes, sizes[1:-1])]
+    assert gaps == [max(10, k // 50) for k in sizes[:-2]]
+    assert sizes[-1] == 2500 and len(sizes) == 134
+    assert abs(r.lam - 2.0) < 1e-4
+
+
 def test_lanczos_past_its_step_cap_is_not_converged(monkeypatch):
     # rr600x24 needs 80 steps; 0.05 steps per vertex allows 30
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
