@@ -9,6 +9,9 @@ An adjuster couples two expansion ends through a small center set that
 realizes connector paths of k+1 consecutive even-spaced lengths; chaining
 adjusters adds their flexibilities.  All constructions are best-effort and
 meant to be validated by the certifier.
+
+The length-4 bipartite gadget reads the host once, as its A×B
+``Graph.block``, and works on that matrix alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -336,12 +338,13 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     come from hub neighbors without too many low-codegree partners, and each
     pair is joined through a lightly-loaded middle vertex a by a path
     u - b_i - a - b_j - v of globally edge-disjoint steps, b_i and b_j in B.
-    The A x B incidence matrix ``mat`` is the one record of the host: all
-    codegrees come from one product ``mat @ mat.T``, every candidate's
-    bad-pair counts from one product of the low-codegree indicator with
-    the candidates' columns (both exact in float32, since every count is
-    below 2**24), and linking spends its edges.  The OpenBLAS workers of
-    the two products are released after the second.
+    The A x B incidence matrix ``mat``, ``g.block(A, B)`` in float32, is
+    the one record of the host: all codegrees come from one product
+    ``mat @ mat.T``, every candidate's bad-pair counts from one product of
+    the low-codegree indicator with the candidates' columns (both exact in
+    float32, since every count is below 2**24), and linking spends its
+    edges.  The OpenBLAS workers of the two products are released after
+    the second.
 
     Strict mode raises when p breaks the density bound, when the hub leaves
     fewer than p usable candidates, and on a pair it cannot link.
@@ -361,15 +364,7 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
     n1, n2 = len(a_list), len(b_list)
     if p < 0 or n1 == 0 or n2 == 0:
         raise PreconditionFailedError("need nonempty sides and p >= 0")
-    b_col = np.full(g.n, -1, dtype=np.int64)
-    b_col[b_ids] = np.arange(n2)
-    nbrs = [g.neighbors(u) for u in a_list]
-    sizes = np.fromiter(map(len, nbrs), dtype=np.int64, count=n1)
-    rows = np.repeat(np.arange(n1), sizes)
-    cols = b_col[np.fromiter(chain.from_iterable(nbrs), dtype=np.int64, count=int(sizes.sum()))]
-    in_b = cols >= 0
-    mat = np.zeros((n1, n2), dtype=np.float32)
-    mat[rows[in_b], cols[in_b]] = 1.0
+    mat = g.block(a_ids, b_ids, dtype=np.float32)
     alpha = float(mat.sum()) / (n1 * n2)
     if mode == STRICT:
         bound = k3_density_bound(alpha, n1, n2)

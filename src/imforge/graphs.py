@@ -6,14 +6,18 @@ threads.  ``build_graph`` makes every graph in one numpy pass: ascending
 neighbour tuples for the Python loops (BFS, packers), and the
 CSR pair ``(indptr, indices)`` for whole-graph queries (``neighbor_counts``,
 the spectral solver's sparse operator).  No object is kept per edge: the
-tuples share one int per vertex, ``has_edge`` bisects a tuple,
-``has_edges`` answers a batch from the tuple of each pair's lower-degree
-end, and ``edge_set()`` is an ``EdgeSet`` view over the tuples, so a
-resident host costs a garbage collection O(n), not O(m).  While it builds,
+tuples share one int per vertex, ``has_edge`` bisects a tuple, and
+``edge_set()`` is an ``EdgeSet`` view over the tuples, so a resident host
+costs a garbage collection O(n), not O(m).  While it builds,
 ``build_graph`` holds one int64 key per half-edge and one bool mask beyond
 what it returns: the keys are made, sorted and reduced to the CSR
 ``indices`` in place, and the tuples are made a bounded run of rows at a
 time.
+
+Rows are read in bulk only by ``Graph._rows``, from CSR slices when the
+CSR is built and from the tuples otherwise.  ``Graph.block`` cuts every
+dense 0/1 adjacency block from it, ``has_edges`` reads its rows there, and
+``csr()`` builds a missing CSR from it.
 
 A ``GraphView`` answers the same queries as the graph obtained by deleting
 a vertex set and an edge set, without copying the graph.  It keeps the
@@ -126,10 +130,10 @@ class Graph:
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Per k, whether (us[k], vs[k]) is an edge; ids outside 0..n-1,
-        negative ones included, are not.  Each pair is looked up in the
-        neighbour tuple of its end with the smaller degree (``us[k]`` on a
-        tie), and only those tuples are read, keyed as end rank * n +
-        neighbour in one sorted array; the CSR is never built."""
+        negative ones included, are not.  Each pair is looked up in the row
+        of its end with the smaller degree (``us[k]`` on a tie), and only
+        those rows are read (``_rows``), keyed as end rank * n + neighbour
+        in one sorted array; the CSR is never built."""
         n = self._n
         us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
         out = np.zeros(us.shape, dtype=bool)
@@ -141,17 +145,44 @@ class Graph:
         flip = deg[rank[k:]] < deg[rank[:k]]
         row = np.where(flip, rank[k:], rank[:k])
         other = np.where(flip, us[asked], vs[asked])
-        read = np.zeros(len(ends), dtype=bool)
-        read[row] = True
-        ranks = np.flatnonzero(read)
-        adj = [self._adj[e] for e in ends[ranks].tolist()]
-        keys = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg[ranks].sum()))
-        keys += np.repeat(ranks.astype(np.int64) * n, deg[ranks])
+        ranks = np.unique(row)
+        sizes, keys = self._rows(ends[ranks])
+        keys += np.repeat(ranks * n, sizes)
         want = row * n + other
         at = np.searchsorted(keys, want)
         found = at < len(keys)
         found[found] = keys[at[found]] == want[found]
         out[asked] = found
+        return out
+
+    def _rows(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row lengths and flat ascending neighbours (new arrays) of the
+        listed vertices, in order: CSR slices when the CSR is built, the
+        neighbour tuples otherwise, so the CSR is never built."""
+        if self._csr is not None:
+            indptr, indices = self._csr
+            starts = indptr[verts]
+            sizes = indptr[verts + 1] - starts
+            at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(int(sizes.sum()))
+            return sizes, indices[at]
+        rows = [self._adj[v] for v in verts.tolist()]
+        sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        return sizes, np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                                  count=int(sizes.sum()))
+
+    def block(self, rows: Iterable[int], cols: Iterable[int], dtype=bool) -> np.ndarray:
+        """Dense len(rows) × len(cols) adjacency between two lists of
+        distinct vertex ids: [i, j] is 1 where rows[i] and cols[j] are
+        adjacent and 0 elsewhere.  Only the rows are read (``_rows``), so
+        the CSR is never built.  Ids outside 0..n-1 raise OutOfRangeError."""
+        rows, cols = vertex_ids(self._n, rows), vertex_ids(self._n, cols)
+        col = np.full(self._n, -1, dtype=np.intp)
+        col[cols] = np.arange(len(cols))
+        sizes, nbr = self._rows(rows)
+        at = col[nbr]
+        hit = at >= 0
+        out = np.zeros((len(rows), len(cols)), dtype=dtype)
+        out[np.repeat(np.arange(len(rows)), sizes)[hit], at[hit]] = 1
         return out
 
     def edge_set(self) -> EdgeSet:
@@ -168,11 +199,8 @@ class Graph:
         """CSR pair (indptr, indices) of the adjacency (cached; intp): the
         neighbors of v are indices[indptr[v]:indptr[v + 1]], ascending."""
         if self._csr is None:
-            indptr = np.zeros(self._n + 1, dtype=np.intp)
-            np.cumsum([len(a) for a in self._adj], out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.intp,
-                                  count=int(indptr[-1]))
-            self._csr = (indptr, indices)
+            sizes, indices = self._rows(np.arange(self._n))
+            self._csr = (np.insert(np.cumsum(sizes), 0, 0), indices)
         return self._csr
 
     def neighbor_counts(self, vertices: Iterable[int]) -> np.ndarray:
@@ -187,10 +215,7 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (int8, made on each call)."""
-        indptr, indices = self.csr()
-        mat = np.zeros((self._n, self._n), dtype=np.int8)
-        mat[np.repeat(np.arange(self._n), np.diff(indptr)), indices] = 1
-        return mat
+        return self.block(range(self._n), range(self._n), dtype=np.int8)
 
     def complement(self) -> "Graph":
         return build_graph(self._n, np.argwhere(np.triu(self.adjacency_matrix() == 0, 1)))

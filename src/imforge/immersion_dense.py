@@ -12,15 +12,16 @@ measured, and wherever the nibble ran greedy took 16-57% of the time
 (README.md has the ablation).
 
 All path families (lengths 1, 2, 3) stay globally edge-disjoint.  The pairs
-inside F (the block of ids 0..f-1) come from one f×f boolean block cut from
-the CSR once per run: its edges are the length-1 paths, and its non-adjacent
-pairs are the holes to link; ``paper`` splits them into the red pairs of
-each part pair and the leftover bucket.  Every longer path leaves F, so its
-edges join F to W (the vertices outside F with a neighbour in F) or W to W.
-Those edges are kept in one boolean matrix, ``FreeEdges``, with a row per
-vertex of F ∪ W and a column per vertex of W: a cell is True while its host
-edge is on no path.  The red-edge replacement reads a whole batch's black
-edges from it in one gather, and the linker reads its rows.
+inside F (the block of ids 0..f-1) come from one f×f boolean block of the
+host, ``Graph.block``, cut once per run: its edges are the length-1 paths,
+and its non-adjacent pairs are the holes to link; ``paper`` splits them
+into the red pairs of each part pair and the leftover bucket.  Every longer
+path leaves F, so its edges join F to W (the vertices outside F with a
+neighbour in F) or W to W.  Those edges are kept in one boolean matrix,
+``FreeEdges``, the host's (F ∪ W) × W block: a row per vertex of F ∪ W, a
+column per vertex of W, and a cell that is True while its host edge is on
+no path.  The red-edge replacement reads a whole batch's black edges from
+it in one gather, and the linker reads its rows.
 """
 
 from __future__ import annotations
@@ -100,26 +101,11 @@ class RedBlackGraph:
         return sum(len(v) for v in self.red.values())
 
 
-def _csr_rows(g: Graph, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbours of the listed vertices, flat, as (position k in
-    ``verts``, neighbour) arrays, row by row in ascending neighbour order."""
-    indptr, indices = g.csr()
-    starts = indptr[verts]
-    sizes = indptr[verts + 1] - starts
-    at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(int(sizes.sum()))
-    return np.repeat(np.arange(len(verts)), sizes), indices[at]
-
-
 def f_pairs(g: Graph, f_verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjacent and the non-adjacent pairs inside F, as (k, 2) arrays of
-    positions i < j in ``f_verts``, row-major, from one |F|×|F| boolean
-    adjacency block cut from the graph's CSR."""
-    pos = np.full(g.n, -1, dtype=np.intp)
-    pos[f_verts] = np.arange(len(f_verts))
-    k, nbr = _csr_rows(g, f_verts)
-    hit = pos[nbr] >= 0
-    block = np.zeros((len(f_verts), len(f_verts)), dtype=bool)
-    block[k[hit], pos[nbr[hit]]] = True
+    positions i < j in ``f_verts``, row-major, from the |F|×|F| block
+    ``g.block(f_verts, f_verts)``."""
+    block = g.block(f_verts, f_verts)
     return np.argwhere(np.triu(block, 1)), np.argwhere(np.triu(~block, 1))
 
 
@@ -141,22 +127,17 @@ class FreeEdges:
 
     @classmethod
     def of(cls, g: Graph, f_verts: np.ndarray) -> "FreeEdges":
-        """Every host edge from F to W and inside W, free, from one pass
-        over the CSR rows of F ∪ W."""
-        outside = np.ones(g.n, dtype=bool)
-        outside[f_verts] = False
-        near = np.zeros(g.n, dtype=bool)
-        near[_csr_rows(g, f_verts)[1]] = True
-        w = np.flatnonzero(near & outside)
+        """Every host edge from F to W and inside W, free, from the
+        (F ∪ W) × W block of the host."""
+        near = g.neighbor_counts(f_verts) > 0
+        near[f_verts] = False
+        w = np.flatnonzero(near)
         rows = np.concatenate([f_verts, w]).astype(np.intp)
         row = np.full(g.n, -1, dtype=np.intp)
         row[rows] = np.arange(len(rows))
         col = np.full(g.n, -1, dtype=np.intp)
         col[w] = np.arange(len(w))
-        k, nbr = _csr_rows(g, rows)
-        hit = col[nbr] >= 0
-        matrix = np.zeros((len(rows) + 1, len(w) + 1), dtype=bool)
-        matrix[k[hit], col[nbr[hit]]] = True
+        matrix = np.pad(g.block(rows, w), ((0, 1), (0, 1)))
         return cls(matrix=matrix, row=row, col=col, w=w)
 
 
@@ -309,7 +290,8 @@ def greedy_three_paths(pairs: Sequence[Edge], free: FreeEdges,
 @dataclass
 class DenseDiagnostics:
     """Run counts; ``reds_total`` and ``reds_replaced_2path`` are None under
-    ``greedy``, which makes no red/black split."""
+    ``greedy``, which makes no red/black split, and 0 under ``paper`` when F
+    has fewer than two parts, and so no cross-part (red) pair."""
 
     t: int
     m1: int
@@ -374,14 +356,14 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
         if scheme.m2 < chi:
             raise PreconditionFailedError(f"need m2 >= chi, got m2={scheme.m2}, chi={chi}")
 
-    f = scheme.f if scheme is not None else math.floor((1 - eta) * report.d)
+    f = math.floor((1 - eta) * report.d)
     f_list = list(range(f))
     # F is the block 0..f-1, so its positions are its vertex ids
     inside, holes = f_pairs(g, np.arange(f))
     paths: dict[Edge, list[int]] = {e: list(e) for e in map(tuple, inside.tolist())}
     free = FreeEdges.of(g, np.arange(f))
 
-    reds_total = None
+    reds_total = 0 if method == PAPER else None
     two_paths: dict[Edge, list[int]] = {}
     if method == PAPER and split:
         rb = build_red_black(scheme, holes)
@@ -390,8 +372,6 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
         reds_total = rb.red_total
     else:
         leftovers = list(map(tuple, holes.tolist()))
-        if method == PAPER:
-            reds_total = len(leftovers) if scheme is not None else 0
     paths.update(two_paths)
 
     three_paths, stuck = greedy_three_paths(leftovers, free)

@@ -202,7 +202,7 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
             raise IncompleteEmbeddingError(f"unconnected pairs: {missing[:5]}")
         chosen = centers
     else:
-        chosen = peel_to_complete(centers, set(by_centers)) or centers[:1]
+        chosen = peel_to_complete(centers, set(by_centers))
 
     cert = EmbeddingCertificate.from_paths(IMMERSION, chosen,
                                            lambda a, b: by_centers[(a, b)])

@@ -1,22 +1,21 @@
 """Spectral certification of a host graph: one eigensolve and its report.
 
-``adjacency_spectrum`` returns a ``SpectralReport``: degree, regularity,
-the full descending spectrum (dense solver) or only its certifying ends
-(one iterative Lanczos run), and the second-eigenvalue parameter
-``lambda = max(|lambda_2|, |lambda_n|)``.  The dense solve holds one
-float64 n x n matrix (8n^2 bytes), filled from ``Graph.csr()`` and
-overwritten by LAPACK; it makes no int8 matrix and no copy.  Above
+``adjacency_spectrum`` returns a ``SpectralReport``: degree, regularity, the
+full descending spectrum (dense solver) or only its certifying ends (one
+iterative Lanczos run), and the second-eigenvalue parameter
+``lambda = max(|lambda_2|, |lambda_n|)``.  The dense solve holds one float64
+n x n matrix (8n^2 bytes), the ``Graph.block`` of all vertices against all
+vertices, overwritten by LAPACK; it makes no int8 matrix and no copy.  Above
 ``DENSE_CUTOFF`` a regular host gets lambda_2 and lambda_n from one
 three-term Lanczos recurrence kept orthogonal to the all-ones vector, its
 top eigenvector: no restarts, no reorthogonalization, and no dot product
-through BLAS, so it runs on one thread.  An irregular host, whose top eigenvector is not
-the all-ones vector, goes to ARPACK instead.  LAPACK's tridiagonal
-reduction and ARPACK's ``dgemv`` run multi-threaded OpenBLAS; its idle
-workers are released (``blas.release``) right after the solve, so none
-spins on after it returns.  The pipelines read ``d`` and ``lambda`` for
-their strict-mode hypotheses and their parameters, and refuse an
-irregular host in strict mode; the ``spectral`` command prints the
-report.
+through BLAS, so it runs on one thread.  An irregular host, whose top
+eigenvector is not the all-ones vector, goes to ARPACK instead.  LAPACK's
+tridiagonal reduction and ARPACK's ``dgemv`` run multi-threaded OpenBLAS;
+its idle workers are released (``blas.release``) right after the solve, so
+none spins on after it returns.  The pipelines read ``d`` and ``lambda`` for
+their strict-mode hypotheses and their parameters, and refuse an irregular
+host in strict mode; the ``spectral`` command prints the report.
 """
 from __future__ import annotations
 
@@ -157,19 +156,18 @@ def adjacency_spectrum(g: Graph) -> SpectralReport:
     n = g.n
     if n == 0:
         raise NotRegularError("empty graph has no spectrum")
-    degrees = g.degrees()
-    is_regular = all(x == degrees[0] for x in degrees)
-    d = degrees[0] if is_regular else int(round(2 * g.m / n))
+    # the degrees build the CSR, so the dense block below reads CSR slices
+    degrees = np.diff(g.csr()[0])
+    is_regular = bool((degrees == degrees[0]).all())
+    d = int(degrees[0]) if is_regular else int(round(2 * g.m / n))
     dense = n <= DENSE_CUTOFF
     tol = DENSE_TOL if dense else ITERATIVE_TOL
     spectrum = None
     if dense:
-        # one n x n float64 buffer, filled from the CSR pair; its transpose
-        # is the same symmetric matrix in Fortran order, so LAPACK works in
-        # it in place, and 0/1 entries need no finiteness scan
-        indptr, indices = g.csr()
-        a = np.zeros((n, n))
-        a[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
+        # one n x n float64 buffer; its transpose is the same symmetric
+        # matrix in Fortran order, so LAPACK works in it in place, and 0/1
+        # entries need no finiteness scan
+        a = g.block(range(n), range(n), dtype=np.float64)
         spectrum = scipy.linalg.eigvalsh(a.T, overwrite_a=True, check_finite=False)[::-1].copy()
         # a single vertex has lambda_2 = lambda_1 = 0
         lambda2, lambdan = float(spectrum[min(1, n - 1)]), float(spectrum[-1])

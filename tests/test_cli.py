@@ -66,6 +66,19 @@ def test_immerse_dense_method_flag(tmp_path):
         assert greedy[col] == paper[col] != ""
 
 
+def test_immerse_dense_paper_with_one_part_reports_no_red_pair(tmp_path):
+    # Paley(401) at eta 0.95 has t = 9 but M1 = 1: one part of F has no
+    # cross-part (red) pair, so reds_total is 0, as with a degenerate t
+    cert, metrics = tmp_path / "c.json", tmp_path / "m.csv"
+    assert main(["immerse-dense", "--q", "401", "--eta", "0.95", "--method", "paper",
+                 "--seed", "7", "--out", str(cert), "--metrics", str(metrics)]) == 0
+    (row,) = csv.DictReader(metrics.open())
+    assert (row["t"], row["M1"], row["reds_total"], row["reds_replaced_2path"]) == (
+        "9", "1", "0", "0")
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
+        "72ae8c3026efd40aa69f1568f9f83c020de9ee9b93c5a1c27c1e91b583348ce1")
+
+
 def test_immerse_dense_rejects_an_unknown_method():
     with pytest.raises(SystemExit) as exc:
         main(["immerse-dense", "--q", "13", "--eta", "0.3", "--method", "nibble"])

@@ -296,6 +296,35 @@ def test_has_edges_never_builds_the_csr(monkeypatch):
     assert shell._csr is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_probes(), st.data())
+def test_block_agrees_with_has_edge_with_or_without_a_csr(case, data):
+    n, pairs, _ = case
+    g = build_graph(n, pairs)
+    # shuffled, non-contiguous id lists, as the pipelines pass them
+    ids = st.lists(st.integers(min_value=0, max_value=n - 1), unique=True) if n else st.just([])
+    rows, cols = data.draw(ids), np.array(data.draw(ids), dtype=np.intp)
+    dtype = np.dtype(data.draw(st.sampled_from([bool, np.int8, np.float32, np.float64])))
+    expect = np.array([[g.has_edge(u, v) for v in cols.tolist()] for u in rows],
+                      dtype=dtype).reshape(len(rows), len(cols))
+    # a bare Graph with no CSR, as the benchmark hands its hosts out
+    shell = Graph(n, tuple(map(g.neighbors, range(n))), g.edge_set())
+    for host in (g, shell):
+        got = host.block(rows, cols, dtype=dtype)
+        assert got.dtype == dtype and np.array_equal(got, expect)
+    us = np.array(rows, dtype=np.int64)
+    assert shell.has_edges(us, us[::-1]).tolist() == [g.has_edge(u, v)
+                                                      for u, v in zip(rows, rows[::-1])]
+    assert shell._csr is None
+
+
+def test_block_rejects_ids_outside_the_graph():
+    g = petersen()
+    for rows, cols in (([0, 10], [1]), ([0], [-1]), ([3], [2, 10]), (np.array([-2]), [])):
+        with pytest.raises(OutOfRangeError):
+            g.block(rows, cols)
+
+
 def spied(g):
     """A shell of g whose neighbour tuples record, in a list, each vertex
     whose tuple is iterated; lengths are read without a record."""
