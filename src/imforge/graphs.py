@@ -16,8 +16,10 @@ time.
 
 Rows are read in bulk only by ``Graph._rows``, from CSR slices when the
 CSR is built and from the tuples otherwise.  ``Graph.block`` cuts every
-dense 0/1 adjacency block from it, ``has_edges`` reads its rows there, and
-``csr()`` builds a missing CSR from it.
+dense 0/1 adjacency block from it, as one flat row-major scatter that is
+masked only when some neighbour has no column (a repeated column id
+raises); ``has_edges`` reads its rows there, and ``csr()`` builds a
+missing CSR from it.
 
 A ``GraphView`` answers the same queries as the graph obtained by deleting
 a vertex set and an edge set, without copying the graph.  It keeps the
@@ -172,18 +174,25 @@ class Graph:
 
     def block(self, rows: Iterable[int], cols: Iterable[int], dtype=bool) -> np.ndarray:
         """Dense len(rows) × len(cols) adjacency between two lists of
-        distinct vertex ids: [i, j] is 1 where rows[i] and cols[j] are
+        vertex ids, C-contiguous: [i, j] is 1 where rows[i] and cols[j] are
         adjacent and 0 elsewhere.  Only the rows are read (``_rows``), so
-        the CSR is never built.  Ids outside 0..n-1 raise OutOfRangeError."""
+        the CSR is never built, and they are written as one flat row-major
+        scatter, masked only when some neighbour has no column.  Ids outside
+        0..n-1 raise OutOfRangeError; a repeated id in ``cols`` raises
+        DomainError, while a repeated row is just read again."""
         rows, cols = vertex_ids(self._n, rows), vertex_ids(self._n, cols)
+        k = len(cols)
         col = np.full(self._n, -1, dtype=np.intp)
-        col[cols] = np.arange(len(cols))
+        col[cols] = pos = np.arange(k)
+        if (col[cols] != pos).any():
+            raise DomainError("repeated vertex id in cols")
         sizes, nbr = self._rows(rows)
         at = col[nbr]
         hit = at >= 0
-        out = np.zeros((len(rows), len(cols)), dtype=dtype)
-        out[np.repeat(np.arange(len(rows)), sizes)[hit], at[hit]] = 1
-        return out
+        at += np.repeat(np.arange(len(rows)) * k, sizes)
+        out = np.zeros(len(rows) * k, dtype=dtype)
+        out[at if hit.all() else at[hit]] = 1
+        return out.reshape(len(rows), k)
 
     def edge_set(self) -> EdgeSet:
         return self._edges
@@ -191,9 +200,6 @@ class Graph:
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return list(self._edges)
-
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self._adj]
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR pair (indptr, indices) of the adjacency (cached; intp): the

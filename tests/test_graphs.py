@@ -31,7 +31,7 @@ from helpers import complete, complete_bipartite, cycle, petersen
 
 def test_build_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert g.degrees() == [2, 2, 2]
+    assert [g.degree(v) for v in range(g.n)] == [2, 2, 2]
     assert g.m == 3
 
 
@@ -312,6 +312,8 @@ def test_block_agrees_with_has_edge_with_or_without_a_csr(case, data):
     for host in (g, shell):
         got = host.block(rows, cols, dtype=dtype)
         assert got.dtype == dtype and np.array_equal(got, expect)
+        # spectral hands the transpose to LAPACK with overwrite_a: no copy
+        assert got.flags.c_contiguous
     us = np.array(rows, dtype=np.int64)
     assert shell.has_edges(us, us[::-1]).tolist() == [g.has_edge(u, v)
                                                       for u, v in zip(rows, rows[::-1])]
@@ -323,6 +325,42 @@ def test_block_rejects_ids_outside_the_graph():
     for rows, cols in (([0, 10], [1]), ([0], [-1]), ([3], [2, 10]), (np.array([-2]), [])):
         with pytest.raises(OutOfRangeError):
             g.block(rows, cols)
+
+
+def test_block_rejects_a_repeated_column_and_repeats_a_repeated_row():
+    g = paley(13)
+    assert g.has_edge(0, 1)
+    for cols in ([1, 1, 3], np.array([4, 0, 4])):
+        with pytest.raises(DomainError):
+            g.block([0], cols)
+    got = g.block([0, 2, 0], [1, 3, 5, 0])
+    assert np.array_equal(got[0], got[2])
+    assert got.tolist() == [[g.has_edge(u, v) for v in (1, 3, 5, 0)] for u in (0, 2, 0)]
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.float32, np.float64])
+def test_block_with_no_rows_or_no_columns(dtype):
+    g = petersen()
+    for rows, cols in (([], [0, 1, 2]), ([0, 4], []), ([], []), (range(10), [])):
+        got = g.block(rows, cols, dtype=dtype)
+        assert got.shape == (len(rows), len(cols)) and got.dtype == dtype
+        assert got.flags.c_contiguous
+    assert build_graph(0, []).block([], []).shape == (0, 0)
+
+
+def test_block_on_a_bipartite_host_with_all_or_no_neighbours_in_cols():
+    # the k3 shape: cols covers every neighbour of rows, so nothing is masked
+    g = complete_bipartite(5, 7)
+    a, b = [4, 0, 2, 1, 3], [11, 5, 8, 6, 10, 9, 7]
+    shell = Graph(g.n, tuple(map(g.neighbors, range(g.n))), g.edge_set())
+    for host in (g, shell):
+        full = host.block(a, b, dtype=np.float32)
+        assert full.flags.c_contiguous and full.tolist() == [[1.0] * 7] * 5
+        # no neighbour of a row has a column: every row is masked out
+        none = host.block(a, a[::-1], dtype=np.float64)
+        assert none.flags.c_contiguous and not none.any() and none.shape == (5, 5)
+    sparse = build_graph(12, [(u, v) for u in a for v in b if (u + v) % 3])
+    assert sparse.block(a, b).tolist() == [[(u + v) % 3 != 0 for v in b] for u in a]
 
 
 def spied(g):
@@ -402,7 +440,8 @@ def test_view_k4_minus_vertex_is_k3():
     assert view.edges() == [(0, 1), (0, 2), (1, 2)]
     assert view.degree(3) == 0
     assert view.neighbors(3) == []
-    assert view.materialize().degrees()[:3] == [2, 2, 2]
+    mat = view.materialize()
+    assert [mat.degree(v) for v in range(3)] == [2, 2, 2]
 
 
 def test_view_k3_minus_edge():
@@ -514,7 +553,7 @@ def test_view_handshake(g, salt):
     view = view_minus(g, verts, edges)
     assert sum(view.degree(v) for v in range(g.n)) == 2 * len(view.edges())
     mat = view.materialize()
-    assert mat.degrees() == [view.degree(v) for v in range(g.n)]
+    assert [mat.degree(v) for v in range(g.n)] == [view.degree(v) for v in range(g.n)]
 
 
 def test_edge_list_round_trip():
