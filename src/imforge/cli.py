@@ -34,7 +34,7 @@ from .immersion_medium import build_medium_immersion
 from .nibble import edge_disjoint_triangles
 from .spectral import SpectralReport, adjacency_spectrum
 from .subdivision import VARIANT_FIXED, VARIANT_POWER, build_balanced_subdivision
-from .util import BEST_EFFORT, STRICT, derive_seed, np_rng, read_ascii
+from .util import BEST_EFFORT, STRICT, derive_seed, read_ascii, uniforms
 
 CSV_COLUMNS = ["command", "run_id", "n", "d", "lambda", "eta", "t", "M1", "M2",
                "reds_total", "reds_replaced_2path", "pairs_3path", "stuck",
@@ -224,7 +224,7 @@ def cmd_k3_bipartite(args) -> int:
     if not 0 <= args.density <= 1:
         raise ImforgeError(f"need 0 <= density <= 1, got --density {args.density}")
     # random() < 1 everywhere, so density 1 gives the complete bipartite host
-    mask = np_rng(args.seed, "k3-bipartite-host").random((n1, n2)) < args.density
+    mask = uniforms(args.seed, "k3-bipartite-host", (n1, n2)) < args.density
     g = build_graph(n1 + n2, np.argwhere(mask) + (0, n1))
     a_side, b_side = list(range(n1)), list(range(n1, n1 + n2))
     p = args.p

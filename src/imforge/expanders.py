@@ -37,9 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError, NoPathError, UnitFailedError
 from .graphs import Edge, Graph, GraphView, normalize_edge
-from .util import stream_rng
+from .util import derive_seed, raw_order
 
 # centers a unit tries by rank before the few seeded extras
 CENTER_TRIALS = 8
@@ -289,11 +291,9 @@ def build_unit(view: GraphView, h1: int, h2: int, h3: int, seed: int = 0) -> Uni
     (h1, h2).
     """
     ranked = sorted(view.active_vertices(), key=lambda v: (-view.degree(v), v))
-    candidates = ranked[:CENTER_TRIALS]
-    extra_pool = ranked[CENTER_TRIALS:]
-    if extra_pool:
-        rng = stream_rng(seed, "build-unit-centers")
-        candidates += rng.sample(extra_pool, min(4, len(extra_pool)))
+    extra = ranked[CENTER_TRIALS:]
+    bits = np.random.PCG64(derive_seed(seed, "build-unit-centers"))
+    candidates = ranked[:CENTER_TRIALS] + [extra[i] for i in raw_order(len(extra), bits)[:4]]
     n_stars = h1 + max(1, h1 // 4)
     stage_rank = {"stars": 0, "connect": 1, "prune": 2}
     worst_stage = "stars"

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .expanders import bfs_parent, bfs_tree, short_avoiding_path
 from .graphs import Graph, normalize_edge, vertex_ids, view_minus
-from .util import BEST_EFFORT, STRICT, np_rng, peel_to_complete
+from .util import BEST_EFFORT, STRICT, derive_seed, peel_to_complete, raw_order
 
 
 def _parity_distances(view, target: int, banned_edge) -> dict[tuple[int, int], int]:
@@ -374,11 +374,9 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         branch = a_list[:p]
         return EmbeddingCertificate(kind=IMMERSION, branch=branch, pairs={}, ell=3)
 
-    rng = np_rng(seed, "k3-hub")
-    if n2 <= 64:
-        candidates = list(range(n2))
-    else:
-        candidates = sorted(rng.choice(n2, size=64, replace=False).tolist())
+    # hub candidates: the first 64 columns in raw-word order (all when n2 <= 64)
+    bits = np.random.PCG64(derive_seed(seed, "k3-hub"))
+    candidates = sorted(raw_order(n2, bits)[:64].tolist())
     codeg = mat @ mat.T
 
     # score each candidate hub column j by its A-rows x and the pairs y

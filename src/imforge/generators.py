@@ -5,11 +5,11 @@ loop (collided stubs go back into the pot and are reshuffled); for degrees
 above n/2 the complement is generated instead.  Everything is a pure
 function of its arguments and the seed.
 
-Each round orders its k stubs by k raw 64-bit words of one PCG64 stream,
-seeded by ``derive_seed(seed, "random-regular:n:d")``, with ties broken by
-position.  NumPy keeps the raw stream of a bit generator stable across
-releases (NEP 19), so the hosts depend on that stream and on nothing in
-``Generator`` or CPython's ``random``.
+Each round orders its k stubs by k raw 64-bit words of one PCG64 stream
+(``util.raw_order``), seeded by ``derive_seed(seed, "random-regular:n:d")``,
+with ties broken by position.  NumPy keeps a bit generator's raw stream
+stable across releases (NEP 19), so the hosts depend on that stream and on
+nothing in ``Generator`` or CPython's ``random``.
 """
 
 from __future__ import annotations
@@ -20,25 +20,14 @@ import numpy as np
 
 from .errors import BadModulusError, GenerationFailedError, ParityError
 from .graphs import Graph, build_graph, format_edge_list, parse_edge_list
-from .util import derive_seed, read_ascii
-
-
-def _round_order(k: int, bits: np.random.PCG64) -> np.ndarray:
-    """Positions 0..k-1 sorted by the next k raw words of ``bits``, ties to
-    the lower position: each word's low k.bit_length() bits are replaced by
-    its position, so the keys are distinct and any sort gives one order."""
-    low = np.uint64((1 << k.bit_length()) - 1)
-    keys = bits.random_raw(k) & ~low
-    keys |= np.arange(k, dtype=np.uint64)
-    keys.sort()
-    return keys & low
+from .util import derive_seed, raw_order, read_ascii
 
 
 def _pairing_attempt(n: int, d: int, bits: np.random.PCG64) -> np.ndarray | None:
     """One pairing-model attempt: the edges as an (m, 2) array, or None
     when stuck.
 
-    Each round puts the stubs in ``_round_order`` and pairs them off.  A pair,
+    Each round puts the stubs in ``raw_order`` and pairs them off.  A pair,
     ordered (min, max), is placed unless it is a loop, an edge already
     placed, or a repeat of an earlier pair of the round; the rejected pairs
     are the next round's stubs, in order.
@@ -48,7 +37,7 @@ def _pairing_attempt(n: int, d: int, bits: np.random.PCG64) -> np.ndarray | None
     dtype = np.int32 if n * d < 2**31 else np.int64
     stubs = np.tile(np.arange(n, dtype=dtype), d)
     while len(stubs):
-        pairs = stubs[_round_order(len(stubs), bits)].reshape(-1, 2)
+        pairs = stubs[raw_order(len(stubs), bits)].reshape(-1, 2)
         pairs.sort(axis=1)
         keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
         # each key's first occurrence: the least index in its run of the sort

@@ -239,9 +239,22 @@ class Graph:
 
 
 def vertex_ids(n: int, vertices: Iterable[int]) -> np.ndarray:
-    """Vertex ids as an intp array; OutOfRangeError for any outside 0..n-1."""
-    ids = (vertices.astype(np.intp, copy=False) if isinstance(vertices, np.ndarray)
-           else np.fromiter(vertices, dtype=np.intp))
+    """Vertex ids as an intp array; DomainError for a float or bool id (an
+    array's dtype, or an element), OutOfRangeError for any outside 0..n-1."""
+    if isinstance(vertices, np.ndarray):
+        if vertices.dtype.kind not in "iu":
+            raise DomainError(f"vertex ids must be integers, not {vertices.dtype}")
+        ids = vertices.astype(np.intp, copy=False)
+    elif isinstance(vertices, range):
+        ids = np.arange(vertices.start, vertices.stop, vertices.step, dtype=np.intp)
+    else:
+        if not isinstance(vertices, (list, tuple)):
+            vertices = list(vertices)  # a one-shot iterable is read twice below
+        # one pass over the element types: ints and numpy ints, never bools
+        if any(not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)
+               for kind in set(map(type, vertices))):
+            raise DomainError("vertex ids must be integers")
+        ids = np.fromiter(vertices, dtype=np.intp, count=len(vertices))
     if ids.size and not (ids.min() >= 0 and ids.max() < n):
         raise OutOfRangeError(f"vertex id outside 0..{n - 1}")
     return ids
@@ -267,7 +280,11 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     else:
         if not isinstance(edge_list, (list, tuple)):
             edge_list = list(edge_list)  # a one-shot iterable is read twice below
-        if set(map(len, edge_list)) - {2}:
+        try:
+            lengths = set(map(len, edge_list))
+        except TypeError:  # an edge that is not a sequence
+            lengths = {None}
+        if lengths - {2}:
             raise DomainError("every edge must be a pair")
         try:
             pairs = np.fromiter(map(index, chain.from_iterable(edge_list)), dtype=np.int64,

@@ -41,8 +41,8 @@ from .errors import (
 )
 from .graphs import Edge, Graph, build_graph
 from .nibble import edge_disjoint_triangles
-from .spectral import SpectralReport
-from .util import BEST_EFFORT, STRICT, check_eta, check_regular, derive_seed, peel_to_complete
+from .spectral import SpectralReport, check_regular
+from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, peel_to_complete
 
 GREEDY = "greedy"  # every non-adjacent pair of F to the greedy linker
 PAPER = "paper"  # red pairs through the nibble matcher first, then greedy

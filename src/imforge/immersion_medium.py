@@ -25,8 +25,8 @@ from .errors import (
 )
 from .expanders import Unit, collect_units, mix_length_m, short_avoiding_path
 from .graphs import Edge, Graph, GraphView, normalize_edge
-from .spectral import SpectralReport
-from .util import BEST_EFFORT, STRICT, check_eta, check_regular, peel_to_complete
+from .spectral import SpectralReport, check_regular
+from .util import BEST_EFFORT, STRICT, check_eta, peel_to_complete
 
 
 @dataclass

@@ -213,11 +213,11 @@ def near_perfect_matching(h: Hypergraph3, seed: Union[int, Sequence[int]] = 0) -
     Group g's k-th draw is output k of SplitMix64 seeded with
     ``derive_seed(seed_g, "nibble")`` (see ``_splitmix64``); in each round
     the group's surviving triples take its next unread draws in row order,
-    so its draws do not depend on the other groups.  The matcher does not
-    use ``np_rng`` Generators because thousands of streams have to be read
-    as one vector per round.  ``rounds`` and ``greedy_size`` are the largest
-    round count and the total greedy size; the per-group values are in
-    ``group_rounds`` and ``group_greedy_size``.
+    so its draws do not depend on the other groups.  The matcher reads this
+    counter, not one PCG64 stream per group, because thousands of streams
+    have to be read as one vector per round.  ``rounds`` and
+    ``greedy_size`` are the largest round count and the total greedy size;
+    the per-group values are in ``group_rounds`` and ``group_greedy_size``.
     """
     t = h.triples
     n_v = h.n_vertices

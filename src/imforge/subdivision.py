@@ -35,9 +35,8 @@ from .errors import (
 )
 from .expanders import Star, bfs_tree, pack_stars, path_to
 from .graphs import Graph, GraphView, vertex_ids
-from .spectral import SpectralReport
-from .util import (BEST_EFFORT, STRICT, check_eta, check_regular, derive_seed, np_rng,
-                   peel_to_complete)
+from .spectral import SpectralReport, check_regular
+from .util import BEST_EFFORT, STRICT, check_eta, derive_seed, peel_to_complete, uniforms
 
 VARIANT_FIXED = "d0-3"
 VARIANT_POWER = "d0-power"
@@ -57,13 +56,12 @@ def pack_disjoint_stars(g: Graph, report: SpectralReport, eta: float,
 
 def draw_reservoir(g: Graph, centers: Iterable[int], eta: float, seed: int) -> np.ndarray:
     """One Bernoulli(1 - eta/4) draw over the non-center vertices, in
-    ascending id order, as a vertex mask."""
+    ascending id order, by ``uniforms(seed, "reservoir", ...)``, as a vertex mask."""
     blocked = np.zeros(g.n, dtype=bool)
     blocked[vertex_ids(g.n, centers)] = True
     pool = np.flatnonzero(~blocked)
-    rng = np_rng(seed, "reservoir")
     sample = np.zeros(g.n, dtype=bool)
-    sample[pool[rng.random(len(pool)) < (1 - eta / 4)]] = True
+    sample[pool[uniforms(seed, "reservoir", len(pool)) < (1 - eta / 4)]] = True
     return sample
 
 

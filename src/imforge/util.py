@@ -1,23 +1,23 @@
-"""Seed derivation and shared RNG plumbing, plus the pipeline modes, the
-eta domain check, strict mode's regularity check, the branch-set peel, and
-the ASCII file reader shared by the loaders.
+"""Seed derivation and the raw-word draws, plus the pipeline modes, the
+eta domain check, the branch-set peel, and the ASCII file reader shared by
+the loaders.
 
 A single 64-bit root seed reproduces a whole run: every stochastic stage
 derives its own stream seed by hashing the root together with a fixed label,
 so adding a stage never perturbs the streams of existing ones.
+Every certificate draw reads raw PCG64 words (``raw_order``, ``uniforms``),
+which NumPy keeps stable across releases (NEP 19), or the nibble's
+SplitMix64 counter; none calls a ``Generator`` method or CPython ``random``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-
 import os
 
 import numpy as np
 
-from .errors import DomainError, NotRegularError, ParseError
-from .spectral import SpectralReport
+from .errors import DomainError, ParseError
 
 MASK64 = (1 << 64) - 1
 
@@ -33,25 +33,32 @@ def check_eta(eta: float) -> None:
         raise DomainError(f"need 0 < eta < 1, got eta={eta}")
 
 
-def check_regular(report: SpectralReport, mode: str) -> None:
-    """Strict mode's first hypothesis: every pipeline's host is regular."""
-    if mode == STRICT and not report.is_regular:
-        raise NotRegularError(f"strict mode needs a regular host; the degrees of "
-                              f"this n={report.n} host differ")
-
-
 def derive_seed(root: int, label: str) -> int:
     """Derive a 64-bit stream seed from a root seed and a label."""
     digest = hashlib.sha256(f"{root & MASK64}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def stream_rng(root: int, label: str) -> random.Random:
-    return random.Random(derive_seed(root, label))
-
-
 def np_rng(root: int, label: str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root, label))
+
+
+def raw_order(k: int, bits: np.random.PCG64) -> np.ndarray:
+    """Positions 0..k-1 sorted by the next k raw words of ``bits``, ties to
+    the lower position: each word's low k.bit_length() bits are replaced by
+    its position, so the keys are distinct and any sort gives one order."""
+    low = np.uint64((1 << k.bit_length()) - 1)
+    keys = bits.random_raw(k) & ~low
+    keys |= np.arange(k, dtype=np.uint64)
+    keys.sort()
+    return keys & low
+
+
+def uniforms(root: int, label: str, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Doubles in [0, 1), each the top 53 bits of one raw PCG64 word times
+    2^-53: the values ``np_rng(root, label)`` gives for ``random(shape)``."""
+    words = np.random.PCG64(derive_seed(root, label)).random_raw(shape)
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def read_ascii(path: str | os.PathLike) -> str:

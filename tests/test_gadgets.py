@@ -3,6 +3,7 @@ import pytest
 from imforge.certify import verify, verify_adjuster
 from imforge.errors import (
     BadSizeError,
+    DomainError,
     ExpansionFailedError,
     NoConnectionError,
     NoEvenCycleError,
@@ -242,6 +243,16 @@ def test_k3_immersion_strict_precondition():
 def test_k3_immersion_rejects_ids_outside_the_host(a_side, b_side):
     g = complete_bipartite(8, 64)
     with pytest.raises(OutOfRangeError):
+        bipartite_k3_immersion(g, a_side, b_side, p=2, seed=0)
+
+
+@pytest.mark.parametrize("a_side, b_side", [
+    ([0.0, 1.0, 2.0], range(8, 72)),       # float A ids
+    (range(8), [True, *range(9, 72)]),     # a bool B id
+])
+def test_k3_immersion_rejects_ids_that_are_not_integers(a_side, b_side):
+    g = complete_bipartite(8, 64)
+    with pytest.raises(DomainError):
         bipartite_k3_immersion(g, a_side, b_side, p=2, seed=0)
 
 

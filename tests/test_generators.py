@@ -11,7 +11,7 @@ from imforge.errors import BadModulusError, ParityError, ParseError
 from imforge.generators import load_graph, paley, random_regular, save_graph
 from imforge.graphs import format_edge_list
 from imforge.spectral import adjacency_spectrum
-from imforge.util import derive_seed
+from imforge.util import derive_seed, np_rng, raw_order, uniforms
 
 from helpers import complete, cycle
 
@@ -133,8 +133,19 @@ class FixedWords:
 def test_round_order_breaks_ties_by_position():
     # k = 4 drops the low 3 bits: words 0, 1 and 3 tie, so they keep their order
     top = 1 << 63
-    order = generators._round_order(4, FixedWords([top | 7, top | 1, 5, top]))
+    order = raw_order(4, FixedWords([top | 7, top | 1, 5, top]))
     assert order.tolist() == [2, 0, 1, 3]
+
+
+# seeds on both sides of 2**63, and the shapes of a reservoir and a k3 host
+@pytest.mark.parametrize("root", [0, 21, 2 ** 63 - 1, 2 ** 63 + 12345])
+@pytest.mark.parametrize("shape", [1, 300, (7, 130)])
+def test_uniforms_are_the_top_53_bits_of_raw_words(root, shape):
+    got = uniforms(root, "reservoir", shape)
+    words = np.random.PCG64(derive_seed(root, "reservoir")).random_raw(shape)
+    assert got.ravel().tolist() == [(w >> 11) * 2 ** -53 for w in words.ravel().tolist()]
+    # the same bits as the Generator method the draws replaced
+    assert np.array_equal(got, np_rng(root, "reservoir").random(shape))
 
 
 @pytest.mark.parametrize("n, d, seed, limit_mib", [(20000, 16, 8, 15.6), (5000, 60, 11, 14.1)])

@@ -103,6 +103,12 @@ def test_build_graph_rejects_non_pairs():
         build_graph(4, [(0, 1), (2 ** 70, 1)])
 
 
+@pytest.mark.parametrize("edges", [[1, 2], [(0, 1), 5]], ids=["ints", "one-int"])
+def test_build_graph_rejects_an_edge_that_is_not_a_sequence(edges):
+    with pytest.raises(DomainError, match="every edge must be a pair"):
+        build_graph(3, edges)
+
+
 @pytest.mark.parametrize("edges", [
     [(0.7, 1.2)],
     [(0, 1), (1, 2.0)],
@@ -325,6 +331,34 @@ def test_block_rejects_ids_outside_the_graph():
     for rows, cols in (([0, 10], [1]), ([0], [-1]), ([3], [2, 10]), (np.array([-2]), [])):
         with pytest.raises(OutOfRangeError):
             g.block(rows, cols)
+
+
+# truncating 0.5 would read vertex 0, and a bool mask would read ids 0 and 1
+@pytest.mark.parametrize("ids", [
+    [0.5],
+    [1, 2.0],
+    [np.float64(1)],
+    [True, 2],
+    np.array([0.5, 2.0]),
+    np.array([True, False, True]),
+], ids=["float", "one-float", "numpy-float", "bool", "float-array", "bool-array"])
+@pytest.mark.parametrize("query", [
+    lambda g, ids: g.block(ids, [1, 2, 3]),
+    lambda g, ids: g.block([1, 2, 3], ids),
+    lambda g, ids: g.neighbor_counts(ids),
+    lambda g, ids: pair_density(g, ids, [7, 8]),
+], ids=["block-rows", "block-cols", "neighbor-counts", "pair-density"])
+def test_queries_reject_float_and_bool_ids(query, ids):
+    with pytest.raises(DomainError):
+        query(paley(13), ids)
+
+
+def test_array_queries_check_the_dtype_of_an_empty_array():
+    g = paley(13)
+    with pytest.raises(DomainError):
+        g.block(np.empty(0), [1, 2])
+    with pytest.raises(DomainError):
+        g.neighbor_counts(np.empty(0))
 
 
 def test_block_rejects_a_repeated_column_and_repeats_a_repeated_row():

@@ -6,8 +6,10 @@ middle vertices and a per-pool load grows from the matrix column.  The
 reference below is the former linker as it was, on adjacency tuples with a
 used-edge set, a used-B set, an occupancy dict and a per-pool ``has_edge``
 loop; it also keeps the row-by-row matrix build and the per-candidate hub
-scoring loop that one scatter and one scoring product replaced.  On a host whose A vertices have all their neighbours in B the two
-must give the same certificate, or raise the same error.
+scoring loop that one scatter and one scoring product replaced.  Its hub
+candidates come from ``plain_hub_candidates``, a plain-Python sort of the
+raw words.  On a host whose A vertices have all their neighbours in B the
+two must give the same certificate, or raise the same error.
 """
 
 import math
@@ -22,9 +24,16 @@ from imforge.certify import IMMERSION, EmbeddingCertificate, verify
 from imforge.errors import ImforgeError, OverlapError, PreconditionFailedError, StuckError
 from imforge.gadgets import bipartite_k3_immersion, k3_density_bound
 from imforge.graphs import Graph, build_graph, normalize_edge, vertex_ids
-from imforge.util import BEST_EFFORT, STRICT, np_rng, peel_to_complete
+from imforge.util import BEST_EFFORT, STRICT, derive_seed, peel_to_complete, raw_order
 
 from helpers import complete_bipartite
+
+
+def plain_hub_candidates(n2: int, seed: int) -> list[int]:
+    """The first 64 of the n2 columns in order of (raw word, position) of the
+    ``k3-hub`` stream, ascending."""
+    words = np.random.PCG64(derive_seed(seed, "k3-hub")).random_raw(n2).tolist()
+    return sorted(sorted(range(n2), key=lambda j: (words[j], j))[:64])
 
 
 def reference_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int],
@@ -55,11 +64,7 @@ def reference_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         branch = a_list[:p]
         return EmbeddingCertificate(kind=IMMERSION, branch=branch, pairs={}, ell=3)
 
-    rng = np_rng(seed, "k3-hub")
-    if n2 <= 64:
-        candidates = list(range(n2))
-    else:
-        candidates = sorted(rng.choice(n2, size=64, replace=False).tolist())
+    candidates = plain_hub_candidates(n2, seed)
     codeg = mat @ mat.T
 
     # score each candidate hub column j by its A-rows and, per row, the
@@ -143,6 +148,13 @@ def reference_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         branch = peel_to_complete(branch, set(linked))
     return EmbeddingCertificate.from_paths(IMMERSION, branch, lambda a, b: linked[(a, b)],
                                            ell=3)
+
+
+@pytest.mark.parametrize("n2, seed", [(1, 0), (64, 5), (65, 0), (200, 3), (4096, 21)])
+def test_hub_candidates_follow_the_raw_word_order(n2, seed):
+    # the gadget's draw, as the matrix linker makes it; every column when n2 <= 64
+    bits = np.random.PCG64(derive_seed(seed, "k3-hub"))
+    assert sorted(raw_order(n2, bits)[:64].tolist()) == plain_hub_candidates(n2, seed)
 
 
 @st.composite

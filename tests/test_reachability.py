@@ -13,6 +13,14 @@ Names match by spelling only, so an attribute ``x.to_json`` reaches every
 Import guard: every name an import binds in a module of ``src/imforge`` or
 ``tests`` is used by that module's code.  ``__init__`` re-exports and
 imports under ``if TYPE_CHECKING:`` are exempt.
+
+Draw guard: no module of ``src/imforge`` imports CPython's ``random`` or
+calls a ``Generator`` draw method (``choice``, ``sample``,
+``standard_normal``, ``random``) or ``default_rng``, except in the
+functions allowlisted below.  NumPy keeps only a bit generator's raw stream
+stable across releases, and CPython only ``random()``'s sequence, so every
+draw that reaches a certificate reads raw PCG64 words or the nibble's
+SplitMix64 counter.  Calls match by name only, whatever their receiver.
 """
 
 import ast
@@ -34,7 +42,11 @@ ALLOWLIST = {
     "graphs.GraphView.materialize": "test oracle for views",
     "graphs.Graph.edge_set": "perfbench `Host` rebuilds graph shells from it",
     "nibble.Hypergraph3.n_triples": "perfbench's trace counts nibble.triples with it",
+    "util.np_rng": "perfbench/workloads.py draws the bench's bipartite host with it",
 }
+
+DRAW_CALLS = {"choice", "sample", "standard_normal", "random", "default_rng"}
+DRAW_ALLOWLIST = {"util.np_rng": ALLOWLIST["util.np_rng"]}
 
 
 def _names(nodes) -> set[str]:
@@ -158,3 +170,56 @@ def test_import_guard_catches_an_unused_import(tmp_path):
         fh.write("    return TYPE_CHECKING\n")
     lines = len((tmp_path / "graphs.py").read_text(encoding="utf-8").splitlines())
     assert unused_imports(tmp_path) == [f"graphs:{lines - 2} os", f"graphs:{lines - 1} Opt"]
+
+
+def library_draws(src: Path, allow=DRAW_ALLOWLIST) -> list[str]:
+    """``module:line name`` for each import of ``random`` and each call named
+    in ``DRAW_CALLS``, outside the top-level functions in ``allow``."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(sub) for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" in allow
+                  for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Import):
+                hits = ["random" for alias in node.names if alias.name.split(".")[0] == "random"]
+            elif isinstance(node, ast.ImportFrom):
+                hits = ["random"] if node.module == "random" and not node.level else []
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                hits = [name] if name in DRAW_CALLS else []
+            else:
+                continue
+            out += [f"{path.stem}:{node.lineno} {name}" for name in hits]
+    return out
+
+
+def test_no_certificate_draw_uses_a_library_algorithm():
+    assert library_draws(SRC) == []
+
+
+@pytest.mark.parametrize("qual", sorted(DRAW_ALLOWLIST))
+def test_draw_allowlist_entry_is_needed(qual):
+    module, _ = qual.split(".")
+    assert any(hit.startswith(f"{module}:")
+               for hit in library_draws(SRC, set(DRAW_ALLOWLIST) - {qual}))
+
+
+def test_draw_guard_catches_each_library_draw(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    lines = len((tmp_path / "graphs.py").read_text(encoding="utf-8").splitlines())
+    with open(tmp_path / "graphs.py", "a", encoding="utf-8") as fh:
+        fh.write("\nimport random\nfrom random import shuffle\n")
+        fh.write("\n\ndef helper(rng, pool):\n    rng.choice(pool)\n    random.sample(pool, 2)\n")
+        fh.write("    rng.standard_normal(3)\n    rng.random()\n    default_rng(5)\n")
+        fh.write("    return np.random.PCG64(5).random_raw(2)\n")
+    assert library_draws(tmp_path) == [
+        f"graphs:{lines + 2} random", f"graphs:{lines + 3} random",
+        *(f"graphs:{lines + k} {name}" for k, name in
+          [(7, "choice"), (8, "sample"), (9, "standard_normal"), (10, "random"),
+           (11, "default_rng")])]

@@ -27,6 +27,7 @@ from imforge.subdivision import (
     reservoir_conditions,
     sample_reservoir,
 )
+from imforge.util import np_rng
 
 from helpers import complete, hypercube, path
 
@@ -130,12 +131,13 @@ def test_reservoir_draw_deterministic():
 
 
 def test_reservoir_draw_matches_the_former_set_draw():
-    # the draw that built a pool list and a set: one rng.random over the
-    # non-center vertices in ascending order
+    # the draw that built a pool list and a set: one Generator.random over
+    # the non-center vertices in ascending order, whose bits ``uniforms``
+    # reads from the raw words
     g = random_regular(300, 6, seed=4)
     for centers, eta, seed in (([], 0.5, 1), ([7, 3, 299], 0.1, 2), (range(0, 300, 2), 0.9, 3)):
         pool = [v for v in range(g.n) if v not in set(centers)]
-        hits = subdivision.np_rng(seed, "reservoir").random(len(pool)) < (1 - eta / 4)
+        hits = np_rng(seed, "reservoir").random(len(pool)) < (1 - eta / 4)
         former = {v for v, hit in zip(pool, hits) if hit}
         assert set(np.flatnonzero(draw_reservoir(g, centers, eta, seed)).tolist()) == former
 
