@@ -41,9 +41,8 @@ import numpy as np
 
 from .errors import DomainError, NoPathError, UnitFailedError
 from .graphs import Edge, Graph, GraphView, normalize_edge
-from .util import derive_seed, raw_order
 
-# centers a unit tries by rank before the few seeded extras
+# centers a unit tries, by rank
 CENTER_TRIALS = 8
 
 # expansion profile parameters of the path-length scale
@@ -231,9 +230,10 @@ class Unit:
         return out
 
 
-def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
-                   n_stars: int) -> tuple[Optional[Unit], str]:
-    """Attempt the unit construction from one candidate center.
+def _build_unit_at(view: GraphView, active: np.ndarray, center: int, h1: int, h2: int,
+                   h3: int, n_stars: int) -> tuple[Optional[Unit], str]:
+    """Attempt the unit construction from one candidate center, given the
+    view's active vertex ids in ascending order.
 
     Returns (unit, stage_reached); unit is None on failure and the stage
     names where the construction ran out of room.
@@ -241,10 +241,13 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
     pool_view = view.minus(vertices=[center])
     # stars first, centers in ascending (degree without the center, id)
     # order, each up to twice its required size so the prune step has slack;
-    # a star center needs an edge besides its h2 leaves, for its branch path
-    near = set(view.neighbors(center))
-    order = sorted((v for v in pool_view.active_vertices() if view.degree(v) > h2),
-                   key=lambda v: (view.degree(v) - (v in near), v))
+    # a star center needs an edge besides its h2 leaves, for its branch path.
+    # The ids ascend and the sort is stable, so ties keep id order.
+    deg = view.degrees()
+    near = np.zeros(view.n, dtype=bool)
+    near[list(view.neighbors(center))] = True
+    ids = active[(deg[active] > h2) & (active != center)]
+    order = ids[np.argsort(deg[ids] - near[ids], kind="stable")].tolist()
     stars = pack_stars(pool_view, order, n_stars, h2, 2 * h2)
     if len(stars) < h1:
         return None, "stars"
@@ -281,24 +284,25 @@ def _build_unit_at(view: GraphView, center: int, h1: int, h2: int, h3: int,
     return Unit(center, [path for _, path in kept], [s for s, _ in kept]), "done"
 
 
-def build_unit(view: GraphView, h1: int, h2: int, h3: int, seed: int = 0) -> Unit:
+def build_unit(view: GraphView, h1: int, h2: int, h3: int) -> Unit:
     """Build one unit in the view.
 
-    Candidate centers are tried by descending degree in the view (plus a
-    few seeded extras); every star center keeps an edge outside its star,
-    branch paths avoid star edges and each other's edges, and stars
-    half-eaten by branch interiors are discarded before the final trim to
-    (h1, h2).
+    The CENTER_TRIALS active vertices of highest degree in the view (least
+    id first on a tie) are tried as centers in that order; every star
+    center keeps an edge outside its star, branch paths avoid star edges
+    and each other's edges, and stars half-eaten by branch interiors are
+    discarded before the final trim to (h1, h2).
     """
-    ranked = sorted(view.active_vertices(), key=lambda v: (-view.degree(v), v))
-    extra = ranked[CENTER_TRIALS:]
-    bits = np.random.PCG64(derive_seed(seed, "build-unit-centers"))
-    candidates = ranked[:CENTER_TRIALS] + [extra[i] for i in raw_order(len(extra), bits)[:4]]
+    deg = view.degrees()
+    active = np.ones(view.n, dtype=bool)
+    active[list(view.removed_vertices)] = False
+    active = np.flatnonzero(active)
+    ranked = active[np.argsort(-deg[active], kind="stable")[:CENTER_TRIALS]].tolist()
     n_stars = h1 + max(1, h1 // 4)
     stage_rank = {"stars": 0, "connect": 1, "prune": 2}
     worst_stage = "stars"
-    for center in candidates:
-        unit, stage = _build_unit_at(view, center, h1, h2, h3, n_stars)
+    for center in ranked:
+        unit, stage = _build_unit_at(view, active, center, h1, h2, h3, n_stars)
         if unit is not None:
             return unit
         if stage_rank[stage] > stage_rank[worst_stage]:
@@ -306,8 +310,7 @@ def build_unit(view: GraphView, h1: int, h2: int, h3: int, seed: int = 0) -> Uni
     raise UnitFailedError(worst_stage)
 
 
-def collect_units(g: Graph, count: int, h1: int, h2: int, h3: int,
-                  seed: int = 0) -> list[Unit]:
+def collect_units(g: Graph, count: int, h1: int, h2: int, h3: int) -> list[Unit]:
     """Collect up to ``count`` edge-disjoint units with distinct centers.
 
     One view of the host loses each unit's center and edges once the unit
@@ -317,9 +320,9 @@ def collect_units(g: Graph, count: int, h1: int, h2: int, h3: int,
     """
     units: list[Unit] = []
     view = GraphView(g)
-    for i in range(count):
+    for _ in range(count):
         try:
-            unit = build_unit(view, h1, h2, h3, seed=seed + i)
+            unit = build_unit(view, h1, h2, h3)
         except UnitFailedError:
             break
         units.append(unit)

@@ -3,32 +3,32 @@
 A ``Graph`` is a simple undirected graph on vertices ``0..n-1``; it never
 changes after construction, so it is safe to share between pipelines and
 threads.  ``build_graph`` makes every graph in one numpy pass: ascending
-neighbour tuples for the Python loops (BFS, packers), and the
-CSR pair ``(indptr, indices)`` for whole-graph queries (``neighbor_counts``,
-the spectral solver's sparse operator).  No object is kept per edge: the
-tuples share one int per vertex, ``has_edge`` bisects a tuple, and
-``edge_set()`` is an ``EdgeSet`` view over the tuples, so a resident host
-costs a garbage collection O(n), not O(m).  While it builds,
-``build_graph`` holds one int64 key per half-edge and one bool mask beyond
-what it returns: the keys are made, sorted and reduced to the CSR
-``indices`` in place, and the tuples are made a bounded run of rows at a
-time.
+neighbour tuples for the Python loops (BFS, packers), and the CSR pair
+``(indptr, indices)`` for the spectral solver's sparse operator.  No
+object is kept per edge: the tuples share one int per vertex, ``has_edge``
+bisects a tuple, and ``edge_set()`` is an ``EdgeSet`` view over the
+tuples, so a resident host costs a garbage collection O(n), not O(m).
+While it builds, ``build_graph`` holds one int64 key per half-edge and one
+bool mask beyond what it returns: the keys are made, sorted and reduced to
+the CSR ``indices`` in place, and the tuples are made a bounded run of
+rows at a time.
 
 Rows are read in bulk only by ``Graph._rows``, from CSR slices when the
 CSR is built and from the tuples otherwise.  ``Graph.block`` cuts every
 dense 0/1 adjacency block from it, as one flat row-major scatter that is
 masked only when some neighbour has no column (a repeated column id
-raises); ``has_edges`` reads its rows there, and ``csr()`` builds a
-missing CSR from it.
+raises); ``has_edges`` reads its rows there, ``neighbor_counts`` counts
+the occurrences of each vertex in the counted set's own rows with one
+``bincount``, and ``csr()`` builds a missing CSR from it.
 
 A ``GraphView`` answers the same queries as the graph obtained by deleting
 a vertex set and an edge set, without copying the graph.  It keeps the
 removed edges per vertex, as the partners that vertex lost, so neighbor
 filtering is plain set lookups; ``minus`` derives a smaller view and
-shares what it does not change.  Degrees come from one lazily computed
-list, and a vertex the deletions do not touch gets its base neighbor tuple
-back as is.  Neighbor iteration is always in ascending vertex order, which
-keeps every greedy routine downstream deterministic.
+shares what it does not change.  ``degrees()`` is one int array computed
+on first use, and a vertex the deletions do not touch gets its base
+neighbor tuple back as is.  Neighbor iteration is always in ascending
+vertex order, which keeps every greedy routine downstream deterministic.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ class Graph:
     def m(self) -> int:
         return len(self._edges)
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -211,13 +208,13 @@ class Graph:
 
     def neighbor_counts(self, vertices: Iterable[int]) -> np.ndarray:
         """Per vertex, the number of its neighbors in the given vertex set
-        (ids outside 0..n-1 raise OutOfRangeError)."""
-        indptr, indices = self.csr()
+        (a repeated id counts once; ids outside 0..n-1 raise
+        OutOfRangeError).  The adjacency is symmetric, so v's count is how
+        often v occurs in the set's own rows: one ``bincount`` over the rows
+        ``_rows`` reads, O(|set| d + n), and the CSR is never built."""
         mask = np.zeros(self._n, dtype=bool)
         mask[vertex_ids(self._n, vertices)] = True
-        hits = np.zeros(len(indices) + 1, dtype=np.intp)
-        np.cumsum(mask[indices], out=hits[1:])
-        return hits[indptr[1:]] - hits[indptr[:-1]]
+        return np.bincount(self._rows(np.flatnonzero(mask))[1], minlength=self._n)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (int8, made on each call)."""
@@ -347,7 +344,7 @@ class GraphView:
     deletions.  Removed vertices report no neighbors.  Removed edges are
     kept per vertex, as the frozenset of partners that vertex lost; ``minus``
     derives every further view, and one that removes no edge shares its
-    parent's map.  The degree list is computed on first use.
+    parent's map.  The degree array is computed on first use.
     """
 
     __slots__ = ("base", "removed_vertices", "_lost", "_degrees")
@@ -358,7 +355,7 @@ class GraphView:
         self.base = base
         self.removed_vertices = removed_vertices
         self._lost = {} if lost is None else lost
-        self._degrees: list[int] | None = None
+        self._degrees: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -389,9 +386,6 @@ class GraphView:
     def contains_vertex(self, v: int) -> bool:
         return 0 <= v < self.base.n and v not in self.removed_vertices
 
-    def active_vertices(self) -> list[int]:
-        return [v for v in range(self.base.n) if v not in self.removed_vertices]
-
     def neighbors(self, v: int) -> Sequence[int]:
         """Ascending neighbors of v in the view; the base tuple itself when
         v has no removed neighbor and no removed incident edge."""
@@ -404,24 +398,26 @@ class GraphView:
             return adj if removed.isdisjoint(adj) else [w for w in adj if w not in removed]
         return [w for w in adj if w not in removed and w not in lost]
 
-    def degree(self, v: int) -> int:
+    def degrees(self) -> np.ndarray:
+        """Every vertex's degree in the view, zero on removed vertices, as
+        one read-only int array computed on first use."""
         if self._degrees is None:
-            self._degrees = self._degree_list()
-        return self._degrees[v]
+            self._degrees = self._degree_array()
+        return self._degrees
 
-    def _degree_list(self) -> list[int]:
-        """Base degrees minus removed-vertex hits (vectorized), zero on
-        removed vertices, then minus the lost partners still present."""
+    def _degree_array(self) -> np.ndarray:
+        """Base degrees minus the counts into the removed vertices, zero on
+        those, then minus the lost partners still present."""
         base, removed = self.base, self.removed_vertices
         deg = np.diff(base.csr()[0])
         if removed:
             deg -= base.neighbor_counts(removed)
             deg[np.fromiter(removed, dtype=np.intp)] = 0
-        out = deg.tolist()
         for v, lost in self._lost.items():
             if v not in removed:
-                out[v] -= len(lost - removed)
-        return out
+                deg[v] -= len(lost - removed)
+        deg.flags.writeable = False
+        return deg
 
     def has_edge(self, u: int, v: int) -> bool:
         if u in self.removed_vertices or v in self.removed_vertices:

@@ -163,6 +163,9 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
     clique; best-effort mode always returns a verifier-passing certificate
     for the largest center subset it managed to connect completely.
 
+    The construction draws nothing: ``seed`` is taken as every pipeline
+    takes it, and the certificate does not depend on it.
+
     An empty host raises ``DomainError`` whatever parameters are given: the
     path-length scale ``MediumDiagnostics.m_scale`` has no value at n = 0,
     and no vertex could stand in for a missing unit.
@@ -185,7 +188,7 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
         if value < 1:
             raise DomainError(f"need {name} >= 1, got {name}={value}")
 
-    units = collect_units(g, count=target_order, h1=h1, h2=h2, h3=h3, seed=seed)
+    units = collect_units(g, count=target_order, h1=h1, h2=h2, h3=h3)
     ledger = connect_units(g, units, max_len=max_len)
 
     # the full paths by ascending center pair

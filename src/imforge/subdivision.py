@@ -76,7 +76,7 @@ def reservoir_conditions(g: Graph, stars: Sequence[Star], eta: float,
     need_outside = eta * eta * d / 8
     blocked = sample.copy()
     blocked[[s.center for s in stars]] = True
-    outside = np.diff(g.csr()[0]) - g.neighbor_counts(np.flatnonzero(blocked))
+    outside = g.neighbor_counts(np.flatnonzero(~blocked))
     worst_outside = int(outside.min()) if g.n else math.inf
     outside_ok = bool((outside >= need_outside).all())
     return leaf_ok, outside_ok, {

@@ -1,15 +1,27 @@
-"""Small named graphs used as oracles across the test suite, the
-hypothesis strategies for random small graphs and views, the dense
-pipeline's free-edge ledger built from a set of spent edges, and the
-greedy 3-path linker on a set ledger."""
+"""Small named graphs used as oracles across the test suite, a graph's
+degree list and its shell with no CSR, the hypothesis strategies for
+random small graphs and views, the dense pipeline's free-edge ledger built
+from a set of spent edges, and the greedy 3-path linker on a set ledger."""
 
 from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from imforge.graphs import Graph, build_graph, normalize_edge, view_minus
+from imforge.graphs import EdgeSet, Graph, build_graph, normalize_edge, view_minus
 from imforge.immersion_dense import FreeEdges
+
+
+def degrees(g: Graph) -> list[int]:
+    """Every vertex's degree, read off its neighbour tuple."""
+    return [len(g.neighbors(v)) for v in range(g.n)]
+
+
+def bare_shell(g: Graph) -> Graph:
+    """g as a Graph of its neighbour tuples alone, with no CSR, as the
+    benchmark hands each op its host."""
+    adj = tuple(map(g.neighbors, range(g.n)))
+    return Graph(g.n, adj, EdgeSet(adj))
 
 
 def complete(n: int) -> Graph:

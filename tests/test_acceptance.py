@@ -223,7 +223,7 @@ def test_criterion_07_medium_pipeline(rr5000):
     assert r.d > 2 * r.lam  # empirical spectral-gap hypothesis
     from imforge.expanders import collect_units
 
-    units = collect_units(g, count=8, h1=8, h2=3, h3=6, seed=11)
+    units = collect_units(g, count=8, h1=8, h2=3, h3=6)
     ledger = connect_units(g, units, max_len=8)
     ledger.check_invariants(units)  # edge-disjoint, off-branch, off-center
     cert, diag = build_medium_immersion(g, r, eta=0.45, seed=11,

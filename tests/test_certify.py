@@ -194,7 +194,7 @@ def test_certificate_json_round_trip():
 
 def test_verify_unit_round_trip():
     g = complete(20)
-    unit = build_unit(view_minus(g, (), ()), h1=3, h2=2, h3=2, seed=0)
+    unit = build_unit(view_minus(g, (), ()), h1=3, h2=2, h3=2)
     report = verify_unit(g, unit, (3, 2, 2))
     assert report.valid, report.violations
 

@@ -77,7 +77,7 @@ def test_short_path_endpoints_only_in_terminals():
 
 def test_pack_stars_single_star_graph():
     g = star(5)
-    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    order = sorted(range(g.n), key=lambda v: (len(g.neighbors(v)), v))
     packed = pack_stars(view_minus(g), order, count=1, min_leaves=5, max_leaves=5)
     assert packed[0].center == 0 and packed[0].leaves == (1, 2, 3, 4, 5)
 
@@ -143,7 +143,7 @@ def check_unit_structure(g, unit: Unit, h1, h2, h3):
 def test_build_unit_recovers_spider():
     # a graph that is exactly a (2,2,1)-unit: center 0, stars at 1 and 2
     g = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-    unit = build_unit(view_minus(g, (), ()), h1=2, h2=2, h3=1, seed=0)
+    unit = build_unit(view_minus(g, (), ()), h1=2, h2=2, h3=1)
     assert unit.center == 0
     assert sorted(s.center for s in unit.stars) == [1, 2]
     check_unit_structure(g, unit, 2, 2, 1)
@@ -151,7 +151,7 @@ def test_build_unit_recovers_spider():
 
 def test_build_unit_k20():
     g = complete(20)
-    unit = build_unit(view_minus(g, (), ()), h1=3, h2=2, h3=1, seed=0)
+    unit = build_unit(view_minus(g, (), ()), h1=3, h2=2, h3=1)
     check_unit_structure(g, unit, 3, 2, 1)
     verts = {unit.center} | unit.exterior() | {s.center for s in unit.stars}
     for b in unit.branches:
@@ -162,7 +162,7 @@ def test_build_unit_k20():
 
 def test_build_unit_c6_fails_at_stars():
     with pytest.raises(UnitFailedError) as err:
-        build_unit(view_minus(cycle(6), (), ()), h1=3, h2=2, h3=1, seed=0)
+        build_unit(view_minus(cycle(6), (), ()), h1=3, h2=2, h3=1)
     assert err.value.stage == "stars"
 
 
@@ -170,7 +170,7 @@ def test_build_unit_respects_forbidden_sets():
     g = complete(20)
     forbidden_v = {0, 1}
     forbidden_e = {(2, 3), (2, 4)}
-    unit = build_unit(view_minus(g, forbidden_v, forbidden_e), h1=3, h2=2, h3=2, seed=0)
+    unit = build_unit(view_minus(g, forbidden_v, forbidden_e), h1=3, h2=2, h3=2)
     check_unit_structure(g, unit, 3, 2, 2)
     touched = {unit.center} | unit.branch_vertices() | unit.exterior()
     assert not (touched & forbidden_v)
@@ -179,7 +179,7 @@ def test_build_unit_respects_forbidden_sets():
 
 def test_collect_units_k30():
     g = complete(30)
-    units = collect_units(g, count=2, h1=2, h2=2, h3=1, seed=0)
+    units = collect_units(g, count=2, h1=2, h2=2, h3=1)
     assert len(units) == 2
     assert units[0].center != units[1].center
     all_edges = sorted(e for u in units for e in u.all_edges())
@@ -188,13 +188,13 @@ def test_collect_units_k30():
         check_unit_structure(g, u, 2, 2, 1)
 
 
-def reference_collect_units(g, count, h1, h2, h3, seed):
+def reference_collect_units(g, count, h1, h2, h3):
     """The collection loop with a fresh view of the host minus every earlier
     center and unit edge for each unit."""
     units, centers, edges = [], set(), set()
-    for i in range(count):
+    for _ in range(count):
         try:
-            unit = build_unit(view_minus(g, centers, edges), h1, h2, h3, seed=seed + i)
+            unit = build_unit(view_minus(g, centers, edges), h1, h2, h3)
         except UnitFailedError:
             break
         units.append(unit)
@@ -210,31 +210,31 @@ def reference_collect_units(g, count, h1, h2, h3, seed):
 def test_collect_units_matches_a_fresh_view_per_unit(host, h_params):
     g = host()
     # both hosts run out of room before 40 units
-    got = collect_units(g, 40, *h_params, seed=3)
-    want = reference_collect_units(g, 40, *h_params, seed=3)
+    got = collect_units(g, 40, *h_params)
+    want = reference_collect_units(g, 40, *h_params)
     assert 2 <= len(got) < 40
     assert got == want
 
 
-def test_collect_units_builds_one_degree_list_per_unit(monkeypatch):
+def test_collect_units_builds_one_degree_array_per_unit(monkeypatch):
     # build_unit ranks its view by degree, and every candidate center orders
-    # its star centers from that same list, never from a view of its own
-    calls = {"build_unit": 0, "degree_list": 0}
-    build_unit_, degree_list = expanders.build_unit, GraphView._degree_list
+    # its star centers from that same array, never from a view of its own
+    calls = {"build_unit": 0, "degree_array": 0}
+    build_unit_, degree_array = expanders.build_unit, GraphView._degree_array
 
     def counted_build_unit(*args, **kwargs):
         calls["build_unit"] += 1
         return build_unit_(*args, **kwargs)
 
-    def counted_degree_list(self):
-        calls["degree_list"] += 1
-        return degree_list(self)
+    def counted_degree_array(self):
+        calls["degree_array"] += 1
+        return degree_array(self)
 
     monkeypatch.setattr(expanders, "build_unit", counted_build_unit)
-    monkeypatch.setattr(GraphView, "_degree_list", counted_degree_list)
-    units = collect_units(random_regular(300, 24, seed=16), 40, 6, 2, 4, seed=3)
+    monkeypatch.setattr(GraphView, "_degree_array", counted_degree_array)
+    units = collect_units(random_regular(300, 24, seed=16), 40, 6, 2, 4)
     assert len(units) >= 2
-    assert calls["degree_list"] == calls["build_unit"] == len(units) + 1
+    assert calls["degree_array"] == calls["build_unit"] == len(units) + 1
 
 
 def test_collect_units_zero():

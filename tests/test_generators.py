@@ -13,12 +13,12 @@ from imforge.graphs import format_edge_list
 from imforge.spectral import adjacency_spectrum
 from imforge.util import derive_seed, np_rng, raw_order, uniforms
 
-from helpers import complete, cycle
+from helpers import complete, cycle, degrees
 
 
 def test_random_regular_10_3():
     g = random_regular(10, 3, seed=7)
-    assert [g.degree(v) for v in range(g.n)] == [3] * 10
+    assert degrees(g) == [3] * 10
     assert g.m == 15
 
 
@@ -175,12 +175,12 @@ def test_random_regular_retries_stuck_attempts(monkeypatch):
     monkeypatch.setattr(generators, "_pairing_attempt", recorded)
     g = random_regular(8, 3, seed=0)
     assert [a is None for a in attempts] == [True, False]
-    assert [g.degree(v) for v in range(g.n)] == [3] * 8
+    assert degrees(g) == [3] * 8
 
 
 def test_random_regular_high_degree_via_complement():
     g = random_regular(12, 9, seed=3)
-    assert [g.degree(v) for v in range(g.n)] == [9] * 12
+    assert degrees(g) == [9] * 12
 
 
 def test_random_regular_spectral_gap():
@@ -206,7 +206,7 @@ def test_paley_pinned(q, digest):
 
 def test_paley_13_spectrum():
     g = paley(13)
-    assert [g.degree(v) for v in range(g.n)] == [6] * 13
+    assert degrees(g) == [6] * 13
     r = adjacency_spectrum(g)
     assert abs(r.lam - (1 + math.sqrt(13)) / 2) < 1e-6
 

@@ -26,12 +26,12 @@ from imforge.graphs import (
     view_minus,
 )
 
-from helpers import complete, complete_bipartite, cycle, petersen
+from helpers import bare_shell, complete, complete_bipartite, cycle, degrees, petersen
 
 
 def test_build_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert [g.degree(v) for v in range(g.n)] == [2, 2, 2]
+    assert degrees(g) == [2, 2, 2]
     assert g.m == 3
 
 
@@ -429,9 +429,10 @@ def test_has_edges_reads_only_the_lower_degree_rows(case, data):
         shell, read = spied(g)
         assert shell.has_edges(a, b).tolist() == [g.has_edge(u, v) for u, v in zip(a, b)]
         # an empty tuple may go unread, as there is nothing in it
-        lower = {u if g.degree(u) <= g.degree(v) else v for u, v in zip(a.tolist(), b.tolist())}
+        deg = degrees(g)
+        lower = {u if deg[u] <= deg[v] else v for u, v in zip(a.tolist(), b.tolist())}
         assert read == sorted(set(read)) and set(read) <= lower
-        assert {u for u in lower if g.degree(u)} <= set(read)
+        assert {u for u in lower if deg[u]} <= set(read)
 
 
 def test_has_edges_reads_the_small_side_of_a_lopsided_bipartite_host():
@@ -472,17 +473,17 @@ def test_view_k4_minus_vertex_is_k3():
     g = complete(4)
     view = view_minus(g, {3})
     assert view.edges() == [(0, 1), (0, 2), (1, 2)]
-    assert view.degree(3) == 0
+    assert view.degrees().tolist() == [2, 2, 2, 0]
     assert view.neighbors(3) == []
     mat = view.materialize()
-    assert [mat.degree(v) for v in range(3)] == [2, 2, 2]
+    assert degrees(mat) == [2, 2, 2, 0]
 
 
 def test_view_k3_minus_edge():
     g = complete(3)
     view = view_minus(g, set(), {(0, 1)})
     assert view.edges() == [(0, 2), (1, 2)]
-    assert [view.degree(v) for v in range(3)] == [1, 1, 2]
+    assert view.degrees().tolist() == [1, 1, 2]
 
 
 def test_view_c5_minus_vertex_and_edge():
@@ -492,7 +493,7 @@ def test_view_c5_minus_vertex_and_edge():
     expect = sorted(e for e in full if 0 not in e and e != (1, 2))
     view = view_minus(g, {0}, {(1, 2)})
     assert view.edges() == expect == [(2, 3), (3, 4)]
-    assert view.degree(1) == 0
+    assert view.degrees().tolist() == [0, 0, 1, 2, 1]
 
 
 def test_view_ignores_unknown_pairs():
@@ -510,8 +511,8 @@ def test_view_rejects_bad_vertex():
 def test_empty_view_equals_graph():
     g = petersen()
     view = view_minus(g)
+    assert view.degrees().tolist() == degrees(g)
     for v in range(g.n):
-        assert view.degree(v) == g.degree(v)
         assert tuple(view.neighbors(v)) == g.neighbors(v)
     assert view.edges() == g.edges()
 
@@ -561,9 +562,10 @@ def test_counting_queries_reject_ids_outside_the_graph(query):
 
 def test_neighbor_counts_matches_a_loop():
     g = random_regular(60, 5, 3)
-    inside = set(range(0, 60, 7))
-    assert g.neighbor_counts(inside).tolist() == [
-        sum(w in inside for w in g.neighbors(v)) for v in range(60)]
+    for inside in (set(range(0, 60, 7)), set(range(60)) - set(range(0, 60, 7))):
+        for host in (g, bare_shell(g)):
+            assert host.neighbor_counts(inside).tolist() == [
+                sum(w in inside for w in g.neighbors(v)) for v in range(60)]
     assert g.neighbor_counts([]).tolist() == [0] * 60
 
 
@@ -585,9 +587,33 @@ def test_view_handshake(g, salt):
     verts = [v for v in range(g.n) if (v * 2654435761 + salt) % 3 == 0]
     edges = [e for i, e in enumerate(g.edges()) if (i + salt) % 4 == 0]
     view = view_minus(g, verts, edges)
-    assert sum(view.degree(v) for v in range(g.n)) == 2 * len(view.edges())
-    mat = view.materialize()
-    assert [mat.degree(v) for v in range(g.n)] == [view.degree(v) for v in range(g.n)]
+    assert view.degrees().sum() == 2 * len(view.edges())
+    assert view.degrees().tolist() == degrees(view.materialize())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_neighbor_counts_matches_a_brute_force_count(g, data):
+    # every set size from empty to full, so on both sides of n/2, with
+    # repeated ids that must count once
+    n = g.n
+    size = data.draw(st.integers(min_value=0, max_value=n))
+    chosen = data.draw(st.permutations(range(n)))[:size]
+    repeats = data.draw(st.lists(st.sampled_from(chosen), max_size=4)) if chosen else []
+    ids = chosen + repeats
+    inside = set(ids)
+    want = [sum(w in inside for w in g.neighbors(v)) for v in range(n)]
+    shell = bare_shell(g)
+    for host in (g, shell):
+        for given_ids in (ids, np.array(ids, dtype=np.int64), inside):
+            assert host.neighbor_counts(given_ids).tolist() == want
+        assert host.neighbor_counts([]).tolist() == [0] * n
+        assert host.neighbor_counts(range(n)).tolist() == degrees(g)
+    assert shell._csr is None  # counted from the tuples
+    for bad in ([n], [-1], ids + [n + 3], np.array([-2], dtype=np.int64)):
+        for host in (g, shell):
+            with pytest.raises(OutOfRangeError):
+                host.neighbor_counts(bad)
 
 
 def test_edge_list_round_trip():

@@ -13,7 +13,7 @@ from helpers import complete
 
 def test_connect_units_pair_in_k30():
     g = complete(30)
-    units = collect_units(g, count=2, h1=2, h2=2, h3=1, seed=0)
+    units = collect_units(g, count=2, h1=2, h2=2, h3=1)
     assert len(units) == 2
     ledger = connect_units(g, units, max_len=6)
     assert (0, 1) in ledger.full_paths
@@ -25,7 +25,7 @@ def test_connect_units_pair_in_k30():
 
 def test_connect_units_single_unit_empty_ledger():
     g = complete(20)
-    units = collect_units(g, count=1, h1=2, h2=2, h3=1, seed=0)
+    units = collect_units(g, count=1, h1=2, h2=2, h3=1)
     ledger = connect_units(g, units, max_len=5)
     assert ledger.full_paths == {} and ledger.missing_pairs == []
 
@@ -39,8 +39,8 @@ def test_connect_units_disconnected_components():
     g = build_graph(40, edges)
     from imforge.expanders import build_unit
 
-    u1 = build_unit(view_minus(g, (), ()), h1=2, h2=2, h3=1, seed=0)
-    u2 = build_unit(view_minus(g, {v for v in range(20)}, ()), h1=2, h2=2, h3=1, seed=0)
+    u1 = build_unit(view_minus(g, (), ()), h1=2, h2=2, h3=1)
+    u2 = build_unit(view_minus(g, {v for v in range(20)}, ()), h1=2, h2=2, h3=1)
     ledger = connect_units(g, [u1, u2], max_len=10)
     assert ledger.missing_pairs == [(0, 1)]
 
@@ -84,7 +84,7 @@ def test_medium_pipeline_with_one_unit_keeps_its_center():
     r = adjacency_spectrum(p)
     cert, diag = build_medium_immersion(g, r, eta=0.1)
     assert diag.h_params == (4, 1, 14)
-    units = collect_units(g, count=3, h1=4, h2=1, h3=14, seed=0)
+    units = collect_units(g, count=3, h1=4, h2=1, h3=14)
     assert [u.center for u in units] == [1]
     assert (cert.branch, cert.pairs, cert.ell) == ([1], {}, None)
     assert (diag.units_built, diag.pairs_connected, diag.pairs_missing,
@@ -101,7 +101,7 @@ def test_medium_pipeline_keeps_every_linked_unit():
     r = adjacency_spectrum(g)
     kwargs = dict(eta=0.01, h_params=(2, 2, 1), target_order=3, max_len=8)
     cert, diag = build_medium_immersion(g, r, **kwargs)
-    units = collect_units(g, count=3, h1=2, h2=2, h3=1, seed=0)
+    units = collect_units(g, count=3, h1=2, h2=2, h3=1)
     assert cert.branch == [u.center for u in units] == [0, 4, 10]
     assert (diag.units_built, diag.pairs_connected, diag.achieved_order) == (3, 3, 3)
     assert verify(g, cert).valid
