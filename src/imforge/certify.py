@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -68,16 +68,15 @@ class EmbeddingCertificate:
 
     @classmethod
     def from_paths(cls, kind: str, branch_vertices: Iterable[int],
-                   path_of: Callable[[int, int], list[int]],
+                   paths: Mapping[tuple[int, int], list[int]],
                    ell: Optional[int] = None) -> "EmbeddingCertificate":
-        """Certificate over the sorted branch set, with ``path_of(a, b)``
-        (a < b, either orientation) oriented to run from a to b."""
+        """Certificate over the sorted branch set; the path of each pair
+        a < b is ``paths[(a, b)]`` (either orientation), run from a to b."""
         branch = sorted(branch_vertices)
         pairs: dict[tuple[int, int], list[int]] = {}
-        for i, a in enumerate(branch):
-            for j in range(i + 1, len(branch)):
-                path = path_of(a, branch[j])
-                pairs[(i, j)] = list(path) if path[0] == a else list(reversed(path))
+        for (i, a), (j, b) in combinations(enumerate(branch), 2):
+            path = paths[(a, b)]
+            pairs[(i, j)] = list(path) if path[0] == a else list(reversed(path))
         return cls(kind=kind, branch=branch, pairs=pairs, ell=ell)
 
     @classmethod

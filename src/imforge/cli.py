@@ -245,6 +245,8 @@ def cmd_nibble(args) -> int:
     sizes = numbers("--parts", args.parts, int)
     if len(sizes) != 3 or sum(sizes) > g.n:
         raise ImforgeError("--parts must be three sizes summing to at most n")
+    if min(sizes) < 0:
+        raise ImforgeError(f"--parts sizes must not be negative, got {args.parts!r}")
     bounds = [0, sizes[0], sizes[0] + sizes[1], sum(sizes)]
     parts = tuple(range(bounds[i], bounds[i + 1]) for i in range(3))
     triangles, uncovered, diag = edge_disjoint_triangles(g, parts, seed=args.seed)

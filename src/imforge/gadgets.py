@@ -268,8 +268,7 @@ def _path_inside(view, members: set[int], start: int, target: int) -> list[int]:
             f"end not internally connected from {start} to {target}") from None
 
 
-def chain_adjusters(g: Graph, first: Adjuster, second: Optional[Adjuster],
-                    m: int = 1) -> Adjuster:
+def chain_adjusters(g: Graph, first: Adjuster, second: Adjuster, m: int = 1) -> Adjuster:
     """Link one end of each adjuster by a path of length at most m,
     producing an adjuster whose flexibility is the sum of the two.
 
@@ -279,8 +278,6 @@ def chain_adjusters(g: Graph, first: Adjuster, second: Optional[Adjuster],
     every length ell+2i for i = 0..k1+k2, and the budget is the largest of
     the two budgets and m.
     """
-    if second is None:
-        return first
     if first.vertices() & second.vertices():
         raise NoConnectionError("adjusters must be vertex-disjoint")
     centers = set(first.center) | set(second.center)
@@ -371,8 +368,7 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
         if p > bound:
             raise PreconditionFailedError(f"p={p} exceeds the density bound {bound:.3f}")
     if p <= 1:
-        branch = a_list[:p]
-        return EmbeddingCertificate(kind=IMMERSION, branch=branch, pairs={}, ell=3)
+        return EmbeddingCertificate.from_paths(IMMERSION, a_list[:p], {}, ell=3)
 
     # hub candidates: the first 64 columns in raw-word order (all when n2 <= 64)
     bits = np.random.PCG64(derive_seed(seed, "k3-hub"))
@@ -447,6 +443,5 @@ def bipartite_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
                     load += mat[pool_rows, c]
             linked[(u, v)] = [u, b_list[ci], a_list[ra], b_list[cj], v]
     if len(linked) < len(branch) * (len(branch) - 1) // 2:
-        branch = peel_to_complete(branch, set(linked))
-    return EmbeddingCertificate.from_paths(IMMERSION, branch, lambda a, b: linked[(a, b)],
-                                           ell=3)
+        branch = peel_to_complete(branch, linked)
+    return EmbeddingCertificate.from_paths(IMMERSION, branch, linked, ell=3)

@@ -8,10 +8,11 @@ neighbour tuples for the Python loops (BFS, packers), and the CSR pair
 object is kept per edge: the tuples share one int per vertex, ``has_edge``
 bisects a tuple, and ``edge_set()`` is an ``EdgeSet`` view over the
 tuples, so a resident host costs a garbage collection O(n), not O(m).
-While it builds, ``build_graph`` holds one int64 key per half-edge and one
-bool mask beyond what it returns: the keys are made, sorted and reduced to
-the CSR ``indices`` in place, and the tuples are made a bounded run of
-rows at a time.
+
+Ids are read by one of two rules: ``vertex_ids`` raises DomainError for a
+float, bool or string id and OutOfRangeError outside 0..n-1 (``has_edges``
+takes only its type rule); ``_is_vertex``, behind ``has_edge``,
+``EdgeSet`` and ``contains_vertex``, counts anything else as no vertex.
 
 Rows are read in bulk only by ``Graph._rows``, from CSR slices when the
 CSR is built and from the tuples otherwise.  ``Graph.block`` cuts every
@@ -58,16 +59,17 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _adjacent(adj: tuple[tuple[int, ...], ...], u, v) -> bool:
-    """Whether v is in u's ascending neighbour tuple; False unless both are
-    integer vertex ids (int, bool or numpy integer) and u is in range."""
+def _is_vertex(n: int, v) -> bool:
+    """The lenient id rule: whether v is an int, bool or numpy integer in 0..n-1."""
     try:
-        u, v = index(u), index(v)
+        return 0 <= index(v) < n
     except TypeError:
         return False
-    if not 0 <= u < len(adj):
-        return False
-    a = adj[u]
+
+
+def _adjacent(adj: tuple[tuple[int, ...], ...], u, v) -> bool:
+    """Whether v is in u's ascending neighbour tuple (False unless both ``_is_vertex``)."""
+    a = adj[u] if _is_vertex(len(adj), u) and _is_vertex(len(adj), v) else ()
     i = bisect_left(a, v)
     return i < len(a) and a[i] == v
 
@@ -128,13 +130,13 @@ class Graph:
         return _adjacent(self._adj, u, v)
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Per k, whether (us[k], vs[k]) is an edge; ids outside 0..n-1,
-        negative ones included, are not.  Each pair is looked up in the row
-        of its end with the smaller degree (``us[k]`` on a tie), and only
-        those rows are read (``_rows``), keyed as end rank * n + neighbour
-        in one sorted array; the CSR is never built."""
+        """Per k, whether (us[k], vs[k]) is an edge: ids outside 0..n-1 are
+        not, and a non-integer id raises DomainError (``vertex_ids``' type
+        rule).  Each pair is looked up in the row of its smaller-degree end
+        (``us[k]`` on a tie), and only those rows are read (``_rows``), keyed
+        as end rank * n + neighbour in one sorted array; the CSR is never built."""
         n = self._n
-        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        us, vs = _integer_ids(us), _integer_ids(vs)
         out = np.zeros(us.shape, dtype=bool)
         asked = np.flatnonzero((us >= 0) & (us < n) & (vs >= 0) & (vs < n))
         k = len(asked)
@@ -236,25 +238,29 @@ class Graph:
 
 
 def vertex_ids(n: int, vertices: Iterable[int]) -> np.ndarray:
-    """Vertex ids as an intp array; DomainError for a float or bool id (an
-    array's dtype, or an element), OutOfRangeError for any outside 0..n-1."""
-    if isinstance(vertices, np.ndarray):
-        if vertices.dtype.kind not in "iu":
-            raise DomainError(f"vertex ids must be integers, not {vertices.dtype}")
-        ids = vertices.astype(np.intp, copy=False)
-    elif isinstance(vertices, range):
-        ids = np.arange(vertices.start, vertices.stop, vertices.step, dtype=np.intp)
-    else:
-        if not isinstance(vertices, (list, tuple)):
-            vertices = list(vertices)  # a one-shot iterable is read twice below
-        # one pass over the element types: ints and numpy ints, never bools
-        if any(not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)
-               for kind in set(map(type, vertices))):
-            raise DomainError("vertex ids must be integers")
-        ids = np.fromiter(vertices, dtype=np.intp, count=len(vertices))
+    """The strict id rule: ids as an intp array; DomainError for a float, bool
+    or string id (an array's dtype, or an element), OutOfRangeError outside 0..n-1."""
+    ids = _integer_ids(vertices)
     if ids.size and not (ids.min() >= 0 and ids.max() < n):
         raise OutOfRangeError(f"vertex id outside 0..{n - 1}")
     return ids
+
+
+def _integer_ids(vertices: Iterable[int]) -> np.ndarray:
+    """``vertex_ids`` without the range check."""
+    if isinstance(vertices, np.ndarray):
+        if vertices.dtype.kind not in "iu":
+            raise DomainError(f"vertex ids must be integers, not {vertices.dtype}")
+        return vertices.astype(np.intp, copy=False)
+    if isinstance(vertices, range):
+        return np.arange(vertices.start, vertices.stop, vertices.step, dtype=np.intp)
+    if not isinstance(vertices, (list, tuple)):
+        vertices = list(vertices)  # a one-shot iterable is read twice below
+    # one pass over the element types: ints and numpy ints, never bools
+    if any(not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)
+           for kind in set(map(type, vertices))):
+        raise DomainError("vertex ids must be integers")
+    return np.fromiter(vertices, dtype=np.intp, count=len(vertices))
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
@@ -365,14 +371,11 @@ class GraphView:
               edges: Iterable[tuple[int, int]] = ()) -> "GraphView":
         """This view with more vertices and edges deleted.
 
-        Vertex ids outside 0..n-1 are rejected; pairs in either orientation
-        are accepted, and pairs that are not edges of the base graph are
-        ignored.
+        Vertex ids are read by ``vertex_ids`` (DomainError, OutOfRangeError);
+        pairs in either orientation are accepted, and pairs that are not
+        edges of the base graph are ignored.
         """
-        vertices, n = frozenset(vertices), self.base.n
-        for v in vertices:
-            if not (0 <= v < n):
-                raise OutOfRangeError(f"removed vertex {v} outside 0..{n - 1}")
+        vertices = frozenset(vertex_ids(self.base.n, vertices).tolist())
         new: dict[int, set[int]] = {}
         for a, b in edges:
             if self.base.has_edge(a, b):
@@ -384,7 +387,8 @@ class GraphView:
         return GraphView(self.base, self.removed_vertices | vertices, lost)
 
     def contains_vertex(self, v: int) -> bool:
-        return 0 <= v < self.base.n and v not in self.removed_vertices
+        """Whether v is a vertex id (``_is_vertex``) the view keeps."""
+        return _is_vertex(self.base.n, v) and v not in self.removed_vertices
 
     def neighbors(self, v: int) -> Sequence[int]:
         """Ascending neighbors of v in the view; the base tuple itself when
@@ -437,11 +441,7 @@ class GraphView:
 
 def view_minus(g: Graph, removed_vertices: Iterable[int] = (),
                removed_edges: Iterable[tuple[int, int]] = ()) -> GraphView:
-    """View of g with a vertex set and an edge set deleted.
-
-    Unknown pairs in the edge set are ignored; vertex ids outside 0..n-1
-    are rejected.
-    """
+    """``GraphView(g).minus(removed_vertices, removed_edges)``."""
     return GraphView(g).minus(removed_vertices, removed_edges)
 
 

@@ -379,9 +379,8 @@ def build_dense_immersion(g: Graph, report: SpectralReport, eta: float,
 
     if mode == STRICT and stuck:
         raise IncompleteEmbeddingError(f"{len(stuck)} pairs unlinked: {stuck[:5]}")
-    branch = peel_to_complete(f_list, set(paths)) if stuck else f_list
-    cert = EmbeddingCertificate.from_paths(IMMERSION, branch,
-                                           lambda a, b: paths[(a, b)])
+    branch = peel_to_complete(f_list, paths) if stuck else f_list
+    cert = EmbeddingCertificate.from_paths(IMMERSION, branch, paths)
     diag = DenseDiagnostics(
         t=scheme.t if scheme else 0,
         m1=scheme.m1 if scheme else 0,

@@ -205,10 +205,9 @@ def build_medium_immersion(g: Graph, report: SpectralReport, eta: float,
             raise IncompleteEmbeddingError(f"unconnected pairs: {missing[:5]}")
         chosen = centers
     else:
-        chosen = peel_to_complete(centers, set(by_centers))
+        chosen = peel_to_complete(centers, by_centers)
 
-    cert = EmbeddingCertificate.from_paths(IMMERSION, chosen,
-                                           lambda a, b: by_centers[(a, b)])
+    cert = EmbeddingCertificate.from_paths(IMMERSION, chosen, by_centers)
     diag = MediumDiagnostics(m_scale, (h1, h2, h3), len(units),
                              len(ledger.full_paths), len(ledger.missing_pairs),
                              len(cert.branch), precondition_ok)

@@ -6,17 +6,19 @@ same thing as a family of pairwise edge-disjoint triangles.  The matcher
 runs iterated random bites (sample a small fraction of surviving triples,
 keep the conflict-free ones, delete covered vertices), finishes with an
 exhaustive greedy sweep, and never returns less than plain greedy would.
+The parts' and the triples' ids are both read by ``graphs.vertex_ids``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BadPartitionError, DomainError
-from .graphs import Edge, Graph
+from .errors import BadPartitionError, DomainError, OutOfRangeError
+from .graphs import Edge, Graph, vertex_ids
 from .util import derive_seed
 
 MAX_ROUNDS = 50
@@ -74,12 +76,17 @@ class Hypergraph3:
                    vertex_labels: Optional[list[Edge]] = None,
                    group_starts: Sequence[int] = (0,)) -> "Hypergraph3":
         """Hypergraph on the rows of an (M, 3) integer array or list of
-        triples; each row is sorted and repeated rows are dropped.  An id
-        outside 0..n_vertices-1 raises ``BadPartitionError``."""
-        arr = np.sort(np.asarray(arr, dtype=np.int64).reshape(-1, 3), axis=1)
-        if arr.size and (arr[:, 0].min() < 0 or arr[:, 2].max() >= n_vertices):
-            raise BadPartitionError(f"a triple has an id outside 0..{n_vertices - 1}")
-        arr = _unique_rows(arr)
+        triples; each row is sorted and repeated rows are dropped.  Ids are
+        read by ``vertex_ids``, but one out of range, like a list row that is
+        not a triple, raises ``BadPartitionError``."""
+        if not isinstance(arr, np.ndarray) and set(map(len, arr)) - {3}:
+            raise BadPartitionError("every triple must have three members")
+        try:
+            arr = vertex_ids(n_vertices, arr.ravel() if isinstance(arr, np.ndarray)
+                             else chain.from_iterable(arr))
+        except OutOfRangeError:
+            raise BadPartitionError(f"a triple has an id outside 0..{n_vertices - 1}") from None
+        arr = _unique_rows(np.sort(arr.reshape(-1, 3), axis=1))
         starts = np.asarray(group_starts, dtype=np.int64)
         if arr.size and ((arr[:, 0] == arr[:, 1]) | (arr[:, 1] == arr[:, 2])).any():
             raise BadPartitionError("triples must have three distinct members")
@@ -127,7 +134,8 @@ def triangle_hypergraph(g: Graph, parts: tuple[Sequence[int], Sequence[int], Seq
     Only edges between distinct parts participate; each such edge is one
     hypergraph vertex (numbered in ``g.edges()`` order), each transversal
     triangle one triple.  Edges lying in no triangle stay as isolated
-    hypergraph vertices and are counted.
+    hypergraph vertices and are counted.  The parts are read by
+    ``vertex_ids``; overlapping parts raise BadPartitionError.
 
     ``groups`` lists the first graph vertex of each sub-problem when g is a
     disjoint union of several (ascending, starting at 0); an edge between
@@ -139,12 +147,10 @@ def triangle_hypergraph(g: Graph, parts: tuple[Sequence[int], Sequence[int], Seq
     C-neighbors of its A end, and each candidate (b, c) is looked up among
     the B-C edges.
     """
-    blocks = [np.unique(np.fromiter(p, dtype=np.int64)) for p in parts]
+    blocks = [np.unique(vertex_ids(g.n, p)) for p in parts]
     members = np.concatenate(blocks)
     if np.unique(members).size != members.size:
         raise BadPartitionError("parts must be pairwise disjoint")
-    if members.size and (members.min() < 0 or members.max() >= g.n):
-        raise BadPartitionError(f"parts must be vertices of the graph 0..{g.n - 1}")
     part = np.full(g.n, -1, dtype=np.int64)
     for idx, block in enumerate(blocks):
         part[block] = idx

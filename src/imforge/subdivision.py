@@ -305,11 +305,10 @@ def build_balanced_subdivision(g: Graph, report: SpectralReport, eta: float,
     # star indices ascend with center ids, so every key below has a < b
     full = {(centers[i], centers[j]): [centers[i], *routed[pair], centers[j]]
             for (i, j), pair in zip(pair_keys, leaf_pairs) if pair in routed}
-    branch = peel_to_complete(centers, set(full)) if failed else centers
+    branch = peel_to_complete(centers, full) if failed else centers
     # every routed path has exactly `length` edges, plus the two star edges
-    cert = EmbeddingCertificate.from_paths(
-        SUBDIVISION, branch, lambda a, b: full[(a, b)],
-        ell=length + 1 if len(branch) > 1 else None)
+    cert = EmbeddingCertificate.from_paths(SUBDIVISION, branch, full,
+                                           ell=length + 1 if len(branch) > 1 else None)
     diag = SubdivisionDiagnostics(
         length=length, length_formula=length_formula, n0=n0, d0=d0,
         p_alpha_pass=pa_pass, p_alpha_margin=pa_margin,

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Container
 
 import numpy as np
 
 from .errors import DomainError, ParseError
+from .graphs import normalize_edge
 
 MASK64 = (1 << 64) - 1
 
@@ -73,21 +75,20 @@ def read_ascii(path: str | os.PathLike) -> str:
         raise ParseError(line, f"non-ASCII byte 0x{data[err.start]:02x}") from None
 
 
-def peel_to_complete(vertices: list[int], connected: set[tuple[int, int]]) -> list[int]:
+def peel_to_complete(vertices: list[int], connected: Container[tuple[int, int]]) -> list[int]:
     """Largest-effort subset whose pairs are all in ``connected``.
 
     Greedy peeling: repeatedly drop the vertex with the most missing pairs
     (ties to the higher id, so low ids survive), until no pair is missing.
-    ``connected`` holds unordered pairs of vertex ids.
+    ``connected`` holds pairs (a, b) with a < b, such as a path map's keys.
     """
     alive = list(vertices)
-    norm = {tuple(sorted(p)) for p in connected}
     while True:
         missing: dict[int, int] = {v: 0 for v in alive}
         bad = 0
         for i, u in enumerate(alive):
             for v in alive[i + 1:]:
-                if tuple(sorted((u, v))) not in norm:
+                if normalize_edge(u, v) not in connected:
                     missing[u] += 1
                     missing[v] += 1
                     bad += 1

@@ -178,8 +178,7 @@ def test_verify_trivial_certificate():
 
 def test_certificate_from_paths_sorts_and_orients():
     paths = {(0, 1): [1, 0], (0, 2): [0, 3, 2], (1, 2): [2, 3, 1]}
-    cert = EmbeddingCertificate.from_paths("immersion", [2, 0, 1],
-                                           lambda a, b: paths[(a, b)], ell=None)
+    cert = EmbeddingCertificate.from_paths("immersion", [2, 0, 1], paths, ell=None)
     assert cert.branch == [0, 1, 2]
     assert cert.pairs == {(0, 1): [0, 1], (0, 2): [0, 3, 2], (1, 2): [1, 3, 2]}
     assert paths[(0, 1)] == [1, 0]  # the caller's paths are not reversed in place

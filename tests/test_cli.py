@@ -274,6 +274,7 @@ def test_immerse_dense_eta_zero_is_a_usage_error(capsys):
       for density in ("nan", "inf", "-inf", "-0.5", "1.5")),
     *((["sweep", "--command-name", "immerse-dense", "--q", "13", f"--eta-grid={grid}"],
        "--eta-grid holds no eta") for grid in (",", "", " , ")),
+    (["nibble", "--q", "13", "--parts=-1,5,5"], "--parts sizes must not be negative"),
 ])
 def test_malformed_flags_exit_2(capsys, argv, says):
     assert main(argv) == 2

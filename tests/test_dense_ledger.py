@@ -109,8 +109,8 @@ def run_stages(g, report, eta, seed, replace, link, book):
     three_paths, stuck = link(leftovers, book)
     paths.update(two_paths)
     paths.update(three_paths)
-    branch = peel_to_complete(list(range(f)), set(paths)) if stuck else list(range(f))
-    cert = EmbeddingCertificate.from_paths(IMMERSION, branch, lambda a, b: paths[(a, b)])
+    branch = peel_to_complete(list(range(f)), paths) if stuck else list(range(f))
+    cert = EmbeddingCertificate.from_paths(IMMERSION, branch, paths)
     return {"two_paths": list(two_paths.items()), "leftovers": red_left,
             "three_paths": list(three_paths.items()), "stuck": stuck,
             "cert": cert.to_json()}

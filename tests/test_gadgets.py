@@ -194,12 +194,6 @@ def test_chain_adjusters_keeps_the_budget_it_was_given():
     assert [code for code, _ in verify_adjuster(g, chained).violations] == ["CENTER_BUDGET"]
 
 
-def test_chain_adjusters_identity():
-    g = cycle(6)
-    a1 = build_1_adjuster(g, d_size=1, m=1)
-    assert chain_adjusters(g, a1, None) is a1
-
-
 def test_chain_adjusters_disconnected():
     edges = [(i, (i + 1) % 6) for i in range(6)]
     edges += [(6 + i, 6 + (i + 1) % 6) for i in range(6)]

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from imforge.errors import (
     DomainError,
     EmptySideError,
+    ExpansionFailedError,
+    NoPathError,
     OutOfRangeError,
     OverlapError,
     ParseError,
     SelfLoopError,
 )
+from imforge.expanders import short_avoiding_path
+from imforge.gadgets import grow_expansion
 from imforge.generators import paley, random_regular
 from imforge.graphs import (
     Graph,
@@ -25,6 +29,7 @@ from imforge.graphs import (
     parse_edge_list,
     view_minus,
 )
+from imforge.nibble import Hypergraph3, triangle_hypergraph
 
 from helpers import bare_shell, complete, complete_bipartite, cycle, degrees, petersen
 
@@ -333,21 +338,31 @@ def test_block_rejects_ids_outside_the_graph():
             g.block(rows, cols)
 
 
-# truncating 0.5 would read vertex 0, and a bool mask would read ids 0 and 1
+# truncating 0.5 would read vertex 0, a bool mask would read ids 0 and 1,
+# and a numeric string would read the number it spells
 @pytest.mark.parametrize("ids", [
     [0.5],
     [1, 2.0],
     [np.float64(1)],
     [True, 2],
+    [0, "1"],
     np.array([0.5, 2.0]),
     np.array([True, False, True]),
-], ids=["float", "one-float", "numpy-float", "bool", "float-array", "bool-array"])
+    np.array(["0", "1"]),
+], ids=["float", "one-float", "numpy-float", "bool", "string", "float-array", "bool-array",
+        "string-array"])
 @pytest.mark.parametrize("query", [
     lambda g, ids: g.block(ids, [1, 2, 3]),
     lambda g, ids: g.block([1, 2, 3], ids),
     lambda g, ids: g.neighbor_counts(ids),
     lambda g, ids: pair_density(g, ids, [7, 8]),
-], ids=["block-rows", "block-cols", "neighbor-counts", "pair-density"])
+    lambda g, ids: g.has_edges(ids, [1] * len(ids)),
+    lambda g, ids: g.has_edges([1] * len(ids), ids),
+    lambda g, ids: view_minus(g).minus(ids),
+    lambda g, ids: triangle_hypergraph(g, (ids, [10], [11])),
+    lambda g, ids: Hypergraph3.from_array(g.n, [[v, 10, 11] for v in ids]),
+], ids=["block-rows", "block-cols", "neighbor-counts", "pair-density", "has-edges-us",
+        "has-edges-vs", "view-minus", "nibble-parts", "hypergraph-triples"])
 def test_queries_reject_float_and_bool_ids(query, ids):
     with pytest.raises(DomainError):
         query(paley(13), ids)
@@ -359,6 +374,24 @@ def test_array_queries_check_the_dtype_of_an_empty_array():
         g.block(np.empty(0), [1, 2])
     with pytest.raises(DomainError):
         g.neighbor_counts(np.empty(0))
+    with pytest.raises(DomainError):
+        g.has_edges(np.empty(0), np.empty(0, dtype=np.int64))
+    with pytest.raises(DomainError):
+        Hypergraph3.from_array(g.n, np.empty((0, 3)))
+
+
+def test_membership_queries_answer_no_for_a_non_integer_id():
+    # the lenient rule: a float or string is no vertex, and nothing raises
+    view = view_minus(paley(13))
+    for v in (0.5, 1.0, "0", None):
+        assert not view.contains_vertex(v)
+        assert not view.base.has_edge(v, 1) and not view.has_edge(1, v)
+    with pytest.raises(NoPathError):
+        short_avoiding_path(view, [0.5], [3], max_len=5)
+    with pytest.raises(NoPathError):
+        short_avoiding_path(view, [0], [2.5], max_len=5)
+    with pytest.raises(ExpansionFailedError):
+        grow_expansion(view, 0.5, size=3, radius=2)
 
 
 def test_block_rejects_a_repeated_column_and_repeats_a_repeated_row():

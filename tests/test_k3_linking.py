@@ -145,9 +145,8 @@ def reference_k3_immersion(g: Graph, a_side: Sequence[int], b_side: Sequence[int
                             occupancy[a] += 1
             linked[(u, v)] = path
     if len(linked) < len(branch) * (len(branch) - 1) // 2:
-        branch = peel_to_complete(branch, set(linked))
-    return EmbeddingCertificate.from_paths(IMMERSION, branch, lambda a, b: linked[(a, b)],
-                                           ell=3)
+        branch = peel_to_complete(branch, linked)
+    return EmbeddingCertificate.from_paths(IMMERSION, branch, linked, ell=3)
 
 
 @pytest.mark.parametrize("n2, seed", [(1, 0), (64, 5), (65, 0), (200, 3), (4096, 21)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imforge.errors import BadPartitionError
+from imforge.errors import BadPartitionError, OutOfRangeError
 from imforge.graphs import build_graph
 from imforge.nibble import (
     Hypergraph3,
@@ -133,6 +133,17 @@ def test_triangle_hypergraph_bad_partition():
     g = complete_tripartite(2, 2, 2)
     with pytest.raises(BadPartitionError):
         triangle_hypergraph(g, ([0, 1], [1, 3], [4, 5]))
+
+
+@pytest.mark.parametrize("parts", [([0, 1], [2, 3], [4, 6]), ([-1], [2], [4])])
+def test_triangle_hypergraph_rejects_a_part_outside_the_graph(parts):
+    with pytest.raises(OutOfRangeError):
+        triangle_hypergraph(complete_tripartite(2, 2, 2), parts)
+
+
+def test_hypergraph_rejects_a_row_that_is_not_a_triple():
+    with pytest.raises(BadPartitionError, match="three members"):
+        Hypergraph3.from_array(6, [[0, 1], [2, 3, 4, 5]])
 
 
 @pytest.mark.parametrize("row", [[0, 1, 4], [-1, -2, 3], [-3, -2, -1]])
