@@ -247,7 +247,8 @@ def vertex_ids(n: int, vertices: Iterable[int]) -> np.ndarray:
 
 
 def _integer_ids(vertices: Iterable[int]) -> np.ndarray:
-    """``vertex_ids`` without the range check."""
+    """``vertex_ids`` without the range check; an int beyond intp reads as
+    -1, which is outside every range, as ``build_graph`` maps its overflow."""
     if isinstance(vertices, np.ndarray):
         if vertices.dtype.kind not in "iu":
             raise DomainError(f"vertex ids must be integers, not {vertices.dtype}")
@@ -260,7 +261,11 @@ def _integer_ids(vertices: Iterable[int]) -> np.ndarray:
     if any(not issubclass(kind, (int, np.integer)) or issubclass(kind, bool)
            for kind in set(map(type, vertices))):
         raise DomainError("vertex ids must be integers")
-    return np.fromiter(vertices, dtype=np.intp, count=len(vertices))
+    try:
+        return np.fromiter(vertices, dtype=np.intp, count=len(vertices))
+    except OverflowError:
+        big = np.iinfo(np.intp).max
+        return np.array([v if 0 <= v <= big else -1 for v in vertices], dtype=np.intp)
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
@@ -424,7 +429,11 @@ class GraphView:
         return deg
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u in self.removed_vertices or v in self.removed_vertices:
+        removed = self.removed_vertices
+        try:
+            if u in removed or v in removed:
+                return False
+        except TypeError:  # unhashable, so no vertex by ``_is_vertex``
             return False
         return v not in self._lost.get(u, ()) and self.base.has_edge(u, v)
 

@@ -193,15 +193,14 @@ def replace_red_edges(rb: RedBlackGraph, classes: list[list[tuple[int, int]]],
     are reused round-robin when there are fewer cells than classes, with the
     ledger ``free`` keeping everything edge-disjoint.  Each pair (j, k) of a
     class gets a mini graph on V_j, V_k and the cell, holding its red pairs
-    and its black edges still free, and its own matcher seed.  Classes whose
-    cells are distinct form one batch: their pairs share no black edge, so
-    the batch's mini graphs are laid side by side in one graph and matched
-    in one call, each exactly as it would be alone.  Every V_j (j >= 1) has
-    t vertices and every cell s, so a batch's black edges are one gather
-    from ``free``, and its matched triangles clear their two edges there.
-    Batches run in class order, each seeing the ledger the earlier ones
-    left.  Returns the replacements keyed by red pair, and the un-replaced
-    red pairs, sorted.
+    and its black edges still free.  Classes whose cells are distinct form
+    one batch: their pairs share no black edge, so the batch's mini graphs
+    are laid side by side in one graph and matched in one call, with one
+    matcher seed per batch.  Every V_j (j >= 1) has t vertices and every
+    cell s, so a batch's black edges are one gather from ``free``, and its
+    matched triangles clear their two edges there.  Batches run in class
+    order, each seeing the ledger the earlier ones left.  Returns the
+    replacements keyed by red pair, and the un-replaced red pairs, sorted.
     """
     sch = rb.scheme
     t, s = sch.t, sch.s
@@ -241,9 +240,8 @@ def replace_red_edges(rb: RedBlackGraph, classes: list[list[tuple[int, int]]],
             [red_pos, np.stack([base[p] + i, base[p] + 2 * t + c], axis=1)]))
         batch_sides = np.tile(sides, len(jobs))
         parts = tuple(np.flatnonzero(batch_sides == x) for x in range(3))
-        seeds = [derive_seed(seed, f"red-replace:{ci}:{j}:{k}") for ci, j, k in jobs]
-        triangles, _, _ = edge_disjoint_triangles(mini, parts, seed=seeds,
-                                                  groups=base.tolist())
+        triangles, _, _ = edge_disjoint_triangles(
+            mini, parts, seed=derive_seed(seed, f"red-replace:{first}"))
         # a triangle is (V_j, V_k, cell) vertices of one pair, ascending
         abu = host_of.ravel()[np.array(triangles, dtype=np.intp).reshape(-1, 3)]
         free.matrix[free.row[abu[:, :2]], free.col[abu[:, 2:]]] = False

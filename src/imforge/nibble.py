@@ -4,20 +4,23 @@ Every cross edge of a tripartite graph becomes a hypergraph vertex; each
 triangle becomes a 3-element hyperedge.  A matching of the hypergraph is the
 same thing as a family of pairwise edge-disjoint triangles.  The matcher
 runs iterated random bites (sample a small fraction of surviving triples,
-keep the conflict-free ones, delete covered vertices), finishes with an
-exhaustive greedy sweep, and never returns less than plain greedy would.
-The parts' and the triples' ids are both read by ``graphs.vertex_ids``.
+keep the conflict-free ones, delete covered vertices) drawn from one
+SplitMix64 stream per call, finishes with an exhaustive greedy sweep, and
+on no connected component returns less than plain greedy would.  The
+parts' and the triples' ids are both read by ``graphs.vertex_ids``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .errors import BadPartitionError, DomainError, OutOfRangeError
+from .errors import BadPartitionError, OutOfRangeError
 from .graphs import Edge, Graph, vertex_ids
 from .util import derive_seed
 
@@ -26,11 +29,11 @@ BITE_FRACTION = 0.1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _splitmix64(key: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _splitmix64(key: np.uint64, index: np.ndarray) -> np.ndarray:
     """Output ``index`` (counted from 0) of SplitMix64 seeded with ``key``,
     scaled to [0, 1) as (z >> 11) * 2**-53; elementwise over uint64 arrays.
-    Output k is a pure function of the state key + (k + 1) * gamma, so any
-    mix of streams and positions is one vector op."""
+    Output k is a pure function of the state key + (k + 1) * gamma, so a
+    round's draws are one vector op."""
     z = key + (index + np.uint64(1)) * _GAMMA
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -59,22 +62,17 @@ class Hypergraph3:
     """3-uniform hypergraph with triples stored as a sorted (M, 3) array.
 
     ``vertex_labels[i]`` maps hypergraph vertex i back to a base-graph edge
-    when the hypergraph came from a triangle construction.  The vertices
-    fall into consecutive groups, one per independent sub-problem, starting
-    at the ids in ``group_starts``; no triple spans two groups.  A lone
-    problem is the single group starting at 0.
+    when the hypergraph came from a triangle construction.
     """
 
     n_vertices: int
     triples: np.ndarray
     vertex_labels: Optional[list[Edge]] = None
     isolated_count: int = 0
-    group_starts: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     @staticmethod
     def from_array(n_vertices: int, arr: np.ndarray | Sequence[Sequence[int]],
-                   vertex_labels: Optional[list[Edge]] = None,
-                   group_starts: Sequence[int] = (0,)) -> "Hypergraph3":
+                   vertex_labels: Optional[list[Edge]] = None) -> "Hypergraph3":
         """Hypergraph on the rows of an (M, 3) integer array or list of
         triples; each row is sorted and repeated rows are dropped.  Ids are
         read by ``vertex_ids``, but one out of range, like a list row that is
@@ -87,17 +85,11 @@ class Hypergraph3:
         except OutOfRangeError:
             raise BadPartitionError(f"a triple has an id outside 0..{n_vertices - 1}") from None
         arr = _unique_rows(np.sort(arr.reshape(-1, 3), axis=1))
-        starts = np.asarray(group_starts, dtype=np.int64)
         if arr.size and ((arr[:, 0] == arr[:, 1]) | (arr[:, 1] == arr[:, 2])).any():
             raise BadPartitionError("triples must have three distinct members")
-        if arr.size and (np.searchsorted(starts, arr[:, 0], side="right")
-                         != np.searchsorted(starts, arr[:, 2], side="right")).any():
-            raise BadPartitionError("a triple spans two groups")
         covered = np.zeros(n_vertices, dtype=bool)
-        if arr.size:
-            covered[arr.ravel()] = True
-        isolated = int(n_vertices - covered.sum())
-        return Hypergraph3(n_vertices, arr, vertex_labels, isolated, starts)
+        covered[arr.ravel()] = True
+        return Hypergraph3(n_vertices, arr, vertex_labels, n_vertices - int(covered.sum()))
 
     @property
     def n_triples(self) -> int:
@@ -127,21 +119,17 @@ class Matching3:
         return self.size / (self.n_active / 3)
 
 
-def triangle_hypergraph(g: Graph, parts: tuple[Sequence[int], Sequence[int], Sequence[int]],
-                        groups: Sequence[int] = (0,)) -> Hypergraph3:
+def triangle_hypergraph(g: Graph, parts: tuple[Sequence[int], Sequence[int], Sequence[int]]
+                        ) -> Hypergraph3:
     """Hypergraph of triangles of a tripartite graph.
 
     Only edges between distinct parts participate; each such edge is one
     hypergraph vertex (numbered in ``g.edges()`` order), each transversal
     triangle one triple.  Edges lying in no triangle stay as isolated
     hypergraph vertices and are counted.  The parts are read by
-    ``vertex_ids``; overlapping parts raise BadPartitionError.
-
-    ``groups`` lists the first graph vertex of each sub-problem when g is a
-    disjoint union of several (ascending, starting at 0); an edge between
-    two sub-problems is an error.  The hypergraph's groups follow, and each
-    sub-problem gets the triples it would get alone, shifted by the number
-    of cross edges before it.
+    ``vertex_ids``; overlapping parts raise BadPartitionError.  When g is a
+    disjoint union, each part of it gets the triples it would get alone,
+    shifted by the number of cross edges before it.
 
     The triangles come from one join: every A-B edge is expanded by the
     C-neighbors of its A end, and each candidate (b, c) is looked up among
@@ -161,10 +149,6 @@ def triangle_hypergraph(g: Graph, parts: tuple[Sequence[int], Sequence[int], Seq
     cross = (u < v) & (pu >= 0) & (pv >= 0) & (pu != pv)
     u, v, pu, pv = u[cross], v[cross], pu[cross], pv[cross]
     cross_edges = list(zip(u.tolist(), v.tolist()))
-    starts = np.asarray(groups, dtype=np.int64)
-    edge_group = np.searchsorted(starts, u, side="right") - 1
-    if (edge_group != np.searchsorted(starts, v, side="right") - 1).any():
-        raise BadPartitionError("an edge joins two groups")
 
     # orient every cross edge from its lower part to its higher one
     flip = pu > pv
@@ -189,9 +173,7 @@ def triangle_hypergraph(g: Graph, parts: tuple[Sequence[int], Sequence[int], Seq
     found = hit < len(bc_key)
     found[found] = bc_key[hit[found]] == want[found]
     arr = np.stack([np.repeat(ab_e, count)[found], ac_e[at][found], bc_e[hit[found]]], axis=1)
-    group_starts = np.searchsorted(edge_group, np.arange(len(starts)))
-    return Hypergraph3.from_array(len(cross_edges), arr, vertex_labels=cross_edges,
-                                  group_starts=group_starts)
+    return Hypergraph3.from_array(len(cross_edges), arr, vertex_labels=cross_edges)
 
 
 def _greedy_sweep(triples: np.ndarray, free: list[bool], rows: np.ndarray) -> list[int]:
@@ -205,61 +187,38 @@ def _greedy_sweep(triples: np.ndarray, free: list[bool], rows: np.ndarray) -> li
     return taken
 
 
-def near_perfect_matching(h: Hypergraph3, seed: Union[int, Sequence[int]] = 0) -> Matching3:
+def near_perfect_matching(h: Hypergraph3, seed: int = 0) -> Matching3:
     """Matching via random bites plus greedy cleanup, deterministic in seed.
 
-    The result is guaranteed to be at least as large as a plain ascending
-    greedy run, so the cleanup-dominance property holds on every input.
-
-    Every group of ``h`` is its own sub-problem with its own seed (``seed``
-    holds one per group; a lone problem may pass one int).  The groups run
-    in lock-step, one vectorised bite round for all of them at a time, and
-    each keeps its own round cap, greedy sweep and dominance guard, so each
-    gets exactly the triples, rounds and greedy size it would get alone.
-    Group g's k-th draw is output k of SplitMix64 seeded with
-    ``derive_seed(seed_g, "nibble")`` (see ``_splitmix64``); in each round
-    the group's surviving triples take its next unread draws in row order,
-    so its draws do not depend on the other groups.  The matcher reads this
-    counter, not one PCG64 stream per group, because thousands of streams
-    have to be read as one vector per round.  ``rounds`` and
-    ``greedy_size`` are the largest round count and the total greedy size;
-    the per-group values are in ``group_rounds`` and ``group_greedy_size``.
+    Draw k is output k of SplitMix64 seeded with ``derive_seed(seed,
+    "nibble")`` (see ``_splitmix64``, read as one vector per round); each
+    round the surviving triples take the next unread draws in row order.
+    Dominance guard: a connected component of ``h`` takes the triples of
+    plain ascending greedy where greedy keeps more.  One guard over the
+    whole call would hand a union of many sub-problems to greedy outright.
     """
     t = h.triples
     n_v = h.n_vertices
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    n_groups = len(h.group_starts)
-    if len(seeds) != n_groups:
-        raise DomainError(f"need one seed per group: {len(seeds)} seeds, {n_groups} groups")
-    row_group = np.searchsorted(h.group_starts, t[:, 0], side="right") - 1
-    vertex_group = np.searchsorted(h.group_starts, np.arange(n_v), side="right") - 1
-    keys = np.array([derive_seed(s, "nibble") for s in seeds], dtype=np.uint64)
-    drawn = np.zeros(n_groups, dtype=np.int64)
+    key = np.uint64(derive_seed(seed, "nibble"))
+    drawn = 0
 
     free = np.ones(n_v, dtype=bool)
     selected = np.zeros(len(t), dtype=bool)
-    rounds = np.zeros(n_groups, dtype=np.int64)
+    rounds = 0
     surviving = np.arange(len(t))
     for _ in range(MAX_ROUNDS):
         alive_mask = free[t[surviving, 0]] & free[t[surviving, 1]] & free[t[surviving, 2]]
         surviving = surviving[alive_mask]
         if surviving.size == 0:
             break
-        group = row_group[surviving]
-        count = np.bincount(group, minlength=n_groups)
-        rounds += count > 0
+        rounds += 1
         # every vertex of a surviving triple is free
         live = np.zeros(n_v, dtype=bool)
         live[t[surviving].ravel()] = True
-        n_alive_v = np.bincount(vertex_group[live], minlength=n_groups)
-        want = BITE_FRACTION * n_alive_v / 3
-        p = np.minimum(1.0, want / np.maximum(count, 1))
-        # the k-th surviving triple of a group takes that group's next draw
-        first = np.cumsum(count) - count
-        at = drawn[group] + np.arange(surviving.size) - first[group]
-        draws = _splitmix64(keys[group], at.astype(np.uint64))
-        drawn += count
-        bite = surviving[draws < p[group]]
+        p = min(1.0, BITE_FRACTION * np.count_nonzero(live) / 3 / surviving.size)
+        draws = _splitmix64(key, np.arange(drawn, drawn + surviving.size, dtype=np.uint64))
+        drawn += surviving.size
+        bite = surviving[draws < p]
         if bite.size == 0:
             continue
         # keep the bitten triples that share no vertex with another bitten one
@@ -269,30 +228,24 @@ def near_perfect_matching(h: Hypergraph3, seed: Union[int, Sequence[int]] = 0) -
         free[t[bite].ravel()] = False
     selected[_greedy_sweep(t, free.tolist(), surviving)] = True
 
-    # dominance guard: plain ascending greedy from scratch, per group
+    # dominance guard: plain ascending greedy from scratch, per component
     plain = np.zeros(len(t), dtype=bool)
     plain[_greedy_sweep(t, [True] * n_v, np.arange(len(t)))] = True
-    greedy_size = np.bincount(row_group[plain], minlength=n_groups)
-    swap = greedy_size > np.bincount(row_group[selected], minlength=n_groups)
-    selected = np.where(swap[row_group], plain, selected)
+    links = coo_matrix((np.ones(2 * len(t)), (np.r_[t[:, 0], t[:, 1]], np.r_[t[:, 1], t[:, 2]])),
+                       shape=(n_v, n_v))
+    n_comp, label = connected_components(links, directed=False)
+    comp = label[t[:, 0]]
+    swap = np.bincount(comp, plain, n_comp) > np.bincount(comp, selected, n_comp)
+    selected = np.where(swap[comp], plain, selected)
 
-    diag = {"rounds": int(rounds.max(initial=0)), "greedy_size": int(greedy_size.sum()),
-            "group_rounds": rounds.tolist(), "group_greedy_size": greedy_size.tolist()}
-    return Matching3(t[selected], h.n_active, diag)
+    return Matching3(t[selected], h.n_active, {"rounds": rounds, "greedy_size": int(plain.sum())})
 
 
-def edge_disjoint_triangles(g: Graph, parts, seed: Union[int, Sequence[int]] = 0,
-                            groups: Sequence[int] = (0,)
+def edge_disjoint_triangles(g: Graph, parts, seed: int = 0,
                             ) -> tuple[list[tuple[int, int, int]], list[Edge], dict]:
     """Edge-disjoint triangles of a tripartite graph via the hypergraph
-    matcher; returns (triangles, uncovered cross edges, diagnostics).
-
-    When g is a disjoint union of sub-problems, ``groups`` holds the first
-    vertex of each and ``seed`` one seed per sub-problem (see
-    ``triangle_hypergraph`` and ``near_perfect_matching``); each gets the
-    triangles it would get alone, in sub-problem order.
-    """
-    h = triangle_hypergraph(g, parts, groups)
+    matcher; returns (triangles, uncovered cross edges, diagnostics)."""
+    h = triangle_hypergraph(g, parts)
     matching = near_perfect_matching(h, seed=seed)
     labels = h.vertex_labels or []
     triangles = [tuple(sorted({v for vid in row for v in labels[vid]}))

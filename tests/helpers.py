@@ -1,7 +1,9 @@
 """Small named graphs used as oracles across the test suite, a graph's
 degree list and its shell with no CSR, the hypothesis strategies for
 random small graphs and views, the dense pipeline's free-edge ledger built
-from a set of spent edges, and the greedy 3-path linker on a set ledger."""
+from a set of spent edges, and its two stages on a set ledger: the
+batched red-edge replacement and the greedy 3-path linker; and the
+connected components of a triple system."""
 
 from itertools import combinations
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from imforge.graphs import EdgeSet, Graph, build_graph, normalize_edge, view_minus
 from imforge.immersion_dense import FreeEdges
+from imforge.nibble import edge_disjoint_triangles
+from imforge.util import derive_seed
 
 
 def degrees(g: Graph) -> list[int]:
@@ -104,6 +108,23 @@ def views(draw):
     return view, verts, pairs
 
 
+def triple_components(n, triples):
+    """Each triple's connected component in a system on vertices 0..n-1,
+    named by its least vertex (union-find on plain lists)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, *rest in triples:
+        for x in rest:
+            ra, rx = find(a), find(x)
+            parent[max(ra, rx)] = min(ra, rx)
+    return [find(a) for a, *_ in triples]
+
+
 def ledger(g: Graph, f_set, spent=()) -> FreeEdges:
     """The free-edge ledger of g over F = ``f_set``, less the edges in
     ``spent`` (pairs in either orientation; pairs without a cell, such as
@@ -155,3 +176,51 @@ def reference_greedy_three_paths(g, pairs, used, f_set):
             consume(x, y)
         out[pair] = path
     return out, stuck
+
+
+def reference_replace_red_edges(g, rb, classes, used, seed=0):
+    """Batched red-edge replacement on a set ledger: each black edge is
+    ``g.has_edge(a, u)`` and not in ``used``."""
+    sch = rb.scheme
+    two_paths, leftovers = {}, []
+    numbered = list(enumerate(classes, start=1))
+    if sch.m2 < 1:
+        leftovers = [p for reds in rb.red.values() for p in reds]
+        numbered = []
+    for first in range(0, len(numbered), max(sch.m2, 1)):
+        host_of, side, edges, reds_in_batch = [], [], [], []
+        for ci, cls in numbered[first:first + sch.m2]:
+            u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
+            for (j, k) in cls:
+                reds = rb.red.get((j, k), [])
+                if not reds:
+                    continue
+                vj, vk = sch.v_parts[j], sch.v_parts[k]
+                base = len(host_of)
+                local = list(vj) + list(vk) + list(u_cell)
+                pos = {v: base + i for i, v in enumerate(local)}
+                edges.extend((pos[a], pos[b]) for a, b in reds)
+                for a in local[:len(vj) + len(vk)]:
+                    for u in u_cell:
+                        if g.has_edge(a, u) and normalize_edge(a, u) not in used:
+                            edges.append((pos[a], pos[u]))
+                host_of.extend(local)
+                side.extend([0] * len(vj) + [1] * len(vk) + [2] * len(u_cell))
+                reds_in_batch.extend(reds)
+        if not reds_in_batch:
+            continue
+        mini = build_graph(len(host_of), edges)
+        sides = np.array(side)
+        parts = tuple(np.flatnonzero(sides == x) for x in range(3))
+        triangles, _, _ = edge_disjoint_triangles(
+            mini, parts, seed=derive_seed(seed, f"red-replace:{first}"))
+        replaced = set()
+        for x, y, z in triangles:
+            a, b, u = host_of[x], host_of[y], host_of[z]
+            pair = normalize_edge(a, b)
+            two_paths[pair] = [pair[0], u, pair[1]]
+            used.add(normalize_edge(a, u))
+            used.add(normalize_edge(b, u))
+            replaced.add(pair)
+        leftovers.extend(p for p in reds_in_batch if p not in replaced)
+    return two_paths, sorted(leftovers)

@@ -1,11 +1,12 @@
-"""The batched dense red-edge replacement against the per-call code it
-replaced: the lock-step matcher against each sub-problem run alone and
-against a one-problem matcher on a pure-Python SplitMix64, the join-based
-triangle hypergraph against the dense-matrix builder, and
-``replace_red_edges`` against one matcher call per (class, pair),
-including cell reuse."""
+"""The batched dense red-edge replacement against plain-Python references:
+the matcher against one on a pure-Python SplitMix64 stream with a
+union-find dominance guard, on single triple systems and on disjoint
+unions of them, the join-based triangle hypergraph against the
+dense-matrix builder, and ``replace_red_edges`` against the set-ledger
+replacement on hand-made schemes, including cell reuse."""
 
 import math
+from collections import Counter
 from itertools import combinations, islice
 
 import numpy as np
@@ -14,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imforge import nibble
-from imforge.generators import paley, random_regular
+from imforge.generators import random_regular
 from imforge.graphs import Graph, build_graph, normalize_edge
 from imforge.immersion_dense import (
     PartitionScheme,
     build_red_black,
-    dense_partition,
     f_pairs,
     one_factorization,
     replace_red_edges,
@@ -27,14 +27,12 @@ from imforge.immersion_dense import (
 from imforge.nibble import (
     MAX_ROUNDS,
     Hypergraph3,
-    edge_disjoint_triangles,
     near_perfect_matching,
     triangle_hypergraph,
 )
-from imforge.spectral import adjacency_spectrum
 from imforge.util import derive_seed, np_rng
 
-from helpers import ledger
+from helpers import ledger, reference_replace_red_edges, triple_components
 
 
 SPLITMIX64_KEY0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -52,7 +50,8 @@ def splitmix64_words(key):
 
 
 def reference_matching(h, seed=0):
-    """The one-problem matcher: one seeded stream read round by round."""
+    """The matcher: one seeded stream read round by round, then each
+    connected component takes plain greedy's triples where they are more."""
     t = h.triples
     n_v = h.n_vertices
     if len(t) == 0:
@@ -96,9 +95,11 @@ def reference_matching(h, seed=0):
 
     selected += sweep(free, surviving)
     plain = sweep(np.ones(n_v, dtype=bool), np.arange(len(t)))
-    if len(plain) > len(selected):
-        selected = plain
-    return t[np.array(sorted(selected), dtype=np.int64)] if selected else t[:0], rounds, len(plain)
+    comp = triple_components(n_v, t.tolist())
+    ours, theirs = Counter(comp[r] for r in selected), Counter(comp[r] for r in plain)
+    keep = [r for r in selected if theirs[comp[r]] <= ours[comp[r]]]
+    keep += [r for r in plain if theirs[comp[r]] > ours[comp[r]]]
+    return t[np.array(sorted(keep), dtype=np.int64)] if keep else t[:0], rounds, len(plain)
 
 
 def reference_hypergraph(g, parts):
@@ -137,7 +138,7 @@ def reference_hypergraph(g, parts):
     return Hypergraph3.from_array(len(cross_edges), rows, vertex_labels=cross_edges)
 
 
-# -- lock-step matcher ------------------------------------------------------
+# -- matcher --------------------------------------------------------------
 
 @st.composite
 def triple_systems(draw):
@@ -158,14 +159,12 @@ def triple_systems(draw):
 
 
 def union_of(systems):
-    """The sub-problems side by side: vertex ids shifted by an offset each."""
-    starts, rows, offset = [], [], 0
+    """The systems side by side: vertex ids shifted by an offset each."""
+    rows, offset = [], 0
     for n, triples in systems:
-        starts.append(offset)
         rows += [(a + offset, b + offset, c + offset) for a, b, c in triples]
         offset += n
-    arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    return Hypergraph3.from_array(offset, arr, group_starts=starts), starts
+    return Hypergraph3.from_array(offset, np.array(rows, dtype=np.int64).reshape(-1, 3))
 
 
 def test_splitmix64_known_answers():
@@ -175,43 +174,22 @@ def test_splitmix64_known_answers():
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.lists(triple_systems(), min_size=1, max_size=6),
-       st.lists(st.integers(0, 2 ** 64 - 1), min_size=6, max_size=6))
-def test_lock_step_matcher_equals_each_group_alone(systems, seeds):
-    h, starts = union_of(systems)
-    seeds = seeds[:len(systems)]
-    batched = near_perfect_matching(h, seed=seeds)
-    rounds, greedy = [], []
-    for (n, triples), start, seed in zip(systems, starts, seeds):
-        alone_h = Hypergraph3.from_array(n, triples)
-        alone = near_perfect_matching(alone_h, seed=seed)
-        ref_triples, ref_rounds, ref_greedy = reference_matching(alone_h, seed)
-        assert np.array_equal(alone.triples, ref_triples)
-        assert (alone.diagnostics["rounds"], alone.diagnostics["greedy_size"]) == \
-            (ref_rounds, ref_greedy)
-        mine = batched.triples[(batched.triples[:, 0] >= start)
-                               & (batched.triples[:, 0] < start + n)] - start
-        assert np.array_equal(mine, ref_triples)
-        rounds.append(ref_rounds)
-        greedy.append(ref_greedy)
-    assert batched.diagnostics["group_rounds"] == rounds
-    assert batched.diagnostics["group_greedy_size"] == greedy
-    assert batched.diagnostics["rounds"] == max(rounds)
-    assert batched.diagnostics["greedy_size"] == sum(greedy)
+@given(st.lists(triple_systems(), min_size=1, max_size=6), st.integers(0, 2 ** 64 - 1))
+def test_matcher_equals_the_reference_on_disjoint_unions(systems, seed):
+    for h in (Hypergraph3.from_array(*systems[0]), union_of(systems)):
+        m = near_perfect_matching(h, seed=seed)
+        ref_triples, ref_rounds, ref_greedy = reference_matching(h, seed)
+        assert np.array_equal(m.triples, ref_triples)
+        assert (m.diagnostics["rounds"], m.diagnostics["greedy_size"]) == (ref_rounds, ref_greedy)
 
 
-def test_capped_group_reaches_max_rounds():
+def test_capped_system_reaches_max_rounds():
+    # 1000 disjoint triples beside a lone one and four isolated vertices:
+    # the bites stop at the cap, and the sweep takes every triple left
     disjoint = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]
-    h, _ = union_of([(3000, disjoint), (3, [(0, 1, 2)]), (4, [])])
-    m = near_perfect_matching(h, seed=[1, 2, 3])
-    assert m.diagnostics["group_rounds"][0] == MAX_ROUNDS
-    assert m.diagnostics["group_rounds"][2] == 0
-
-
-def test_matcher_needs_one_seed_per_group():
-    h, _ = union_of([(3, [(0, 1, 2)]), (3, [(0, 1, 2)])])
-    with pytest.raises(nibble.DomainError):
-        near_perfect_matching(h, seed=0)
+    m = near_perfect_matching(union_of([(3000, disjoint), (3, [(0, 1, 2)]), (4, [])]), seed=1)
+    assert m.diagnostics["rounds"] == MAX_ROUNDS
+    assert m.size == m.diagnostics["greedy_size"] == 1001
 
 
 # -- join-based triangle hypergraph -----------------------------------------
@@ -262,7 +240,7 @@ def test_join_hypergraph_matches_dense_builder_criterion4_shape(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(tripartite_graphs(), min_size=1, max_size=4))
-def test_grouped_hypergraph_is_each_group_shifted(cases):
+def test_disjoint_union_hypergraph_is_each_part_shifted(cases):
     starts, edges, parts, offset = [], [], ([], [], []), 0
     for g, p in cases:
         starts.append(offset)
@@ -270,7 +248,7 @@ def test_grouped_hypergraph_is_each_group_shifted(cases):
         for side, block in zip(parts, p):
             side.extend(v + offset for v in block)
         offset += g.n
-    h = triangle_hypergraph(build_graph(offset, edges), parts, groups=starts)
+    h = triangle_hypergraph(build_graph(offset, edges), parts)
     rows, labels, shift = [], [], 0
     for (g, p), start in zip(cases, starts):
         alone = triangle_hypergraph(g, p)
@@ -279,58 +257,9 @@ def test_grouped_hypergraph_is_each_group_shifted(cases):
         shift += alone.n_vertices
     assert h.vertex_labels == labels
     assert np.array_equal(h.triples, np.concatenate(rows))
-    assert h.group_starts.tolist() == np.cumsum(
-        [0] + [triangle_hypergraph(g, p).n_vertices for g, p in cases[:-1]]).tolist()
-
-
-def test_hypergraph_rejects_an_edge_between_groups():
-    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    with pytest.raises(nibble.BadPartitionError):
-        triangle_hypergraph(g, ([0, 3], [1, 4], [2, 5]), groups=[0, 3])
 
 
 # -- batched red-edge replacement -------------------------------------------
-
-def reference_replace(g, rb, classes, seed, used):
-    """One mini graph and one matcher call per (class, pair)."""
-    sch = rb.scheme
-    f_set = set(sch.f_set)
-    black = {normalize_edge(u, w) for u in f_set for w in g.neighbors(u) if w not in f_set}
-    two_paths, leftovers = {}, []
-    for ci, cls in enumerate(classes, start=1):
-        u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
-        for (j, k) in cls:
-            reds = rb.red.get((j, k), [])
-            if not reds:
-                continue
-            vj, vk = sch.v_parts[j], sch.v_parts[k]
-            local = list(vj) + list(vk) + list(u_cell)
-            pos = {v: i for i, v in enumerate(local)}
-            edges = [(pos[a], pos[b]) for a, b in reds]
-            for a in list(vj) + list(vk):
-                for u in u_cell:
-                    e = normalize_edge(a, u)
-                    if e in black and e not in used:
-                        edges.append((pos[a], pos[u]))
-            parts = (range(len(vj)), range(len(vj), len(vj) + len(vk)),
-                     range(len(vj) + len(vk), len(local)))
-            triangles, _, _ = edge_disjoint_triangles(
-                build_graph(len(local), edges), parts,
-                seed=derive_seed(seed, f"red-replace:{ci}:{j}:{k}"))
-            replaced = set()
-            for tri in triangles:
-                back = sorted(local[x] for x in tri)
-                a = next(v for v in back if v in set(vj))
-                b = next(v for v in back if v in set(vk))
-                u = next(v for v in back if v in set(u_cell))
-                pair = normalize_edge(a, b)
-                two_paths[pair] = [pair[0], u, pair[1]]
-                used.add(normalize_edge(a, u))
-                used.add(normalize_edge(b, u))
-                replaced.add(pair)
-            leftovers.extend(p for p in reds if p not in replaced)
-    return two_paths, sorted(leftovers)
-
 
 def hand_scheme(g: Graph, t: int, m1: int, s: int, m2: int, shuffle_seed: int) -> PartitionScheme:
     """F = m1 cells of size t (plus a one-vertex cell 0), and m2 middle
@@ -355,7 +284,7 @@ def assert_same_replacement(g, scheme, seed):
     inside = {normalize_edge(u, v) for u in f_set for v in g.neighbors(u) if v in f_set}
     free, ref_used = ledger(g, scheme.f_set), set(inside)
     two_paths, leftovers = replace_red_edges(rb, classes, free, seed=seed)
-    ref_paths, ref_leftovers = reference_replace(g, rb, classes, seed, ref_used)
+    ref_paths, ref_leftovers = reference_replace_red_edges(g, rb, classes, ref_used, seed)
     assert list(two_paths.items()) == list(ref_paths.items())
     assert leftovers == ref_leftovers
     assert np.array_equal(free.matrix, ledger(g, scheme.f_set, ref_used).matrix)
@@ -365,7 +294,7 @@ def assert_same_replacement(g, scheme, seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.integers(3, 9), st.integers(1, 4), st.integers(1, 8),
        st.integers(0, 2 ** 32 - 1))
-def test_replace_red_edges_matches_per_pair_calls(t, m1, s, m2, seed):
+def test_replace_red_edges_matches_the_set_ledger_reference(t, m1, s, m2, seed):
     g = random_regular(80, 40, seed=seed % 7)
     if 1 + m1 * t + m2 * s > g.n:
         m2 = (g.n - 1 - m1 * t) // s
@@ -379,14 +308,6 @@ def test_replace_red_edges_runs_several_batches():
     two_paths = assert_same_replacement(g, scheme, seed=11)
     assert scheme.m2 < len(one_factorization(8)) and two_paths
     assert math.ceil(len(one_factorization(8)) / scheme.m2) == 4
-
-
-def test_replace_red_edges_matches_per_pair_calls_on_paley():
-    # the benchmark's Paley(401) cell at eta 0.45: 55 classes, 97 cells
-    g = paley(401)
-    scheme = dense_partition(g, adjacency_spectrum(g), 0.45)
-    assert_same_replacement(g, scheme, seed=7)
-    assert scheme.m2 >= len(one_factorization(scheme.m1))
 
 
 def test_replace_red_edges_without_middle_cells_leaves_every_red_pair():

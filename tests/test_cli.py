@@ -54,8 +54,9 @@ def test_immerse_dense_method_flag(tmp_path):
         assert main(["immerse-dense", "--q", "401", "--eta", "0.45", "--seed", "7",
                      "--out", str(cert), "--metrics", str(metrics), *flags]) == 0
         digests[method] = hashlib.sha256(cert.read_bytes()).hexdigest()
-    # the --method paper certificate is the one pinned before greedy became the default
-    assert digests["paper"] == "c7dbd75fb2e1e7c8936602615156ace202da7c82f6ba3b615ca300a52ebf5284"
+    # the --method paper certificate as re-pinned when each batch of red pairs
+    # took one matcher seed and the dominance guard went per component
+    assert digests["paper"] == "0ebb7db3a9a016e4111c1419b61a7c6eea16af19fa60725cff522f4fe0ee454c"
     assert digests[None] == "504ec669c1e22480289ecb234832eedc5f94f09726290e97c7e8276a079270ce"
     greedy, paper = csv.DictReader(metrics.open())
     assert greedy["run_id"] != paper["run_id"]

@@ -1,6 +1,6 @@
 """The dense pipeline's free-edge matrix against the set of used edges it
 replaced.  ``reference_replace_red_edges`` and ``reference_greedy_three_paths``
-are the set-ledger stages as they were: black edges tested one by one with
+(in ``helpers``) are the set-ledger stages as they were: black edges tested one by one with
 ``g.has_edge`` and a ``used`` set, and a linker with a per-vertex cache of
 free neighbours.  Every stage output and the certificate must be the same
 on Paley and random regular hosts over a grid of eta, on hosts whose cells
@@ -32,60 +32,10 @@ from imforge.immersion_dense import (
     one_factorization,
     replace_red_edges,
 )
-from imforge.nibble import edge_disjoint_triangles
 from imforge.spectral import adjacency_spectrum
 from imforge.util import derive_seed, np_rng, peel_to_complete
 
-from helpers import ledger, reference_greedy_three_paths
-
-
-def reference_replace_red_edges(g, rb, classes, used, seed=0):
-    """Batched red-edge replacement on a set ledger: each black edge is
-    ``g.has_edge(a, u)`` and not in ``used``."""
-    sch = rb.scheme
-    two_paths, leftovers = {}, []
-    numbered = list(enumerate(classes, start=1))
-    if sch.m2 < 1:
-        leftovers = [p for reds in rb.red.values() for p in reds]
-        numbered = []
-    for first in range(0, len(numbered), max(sch.m2, 1)):
-        host_of, side, edges, starts, seeds, reds_in_batch = [], [], [], [], [], []
-        for ci, cls in numbered[first:first + sch.m2]:
-            u_cell = sch.u_parts[(ci - 1) % sch.m2 + 1]
-            for (j, k) in cls:
-                reds = rb.red.get((j, k), [])
-                if not reds:
-                    continue
-                vj, vk = sch.v_parts[j], sch.v_parts[k]
-                base = len(host_of)
-                local = list(vj) + list(vk) + list(u_cell)
-                pos = {v: base + i for i, v in enumerate(local)}
-                edges.extend((pos[a], pos[b]) for a, b in reds)
-                for a in local[:len(vj) + len(vk)]:
-                    for u in u_cell:
-                        if g.has_edge(a, u) and normalize_edge(a, u) not in used:
-                            edges.append((pos[a], pos[u]))
-                starts.append(base)
-                seeds.append(derive_seed(seed, f"red-replace:{ci}:{j}:{k}"))
-                host_of.extend(local)
-                side.extend([0] * len(vj) + [1] * len(vk) + [2] * len(u_cell))
-                reds_in_batch.extend(reds)
-        if not starts:
-            continue
-        mini = build_graph(len(host_of), edges)
-        sides = np.array(side)
-        parts = tuple(np.flatnonzero(sides == x) for x in range(3))
-        triangles, _, _ = edge_disjoint_triangles(mini, parts, seed=seeds, groups=starts)
-        replaced = set()
-        for x, y, z in triangles:
-            a, b, u = host_of[x], host_of[y], host_of[z]
-            pair = normalize_edge(a, b)
-            two_paths[pair] = [pair[0], u, pair[1]]
-            used.add(normalize_edge(a, u))
-            used.add(normalize_edge(b, u))
-            replaced.add(pair)
-        leftovers.extend(p for p in reds_in_batch if p not in replaced)
-    return two_paths, sorted(leftovers)
+from helpers import ledger, reference_greedy_three_paths, reference_replace_red_edges
 
 
 def run_stages(g, report, eta, seed, replace, link, book):

@@ -7,10 +7,12 @@ fails here; the determinism criterion only compares two runs of the same
 code.  Strict mode raises on every one of these desk-scale hosts (the
 paper's hypotheses fail there), so only best-effort certificates are
 pinned.  Paley(101) has t = 0 and never reaches the nibble matcher, so both
-dense methods give its three digests.  The Paley(401) ``dense`` digests,
-recorded once the matcher read its bites from SplitMix64 streams, pin the
-``paper`` method, whose red pairs it matched; ``dense_greedy`` pins the
-default method, which links every non-adjacent pair greedily.  The
+dense methods give its three digests.  The Paley(401) ``dense`` digests pin
+the ``paper`` method, whose red pairs the matcher links; they were
+re-recorded when each batch of red pairs began to draw one SplitMix64
+stream and keep the dominance guard per connected component.
+``dense_greedy`` pins the default method, which links every non-adjacent
+pair greedily.  The
 medium and subdivide digests were re-recorded when random regular hosts
 began to order their stubs by raw PCG64 words: their hosts changed, not
 the pipelines.
@@ -61,8 +63,8 @@ GOLDEN = [
     (dense, "paley101", 0.2, "118df59f1986a18b65d56a10a5ffb92a19b0be940613c6044cc0045f31aa7083"),
     (dense, "paley101", 0.4, "34f29464ca6aee2fd8a03edd78909f361d55a302f06273a5cae6b4ed94dc3995"),
     (dense, "paley101", 0.45, "6def4828bc334edba7b6193cd55ba5678ec2e376b47dcefb802f02e730611faa"),
-    (dense, "paley401", 0.4, "ff70316d52bda82c56e53abc6fd4296a045ca2329e502a099b5b7ef0fcd852e3"),
-    (dense, "paley401", 0.45, "dcee2671000b8675b4973ab80ca19c6ab825b2f07561aee4a077c1a1cf99d355"),
+    (dense, "paley401", 0.4, "9bf1a568fc30998f273194299310476d2df43c217cd84f5b565f9a3f75002c16"),
+    (dense, "paley401", 0.45, "67294eb88c42a1d6a4bffa731817174b48c0413275a60ad772837bb3f774f9c4"),
     (dense_greedy, "paley101", 0.2, "118df59f1986a18b65d56a10a5ffb92a19b0be940613c6044cc0045f31aa7083"),
     (dense_greedy, "paley101", 0.4, "34f29464ca6aee2fd8a03edd78909f361d55a302f06273a5cae6b4ed94dc3995"),
     (dense_greedy, "paley101", 0.45, "6def4828bc334edba7b6193cd55ba5678ec2e376b47dcefb802f02e730611faa"),

@@ -27,6 +27,7 @@ from imforge.graphs import (
     normalize_edge,
     pair_density,
     parse_edge_list,
+    vertex_ids,
     view_minus,
 )
 from imforge.nibble import Hypergraph3, triangle_hypergraph
@@ -381,11 +382,15 @@ def test_array_queries_check_the_dtype_of_an_empty_array():
 
 
 def test_membership_queries_answer_no_for_a_non_integer_id():
-    # the lenient rule: a float or string is no vertex, and nothing raises
+    # the lenient rule: a float, string or list is no vertex, and nothing
+    # raises, also in a view with deletions (an unhashable id must not reach
+    # its removed-vertex set)
     view = view_minus(paley(13))
-    for v in (0.5, 1.0, "0", None):
-        assert not view.contains_vertex(v)
-        assert not view.base.has_edge(v, 1) and not view.has_edge(1, v)
+    for v in (0.5, 1.0, "0", None, [0]):
+        for probe in (view, view_minus(paley(13), [2], [(0, 1)])):
+            assert not probe.contains_vertex(v)
+            assert not probe.base.has_edge(v, 1)
+            assert not probe.has_edge(1, v) and not probe.has_edge(v, 1)
     with pytest.raises(NoPathError):
         short_avoiding_path(view, [0.5], [3], max_len=5)
     with pytest.raises(NoPathError):
@@ -541,6 +546,20 @@ def test_view_rejects_bad_vertex():
         view_minus(cycle(4), {7})
 
 
+@pytest.mark.parametrize("big", [2 ** 70, -2 ** 70, 2 ** 63], ids=["2^70", "-2^70", "2^63"])
+def test_ids_beyond_int64_are_out_of_range(big):
+    # as in build_graph: an id numpy cannot hold is outside the graph, not
+    # an OverflowError
+    g = paley(13)
+    with pytest.raises(OutOfRangeError):
+        vertex_ids(g.n, [0, big])
+    with pytest.raises(OutOfRangeError):
+        view_minus(g, [big])
+    with pytest.raises(OutOfRangeError):
+        view_minus(g).minus([1, big])
+    assert g.has_edges([big, 0, 1], [1, big, 0]).tolist() == [False, False, g.has_edge(0, 1)]
+
+
 def test_empty_view_equals_graph():
     g = petersen()
     view = view_minus(g)
@@ -675,6 +694,23 @@ def test_edge_list_rejects_what_the_format_forbids(text, line):
     with pytest.raises(ParseError) as err:
         parse_edge_list(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("", 1, "missing header"),
+    ("3 x\n", 1, "non-integer header '3 x'"),
+    ("3 2\n0 1\n", 3, "missing edge line"),
+    ("3 1\n0\n", 2, "expected 'u v', got '0'"),
+    ("3 1\n0 1 2\n", 2, "expected 'u v', got '0 1 2'"),
+    ("3 1\n0 1.0\n", 2, "non-integer endpoints '0 1.0'"),
+    ("3 1\n2 2\n", 2, "self-loop at 2"),
+], ids=["empty", "non-integer-header", "truncated", "one-token", "three-tokens",
+        "non-integer-endpoint", "self-loop"])
+def test_edge_list_parse_errors_name_the_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_edge_list_allows_trailing_blank_lines():

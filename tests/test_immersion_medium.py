@@ -1,7 +1,12 @@
 import pytest
 
 from imforge.certify import verify
-from imforge.errors import DomainError, PreconditionFailedError, UnitShortfallError
+from imforge.errors import (
+    DomainError,
+    IncompleteEmbeddingError,
+    PreconditionFailedError,
+    UnitShortfallError,
+)
 from imforge.expanders import collect_units
 from imforge.generators import paley, random_regular
 from imforge.graphs import build_graph, normalize_edge
@@ -151,6 +156,20 @@ def test_medium_pipeline_strict_precondition():
     assert r.d <= 2 * r.lam
     with pytest.raises(PreconditionFailedError):
         build_medium_immersion(g, r, eta=0.1, mode="strict")
+
+
+def test_medium_pipeline_strict_raises_on_unconnected_pairs():
+    # one-edge connections link only 3 of the 6 pairs of the 4 units: strict
+    # mode raises, best effort keeps the largest fully linked subset
+    g = paley(101)
+    r = adjacency_spectrum(g)
+    kwargs = dict(eta=0.1, h_params=(2, 2, 4), target_order=4, max_len=1)
+    with pytest.raises(IncompleteEmbeddingError):
+        build_medium_immersion(g, r, mode="strict", **kwargs)
+    cert, diag = build_medium_immersion(g, r, **kwargs)
+    report = verify(g, cert)
+    assert report.valid, report.violations
+    assert diag.pairs_missing > 0 and diag.achieved_order < 4
 
 
 def test_medium_pipeline_paley_best_effort():

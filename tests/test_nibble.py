@@ -15,7 +15,7 @@ from imforge.nibble import (
     triangle_hypergraph,
 )
 
-from helpers import complete_tripartite
+from helpers import complete_tripartite, triple_components
 
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -98,6 +98,46 @@ def test_matching_dominates_plain_greedy(raw, seed):
     flat = m.triples.ravel().tolist()
     assert len(flat) == len(set(flat))
     assert m.size >= m.diagnostics["greedy_size"]
+
+
+# two systems side by side, B shifted by 7: at seed 0 the bites and sweep
+# leave B 2 triples where plain greedy keeps 3, while A gains one over
+# greedy, so a guard on the totals alone would let B fall below greedy
+WITNESS_A = [(0, 1, 3), (0, 1, 6), (0, 2, 6), (0, 3, 4), (0, 3, 5), (0, 3, 6), (0, 4, 6),
+             (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 5), (3, 5, 6)]
+WITNESS_B = [(0, 1, 2), (0, 1, 4), (0, 1, 6), (0, 2, 4), (1, 2, 9), (1, 3, 10), (1, 5, 9),
+             (2, 5, 6), (2, 6, 9), (2, 6, 10), (4, 5, 9), (6, 8, 10)]
+
+
+def assert_dominates_greedy_per_component(h, m):
+    """Every connected component of h keeps at least plain ascending
+    greedy's count of triples."""
+    rows = h.triples.tolist()
+    comp = triple_components(h.n_vertices, rows)
+    used, greedy = set(), Counter()
+    for row, (a, b, c) in enumerate(rows):
+        if not used & {a, b, c}:
+            used |= {a, b, c}
+            greedy[comp[row]] += 1
+    ours = Counter(comp[rows.index(t)] for t in m.triples.tolist())
+    assert all(ours[c] >= k for c, k in greedy.items()), (ours, greedy)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matching_dominates_plain_greedy_on_every_component(seed):
+    h = Hypergraph3.from_array(18, WITNESS_A + [tuple(v + 7 for v in t) for t in WITNESS_B])
+    assert_dominates_greedy_per_component(h, near_perfect_matching(h, seed=seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)),
+                         max_size=15), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_matching_dominates_plain_greedy_on_every_component_of_a_union(systems, seed):
+    rows = [tuple(v + 9 * i for v in t) for i, raw in enumerate(systems)
+            for t in raw if len(set(t)) == 3]
+    h = Hypergraph3.from_array(9 * len(systems), rows)
+    assert_dominates_greedy_per_component(h, near_perfect_matching(h, seed=seed))
 
 
 def test_triangle_hypergraph_single_triangle():

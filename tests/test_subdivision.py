@@ -174,6 +174,9 @@ def test_fixed_path_length_formula():
     assert fixed_path_length(16, 3) == 3
     assert fixed_path_length(32, 3) == 5
     assert fixed_path_length(1024, 5) == 2 * 3 + 3
+    # a ratio off every integer takes the plain ceiling: log2(195.3125 / 16)
+    # is 3.61, the rr200000x16 value at eta 0.5
+    assert fixed_path_length(195.3125, 3) == 11
 
 
 def test_connect_exact_path_graph():
