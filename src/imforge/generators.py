@@ -10,6 +10,10 @@ Each round orders its k stubs by k raw 64-bit words of one PCG64 stream
 with ties broken by position.  NumPy keeps a bit generator's raw stream
 stable across releases (NEP 19), so the hosts depend on that stream and on
 nothing in ``Generator`` or CPython's ``random``.
+
+A round is done in bulk: one ``argsort`` of its pair keys decides which
+pairs are placed, and the placed keys are merged into the sorted keys of
+the attempt's edges, which come out as the edge list with no further sort.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ def _pairing_attempt(n: int, d: int, bits: np.random.PCG64) -> np.ndarray | None
     ordered (min, max), is placed unless it is a loop, an edge already
     placed, or a repeat of an earlier pair of the round; the rejected pairs
     are the next round's stubs, in order.
+
+    A round sorts once: one ``argsort`` of its keys u * n + v gives each
+    distinct key, ascending, with the least position it occurs at (the
+    minimum over its run of equal keys).  Placement is decided per distinct
+    key, and the placed keys are merged into ``placed`` in order, so no
+    second sort is needed.  Each temporary is freed as soon as it has been
+    used, which keeps the traced peak down.
     """
     # placed edges as sorted keys u * n + v, ending in a sentinel above any key
     placed = np.array([np.iinfo(np.int64).max])
@@ -38,26 +49,51 @@ def _pairing_attempt(n: int, d: int, bits: np.random.PCG64) -> np.ndarray | None
     stubs = np.tile(np.arange(n, dtype=dtype), d)
     while len(stubs):
         pairs = stubs[raw_order(len(stubs), bits)].reshape(-1, 2)
-        pairs.sort(axis=1)
-        keys = pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
-        # each key's first occurrence: the least index in its run of the sort
+        del stubs
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        del pairs
+        keys = lo.astype(np.int64)
+        keys *= n
+        keys += hi
         order = np.argsort(keys)
-        ordered = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        first = np.zeros(len(keys), dtype=bool)
-        first[np.minimum.reduceat(order, starts)] = True
-        ok = first & (pairs[:, 0] != pairs[:, 1]) & (placed[np.searchsorted(placed, keys)] != keys)
+        keys = keys[order]
+        head = np.empty(len(keys), dtype=bool)
+        head[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        del head
+        first = np.minimum.reduceat(order, starts)
+        keys = keys[starts]
+        del order, starts
+        at = np.searchsorted(placed, keys)
+        ok = (placed[at] != keys) & (lo[first] != hi[first])
         if not ok.any():
             # no progress is possible iff every pair of distinct leftovers collides
-            left = np.unique(pairs).astype(np.int64)
+            left = np.union1d(lo, hi).astype(np.int64)
             a, b = np.triu_indices(len(left), 1)
             cand = left[a] * n + left[b]
             if (placed[np.searchsorted(placed, cand)] == cand).all():
                 return None
-        new = np.sort(keys[ok])
-        placed = np.insert(placed, np.searchsorted(placed, new), new)
-        stubs = pairs[~ok].ravel()
+        placed = _merge_sorted(placed, at[ok], keys[ok])
+        del at, keys
+        again = np.ones(len(lo), dtype=bool)
+        again[first[ok]] = False
+        stubs = np.column_stack((lo[again], hi[again])).ravel()
     return np.column_stack(np.divmod(placed[:-1], n))
+
+
+def _merge_sorted(placed: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``placed`` with the ascending keys ``new`` put in at their
+    ``searchsorted`` positions ``at`` (a fresh array, reused as scratch):
+    ``np.insert`` without the argsort of positions already in order."""
+    at += np.arange(len(at))
+    merged = np.empty(len(placed) + len(new), dtype=placed.dtype)
+    merged[at] = new
+    kept = np.ones(len(merged), dtype=bool)
+    kept[at] = False
+    merged[kept] = placed
+    return merged
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

@@ -30,6 +30,11 @@ shares what it does not change.  ``degrees()`` is one int array computed
 on first use, and a vertex the deletions do not touch gets its base
 neighbor tuple back as is.  Neighbor iteration is always in ascending
 vertex order, which keeps every greedy routine downstream deterministic.
+
+The edge-list text format is read by ``parse_edge_list``: in bulk with
+numpy when the file is valid and made of digits, spaces and newlines, and
+otherwise by a per-line loop that names the first bad line.
+``format_edge_list`` writes the same format from the CSR.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
-_TUPLE_RUN = 1 << 16  # half-edges per run of rows made into tuples at once
+_TUPLE_RUN = 1 << 16  # half-edges made into tuples, or edges into lines, at once
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -471,7 +476,76 @@ def parse_edge_list(text: str) -> Graph:
     Line 1 is "n m"; each of the following m lines is "u v" with
     0 <= u < v < n, no pair listed twice in either orientation, and only
     blank lines after them.  Errors carry 1-based line numbers.
+
+    A file made only of ASCII digits, spaces and newlines is read in bulk
+    (``_parse_bulk``).  Anything else, and any file the bulk reader finds
+    fault with, is read again by the per-line loop (``_parse_lines``),
+    which names the first bad line; so both give the same graph and every
+    error keeps its message and line number.
     """
+    g = _parse_bulk(text)
+    return g if g is not None else _parse_lines(text)
+
+
+_BULK_BYTES = b"0123456789 \n"
+_BULK_DIGITS = 18  # every number of at most 18 digits fits in an int64
+
+
+def _parse_bulk(text: str) -> Graph | None:
+    """The graph of a valid file of digits, spaces and newlines, read with
+    numpy, or None for any other text.
+
+    The tokens are runs of digits.  Such a file is valid iff its header
+    holds two numbers n and m, the body after it holds 2m tokens, the k-th
+    body line ends after the first 2k of them, no pair is a loop or has an
+    endpoint at least n, and ``build_graph`` keeps all m pairs (it collapses
+    a repeat silently).  A number of more than 18 digits hands over too, so
+    no int64 can overflow.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, _BULK_BYTES):
+        return None
+    head, _, body = data.partition(b"\n")
+    head = head.split()
+    if len(head) != 2 or max(map(len, head)) > _BULK_DIGITS:
+        return None
+    n, m = int(head[0]), int(head[1])
+    b = np.frombuffer(body, dtype=np.uint8)
+    digit = np.empty(len(b) + 2, dtype=bool)
+    digit[0] = digit[-1] = False
+    np.greater_equal(b, ord("0"), out=digit[1:-1])
+    change = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
+    starts, ends = change[0::2], change[1::2]
+    del change
+    if len(starts) != 2 * m:
+        return None
+    line_ends = np.append(np.flatnonzero(b == ord("\n")), len(b))[:m]
+    if len(line_ends) < m or not np.array_equal(np.searchsorted(starts, line_ends),
+                                                np.arange(2, 2 * m + 1, 2)):
+        return None
+    del line_ends
+    sizes = ends - starts
+    longest = int(sizes.max()) if m else 0
+    if longest > _BULK_DIGITS:
+        return None
+    values = np.zeros(2 * m, dtype=np.int64)
+    for k in range(longest):
+        longer = np.flatnonzero(sizes > k)
+        values[longer] = values[longer] * 10 + (b[starts[longer] + k] - ord("0"))
+    del starts, ends, sizes
+    pairs = values.reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any() or (values >= n).any():
+        return None
+    g = build_graph(n, pairs)
+    return g if g.m == m else None
+
+
+def _parse_lines(text: str) -> Graph:
+    """``parse_edge_list`` one line at a time, raising ParseError at the
+    first bad line; the reference the bulk reader is tested against."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing header")
@@ -512,7 +586,13 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Serialize a Graph to the canonical edge-list text format."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """Serialize a Graph to the canonical edge-list text format: the
+    u < v half of ``csr()``, lexicographic, written _TUPLE_RUN lines at a
+    time, so no int or str object is made for every edge at once."""
+    indptr, indices = g.csr()
+    us = np.repeat(np.arange(g.n), np.diff(indptr))
+    upper = us < indices
+    us, vs = us[upper], indices[upper]
+    runs = (map("{} {}".format, us[i:i + _TUPLE_RUN].tolist(), vs[i:i + _TUPLE_RUN].tolist())
+            for i in range(0, len(us), _TUPLE_RUN))
+    return "\n".join([f"{g.n} {g.m}", *map("\n".join, runs)]) + "\n"

@@ -4,9 +4,10 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from imforge import graphs
 from imforge.errors import (
     DomainError,
     EmptySideError,
@@ -673,6 +674,16 @@ def test_edge_list_round_trip():
     assert parse_edge_list(format_edge_list(g)) == g
 
 
+@pytest.mark.parametrize("n, edges", [(3, []), (0, []), (20000, None)],
+                         ids=["no-edges", "no-vertices", "rr20000x16"])
+def test_edge_list_writes_one_line_per_edge_in_order(n, edges):
+    # rr20000x16's 160,000 lines are written in three runs
+    g = random_regular(n, 16, seed=8) if edges is None else build_graph(n, edges)
+    text = format_edge_list(g)
+    assert text == "".join([f"{g.n} {g.m}\n", *(f"{u} {v}\n" for u, v in g.edges())])
+    assert parse_edge_list(text) == g
+
+
 def test_edge_list_parse_k3():
     g = parse_edge_list("3 3\n0 1\n1 2\n0 2\n")
     assert g == complete(3)
@@ -711,6 +722,82 @@ def test_edge_list_parse_errors_name_the_line(text, line, message):
         parse_edge_list(text)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+BEYOND_INT64 = ["9223372036854775808", "99999999999999999999", "0" * 19 + "1"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge-list file with random spacing, and at most one fault: a
+    random simple graph, each pair in a random orientation, then one edit."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [[str(u), str(v)] if draw(st.booleans()) else [str(v), str(u)] for u, v in edges]
+    header = [str(n), str(len(lines))]
+    fault = draw(st.sampled_from(["none", "split", "beyond-int64", "repeat", "loop", "outside",
+                                  "token", "drop", "extra", "blank", "count", "zeros"]))
+    at = draw(st.integers(0, max(0, len(lines) - 1)))
+    if fault == "split" and len(lines) >= 2:
+        # a 3-token line next to a 1-token line keeps the token count even
+        at = min(at, len(lines) - 2)
+        three, one = lines[at] + lines[at + 1][:1], lines[at + 1][1:]
+        lines[at:at + 2] = draw(st.sampled_from([[three, one], [one, three]]))
+    elif fault == "beyond-int64" and lines:
+        lines[at][draw(st.integers(0, 1))] = draw(st.sampled_from(BEYOND_INT64))
+    elif fault == "repeat" and lines:
+        again = lines[at][::draw(st.sampled_from([1, -1]))]
+        lines.insert(draw(st.integers(at + 1, len(lines))), again)
+        header[1] = str(len(lines))
+    elif fault == "loop" and n:
+        lines.insert(at, [str(draw(st.integers(0, n - 1)))] * 2)
+        header[1] = str(len(lines))
+    elif fault == "outside" and lines:
+        lines[at][draw(st.integers(0, 1))] = str(n + draw(st.integers(0, 3)))
+    elif fault == "token" and lines:
+        lines[at][draw(st.integers(0, 1))] = draw(st.sampled_from(
+            ["x", "1.0", "-1", "+1", "1_0", "\u0661", "0x1", ""]))
+    elif fault == "drop" and lines:
+        del lines[at]
+    elif fault == "extra":
+        lines.append(["0", "1"])
+    elif fault == "blank" and lines:
+        lines.insert(at, [])
+    elif fault == "count":
+        header[1] = draw(st.sampled_from([str(len(lines) + 1), str(max(0, len(lines) - 1)), "x"]))
+    elif fault == "zeros" and lines:
+        lines[at][0] = "00" + lines[at][0]
+    sep = draw(st.sampled_from([" ", "  ", " \t", "\t"]) if draw(st.integers(0, 3)) == 0
+               else st.just(" "))
+    pad = draw(st.sampled_from(["", " ", "\r"]) if draw(st.integers(0, 3)) == 0 else st.just(""))
+    tail = draw(st.sampled_from(["", "\n", "\n\n", "\n  \n"]))
+    return "\n".join(pad + sep.join(parts) + pad for parts in [header, *lines]) + tail
+
+
+def parsed(parse, text):
+    """The graph, or the line and message of the ParseError."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.line, str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=edge_list_texts())
+@example(text="3 2\n0 1 2\n1\n")  # a 3-token line, then a 1-token line
+@example(text="3 2\n0\n1 2 0\n")
+@example(text="3 1\n0 99999999999999999999\n")  # beyond int64: outside 0..n-1
+@example(text="3 3\n0 1\n1 2\n1 0\n")  # a repeat names the earlier line
+def test_bulk_reader_agrees_with_the_line_loop(text):
+    got = parsed(parse_edge_list, text)
+    assert got == parsed(graphs._parse_lines, text)
+    bulk = graphs._parse_bulk(text) is not None
+    event("read in bulk" if bulk else "handed over")
+    # a valid file of digits, spaces and newlines, no number longer than
+    # 18 digits, never takes the loop
+    assert bulk == (isinstance(got, Graph) and not set(text) - set("0123456789 \n")
+                    and max(map(len, text.split())) <= 18)
 
 
 def test_edge_list_allows_trailing_blank_lines():
