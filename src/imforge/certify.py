@@ -19,6 +19,20 @@ check is one sort or one vector compare over all paths, and messages are
 worded only for the positions a check flags, in the order a walk over
 the sorted pairs would meet them.  Ids that do not fit in int64 get codes
 that keep their order and equality, so they give the same violations.
+
+``EmbeddingCertificate.from_paths``, the assembler every pipeline ends
+with, builds that flat form itself: the pairs (i, j), i < j, in row-major
+order, each path oriented from ``branch[i]``, in one int64 vertex array
+with offsets.  ``verify`` and ``to_json`` read it directly, so neither
+makes a list per path.  The ``pairs`` dict is built from it on first
+access, and from then on the dict is the certificate, so a caller's
+changes to it are seen.  The flat form holds only what the dict would:
+``verify`` still checks the kind, the branch ids and ``ell``, skips only
+the walk of the pairs' ids and types (``from_paths`` checked them once),
+and words every violation as it would for the dict.  A certificate made
+directly or by ``from_json``, or by ``from_paths`` from an id that is not
+an integer or does not fit in int64, or from an empty path, has the dict
+form alone.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,13 +56,23 @@ IMMERSION = "immersion"
 SUBDIVISION = "subdivision"
 
 
+class _FlatPaths(NamedTuple):
+    """The paths of the pairs (i, j), 0 <= i < j < t, in row-major order:
+    pair p's path is ``vertices[starts[p]:starts[p + 1]]``."""
+    t: int
+    starts: np.ndarray
+    vertices: np.ndarray
+
+
 @dataclass
 class EmbeddingCertificate:
     """Branch vertices plus one path per unordered pair of branch indices.
 
     ``pairs`` maps (i, j) with i < j (indices into ``branch``) to a vertex
     sequence from branch[i] to branch[j].  ``ell`` declares a uniform
-    interior length: every path must then have length ell + 1.
+    interior length: every path must then have length ell + 1.  A
+    certificate from ``from_paths`` keeps its paths flat (``_FlatPaths``)
+    and builds ``pairs`` when it is first read.
     """
 
     kind: str
@@ -56,12 +80,22 @@ class EmbeddingCertificate:
     pairs: dict[tuple[int, int], list[int]]
     ell: Optional[int] = None
 
+    def __getattr__(self, name: str) -> Any:
+        # reached only for a name the instance lacks: ``pairs`` of a
+        # ``from_paths`` certificate until it is first read or set
+        if name != "pairs" or "_flat" not in vars(self):
+            raise AttributeError(name)
+        self.pairs = pairs = dict(_unpacked(vars(self).pop("_flat")))
+        return pairs
+
     def to_json(self) -> str:
+        flat = _held(self)
         payload = {
             "kind": self.kind,
             "branch": list(self.branch),
             "pairs": [{"i": i, "j": j, "path": path}
-                      for (i, j), path in sorted(self.pairs.items())],
+                      for (i, j), path in (sorted(self.pairs.items()) if flat is None
+                                           else _unpacked(flat))],
             "ell": self.ell,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -71,13 +105,18 @@ class EmbeddingCertificate:
                    paths: Mapping[tuple[int, int], list[int]],
                    ell: Optional[int] = None) -> "EmbeddingCertificate":
         """Certificate over the sorted branch set; the path of each pair
-        a < b is ``paths[(a, b)]`` (either orientation), run from a to b."""
+        a < b is ``paths[(a, b)]`` (either orientation), run from a to b.
+        The paths are copied into the flat form when ``_flat_paths`` can."""
         branch = sorted(branch_vertices)
-        pairs: dict[tuple[int, int], list[int]] = {}
-        for (i, a), (j, b) in combinations(enumerate(branch), 2):
-            path = paths[(a, b)]
-            pairs[(i, j)] = list(path) if path[0] == a else list(reversed(path))
-        return cls(kind=kind, branch=branch, pairs=pairs, ell=ell)
+        rows = [paths[ends] for ends in combinations(branch, 2)]
+        flat = _flat_paths(branch, rows)
+        if flat is None:
+            pairs = {(i, j): list(path) if path[0] == branch[i] else list(reversed(path))
+                     for (i, j), path in zip(combinations(range(len(branch)), 2), rows)}
+            return cls(kind=kind, branch=branch, pairs=pairs, ell=ell)
+        cert = cls.__new__(cls)
+        vars(cert).update(kind=kind, branch=branch, ell=ell, _flat=flat)
+        return cert
 
     @classmethod
     def from_json(cls, text: str) -> "EmbeddingCertificate":
@@ -201,13 +240,123 @@ def _group_heads(sorted_keys: list[np.ndarray]) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def _held(cert: EmbeddingCertificate) -> Optional[_FlatPaths]:
+    """The flat paths of a ``from_paths`` certificate whose ``pairs`` was
+    never read or set; None otherwise."""
+    attrs = vars(cert)
+    return None if "pairs" in attrs else attrs.get("_flat")
+
+
+def _unpacked(flat: _FlatPaths) -> Iterator[tuple[tuple[int, int], list[int]]]:
+    """Each pair (i, j) with its path as a list, pairs in row-major order."""
+    ids, at = flat.vertices.tolist(), flat.starts.tolist()
+    return zip(combinations(range(flat.t), 2), (ids[a:b] for a, b in zip(at, at[1:])))
+
+
+def _flat_paths(branch: list, rows: list) -> Optional[_FlatPaths]:
+    """The paths of the pairs over ``branch`` in row-major order, each
+    turned to run from its pair's first branch vertex, in one int64 array;
+    None when a path is not a list, tuple or array, or is empty, or when an
+    id is not an integer (``_is_id_type``) or does not fit in int64."""
+    if not (all(issubclass(kind, (list, tuple, np.ndarray)) for kind in set(map(type, rows)))
+            and all(map(_is_id_type, set(map(type, chain(branch, chain.from_iterable(rows))))))):
+        return None
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if not sizes.all():
+        return None
+    try:
+        ids = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum()))
+        ends = np.fromiter(branch, dtype=np.int64, count=len(branch))
+    except OverflowError:
+        return None
+    starts = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    first = np.triu_indices(len(branch), 1)[0]
+    flip = np.flatnonzero(ids[starts[:-1]] != ends[first])
+    owner = np.repeat(flip, sizes[flip])  # each entry of a path that runs backwards
+    pos = np.arange(len(owner)) - np.repeat(np.cumsum(sizes[flip]) - sizes[flip], sizes[flip])
+    ids[starts[owner + 1] - 1 - pos] = ids[starts[owner] + pos]
+    return _FlatPaths(len(branch), starts, ids)
+
+
+class _Walk(NamedTuple):
+    """A certificate's pairs in sorted order, with int64 codes for its ids:
+    pair p is (i[p], j[p]), and its path is ``flat[starts[p]:starts[p + 1]]``;
+    flat position k is ``pos[k]`` on the path of pair ``owner[k]``.  ``key``,
+    ``vertex`` and ``head`` give back, as the certificate holds them, the
+    key of pair p, the id at flat position k and the first three ids of the
+    path of pair p."""
+    branch_ids: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
+    pos: np.ndarray
+    flat: np.ndarray
+    key: Callable[[int], Any]
+    vertex: Callable[[int], Any]
+    head: Callable[[int], Any]
+
+
+def _offsets(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The owning path and the position on it of each flat position."""
+    sizes = np.diff(starts)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(starts[-1]) - starts[owner]
+
+
+def _held_walk(cert: EmbeddingCertificate) -> Optional[_Walk]:
+    """The walk of a certificate read from its flat paths: None when it has
+    none (``_held``), or when its branch list is not a list or tuple of
+    int64 ids or its ``ell`` is not an id."""
+    held, branch = _held(cert), cert.branch
+    if (held is None or not isinstance(branch, (list, tuple))
+            or not all(map(_is_id_type, set(map(type, branch))))
+            or not (cert.ell is None or _is_id(cert.ell))):
+        return None
+    try:
+        branch_ids = np.fromiter(branch, dtype=np.int64, count=len(branch))
+    except OverflowError:
+        return None
+    i, j = np.triu_indices(held.t, 1)
+    starts, flat = held.starts, held.vertices
+    return _Walk(branch_ids, i, j, starts, *_offsets(starts), flat,
+                 key=lambda p: (int(i[p]), int(j[p])),
+                 vertex=lambda k: int(flat[k]),
+                 head=lambda p: flat[starts[p]:min(starts[p] + 3, starts[p + 1])].tolist())
+
+
+def _dict_walk(cert: EmbeddingCertificate, n: int) -> Optional[_Walk]:
+    """The walk of a certificate read from its ``pairs`` dict; None when
+    ``_all_ids`` finds an id or container of the wrong type."""
+    ids = _all_ids(cert)
+    if ids is None:
+        return None
+    branch, keys, paths = cert.branch, list(cert.pairs), list(cert.pairs.values())
+    t = len(branch)
+    codes = _id_codes(ids, max(n, t))
+    branch_ids, (i, j) = codes[:t], codes[t:t + 2 * len(keys)].reshape(-1, 2).T
+    # pairs in sorted order: pair p is keys[rank[p]], its path a run of flat
+    rank = np.lexsort((j, i))
+    sizes = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    begins = (np.cumsum(sizes) - sizes)[rank]  # where each path starts in the dict-order ids
+    starts = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(sizes[rank], out=starts[1:])
+    owner, pos = _offsets(starts)
+    return _Walk(branch_ids, i[rank], j[rank], starts, owner, pos,
+                 codes[t + 2 * len(keys):][begins[owner] + pos],
+                 key=lambda p: keys[rank[p]],
+                 vertex=lambda k: paths[rank[owner[k]]][pos[k]],
+                 head=lambda p: paths[rank[p]][:3])
+
+
 def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
     """Check a certificate from scratch against the graph."""
     violations: list[tuple[str, str]] = []
     if cert.kind not in (IMMERSION, SUBDIVISION):
         violations.append(("UNKNOWN_KIND", f"kind {cert.kind!r}"))
-    ids = _all_ids(cert)
-    if ids is None:
+    walk = _held_walk(cert) or _dict_walk(cert, g.n)
+    if walk is None:
         violations.extend(("BAD_ID", where) for where in _bad_ids(cert))
         sized = (list, tuple, dict)
         return VerifyReport(valid=False, kind=cert.kind,
@@ -216,49 +365,33 @@ def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
                             length_histogram={}, violations=violations)
     if cert.ell is not None and cert.ell < 0:
         violations.append(("BAD_ELL", f"ell = {cert.ell}"))
-    branch, keys, paths = cert.branch, list(cert.pairs), list(cert.pairs.values())
-    t, n = len(branch), g.n
-    codes = _id_codes(ids, max(n, t))
-    branch_ids, (i, j) = codes[:t], codes[t:t + 2 * len(keys)].reshape(-1, 2).T
+    branch, t, n = cert.branch, len(cert.branch), g.n
+    branch_ids, i, j, starts, owner, pos, flat = walk[:7]
+    sizes = np.diff(starts)
     if len(np.unique(branch_ids)) != t:
         violations.append(("BRANCH_NOT_INJECTIVE", f"branch list {branch}"))
     violations += [("BRANCH_OUT_OF_RANGE", f"vertex {branch[k]}")
                    for k in np.flatnonzero((branch_ids < 0) | (branch_ids >= n)).tolist()]
 
-    # pairs in sorted order: pair p is keys[rank[p]], its path a run of flat
-    rank = np.lexsort((j, i))
-    i, j = i[rank], j[rank]
-    sizes = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-    begins = (np.cumsum(sizes) - sizes)[rank]  # where each path starts in the dict-order ids
-    sizes = sizes[rank]
-    starts = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
-    owner = np.repeat(np.arange(len(keys)), sizes)
-    pos = np.arange(starts[-1]) - starts[owner]
-    flat = codes[t + 2 * len(keys):][begins[owner] + pos]
-
     def pair(p: int) -> tuple:
-        a, b = keys[rank[p]]
+        a, b = walk.key(p)
         return (a, b)
 
-    def vertex(k: int):
-        return paths[rank[owner[k]]][pos[k]]
-
     def edge(k: int) -> Edge:
-        return normalize_edge(vertex(k), vertex(k + 1))
+        return normalize_edge(walk.vertex(k), walk.vertex(k + 1))
 
     indexed = (0 <= i) & (i < j) & (j < t)
     wanted_i, wanted_j = np.triu_indices(t, 1)
     missing = ~np.isin(wanted_i * t + wanted_j, i[indexed] * t + j[indexed])
     violations += [("MISSING_PAIR", f"pair {(a, b)}")
                    for a, b in zip(wanted_i[missing].tolist(), wanted_j[missing].tolist())]
-    violations += [("UNKNOWN_PAIR", f"pair {keys[rank[p]]}")
+    violations += [("UNKNOWN_PAIR", f"pair {walk.key(p)}")
                    for p in np.flatnonzero(~indexed).tolist()]
     padded, ends = np.append(flat, 0), np.append(branch_ids, 0)  # an empty path reads the pad
     bad_end = indexed & ((sizes == 0)
                          | (padded[starts[:-1]] != ends[np.where(indexed, i, t)])
                          | (padded[starts[1:] - 1] != ends[np.where(indexed, j, t)]))
-    violations += [("BAD_ENDPOINT", f"pair {pair(p)} path {paths[rank[p]][:3]}...")
+    violations += [("BAD_ENDPOINT", f"pair {pair(p)} path {walk.head(p)}...")
                    for p in np.flatnonzero(bad_end).tolist()]
 
     # per-pair findings as (pair, check, position, sub-check, code, message)
@@ -278,7 +411,7 @@ def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
     through_branch = np.isin(flat[inner], branch_ids)
     if cert.kind == SUBDIVISION:
         found += [(owner[k], 2, pos[k], 0, "BRANCH_INTERNAL",
-                   f"pair {pair(owner[k])} vertex {vertex(k)}")
+                   f"pair {pair(owner[k])} vertex {walk.vertex(k)}")
                   for k in inner[through_branch].tolist()]
         # a stable sort puts the first owner of each interior vertex first
         by_id = inner[np.argsort(flat[inner], kind="stable")]
@@ -286,7 +419,7 @@ def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
         first = by_id[np.repeat(heads[:-1], np.diff(heads))]
         again = first != by_id
         found += [(owner[k], 2, pos[k], 1, "INTERNAL_REUSE",
-                   f"vertex {vertex(k)} in {pair(owner[f])} and {pair(owner[k])}")
+                   f"vertex {walk.vertex(k)} in {pair(owner[f])} and {pair(owner[k])}")
                   for k, f in zip(by_id[again].tolist(), first[again].tolist())]
     if cert.ell is not None:
         want = cert.ell + 1
@@ -307,7 +440,7 @@ def verify(g: Graph, cert: EmbeddingCertificate) -> VerifyReport:
         valid=not violations,
         kind=cert.kind,
         t=t,
-        path_count=len(keys),
+        path_count=len(i),
         length_histogram=dict(zip(lengths[order].tolist(), counts[order].tolist())),
         violations=violations,
         strong_immersion=not through_branch.any() and not violations,

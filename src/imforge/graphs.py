@@ -15,7 +15,8 @@ takes only its type rule); ``_is_vertex``, behind ``has_edge``,
 ``EdgeSet`` and ``contains_vertex``, counts anything else as no vertex.
 
 Rows are read in bulk only by ``Graph._rows``, from CSR slices when the
-CSR is built and from the tuples otherwise.  ``Graph.block`` cuts every
+CSR is built and from the tuples otherwise, which it packs with
+``struct.pack_into`` into one preallocated array.  ``Graph.block`` cuts every
 dense 0/1 adjacency block from it, as one flat row-major scatter that is
 masked only when some neighbour has no column (a repeated column id
 raises); ``has_edges`` reads its rows there, ``neighbor_counts`` counts
@@ -43,6 +44,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from operator import index
+from struct import pack_into
 
 import numpy as np
 
@@ -57,6 +59,8 @@ from .errors import (
 
 Edge = tuple[int, int]
 _TUPLE_RUN = 1 << 16  # half-edges made into tuples, or edges into lines, at once
+_PACK_RUN = 1 << 14  # most neighbour entries ``_rows`` packs from short rows at once
+_LONG_ROW = 256  # a row at least this long is packed by itself
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -164,7 +168,11 @@ class Graph:
     def _rows(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row lengths and flat ascending neighbours (new arrays) of the
         listed vertices, in order: CSR slices when the CSR is built, the
-        neighbour tuples otherwise, so the CSR is never built."""
+        neighbour tuples otherwise, so the CSR is never built.  The tuples
+        are packed into the output with one ``pack_into`` call per run of
+        rows: a row of at least _LONG_ROW entries makes a run by itself,
+        unpacked as it is, and shorter rows are chained into runs of at
+        most _PACK_RUN entries that end before the next long row."""
         if self._csr is not None:
             indptr, indices = self._csr
             starts = indptr[verts]
@@ -173,8 +181,20 @@ class Graph:
             return sizes, indices[at]
         rows = [self._adj[v] for v in verts.tolist()]
         sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        return sizes, np.fromiter(chain.from_iterable(rows), dtype=np.intp,
-                                  count=int(sizes.sum()))
+        ends = np.cumsum(sizes).tolist()
+        longs = [*np.flatnonzero(sizes >= _LONG_ROW).tolist(), len(rows)]
+        out = np.empty(ends[-1] if ends else 0, dtype=np.intp)
+        k = done = 0
+        while k < len(rows):
+            if len(rows[k]) >= _LONG_ROW:
+                stop, entries = k + 1, rows[k]
+            else:  # the short rows up to the next long one, _PACK_RUN entries at most
+                stop = min(bisect_right(ends, done + _PACK_RUN, k),
+                           longs[bisect_right(longs, k)])
+                entries = chain.from_iterable(rows[k:stop])
+            pack_into(f"{ends[stop - 1] - done}n", out, done * out.itemsize, *entries)
+            k, done = stop, ends[stop - 1]
+        return sizes, out
 
     def block(self, rows: Iterable[int], cols: Iterable[int], dtype=bool) -> np.ndarray:
         """Dense len(rows) × len(cols) adjacency between two lists of

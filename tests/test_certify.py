@@ -2,6 +2,7 @@ import dataclasses
 import json
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -582,3 +583,129 @@ def test_verify_reports_an_empty_path_between_paths_whose_ends_fit():
     report = assert_matches_reference(complete(4), EmbeddingCertificate(IMMERSION, [0, 1, 2, 3],
                                                                         pairs))
     assert ("BAD_ENDPOINT", "pair (0, 2) path []...") in report.violations
+
+
+# the flat form of ``from_paths`` against certificates made from a dict
+
+def flat_copy(cert):
+    """The certificate ``from_paths`` makes from cert's paths: the flat form."""
+    branch = cert.branch
+    flat = EmbeddingCertificate.from_paths(
+        cert.kind, branch, {(branch[i], branch[j]): path for (i, j), path in cert.pairs.items()},
+        cert.ell)
+    assert "pairs" not in vars(flat)
+    return flat
+
+
+def reuse_first_path(pairs):
+    first, second = sorted(pairs)[:2]
+    pairs[second] = list(pairs[first])
+
+
+def true_vertex(pairs):
+    pairs[min(pairs)][1] = True
+
+
+def drop_last_pair(pairs):
+    del pairs[max(pairs)]
+
+
+@pytest.mark.parametrize("which", range(4), ids=["dense", "medium", "subdivide", "k3"])
+@pytest.mark.parametrize("mutate", [reuse_first_path, true_vertex, drop_last_pair])
+@pytest.mark.parametrize("how", ["read", "set"])
+def test_a_read_or_set_pairs_dict_is_the_certificate(which, mutate, how):
+    g, cert = pipeline_certificates()[which]
+    flat = flat_copy(cert)
+    if how == "read":
+        pairs = flat.pairs
+        assert flat.pairs is pairs and pairs == cert.pairs
+    else:
+        flat.pairs = pairs = copy_cert(cert).pairs
+    twin = copy_cert(cert)
+    mutate(pairs)
+    mutate(twin.pairs)
+    report = verify(g, flat)
+    assert not report.valid
+    assert report == verify(g, twin)
+    assert report.to_json() == verify(g, twin).to_json()
+    if mutate is not true_vertex:
+        assert flat.to_json() == twin.to_json()
+
+
+NUMPY_INTS = [np.int64, np.int32, np.int16, np.uint16, np.uint64]
+
+
+def np_ids(path):
+    return np.array(path, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_paths_matches_a_dict_built_certificate(data):
+    # random paths over K9, some with a wrong end, some given backwards,
+    # some ids numpy scalars; the branch list is then changed in place on
+    # both certificates; checked on K9 and on K9 less one edge of a path
+    n = 9
+    vertex = st.integers(0, n - 1)
+    branch = data.draw(st.lists(vertex, max_size=5, unique=True))
+    ordered = sorted(branch)
+    paths, oriented = {}, {}
+    for i, j in combinations(range(len(ordered)), 2):
+        a, b = ordered[i], ordered[j]
+        ends = data.draw(st.sampled_from([(a, b)] * 4 + [(a, None), (None, b)]))
+        path = [ends[0] if ends[0] is not None else data.draw(vertex),
+                *data.draw(st.lists(vertex, max_size=3)),
+                ends[1] if ends[1] is not None else data.draw(vertex)]
+        if data.draw(st.booleans()):
+            path.reverse()
+        oriented[(i, j)] = path if path[0] == a else path[::-1]
+        given_path = [data.draw(st.sampled_from([int, *NUMPY_INTS]))(v) for v in path]
+        paths[(a, b)] = data.draw(st.sampled_from([list, tuple, np_ids]))(given_path)
+    kind = data.draw(st.sampled_from([IMMERSION, SUBDIVISION]))
+    ell = data.draw(st.sampled_from([None, 0, 1, 2]))
+    flat = EmbeddingCertificate.from_paths(kind, branch, paths, ell)
+    twin = EmbeddingCertificate(kind, ordered, oriented, ell)
+    assert flat.branch == ordered and flat.to_json() == twin.to_json()
+    change = data.draw(st.sampled_from(["none", "swap", "pop", "append"]))
+    for c in (flat, twin):
+        if change == "swap" and len(ordered) >= 2:
+            c.branch[0], c.branch[-1] = c.branch[-1], c.branch[0]
+        elif change == "pop" and ordered:
+            c.branch.pop()
+        elif change == "append":
+            c.branch.append(n - 1)
+    hosts = [complete(n)]
+    edges = [normalize_edge(u, v) for path in oriented.values() for u, v in zip(path, path[1:])
+             if u != v]
+    if edges:
+        gone = data.draw(st.sampled_from(edges))
+        hosts.append(build_graph(n, [e for e in complete(n).edges() if e != gone]))
+    for g in hosts:
+        report = assert_matches_reference(g, twin)
+        assert verify(g, flat) == report
+        assert list(verify(g, flat).length_histogram) == list(report.length_histogram)
+    assert "pairs" not in vars(flat)  # neither check built the dict
+    assert flat.pairs == oriented and flat == twin
+
+
+@pytest.mark.parametrize("odd,violations", [
+    (1.5, [("BAD_ID", "pair (0, 2) path[1] = 1.5")]),
+    (True, [("BAD_ID", "pair (0, 2) path[1] = True")]),
+    (2 ** 70, [("MISSING_EDGE", f"pair (0, 2) edge (0, {2 ** 70})"),
+               ("MISSING_EDGE", f"pair (0, 2) edge (2, {2 ** 70})")]),
+], ids=["float", "bool", "beyond-int64"])
+def test_from_paths_keeps_the_dict_form_for_an_id_it_cannot_pack(odd, violations):
+    paths = {(0, 1): [1, 3, 0], (0, 2): [0, odd, 2], (1, 2): [1, 2]}
+    cert = EmbeddingCertificate.from_paths(IMMERSION, [2, 0, 1], paths)
+    assert vars(cert)["pairs"] == {(0, 1): [0, 3, 1], (0, 2): [0, odd, 2], (1, 2): [1, 2]}
+    report = verify(complete(4), cert)
+    assert report.violations == violations
+    assert report == reference_verify(complete(4), cert)
+
+
+@pytest.mark.parametrize("empty", [(0, 1), (1, 2)])
+def test_from_paths_raises_on_an_empty_path(empty):
+    # the path's first vertex is read to orient it, as it always was
+    paths = {(0, 1): [0, 1], (0, 2): [0, 2], (1, 2): [1, 2], empty: []}
+    with pytest.raises(IndexError):
+        EmbeddingCertificate.from_paths(IMMERSION, [0, 1, 2], paths)

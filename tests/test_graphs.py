@@ -309,6 +309,49 @@ def test_has_edges_never_builds_the_csr(monkeypatch):
     assert shell._csr is None
 
 
+def mixed_rows_host():
+    """Rows of every packing case: vertex 0 is longer than a packing run,
+    five rows are long but shorter than a run, between short rows of one
+    to six entries, and the last four vertices are isolated."""
+    leaves = graphs._PACK_RUN + 100
+    hubs = range(leaves + 1, leaves + 6)
+    edges = [(0, v) for v in range(1, leaves + 1)]
+    edges += [(h, v) for h in hubs for v in range(1, graphs._LONG_ROW + 50)]
+    return build_graph(leaves + 10, edges)
+
+
+def dense_bipartite_host():
+    """512 x 4096 at density 0.55: the k3 cell's host."""
+    mask = np.random.default_rng(21).random((512, 4096)) < 0.55
+    return build_graph(4608, np.argwhere(mask) + (0, 512))
+
+
+@pytest.mark.parametrize("host,verts", [
+    (mixed_rows_host, lambda n: np.arange(n)),
+    (mixed_rows_host, lambda n: np.random.default_rng(3).permutation(n)),
+    (mixed_rows_host, lambda n: np.array([n - 1, 0, n - 2, n - 3, 1, n - 6, 0])),
+    (mixed_rows_host, lambda n: np.array([0])),
+    (mixed_rows_host, lambda n: np.array([n - 1])),
+    (mixed_rows_host, lambda n: np.array([n - 1, n - 2])),
+    (mixed_rows_host, lambda n: np.array([], dtype=np.intp)),
+    (lambda: random_regular(20000, 16, seed=8), lambda n: np.arange(n)),
+    (dense_bipartite_host, lambda n: np.arange(512)),
+], ids=["mixed-all", "mixed-shuffled", "mixed-picked", "long-row", "empty-row", "empty-rows",
+        "no-rows", "rr20000x16", "bipartite512"])
+def test_rows_of_a_shell_equal_the_csr_read(host, verts):
+    g = host()
+    verts = verts(g.n)
+    shell = bare_shell(g)
+    sizes, flat = shell._rows(verts)
+    indptr, indices = g.csr()
+    rows = [indices[indptr[v]:indptr[v + 1]] for v in verts.tolist()]
+    assert sizes.dtype == flat.dtype == np.intp
+    assert sizes.tolist() == list(map(len, rows))
+    assert np.array_equal(flat, np.concatenate([np.empty(0, dtype=np.intp), *rows]))
+    assert np.array_equal(flat, g._rows(verts)[1])  # the CSR slices
+    assert shell._csr is None
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs_and_probes(), st.data())
 def test_block_agrees_with_has_edge_with_or_without_a_csr(case, data):
